@@ -14,21 +14,19 @@ from .channel import (ChannelConfig, FadingLink, IdealLink, LinkOutcome,
 from .control import (DareSolution, DareSolverError, JacobianController,
                       LqrWeights, build_jacobian_controller, lqr_gain,
                       optimal_action, solve_dare, spectral_radius)
-from .datasets import (GenerationConfig, Trajectory, TrajectoryDataset,
+from .datasets import (DataSettings, Trajectory, TrajectoryDataset,
                        extract_windows, generate_dataset, load_dataset,
                        save_dataset)
 from .dynamics import (CartPoleParams, IntegratorConfig,
                        IntegrationDivergedError, NoiseSpec,
                        cartpole_derivative, numeric_jacobian, rk4_step,
                        step_plant)
-from .experiments import (ExperimentConfig, FarStartSettings, FarStartResult,
-                          ResultRow, SwingupController, apply_overrides,
+from .experiments import (ExperimentConfig, ResultRow, apply_overrides,
                           config_from_dict, config_to_dict, desk_preset,
-                          evaluate_prediction, far_start_rollout, load_config,
-                          make_dataset, paper_preset, refresh_gain,
-                          run_experiment, run_sweep, save_config,
-                          seed_streams, train_controlling, train_far_start,
-                          train_sensing)
+                          evaluate_prediction, load_config, make_dataset,
+                          paper_preset, refresh_gain, run_experiment,
+                          run_sweep, save_config, seed_streams,
+                          train_controlling, train_sensing)
 from .koopman import (ControllingModel, SensingModel, WeightSchedule,
                       WindowBatch, action_step, latent_step, load_checkpoint,
                       predict_actions, predict_states, project_psd,
@@ -38,7 +36,6 @@ from .metrics import consecutive_lost, msce, nrmse
 from .neural import Adam, Network, load_network, make_mlp, save_network
 from .protocol import (ControllingTrainer, ControlSystem, Phase2Config,
                        SensingTrainer, fit_with_early_stopping,
-                       handle_missing_state, run_phase2_loop,
-                       switch_to_phase2)
+                       handle_missing_state, run_phase2_loop)
 
 __version__ = "0.1.0"

@@ -18,18 +18,13 @@ __all__ = [
     "constant",
     "backward",
     "add",
-    "sub",
-    "mul",
     "scale",
     "add_scalars",
-    "matmul",
     "affine",
     "relu",
     "block_affine",
     "concat_cols",
-    "col_slice",
     "mse_rows",
-    "mse_flat",
     "quad_rows",
 ]
 
@@ -56,23 +51,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; keeps loss-assembly code readable.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -172,28 +150,6 @@ def add(a, b):
     return _node(out_val, (a, b), grad_fn)
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_val = a.value - b.value
-
-    def grad_fn(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, -_unbroadcast(g, b.value.shape))
-
-    return _node(out_val, (a, b), grad_fn)
-
-
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_val = a.value * b.value
-
-    def grad_fn(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
-
-    return _node(out_val, (a, b), grad_fn)
-
-
 def scale(a, s):
     a = _as_tensor(a)
     s = float(s)
@@ -210,19 +166,6 @@ def add_scalars(terms):
     for t in terms[1:]:
         out = add(out, t)
     return out
-
-
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    out_val = a.value @ b.value
-
-    def grad_fn(g):
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
-
-    return _node(out_val, (a, b), grad_fn)
 
 
 def affine(x, w, b):
@@ -283,18 +226,6 @@ def concat_cols(parts):
     return _node(out_val, tuple(parts), grad_fn)
 
 
-def col_slice(x, start, stop):
-    x = _as_tensor(x)
-    out_val = x.value[:, start:stop]
-
-    def grad_fn(g):
-        full = np.zeros_like(x.value)
-        full[:, start:stop] = g
-        _accumulate(x, full)
-
-    return _node(out_val, (x,), grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # reductions used by the losses
 # ---------------------------------------------------------------------------
@@ -302,21 +233,6 @@ def col_slice(x, start, stop):
 def mse_rows(a, b):
     """Mean over rows of the squared euclidean row difference:
     (1/n) sum_i ||a_i - b_i||^2. Returns a scalar tensor."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    diff = a.value - b.value
-    n = diff.shape[0]
-    out_val = np.array((diff * diff).sum() / n)
-
-    def grad_fn(g):
-        c = 2.0 * float(g) / n
-        _accumulate(a, c * diff)
-        _accumulate(b, -c * diff)
-
-    return _node(out_val, (a, b), grad_fn)
-
-
-def mse_flat(a, b):
-    """Mean squared difference of two (n,) vectors."""
     a, b = _as_tensor(a), _as_tensor(b)
     diff = a.value - b.value
     n = diff.shape[0]

@@ -10,6 +10,7 @@ integration, unsolvable Riccati iteration, non-finite loss).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -97,11 +98,6 @@ def cmd_gen_data(args):
     return EXIT_OK
 
 
-def _stats_dict(stats):
-    return {"epoch": stats.epoch, "train_loss": stats.train_loss,
-            "val_loss": stats.val_loss, "batches": stats.batches}
-
-
 def cmd_train_sensing(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
@@ -112,7 +108,7 @@ def cmd_train_sensing(args):
                                       cfg.model.depth)
     koopman.save_checkpoint(model, out / "sensing.json", schedule)
     np.savetxt(out / "gain.txt", gain)
-    history = [_stats_dict(s) for s in result.history]
+    history = [dataclasses.asdict(s) for s in result.history]
     with open(out / "sensing_history.json", "w") as fh:
         json.dump({"history": history, "stopped_early": result.stopped_early},
                   fh, indent=2)

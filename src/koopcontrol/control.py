@@ -71,9 +71,7 @@ def solve_dare(a, b, q, r, tol=1e-10, max_iter=10000):
     residual = np.inf
     for it in range(1, max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            btp = b.T @ p
-            gain_term = np.linalg.solve(btp @ b + r, btp @ a)
-            p_next = a.T @ p @ a - (a.T @ p @ b) @ gain_term + q
+            p_next, gain = _riccati_map(p, a, b, q, r)
             p_next = 0.5 * (p_next + p_next.T)
         if not np.all(np.isfinite(p_next)):
             raise DareSolverError(
@@ -82,9 +80,9 @@ def solve_dare(a, b, q, r, tol=1e-10, max_iter=10000):
         residual = float(np.max(np.abs(p_next - p)))
         if residual < tol:
             # the update IS the defect of the current iterate, so return
-            # that one; the defect of p_next is unmeasured and transients
-            # of the non-normal map can push it back above tol
-            gain = lqr_gain(p, a, b, r)
+            # that one with the gain this sweep took from it; the defect of
+            # p_next is unmeasured and transients of the non-normal map can
+            # push it back above tol
             rho = spectral_radius(a - b @ gain)
             if rho >= 1.0:
                 raise DareSolverError(
@@ -115,9 +113,15 @@ def dare_residual(p, a, b, q, r):
     b = np.asarray(b, dtype=np.float64)
     if b.ndim == 1:
         b = b[:, None]
-    btp = b.T @ p
-    rhs = a.T @ p @ a - (a.T @ p @ b) @ np.linalg.solve(btp @ b + r, btp @ a) + q
+    rhs, _ = _riccati_map(p, a, b, q, r)
     return float(np.max(np.abs(rhs - p)))
+
+
+def _riccati_map(p, a, b, q, r):
+    """One unsymmetrized DARE map A^T P A - A^T P B K + Q, with K the LQR
+    gain of P. Returns (map value, K); `b` must already be 2-D."""
+    gain = lqr_gain(p, a, b, r)
+    return a.T @ p @ a - (a.T @ p @ b) @ gain + q, gain
 
 
 def optimal_action(gain, latent):

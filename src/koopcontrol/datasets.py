@@ -26,7 +26,9 @@ class DataGenerationError(RuntimeError):
 
 
 @dataclass
-class GenerationConfig:
+class DataSettings:
+    """Dataset size and generation recipe; also the `data` section of an
+    experiment config, so the field order is the saved-config order."""
     n_train: int = 20
     n_val: int = 5
     n_test: int = 5
@@ -34,6 +36,7 @@ class GenerationConfig:
     ic_low: float = -0.5
     ic_high: float = 0.5
     explore_std: float = 0.1   # [N] dither on the applied force
+    noise_var: float = 0.0     # plant process noise, applied by the caller
     max_retries: int = 25
 
     def counts(self):
@@ -117,17 +120,22 @@ def generate_dataset(params, integrator, noise, controller, cfg, seed):
     return ds
 
 
+def window_index(n, depth):
+    """(W, depth+1) sample indices of every length-(depth+1) sliding window
+    over a length-n sequence; W is zero when the sequence is too short."""
+    t = depth + 1
+    return np.arange(n - t + 1)[:, None] + np.arange(t)[None, :]
+
+
 def extract_windows(trajectories, depth):
     """All sliding windows of length depth+1 across the given trajectories.
 
     Returns (states, actions) shaped (W, depth+1, p) and (W, depth+1, q)."""
     s_parts, a_parts = [], []
-    t = depth + 1
     for traj in trajectories:
-        n = len(traj)
-        if n < t:
+        idx = window_index(len(traj), depth)
+        if not len(idx):
             continue
-        idx = np.arange(n - t + 1)[:, None] + np.arange(t)[None, :]
         s_parts.append(traj.states[idx])
         a_parts.append(traj.actions[idx])
     if not s_parts:

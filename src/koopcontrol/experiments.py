@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, control, datasets, dynamics, koopman, metrics, protocol
+from .datasets import DataSettings
 
 CONFIG_FORMAT = "koopcontrol-config-v1"
 
@@ -52,19 +53,6 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DataSettings:
-    n_train: int = 20
-    n_val: int = 5
-    n_test: int = 5
-    duration_s: float = 25.0
-    ic_low: float = -0.5
-    ic_high: float = 0.5
-    explore_std: float = 0.1
-    noise_var: float = 0.0
-    max_retries: int = 25
-
-
-@dataclass
 class ModelSettings:
     latent_dim: int = 4
     depth: int = 1                     # prediction depth the losses train for
@@ -85,6 +73,7 @@ class TrainSettings:
     patience: int = 10
     min_delta: float = 1e-4
     max_batches_per_epoch: int | None = None
+    # boundary gradients cross a fading downlink (ignored on an ideal link)
     impair_gradients: bool = False
 
 
@@ -217,24 +206,21 @@ PRESETS = {"desk": desk_preset, "paper": paper_preset}
 
 
 def apply_overrides(cfg, seed=None, snr_db=None, latent_dim=None, name=None):
-    """CLI-style point overrides; returns a modified copy."""
-    cfg = dataclasses.replace(cfg)
-    cfg.data = dataclasses.replace(cfg.data)
-    cfg.model = dataclasses.replace(cfg.model)
-    cfg.train = dataclasses.replace(cfg.train)
-    cfg.link = dataclasses.replace(cfg.link)
-    cfg.control = dataclasses.replace(cfg.control)
-    cfg.eval = dataclasses.replace(cfg.eval)
-    if seed is not None:
-        cfg.seed = int(seed)
+    """CLI-style point overrides; returns a modified copy. Every section is
+    rebuilt through its constructor, so overridden values are validated
+    (ConfigError) as a loaded config would be."""
+    changes = {section: {} for section in _SECTIONS}
     if snr_db is not None:
-        cfg.link.snr_db = float(snr_db)
-        cfg.link.ideal = False
+        changes["link"] = {"snr_db": float(snr_db), "ideal": False}
     if latent_dim is not None:
-        cfg.model.latent_dim = int(latent_dim)
+        changes["model"] = {"latent_dim": int(latent_dim)}
+    top = {section: dataclasses.replace(getattr(cfg, section), **fields)
+           for section, fields in changes.items()}
+    if seed is not None:
+        top["seed"] = int(seed)
     if name is not None:
-        cfg.name = name
-    return cfg
+        top["name"] = name
+    return dataclasses.replace(cfg, **top)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +261,8 @@ def make_dataset(cfg, streams=None):
     streams = streams or seed_streams(cfg.seed)
     params, integrator, noise = build_plant(cfg)
     baseline = build_baseline(cfg)
-    gen = datasets.GenerationConfig(
-        n_train=cfg.data.n_train, n_val=cfg.data.n_val, n_test=cfg.data.n_test,
-        duration_s=cfg.data.duration_s, ic_low=cfg.data.ic_low,
-        ic_high=cfg.data.ic_high, explore_std=cfg.data.explore_std,
-        max_retries=cfg.data.max_retries)
     return datasets.generate_dataset(params, integrator, noise, baseline,
-                                     gen, streams["data"])
+                                     cfg.data, streams["data"])
 
 
 def link_config(cfg):
@@ -335,7 +316,6 @@ def train_sensing(cfg, dataset, streams=None, on_epoch=None):
         q_x=cfg.control.q_x(), batch_size=cfg.train.batch_size,
         lr=cfg.train.lr, shuffle_seed=streams["shuffle"],
         max_batches_per_epoch=cfg.train.max_batches_per_epoch,
-        impair_gradients=cfg.train.impair_gradients,
         gradient_link=gradient_link)
 
     gains = []
@@ -459,185 +439,6 @@ def control_rollout(cfg, sensing, gain, controlling=None, x0=None,
         "final_state_norm": float(np.linalg.norm(result.states[-1])),
     }
     return result, summary
-
-
-# ---------------------------------------------------------------------------
-# far-start recovery experiment
-# ---------------------------------------------------------------------------
-
-class SwingupController:
-    """Baseline gain with the angle feedback flipped past the horizontal.
-
-    The plain linearized gain pushes against the fall even when the pole is
-    beyond +-pi/2, where that sign is wrong; flipping the two angle channels
-    there lets the same gain swing the pole through the horizontal and catch
-    it. Used to demonstrate recoveries from far starts for the training
-    data; never used at evaluation time."""
-
-    def __init__(self, params, integrator, weights=None):
-        if weights is None:
-            weights = control.LqrWeights(
-                q_g=np.eye(dynamics.STATE_DIM),
-                r=np.eye(dynamics.ACTION_DIM),
-                q_x=np.eye(dynamics.STATE_DIM))
-        self._jac = control.build_jacobian_controller(params, integrator,
-                                                      weights)
-
-    @property
-    def gain(self):
-        return self._jac.gain
-
-    def action(self, x):
-        g = self._jac.gain.copy()
-        if abs(x[2]) > np.pi / 2:
-            g[0, 2] *= -1.0
-            g[0, 3] *= -1.0
-        return -g @ x
-
-
-@dataclass
-class FarStartSettings:
-    """Recipe for training a latent LQR that recovers from far starts.
-
-    Short baseline trajectories plus a batch of swing-up demonstrations put
-    the capture corridor into the training data; a pool of independently
-    initialized fits is scored in closed loop from `x0` over a small
-    (r, anchor) grid and the best performer is kept, mirroring the practice
-    of reporting the best model among several runs."""
-    x0: tuple = (2.5, 2.5, 2.5, 2.5)
-    n_loops: int = 1000
-    pool: int = 8
-    n_base: int = 4
-    n_demo: int = 40
-    demo_duration_s: float = 10.0
-    explore_std: float = 0.5
-    latent_dim: int = 4
-    encoder_hidden: tuple = (32, 32)
-    c2: float = 10.0
-    lr: float = 1e-3
-    epochs: int = 80
-    batch_size: int = 64
-    max_batches_per_epoch: int = 150
-    r_grid: tuple = (0.01, 0.03, 0.05, 0.1, 0.3, 1.0)
-    anchor_grid: tuple = (1, 5, 10, 25)
-
-
-@dataclass
-class FarStartResult:
-    sensing: koopman.SensingModel
-    gain: np.ndarray
-    r: float
-    anchor_period: int
-    msce: float
-    final_sup: float
-    variant: int
-    pool: list
-
-
-def far_start_rollout(params, integrator, sensing, gain, x0, n_loops=1000,
-                      anchor_period=1):
-    """Closed loop from x0 with the state uplinked every `anchor_period`
-    loops and the latent advanced by the Koopman blocks in between; the
-    action downlink is ideal. anchor_period=1 is the every-loop feedback
-    u = -K g(x). Returns (Phase2Result, msce, final sup-norm error)."""
-    lost = [m for m in range(n_loops) if m % anchor_period]
-    uplink = channel.ScriptedLossLink(channel.IdealLink(), lost)
-    system = protocol.ControlSystem(
-        params=params, integrator=integrator, noise=dynamics.NoiseSpec(0.0),
-        sensing=sensing, gain=gain)
-    res = protocol.run_phase2_loop(
-        system, np.asarray(x0, dtype=np.float64), uplink,
-        channel.IdealLink(), protocol.Phase2Config(n_loops=n_loops))
-    msce_v = metrics.msce(res.states[1:], np.zeros(dynamics.STATE_DIM))
-    final_sup = float(np.max(np.abs(res.states[-1])))
-    return res, float(msce_v), final_sup
-
-
-def train_far_start(seed, settings=None, on_variant=None):
-    """Train the far-start recovery controller for one seed.
-
-    Every pool variant redraws the demonstration batch, the encoder init,
-    and the shuffle order from variant-indexed streams, trains the sensing
-    model, and is scored in closed loop from settings.x0 across the
-    (r_grid x anchor_grid) cells; the variant/cell with the smallest final
-    sup-norm error (ties by MSCE) wins. Raises PipelineError if no variant
-    produces a solvable, non-diverging loop."""
-    settings = settings or FarStartSettings()
-    cfg = desk_preset()
-    cfg.seed = seed
-    cfg.data = DataSettings(n_train=settings.n_base, n_val=3, n_test=1,
-                            explore_std=settings.explore_std)
-    cfg.model = ModelSettings(latent_dim=settings.latent_dim,
-                              encoder_hidden=settings.encoder_hidden)
-    streams = seed_streams(seed)
-    params, integrator, noise = build_plant(cfg)
-    base = make_dataset(cfg, streams)
-    expert = SwingupController(params, integrator)
-    demo_gen = datasets.GenerationConfig(
-        n_train=settings.n_demo, n_val=8, n_test=0,
-        duration_s=settings.demo_duration_s, ic_low=-2.5, ic_high=2.5,
-        explore_std=settings.explore_std, max_retries=10)
-
-    best = None
-    pool_rows = []
-    for variant in range(settings.pool):
-        demos = datasets.generate_dataset(
-            params, integrator, noise, expert, demo_gen,
-            int(streams["data"]) + 31 + 1000 * variant)
-        train_w = datasets.extract_windows(base.train + demos.train, 1)
-        val_w = datasets.extract_windows(base.val + demos.val, 1)
-        rng = np.random.default_rng([int(streams["sensing_init"]), variant])
-        model = koopman.SensingModel.build(
-            p=dynamics.STATE_DIM, d=settings.latent_dim,
-            q=dynamics.ACTION_DIM, rng=rng,
-            encoder_hidden=settings.encoder_hidden)
-        trainer = protocol.SensingTrainer(
-            model, koopman.WeightSchedule("special", 1), train_w, val_w,
-            uplink=None, coeffs=koopman.SensingCoefficients(c2=settings.c2),
-            q_x=cfg.control.q_x(), batch_size=settings.batch_size,
-            lr=settings.lr, shuffle_seed=int(streams["shuffle"]) + variant,
-            max_batches_per_epoch=settings.max_batches_per_epoch)
-        protocol.fit_with_early_stopping(trainer, settings.epochs,
-                                         patience=settings.epochs)
-
-        q_g = koopman.project_psd(model.cost.value)
-        entry = {"variant": variant, "r": None, "anchor_period": None,
-                 "msce": None, "final_sup": None}
-        for r_eval in settings.r_grid:
-            try:
-                sol = control.solve_dare(model.k11, model.k12, q_g,
-                                         np.eye(dynamics.ACTION_DIM) * r_eval)
-            except control.DareSolverError:
-                continue
-            for anchor in settings.anchor_grid:
-                try:
-                    _, msce_v, final_sup = far_start_rollout(
-                        params, integrator, model, sol.gain, settings.x0,
-                        settings.n_loops, anchor)
-                except dynamics.IntegrationDivergedError:
-                    continue
-                if entry["final_sup"] is None or (
-                        (final_sup, msce_v)
-                        < (entry["final_sup"], entry["msce"])):
-                    entry.update(r=r_eval, anchor_period=anchor,
-                                 msce=msce_v, final_sup=final_sup)
-                    cell = (model, sol.gain, r_eval, anchor)
-        pool_rows.append(entry)
-        if entry["final_sup"] is not None and (
-                best is None
-                or (entry["final_sup"], entry["msce"])
-                < (best.final_sup, best.msce)):
-            best = FarStartResult(
-                sensing=cell[0], gain=cell[1], r=cell[2],
-                anchor_period=cell[3], msce=entry["msce"],
-                final_sup=entry["final_sup"], variant=variant,
-                pool=pool_rows)
-        if on_variant is not None:
-            on_variant(entry)
-    if best is None:
-        raise PipelineError("no pool variant produced a working loop")
-    best.pool = pool_rows
-    return best
 
 
 def run_experiment(cfg, with_control=True):

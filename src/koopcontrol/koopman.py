@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Parameter, Tensor, add_scalars, backward, block_affine,
-                       concat_cols, constant, mse_flat, mse_rows, quad_rows,
-                       scale)
+from .autodiff import (Parameter, add_scalars, block_affine, concat_cols,
+                       constant, mse_rows, quad_rows, scale)
 from .neural import (Network, make_mlp, network_from_dict, network_to_dict)
 
 CHECKPOINT_FORMAT = "koopcontrol-checkpoint-v1"
@@ -143,9 +142,6 @@ class SensingModel:
 
     def decode(self, y):
         return self.decoder.predict(y)
-
-    def cost_psd(self):
-        return project_psd(self.cost.value)
 
     def encoder_parameters(self):
         return self.encoder.parameters()
@@ -344,13 +340,6 @@ def encode_windows(model, batch):
             for t in range(batch.depth + 1)]
 
 
-def latents_as_leaves(arrays):
-    """Wrap received latent arrays (B, T, d) as boundary leaf tensors."""
-    arrays = np.asarray(arrays, dtype=np.float64)
-    return [Tensor(arrays[:, t, :], requires_grad=True)
-            for t in range(arrays.shape[1])]
-
-
 def _check_depth(batch, schedule):
     if batch.depth != schedule.depth:
         raise ValueError(
@@ -376,7 +365,8 @@ def _weighted_sum(parts):
 
 
 def loss_reconstruction(model, batch, latents=None):
-    """L1: anchor reconstruction through the decoder, mean over the batch."""
+    """L1 (sensing) and L1' (controlling): anchor state reconstruction
+    through the model's decoder, mean over the batch."""
     if latents is None:
         latents = encode_windows(model, batch)
     y0 = concat_cols([latents[0], constant(batch.actions[:, 0, :])])
@@ -420,7 +410,7 @@ def loss_cost_consistency(model, batch, q_x, latents=None):
     q_x = np.asarray(q_x, dtype=np.float64)
     lhs = np.einsum("bi,ij,bj->b", x0, q_x, x0)
     rhs = quad_rows(latents[0], model.cost)
-    return mse_flat(constant(lhs), rhs)
+    return mse_rows(constant(lhs), rhs)
 
 
 def total_sensing_loss(model, batch, schedule, coeffs=None, q_x=None,
@@ -452,14 +442,6 @@ def _action_rollout_tensors(model, latents, batch, schedule):
             act = block_affine(latents[j], act, model.koopman, model.d)
         finals[l] = act
     return finals
-
-
-def loss_action_reconstruction(model, batch, latents=None):
-    """L1': anchor state reconstruction through the actuator decoder."""
-    if latents is None:
-        latents = encode_windows(model, batch)
-    z0 = concat_cols([latents[0], constant(batch.actions[:, 0, :])])
-    return mse_rows(constant(batch.states[:, 0, :]), model.decoder.forward(z0))
 
 
 def loss_action_evolution(model, batch, schedule, latents=None):
@@ -496,7 +478,7 @@ def total_controlling_loss(model, batch, schedule, coeffs=None, latents=None,
     coeffs = coeffs or ControllingCoefficients()
     if latents is None:
         latents = encode_windows(model, batch)
-    l1 = loss_action_reconstruction(model, batch, latents)
+    l1 = loss_reconstruction(model, batch, latents)
     l2 = loss_action_evolution(model, batch, schedule, latents)
     l3 = loss_action_state_prediction(model, batch, schedule, latents)
     total = add_scalars([scale(l1, coeffs.c1), scale(l2, coeffs.c2),
@@ -504,14 +486,6 @@ def total_controlling_loss(model, batch, schedule, coeffs=None, latents=None,
     if return_terms:
         return total, {"l1": l1, "l2": l2, "l3": l3}
     return total
-
-
-def loss_gradients(loss, params):
-    """Backprop `loss` and return the per-parameter gradient list (zeros for
-    parameters the graph never touched)."""
-    backward(loss)
-    return [p.grad if p.grad is not None else np.zeros_like(p.value)
-            for p in params]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import channel, dynamics, koopman
 from .autodiff import Tensor, backward
+from .datasets import window_index
 from .koopman import WindowBatch
 from .neural import Adam
 
@@ -38,23 +39,8 @@ class ColdStartError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# messages and records
+# phase-2 loop records
 # ---------------------------------------------------------------------------
-
-BOUNDARY_DIRECTIONS = ("activations_up", "gradient_down", "action_down")
-
-
-@dataclass
-class SplitBoundaryMessage:
-    direction: str
-    payload: np.ndarray
-    bits: int
-
-    def __post_init__(self):
-        if self.direction not in BOUNDARY_DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        self.payload = np.asarray(self.payload, dtype=np.float64)
-
 
 @dataclass
 class LoopRecord:
@@ -98,15 +84,8 @@ def write_records(records, path):
             fh.write("\n")
 
 
-@dataclass
-class PhaseRecord:
-    phase: str = "training"            # training | predictive
-    transition_epoch: int | None = None
-    transition_val_loss: float | None = None
-
-
 # ---------------------------------------------------------------------------
-# early stopping / phase switch
+# early stopping
 # ---------------------------------------------------------------------------
 
 class EarlyStopping:
@@ -133,15 +112,6 @@ class EarlyStopping:
             return False
         self.stale += 1
         return self.stale >= self.patience
-
-
-def switch_to_phase2(history, patience=10, min_delta=1e-4):
-    """Decide from a validation-loss history whether training is done."""
-    stopper = EarlyStopping(patience=patience, min_delta=min_delta)
-    stop = False
-    for v in history:
-        stop = stopper.update(v)
-    return stop
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +159,6 @@ class EpochStats:
 class TrainingResult:
     history: list
     stopped_early: bool
-    phase: PhaseRecord
 
     @property
     def epochs(self):
@@ -202,19 +171,60 @@ class TrainingResult:
         return min(vals) if vals else float("nan")
 
 
+def _train_epoch(trainer, batch_step):
+    """One shuffled pass over `trainer`'s training windows in mini-batches,
+    capped at `trainer.max_batches`, then a clean validation score.
+    `batch_step(states, actions, stats)` trains on one batch, adds its link
+    counts to `stats` and returns the batch loss, or None when no window of
+    the batch survived the link."""
+    trainer.epoch += 1
+    stats = EpochStats(epoch=trainer.epoch, train_loss=float("nan"),
+                       val_loss=float("nan"), batches=0)
+    n = trainer.train_states.shape[0]
+    order = trainer.shuffle_rng.permutation(n)
+    losses = []
+    for s in range(0, n, trainer.batch_size):
+        if trainer.max_batches is not None \
+                and stats.batches >= trainer.max_batches:
+            break
+        idx = order[s:s + trainer.batch_size]
+        loss = batch_step(trainer.train_states[idx],
+                          trainer.train_actions[idx], stats)
+        stats.batches += 1
+        if loss is not None:
+            losses.append(loss)
+    if losses:
+        stats.train_loss = float(np.mean(losses))
+    stats.val_loss = trainer.validation_loss()
+    return stats
+
+
+def _validation_loss(loss_fn, states, actions, chunk):
+    """Mean of `loss_fn(states, actions)` over chunks of at most `chunk`
+    windows, weighted by chunk size; NaN when there are no windows."""
+    n = states.shape[0]
+    if n == 0:
+        return float("nan")
+    total = 0.0
+    for s in range(0, n, chunk):
+        loss = loss_fn(states[s:s + chunk], actions[s:s + chunk])
+        total += float(loss.value) * min(chunk, n - s)
+    return total / n
+
+
 class SensingTrainer:
     """Runs phase-1 epochs for the sensing autoencoder.
 
     `uplink=None` trains centralized (no packetization); any link object
     with a .transmit(payload, bits) method enables the split path. The
-    gradient downlink is lossless unless `impair_gradients` is set, in which
-    case `gradient_link` carries one packet per batch and a loss skips that
-    batch's encoder update."""
+    gradient downlink is lossless when `gradient_link` is None; otherwise it
+    carries one packet per batch and a loss skips that batch's encoder
+    update."""
 
     def __init__(self, model, schedule, train_windows, val_windows,
                  uplink=None, coeffs=None, q_x=None, batch_size=64,
                  lr=1e-4, shuffle_seed=0, max_batches_per_epoch=None,
-                 impair_gradients=False, gradient_link=None):
+                 gradient_link=None):
         self.model = model
         self.schedule = schedule
         self.coeffs = coeffs or koopman.SensingCoefficients()
@@ -224,10 +234,7 @@ class SensingTrainer:
         self.uplink = uplink
         self.batch_size = int(batch_size)
         self.max_batches = max_batches_per_epoch
-        self.impair_gradients = bool(impair_gradients)
         self.gradient_link = gradient_link
-        if self.impair_gradients and self.gradient_link is None:
-            raise ValueError("impair_gradients requires a gradient_link")
         self.opt_server = Adam(model.server_parameters(), lr=lr)
         self.opt_encoder = Adam(model.encoder_parameters(), lr=lr)
         self.shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -277,7 +284,12 @@ class SensingTrainer:
 
     # -- one mini-batch ----------------------------------------------------
 
-    def _batch_step(self, states, actions):
+    def _loss(self, states, actions, latents=None):
+        return koopman.total_sensing_loss(
+            self.model, WindowBatch(states, actions), self.schedule,
+            self.coeffs, self.q_x, latents=latents)
+
+    def _batch_step(self, states, actions, stats):
         b, t = states.shape[0], states.shape[1]
         # stage A: sensor-side encode (graph kept for the second stage)
         enc_nodes = [self.model.encoder.forward(states[:, j, :])
@@ -286,17 +298,17 @@ class SensingTrainer:
 
         kept, recv_lat, recv_states, mask, lost = self._transport(
             latent_vals, states, actions)
-        dropped = b - kept.size
+        if self.uplink is not None:
+            stats.packets_sent += b * t
+        stats.packets_lost += lost
+        stats.windows_dropped += b - kept.size
         if kept.size == 0:
-            return None, lost, dropped, False
+            return None
 
         # stage B: controller-side loss on received (or filled) data
         leaves = [Tensor(recv_lat[kept, j, :], requires_grad=True)
                   for j in range(t)]
-        batch = WindowBatch(recv_states[kept], actions[kept])
-        loss = koopman.total_sensing_loss(
-            self.model, batch, self.schedule, self.coeffs, self.q_x,
-            latents=leaves)
+        loss = self._loss(recv_states[kept], actions[kept], latents=leaves)
         if not np.isfinite(loss.value):
             raise FloatingPointError(
                 f"sensing loss diverged at epoch {self.epoch}")
@@ -311,75 +323,35 @@ class SensingTrainer:
         boundary *= mask[:, :, None]
 
         encoder_update = True
-        if self.impair_gradients:
-            msg = SplitBoundaryMessage(
-                "gradient_down", boundary,
-                channel.payload_bits(boundary.size))
-            out = self.gradient_link.transmit(msg.payload, msg.bits)
+        if self.gradient_link is not None:
+            out = self.gradient_link.transmit(
+                boundary, channel.payload_bits(boundary.size))
+            encoder_update = out.delivered
             if out.delivered:
                 boundary = out.payload.reshape(boundary.shape)
-            else:
-                encoder_update = False
 
         if encoder_update:
             for j, node in enumerate(enc_nodes):
                 backward(node, seed=boundary[:, j, :])
             self.opt_encoder.step()
+        else:
+            stats.encoder_updates_skipped += 1
         self.opt_server.step()
         self.opt_encoder.zero_grad()
         self.opt_server.zero_grad()
-        return float(loss.value), lost, dropped, not encoder_update
+        return float(loss.value)
 
     # -- epoch driver ------------------------------------------------------
 
     def run_epoch(self):
         """One pass: shuffle windows, stream batches through the link, step
         both parameter partitions, then score clean validation windows."""
-        self.epoch += 1
-        n = self.train_states.shape[0]
-        order = self.shuffle_rng.permutation(n)
-        starts = range(0, n, self.batch_size)
-        losses = []
-        sent = lost_total = dropped_total = skipped = 0
-        batches = 0
-        for s in starts:
-            if self.max_batches is not None and batches >= self.max_batches:
-                break
-            idx = order[s:s + self.batch_size]
-            states = self.train_states[idx]
-            actions = self.train_actions[idx]
-            sent += states.shape[0] * states.shape[1] if self.uplink else 0
-            loss, lost, dropped, enc_skipped = self._batch_step(states, actions)
-            batches += 1
-            lost_total += lost
-            dropped_total += dropped
-            skipped += int(enc_skipped)
-            if loss is not None:
-                losses.append(loss)
-        return EpochStats(
-            epoch=self.epoch,
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            val_loss=self.validation_loss(),
-            batches=batches,
-            packets_sent=sent,
-            packets_lost=lost_total,
-            windows_dropped=dropped_total,
-            encoder_updates_skipped=skipped,
-        )
+        return _train_epoch(self, self._batch_step)
 
     def validation_loss(self, chunk=1024):
         """Total sensing loss on clean validation windows (no channel)."""
-        n = self.val_states.shape[0]
-        if n == 0:
-            return float("nan")
-        total = 0.0
-        for s in range(0, n, chunk):
-            batch = WindowBatch(self.val_states[s:s + chunk],
-                                self.val_actions[s:s + chunk])
-            loss = koopman.total_sensing_loss(
-                self.model, batch, self.schedule, self.coeffs, self.q_x)
-            total += float(loss.value) * batch.size
-        return total / n
+        return _validation_loss(self._loss, self.val_states, self.val_actions,
+                                chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +380,8 @@ def controlling_windows(trajectories, received, depth):
     """Windows of (true states, received actions) where every action packet
     in the window arrived; lossy windows are dropped rather than filled."""
     s_parts, a_parts = [], []
-    t = depth + 1
     for traj, (acts, mask) in zip(trajectories, received):
-        n = len(traj)
-        if n < t:
-            continue
-        idx = np.arange(n - t + 1)[:, None] + np.arange(t)[None, :]
+        idx = window_index(len(traj), depth)
         keep = mask[idx].all(axis=1)
         if keep.any():
             s_parts.append(traj.states[idx[keep]])
@@ -454,48 +422,31 @@ class ControllingTrainer:
             self.model, batch, self.schedule, self.coeffs,
             latents=self._latent_leaves(states))
 
+    def _batch_step(self, states, actions, stats):
+        loss = self._loss(states, actions)
+        if not np.isfinite(loss.value):
+            raise FloatingPointError(
+                f"controlling loss diverged at epoch {self.epoch}")
+        backward(loss)
+        self.opt.step()
+        self.opt.zero_grad()
+        return float(loss.value)
+
     def run_epoch(self):
-        self.epoch += 1
-        n = self.train_states.shape[0]
-        order = self.shuffle_rng.permutation(n)
-        losses = []
-        batches = 0
-        for s in range(0, n, self.batch_size):
-            if self.max_batches is not None and batches >= self.max_batches:
-                break
-            idx = order[s:s + self.batch_size]
-            loss = self._loss(self.train_states[idx], self.train_actions[idx])
-            if not np.isfinite(loss.value):
-                raise FloatingPointError(
-                    f"controlling loss diverged at epoch {self.epoch}")
-            backward(loss)
-            self.opt.step()
-            self.opt.zero_grad()
-            losses.append(float(loss.value))
-            batches += 1
-        return EpochStats(
-            epoch=self.epoch,
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            val_loss=self.validation_loss(),
-            batches=batches,
-        )
+        """One shuffled pass over the received-action windows, then the
+        validation score."""
+        return _train_epoch(self, self._batch_step)
 
     def validation_loss(self, chunk=1024):
-        n = self.val_states.shape[0]
-        if n == 0:
-            return float("nan")
-        total = 0.0
-        for s in range(0, n, chunk):
-            loss = self._loss(self.val_states[s:s + chunk],
-                              self.val_actions[s:s + chunk])
-            total += float(loss.value) * min(chunk, n - s)
-        return total / n
+        """Total controlling loss on the validation windows."""
+        return _validation_loss(self._loss, self.val_states, self.val_actions,
+                                chunk)
 
 
 def fit_with_early_stopping(trainer, max_epochs, patience=10, min_delta=1e-4,
                             on_epoch=None):
-    """Run epochs until the stopper fires or the budget runs out. Returns a
-    TrainingResult whose phase record marks the switch point."""
+    """Run epochs until the stopper fires or the budget runs out; the last
+    epoch of the returned TrainingResult is the switch to phase 2."""
     stopper = EarlyStopping(patience=patience, min_delta=min_delta)
     history = []
     stopped = False
@@ -507,92 +458,7 @@ def fit_with_early_stopping(trainer, max_epochs, patience=10, min_delta=1e-4,
         if stopper.update(stats.val_loss):
             stopped = True
             break
-    phase = PhaseRecord(phase="predictive",
-                        transition_epoch=history[-1].epoch if history else None,
-                        transition_val_loss=history[-1].val_loss if history else None)
-    return TrainingResult(history=history, stopped_early=stopped, phase=phase)
-
-
-# ---------------------------------------------------------------------------
-# phase 1 over a live plant
-# ---------------------------------------------------------------------------
-
-class LivePlantSession:
-    """Phase-1 training with the controller in the loop instead of a frozen
-    dataset. Each epoch collects one fresh closed-loop trajectory under the
-    current policy (the local-linearization baseline until a Koopman gain is
-    set, the latent LQR afterwards), appends its windows to the training
-    pool, and runs a normal split epoch over the pool. Set `gain` whenever a
-    Riccati refresh succeeds to move the collection policy over."""
-
-    def __init__(self, system, baseline, trainer, gen_cfg, plant_rng,
-                 uplink, n_steps):
-        self.system = system
-        self.baseline = baseline
-        self.trainer = trainer
-        self.gen_cfg = gen_cfg
-        self.plant_rng = plant_rng
-        self.uplink = uplink
-        self.n_steps = n_steps
-        self.gain = None
-
-    def collect(self):
-        """One trajectory driven by the controller's received (or predicted)
-        view of the state. Returns the true states and applied commands."""
-        model = self.trainer.model
-        x = self.plant_rng.uniform(self.gen_cfg.ic_low, self.gen_cfg.ic_high,
-                                   size=dynamics.STATE_DIM)
-        bits = channel.payload_bits(model.d + model.p)
-        states = np.empty((self.n_steps, dynamics.STATE_DIM))
-        actions = np.empty((self.n_steps, 1))
-        issued = np.zeros((self.n_steps, 1))
-        anchor_lat = None
-        anchor_m = -1
-        for m in range(self.n_steps):
-            out = self.uplink.transmit(
-                np.concatenate([model.encode(x), x]), bits)
-            if out.delivered:
-                lat_est = out.payload[:model.d]
-                state_est = out.payload[model.d:]
-                anchor_lat, anchor_m = lat_est.copy(), m
-            elif anchor_lat is not None:
-                depth = m - anchor_m
-                y_last = np.concatenate([anchor_lat, issued[anchor_m]])
-                lat_est, state_est = handle_missing_state(
-                    model, y_last, depth, issued[anchor_m:m])
-            else:
-                # cold start: hold zero until something arrives
-                lat_est, state_est = None, np.zeros(dynamics.STATE_DIM)
-
-            if self.gain is not None and lat_est is not None:
-                u = float(np.atleast_1d(-self.gain @ lat_est)[0])
-            else:
-                u = float(np.atleast_1d(self.baseline.action(state_est))[0])
-            if self.gen_cfg.explore_std > 0.0:
-                u += self.plant_rng.normal(0.0, self.gen_cfg.explore_std)
-            issued[m, 0] = u
-            states[m] = x
-            actions[m, 0] = u
-            if m < self.n_steps - 1:
-                x = dynamics.step_plant(x, u, self.system.params,
-                                        self.system.integrator,
-                                        noise=self.system.noise,
-                                        rng=self.plant_rng)
-        return states, actions
-
-    def run_epoch(self):
-        states, actions = self.collect()
-        t = self.trainer.schedule.depth + 1
-        idx = np.arange(len(states) - t + 1)[:, None] + np.arange(t)[None, :]
-        if self.trainer.train_states.size:
-            self.trainer.train_states = np.concatenate(
-                [self.trainer.train_states, states[idx]])
-            self.trainer.train_actions = np.concatenate(
-                [self.trainer.train_actions, actions[idx]])
-        else:
-            self.trainer.train_states = states[idx]
-            self.trainer.train_actions = actions[idx]
-        return self.trainer.run_epoch()
+    return TrainingResult(history=history, stopped_early=stopped)
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,9 @@ def test_pipeline_history_shape(pipeline):
     tmp, _ = pipeline
     hist = json.loads((tmp / "sensing_history.json").read_text())
     assert len(hist["history"]) == 2
-    assert {"epoch", "train_loss", "val_loss", "batches"} <= set(
-        hist["history"][0])
+    assert {"epoch", "train_loss", "val_loss", "batches", "packets_sent",
+            "packets_lost", "windows_dropped",
+            "encoder_updates_skipped"} <= set(hist["history"][0])
 
 
 def test_gain_file_is_loadable_matrix(pipeline):
@@ -127,6 +128,14 @@ def test_exit_config_on_multivalued_scalar_flag(tmp_path):
     code = cli.main(["train-sensing", "--config", str(cfg_path),
                      "--out-dir", str(tmp_path), "--snr-db", "0,10"])
     assert code == cli.EXIT_CONFIG
+
+
+def test_exit_config_on_invalid_latent_dim_override(tmp_path, capsys):
+    code = cli.main(["train-sensing", "--latent-dim", "0",
+                     "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "latent_dim" in capsys.readouterr().err
+    assert not (tmp_path / "sensing.json").exists()
 
 
 def test_exit_numeric_on_unstabilizable_gain(tmp_path, capsys):

@@ -25,7 +25,7 @@ def baseline(plant):
 def small_cfg(**kw):
     base = dict(n_train=2, n_val=1, n_test=1, duration_s=0.5)
     base.update(kw)
-    return datasets.GenerationConfig(**base)
+    return datasets.DataSettings(**base)
 
 
 def test_counts_and_shapes(plant, baseline):

@@ -206,6 +206,22 @@ def test_training_steps_reduce_validation_loss():
     assert len(gains) == result.epochs
 
 
+def test_impaired_gradients_on_ideal_link_train_losslessly():
+    cfg = micro_cfg()
+    cfg = dataclasses.replace(
+        cfg, train=dataclasses.replace(cfg.train, max_epochs=1))
+    impaired = dataclasses.replace(
+        cfg, train=dataclasses.replace(cfg.train, impair_gradients=True))
+    streams = experiments.seed_streams(cfg.seed)
+    dataset = experiments.make_dataset(cfg, streams)
+    _, plain, gain, _ = experiments.train_sensing(cfg, dataset, streams)
+    _, result, gain_i, _ = experiments.train_sensing(impaired, dataset,
+                                                     streams)
+    assert result.history == plain.history
+    assert result.history[0].encoder_updates_skipped == 0
+    assert np.array_equal(gain_i, gain)
+
+
 def test_sweep_writes_table_and_errors_sidecar(tmp_path):
     cfg = micro_cfg(ideal=False)
     out = tmp_path / "sweep.csv"

@@ -445,18 +445,16 @@ def test_controlling_loss_gradients_match_finite_differences(depth, mode):
     check_params(loss, model.parameters())
 
 
-def test_loss_gradients_returns_zeros_for_untouched_params():
+def test_reconstruction_leaves_koopman_and_cost_grad_unset():
     model = micro_model(seed=45)
     batch = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)), n=3, depth=1,
                             seed=23)
     # reconstruction touches encoder and decoder but not koopman or cost
-    loss = koopman.loss_reconstruction(model, batch)
-    grads = koopman.loss_gradients(loss, model.parameters())
-    by_param = dict(zip([id(p) for p in model.parameters()], grads))
-    assert np.allclose(by_param[id(model.koopman)], 0.0)
-    assert np.allclose(by_param[id(model.cost)], 0.0)
+    ad.backward(koopman.loss_reconstruction(model, batch))
+    assert model.koopman.grad is None
+    assert model.cost.grad is None
     enc_first = model.encoder_parameters()[0]
-    assert not np.allclose(by_param[id(enc_first)], 0.0)
+    assert not np.allclose(enc_first.grad, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,6 @@ def test_early_stopping_validation():
         protocol.EarlyStopping(patience=0)
 
 
-def test_switch_to_phase2():
-    assert protocol.switch_to_phase2([1.0, 0.9, 0.8], patience=2) is False
-    flat = [1.0, 0.99999, 0.99998, 0.99997]
-    assert protocol.switch_to_phase2(flat, patience=2) is True
-
-
 # ---------------------------------------------------------------------------
 # missing-data prediction
 # ---------------------------------------------------------------------------
@@ -79,13 +73,6 @@ def test_handle_missing_state_errors():
         protocol.handle_missing_state(model, y, 0, np.zeros((0, 1)))
     with pytest.raises(ValueError):
         protocol.handle_missing_state(model, y, 2, np.zeros((1, 1)))
-
-
-def test_boundary_message_validation():
-    msg = protocol.SplitBoundaryMessage("gradient_down", np.zeros(3), 160)
-    assert msg.payload.dtype == np.float64
-    with pytest.raises(ValueError):
-        protocol.SplitBoundaryMessage("sideways", np.zeros(3), 160)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +165,7 @@ def test_impaired_gradient_link_freezes_encoder():
     enc_before = [p.value.copy() for p in model.encoder_parameters()]
     srv_before = [p.value.copy() for p in model.server_parameters()]
     dead = scripted(range(10000))   # every gradient packet lost
-    trainer = _trainer(model, ideal(), impair_gradients=True,
-                       gradient_link=dead)
+    trainer = _trainer(model, ideal(), gradient_link=dead)
     stats = trainer.run_epoch()
     assert stats.encoder_updates_skipped == stats.batches
     for p, before in zip(model.encoder_parameters(), enc_before):
@@ -189,16 +175,10 @@ def test_impaired_gradient_link_freezes_encoder():
     assert moved, "server side should keep learning"
 
 
-def test_impaired_gradients_require_link():
-    with pytest.raises(ValueError):
-        _trainer(micro_model(seed=7), ideal(), impair_gradients=True)
-
-
 def test_clean_gradient_link_matches_centralized():
     m_a = micro_model(seed=8)
     m_b = micro_model(seed=8)
-    t_a = _trainer(m_a, ideal(), impair_gradients=True,
-                   gradient_link=ideal())
+    t_a = _trainer(m_a, ideal(), gradient_link=ideal())
     t_b = _trainer(m_b, None)
     t_a.run_epoch()
     t_b.run_epoch()
@@ -210,12 +190,10 @@ def test_training_result_properties():
     stats = [protocol.EpochStats(epoch=i + 1, train_loss=1.0,
                                  val_loss=v, batches=1)
              for i, v in enumerate([0.5, 0.4, float("nan"), 0.45])]
-    res = protocol.TrainingResult(history=stats, stopped_early=False,
-                                  phase=protocol.PhaseRecord())
+    res = protocol.TrainingResult(history=stats, stopped_early=False)
     assert res.epochs == 4
     assert res.best_val == 0.4
-    empty = protocol.TrainingResult(history=[], stopped_early=False,
-                                    phase=protocol.PhaseRecord())
+    empty = protocol.TrainingResult(history=[], stopped_early=False)
     assert np.isnan(empty.best_val)
 
 
@@ -227,8 +205,7 @@ def test_fit_with_early_stopping_budget_and_callback():
                                            on_epoch=seen.append)
     assert res.epochs == 3
     assert [s.epoch for s in seen] == [1, 2, 3]
-    assert res.phase.phase == "predictive"
-    assert res.phase.transition_epoch == 3
+    assert res.history == seen
 
 
 class _PlateauTrainer:
@@ -521,79 +498,3 @@ def test_write_records_roundtrip(tmp_path):
     for key in ("tau_comm_up", "tau_comm_down", "tau_comp", "command",
                 "applied", "state_source", "action_source"):
         assert key in lines[0]
-
-
-# ---------------------------------------------------------------------------
-# live-plant phase 1
-# ---------------------------------------------------------------------------
-
-def _live_session(gain=None, explore=0.0, lost=()):
-    from koopcontrol import control
-    model = koopman.SensingModel.build(p=4, d=2, q=1,
-                                       rng=np.random.default_rng(30),
-                                       encoder_hidden=(8, 8))
-    sched = koopman.WeightSchedule("special", 1)
-    empty = (np.zeros((0, 2, 4)), np.zeros((0, 2, 1)))
-    trainer = protocol.SensingTrainer(model, sched, empty, empty,
-                                      uplink=None, batch_size=16, lr=1e-3)
-    weights = control.LqrWeights(q_g=np.eye(4), r=np.eye(1), q_x=np.eye(4))
-    params = dynamics.CartPoleParams()
-    integrator = dynamics.IntegratorConfig()
-    baseline = control.build_jacobian_controller(params, integrator, weights)
-    system = protocol.ControlSystem(
-        params=params, integrator=integrator, noise=dynamics.NoiseSpec(0.0),
-        sensing=model, gain=np.zeros((1, 2)))
-    gen = datasets.GenerationConfig(explore_std=explore, ic_low=-0.1,
-                                    ic_high=0.1)
-    session = protocol.LivePlantSession(
-        system, baseline, trainer, gen, np.random.default_rng(31),
-        uplink=scripted(lost) if lost else ideal(), n_steps=30)
-    session.gain = gain
-    return session, model, baseline
-
-
-def test_live_session_grows_pool_and_trains():
-    session, _, _ = _live_session()
-    stats = session.run_epoch()
-    assert session.trainer.train_states.shape == (29, 2, 4)
-    assert np.isfinite(stats.train_loss)
-    session.run_epoch()
-    assert session.trainer.train_states.shape == (58, 2, 4)
-
-
-def test_live_session_baseline_policy_until_gain_set():
-    session, model, baseline = _live_session()
-    states, actions = session.collect()
-    # ideal uplink: the controller sees the true state, so the issued
-    # command is the baseline policy on it
-    for m in (0, 5, 20):
-        expect = float(np.atleast_1d(baseline.action(states[m]))[0])
-        assert actions[m, 0] == pytest.approx(expect, abs=1e-12)
-
-
-def test_live_session_switches_to_latent_gain():
-    gain = np.array([[0.5, -0.25]])
-    session, model, _ = _live_session(gain=gain)
-    states, actions = session.collect()
-    for m in (0, 7):
-        expect = float((-gain @ model.encode(states[m]))[0])
-        assert actions[m, 0] == pytest.approx(expect, abs=1e-12)
-
-
-def test_live_session_predicts_through_uplink_loss():
-    gain = np.array([[0.5, -0.25]])
-    session, model, _ = _live_session(gain=gain, lost=[1])
-    states, actions = session.collect()
-    # loop 1 lost: the policy runs on the latent rolled forward from loop 0
-    y = np.concatenate([model.encode(states[0]), actions[0]])
-    lat = koopman.rollout_latent(model, y, actions[0:1])[-1]
-    expect = float((-gain @ lat)[0])
-    assert actions[1, 0] == pytest.approx(expect, abs=1e-12)
-
-
-def test_live_session_cold_start_uses_baseline_on_zero():
-    session, model, baseline = _live_session(lost=[0, 1])
-    states, actions = session.collect()
-    expect = float(np.atleast_1d(baseline.action(np.zeros(4)))[0])
-    assert actions[0, 0] == pytest.approx(expect, abs=1e-12)
-    assert actions[1, 0] == pytest.approx(expect, abs=1e-12)
