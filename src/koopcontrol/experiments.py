@@ -87,6 +87,23 @@ class LinkSettings:
     tau_comp: float = 0.001
     noise_model: str = "snr_scaled"
 
+    def __post_init__(self):
+        # checked even on an ideal link: a sweep may switch it to fading
+        try:
+            self.channel_config()
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def channel_config(self):
+        """The fading-link configuration these settings describe."""
+        base = channel.ChannelConfig(d=self.distance, eta=self.eta,
+                                     bandwidth=self.bandwidth,
+                                     tau_comp=self.tau_comp,
+                                     noise_model=self.noise_model)
+        if self.snr_db is None:
+            return base
+        return channel.channel_config_for_target_snr(base, self.snr_db)
+
 
 @dataclass
 class ControlSettings:
@@ -102,6 +119,19 @@ class ControlSettings:
     def __post_init__(self):
         self.q_x_diag = tuple(float(v) for v in self.q_x_diag)
         self.x0 = tuple(float(v) for v in self.x0)
+        try:
+            self.phase2_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def phase2_config(self, n_loops=None):
+        """The phase-2 loop settings, optionally for another loop count."""
+        return protocol.Phase2Config(
+            n_loops=self.n_loops if n_loops is None else int(n_loops),
+            uplink_refresh=self.uplink_refresh,
+            action_fallback=self.action_fallback,
+            action_predict_mode=self.action_predict_mode,
+            latent_fallback=self.latent_fallback)
 
     def q_x(self):
         return np.diag(self.q_x_diag)
@@ -266,13 +296,7 @@ def make_dataset(cfg, streams=None):
 
 
 def link_config(cfg):
-    base = channel.ChannelConfig(d=cfg.link.distance, eta=cfg.link.eta,
-                                 bandwidth=cfg.link.bandwidth,
-                                 tau_comp=cfg.link.tau_comp,
-                                 noise_model=cfg.link.noise_model)
-    if cfg.link.snr_db is None:
-        return base
-    return channel.channel_config_for_target_snr(base, cfg.link.snr_db)
+    return cfg.link.channel_config()
 
 
 def build_link(cfg, seed):
@@ -420,12 +444,7 @@ def control_rollout(cfg, sensing, gain, controlling=None, x0=None,
         uplink = build_link(cfg, streams["eval_uplink"])
     if downlink is None:
         downlink = build_link(cfg, streams["eval_downlink"])
-    p2 = protocol.Phase2Config(
-        n_loops=cfg.control.n_loops if n_loops is None else int(n_loops),
-        uplink_refresh=cfg.control.uplink_refresh,
-        action_fallback=cfg.control.action_fallback,
-        action_predict_mode=cfg.control.action_predict_mode,
-        latent_fallback=cfg.control.latent_fallback)
+    p2 = cfg.control.phase2_config(n_loops)
     x0 = np.asarray(cfg.control.x0 if x0 is None else x0, dtype=np.float64)
     if plant_rng is None and noise.variance > 0.0:
         plant_rng = np.random.default_rng(streams["eval_plant"])

@@ -465,6 +465,12 @@ def fit_with_early_stopping(trainer, max_epochs, patience=10, min_delta=1e-4,
 # phase 2: predictive closed loop
 # ---------------------------------------------------------------------------
 
+FALLBACKS = ("predict", "hold")
+# latent handling inside koopman.predict_actions that the loop can drive;
+# "recorded" needs the future latents, which the actuator never holds
+PHASE2_PREDICT_MODES = ("hold", "advance")
+
+
 @dataclass
 class ControlSystem:
     """Everything the closed loop needs in one place."""
@@ -481,15 +487,17 @@ class ControlSystem:
 class Phase2Config:
     n_loops: int = 1000
     uplink_refresh: bool = True      # False = pure prediction after loop 0
-    action_fallback: str = "predict"  # predict | hold
-    action_predict_mode: str = "hold"  # latent handling inside predict_actions
-    latent_fallback: str = "predict"   # controller side: predict | hold
+    action_fallback: str = "predict"  # one of FALLBACKS
+    action_predict_mode: str = "hold"  # one of PHASE2_PREDICT_MODES
+    latent_fallback: str = "predict"   # controller side: one of FALLBACKS
 
     def __post_init__(self):
-        if self.action_fallback not in ("predict", "hold"):
-            raise ValueError("action_fallback must be predict or hold")
-        if self.latent_fallback not in ("predict", "hold"):
-            raise ValueError("latent_fallback must be predict or hold")
+        for name, allowed in (("action_fallback", FALLBACKS),
+                              ("action_predict_mode", PHASE2_PREDICT_MODES),
+                              ("latent_fallback", FALLBACKS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, "
+                                 f"not {getattr(self, name)!r}")
 
 
 @dataclass
@@ -529,11 +537,12 @@ def run_phase2_loop(system, x0, uplink, downlink, config, plant_rng=None):
     last_applied = np.zeros(q)
 
     for m in range(n):
+        g = model.encode(x)   # the uplink payload and the actuator's anchor
         # --- uplink ---------------------------------------------------
         attempt_uplink = config.uplink_refresh or m == 0
         up_out = None
         if attempt_uplink:
-            up_out = uplink.transmit(model.encode(x), up_bits)
+            up_out = uplink.transmit(g, up_bits)
         if up_out is not None and up_out.delivered:
             ctrl_lat = up_out.payload
             ctrl_depth = 0
@@ -560,7 +569,7 @@ def run_phase2_loop(system, x0, uplink, downlink, config, plant_rng=None):
             u_app = np.atleast_1d(down_out.payload)
             down_losses = 0
             action_source = "received"
-            anchor_z = np.concatenate([model.encode(x), u_app])
+            anchor_z = np.concatenate([g, u_app])
         else:
             down_losses += 1
             if config.action_fallback == "predict" and ctrl is not None \

@@ -92,18 +92,62 @@ def test_rk4_observed_order_on_cartpole():
     assert abs(order - 4.0) < 0.3
 
 
+def _array_field(params):
+    """The vector field on numpy float64 scalars with np.sin/np.cos, in the
+    source's expression order: the array form step_plant's float arithmetic
+    must reproduce bit for bit (libm pow for ** 2, and sin/cos alike)."""
+    m_p, m_c, ell = params.m_p, params.m_c, params.length
+    nu, delta, m_pm = params.nu, params.delta, params.m_pm
+
+    def f(state, u):
+        _, v, theta, omega = state
+        s, c = np.sin(theta), np.cos(theta)
+        den = m_p * ell**2 * (m_c + m_p * (1.0 - c**2))
+        dv = (-m_p**2 * ell**2 * nu * c * s
+              + m_p * ell**2 * (m_p * ell * omega**2 * s - delta * v)
+              + m_p * ell**2 * u) / den
+        domega = (m_pm * m_p * nu * ell * s
+                  - m_p * ell * c * (m_p * ell * omega**2 * s - delta * v)
+                  + m_p * ell * c * u) / den
+        return np.array([v, dv, omega, domega])
+    return f
+
+
 def test_step_plant_substeps_match_manual_composition():
     params = dynamics.CartPoleParams()
-    integ = dynamics.IntegratorConfig(h=0.01, tau_o=0.03)
-    assert integ.substeps == 3
-    x = np.array([0.2, 0.1, -0.4, 0.0])
-    manual = x
-    for _ in range(3):
-        manual = dynamics.rk4_step(
-            lambda s, u: dynamics.cartpole_derivative(s, u, params),
-            manual, 1.5, 0.01)
-    stepped = dynamics.step_plant(x, 1.5, params, integ)
-    assert np.array_equal(stepped, manual)
+    array_field = _array_field(params)
+
+    def field(s, u):
+        return dynamics.cartpole_derivative(s, u, params)
+
+    rng = np.random.default_rng(2209)
+    outcomes = {"stepped": 0, "diverged": 0}
+    for h, tau_o, substeps in ((0.01, 0.01, 1), (0.005, 0.01, 2),
+                               (0.01, 0.03, 3), (0.002, 0.01, 5)):
+        integ = dynamics.IntegratorConfig(h=h, tau_o=tau_o)
+        assert integ.substeps == substeps
+        for scale in (1e-2, 1.0, 1e2, 1e4):
+            for _ in range(20):
+                x = rng.normal(size=4) * scale
+                u = float(rng.normal() * scale)
+                reference = x
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for _ in range(substeps):
+                        reference = dynamics.rk4_step(array_field, reference,
+                                                      u, h)
+                if not np.all(np.abs(reference) <= dynamics.DIVERGENCE_BOUND):
+                    outcomes["diverged"] += 1
+                    with pytest.raises(dynamics.IntegrationDivergedError):
+                        dynamics.step_plant(x, u, params, integ)
+                    continue
+                outcomes["stepped"] += 1
+                manual = x
+                for _ in range(substeps):
+                    manual = dynamics.rk4_step(field, manual, u, h)
+                stepped = dynamics.step_plant(x, u, params, integ)
+                assert np.array_equal(stepped, manual)
+                assert stepped.tobytes() == reference.tobytes()
+    assert min(outcomes.values()) > 0
 
 
 def test_step_plant_noise_is_one_unbiased_draw():
@@ -144,9 +188,11 @@ def test_step_plant_deterministic_given_seed():
 def test_step_plant_divergence_guard():
     params = dynamics.CartPoleParams()
     integ = dynamics.IntegratorConfig()
-    with pytest.raises(dynamics.IntegrationDivergedError):
-        dynamics.step_plant(np.array([0.0, 1e300, 0.0, 0.0]), 0.0,
-                            params, integ)
+    for state in ([0.0, 1e300, 0.0, 0.0],    # finite, past the bound
+                  [0.0, 0.0, 0.3, 1e160],    # omega ** 2 overflows
+                  [0.0, 1e308, 0.0, 0.0]):   # non-finite at RK4 stage 2
+        with pytest.raises(dynamics.IntegrationDivergedError):
+            dynamics.step_plant(np.array(state), 0.0, params, integ)
 
 
 def test_derivative_rejects_non_finite_state():

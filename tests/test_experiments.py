@@ -41,6 +41,23 @@ def test_config_rejects_unknown_keys():
         experiments.config_from_dict(d2)
 
 
+def test_config_rejects_bad_link_and_control_values():
+    for section, field, value in (("link", "distance", 0.0),
+                                  ("link", "bandwidth", -1.0),
+                                  ("link", "noise_model", "pink"),
+                                  ("link", "snr_db", 1e5),
+                                  ("control", "action_predict_mode",
+                                   "recorded"),
+                                  ("control", "action_predict_mode",
+                                   "nonsense"),
+                                  ("control", "action_fallback", "improvise"),
+                                  ("control", "latent_fallback", "improvise")):
+        d = experiments.config_to_dict(experiments.desk_preset())
+        d[section][field] = value
+        with pytest.raises(experiments.ConfigError):
+            experiments.config_from_dict(d)
+
+
 def test_presets_differ_where_expected():
     desk = experiments.desk_preset()
     paper = experiments.paper_preset()

@@ -476,10 +476,30 @@ def test_phase2_latent_hold_fallback():
 
 
 def test_phase2_config_validation():
-    with pytest.raises(ValueError):
-        protocol.Phase2Config(action_fallback="improvise")
-    with pytest.raises(ValueError):
-        protocol.Phase2Config(latent_fallback="improvise")
+    for field, value in (("action_fallback", "improvise"),
+                         ("latent_fallback", "improvise"),
+                         ("action_predict_mode", "recorded"),
+                         ("action_predict_mode", "nonsense")):
+        with pytest.raises(ValueError, match=field):
+            protocol.Phase2Config(**{field: value})
+    for mode in protocol.PHASE2_PREDICT_MODES:
+        protocol.Phase2Config(action_predict_mode=mode)
+
+
+def test_phase2_encodes_once_per_loop(monkeypatch):
+    sens = _cartpole_like_stub()
+    system = _system(sens, np.array([[0.1, 0.2, 0.1, 0.05]]))
+    calls = []
+    predict = sens.encoder.predict
+
+    def counted(x):
+        calls.append(1)
+        return predict(x)
+
+    monkeypatch.setattr(sens.encoder, "predict", counted)
+    protocol.run_phase2_loop(system, np.full(4, 0.02), ideal(), ideal(),
+                             protocol.Phase2Config(n_loops=15))
+    assert len(calls) == 15
 
 
 def test_write_records_roundtrip(tmp_path):
