@@ -7,8 +7,8 @@ turning into an instantaneous SNR
 
 and a Shannon rate R = W log2(1 + snr). A packet of L bits is lost when its
 airtime L/R does not fit into the loop budget tau_o - tau_comp; a delivered
-payload picks up additive white Gaussian noise whose variance follows the
-configured model (scaled to the realized SNR by default).
+payload picks up additive white Gaussian noise scaled to the realized SNR,
+unless the link is configured noiseless.
 
 The closed-form outage probability below is the CDF of the exponential SNR
 at the minimum decodable SNR, so Monte-Carlo outage rates of `transmit`
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-NOISE_MODELS = ("noiseless", "fixed_variance", "snr_scaled")
+NOISE_MODELS = ("noiseless", "snr_scaled")
 
 BITS_PER_SCALAR = 32
 HEADER_BITS = 64
@@ -52,7 +52,6 @@ class ChannelConfig:
     tau_o: float = 0.01               # control period [s]
     tau_comp: float = 0.001           # compute budget taken off the period [s]
     noise_model: str = "snr_scaled"
-    fixed_noise_variance: float = 0.0
 
     def __post_init__(self):
         if self.noise_model not in NOISE_MODELS:
@@ -129,8 +128,6 @@ def transmit(config, payload, bits, rng):
 
     if config.noise_model == "noiseless":
         std = 0.0
-    elif config.noise_model == "fixed_variance":
-        std = math.sqrt(config.fixed_noise_variance)
     else:  # snr_scaled
         mean_sq = float(np.mean(payload * payload))
         std = math.sqrt(mean_sq / snr) if mean_sq > 0.0 else 0.0
@@ -168,9 +165,6 @@ class FadingLink:
 
 class IdealLink:
     """Lossless, noiseless, zero-latency stand-in with the same interface."""
-
-    def __init__(self, config=None, seed=None):
-        self.config = config
 
     def transmit(self, payload, bits):
         payload = np.asarray(payload, dtype=np.float64)

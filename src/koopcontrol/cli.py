@@ -104,9 +104,7 @@ def cmd_train_sensing(args):
     streams = experiments.seed_streams(cfg.seed)
     ds = _dataset(cfg, args, streams)
     model, result, gain, _ = experiments.train_sensing(cfg, ds, streams)
-    schedule = koopman.WeightSchedule(cfg.model.schedule_mode,
-                                      cfg.model.depth)
-    koopman.save_checkpoint(model, out / "sensing.json", schedule)
+    koopman.save_checkpoint(model, out / "sensing.json", cfg.model.schedule())
     np.savetxt(out / "gain.txt", gain)
     history = [dataclasses.asdict(s) for s in result.history]
     with open(out / "sensing_history.json", "w") as fh:
@@ -126,9 +124,10 @@ def cmd_train_controlling(args):
     if not sensing_path.exists():
         raise experiments.ConfigError(
             f"{sensing_path} not found; run train-sensing first")
-    sensing, schedule = koopman.load_checkpoint(sensing_path)
+    sensing, _ = koopman.load_checkpoint(sensing_path)
     model, result = experiments.train_controlling(cfg, sensing, ds, streams)
-    koopman.save_checkpoint(model, out / "controlling.json", schedule)
+    koopman.save_checkpoint(model, out / "controlling.json",
+                            cfg.model.schedule())
     print(f"controlling model: {result.epochs} epochs, "
           f"best val loss {result.best_val:.6g}; wrote {out}/controlling.json")
     return EXIT_OK

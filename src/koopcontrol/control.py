@@ -30,15 +30,6 @@ class DareSolverError(RuntimeError):
 
 
 @dataclass
-class LqrWeights:
-    """Quadratic cost pieces. q_g weighs the latent, q_x the raw state, r the
-    action. q_g is usually the PSD projection of a trained cost matrix."""
-    q_g: np.ndarray
-    r: np.ndarray
-    q_x: np.ndarray
-
-
-@dataclass
 class DareSolution:
     p: np.ndarray
     gain: np.ndarray
@@ -124,11 +115,6 @@ def _riccati_map(p, a, b, q, r):
     return a.T @ p @ a - (a.T @ p @ b) @ gain + q, gain
 
 
-def optimal_action(gain, latent):
-    """u = -K z for a latent (or state) vector."""
-    return -np.asarray(gain, dtype=np.float64) @ np.asarray(latent, dtype=np.float64)
-
-
 @dataclass
 class JacobianController:
     """LQR on the forward-Euler discretized linearization at the origin.
@@ -142,10 +128,11 @@ class JacobianController:
     b_d: np.ndarray = field(repr=False)
 
     def action(self, state):
-        return optimal_action(self.gain, state)
+        """u = -K x."""
+        return -self.gain @ np.asarray(state, dtype=np.float64)
 
 
-def build_jacobian_controller(params, integrator, weights):
+def build_jacobian_controller(params, integrator, q_x, r):
     """Linearize the cart-pole at the origin, discretize with forward Euler
     (A_d = I + tau_o A_c, B_d = tau_o B_c), and solve the DARE on (q_x, r)."""
 
@@ -156,5 +143,5 @@ def build_jacobian_controller(params, integrator, weights):
         f, np.zeros(dynamics.STATE_DIM), np.zeros(dynamics.ACTION_DIM))
     a_d = np.eye(dynamics.STATE_DIM) + integrator.tau_o * a_c
     b_d = integrator.tau_o * b_c
-    sol = solve_dare(a_d, b_d, weights.q_x, weights.r)
+    sol = solve_dare(a_d, b_d, q_x, r)
     return JacobianController(gain=sol.gain, a_d=a_d, b_d=b_d)

@@ -63,6 +63,14 @@ class ModelSettings:
         self.encoder_hidden = tuple(int(w) for w in self.encoder_hidden)
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
+        try:
+            self.schedule()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def schedule(self):
+        """The loss weight schedule both models train with."""
+        return koopman.WeightSchedule(self.schedule_mode, self.depth)
 
 
 @dataclass
@@ -75,6 +83,21 @@ class TrainSettings:
     max_batches_per_epoch: int | None = None
     # boundary gradients cross a fading downlink (ignored on an ideal link)
     impair_gradients: bool = False
+
+    def __post_init__(self):
+        try:
+            protocol.EarlyStopping(self.patience, self.min_delta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # max_epochs too: the latent gain is only solved after an epoch
+        for name in ("batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.max_batches_per_epoch is not None \
+                and self.max_batches_per_epoch < 1:
+            raise ConfigError("max_batches_per_epoch must be >= 1 or null")
+        if not self.lr > 0.0:
+            raise ConfigError("lr must be positive")
 
 
 @dataclass
@@ -124,10 +147,10 @@ class ControlSettings:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def phase2_config(self, n_loops=None):
-        """The phase-2 loop settings, optionally for another loop count."""
+    def phase2_config(self):
+        """The phase-2 loop settings."""
         return protocol.Phase2Config(
-            n_loops=self.n_loops if n_loops is None else int(n_loops),
+            n_loops=self.n_loops,
             uplink_refresh=self.uplink_refresh,
             action_fallback=self.action_fallback,
             action_predict_mode=self.action_predict_mode,
@@ -141,6 +164,11 @@ class ControlSettings:
 class EvalSettings:
     depth: int = 1                     # prediction depth scored by NRMSE
     anchor_stride: int = 10            # spacing between prediction anchors
+
+    def __post_init__(self):
+        for name in ("depth", "anchor_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"eval {name} must be >= 1")
 
 
 @dataclass
@@ -281,10 +309,9 @@ def build_baseline(cfg):
     """Controller linearized at the upright equilibrium; used to excite the
     plant during data generation and as the comparison policy."""
     params, integrator, _ = build_plant(cfg)
-    weights = control.LqrWeights(q_g=np.eye(cfg.model.latent_dim),
-                                 r=np.eye(dynamics.ACTION_DIM) * cfg.control.r,
-                                 q_x=cfg.control.q_x())
-    return control.build_jacobian_controller(params, integrator, weights)
+    return control.build_jacobian_controller(
+        params, integrator, cfg.control.q_x(),
+        np.eye(dynamics.ACTION_DIM) * cfg.control.r)
 
 
 def make_dataset(cfg, streams=None):
@@ -315,20 +342,19 @@ def refresh_gain(model, r):
     return sol.gain
 
 
-def train_sensing(cfg, dataset, streams=None, on_epoch=None):
+def train_sensing(cfg, dataset, streams=None):
     """Phase-1 split training of the sensing model over the uplink.
 
     The LQR gain is refreshed from the current blocks after every epoch and
-    kept at its last solvable value when a refresh fails; one final refresh
-    runs at the stopping point. Returns (model, TrainingResult, gain,
-    gain_history)."""
+    kept at its last solvable value when a refresh fails, so the returned
+    gain is that of the last epoch whose refresh succeeded. Returns (model,
+    TrainingResult, gain, gain_history), one history entry per epoch."""
     streams = streams or seed_streams(cfg.seed)
     rng = np.random.default_rng(streams["sensing_init"])
     model = koopman.SensingModel.build(
         p=dynamics.STATE_DIM, d=cfg.model.latent_dim, q=dynamics.ACTION_DIM,
         rng=rng, encoder_hidden=cfg.model.encoder_hidden)
-    schedule = koopman.WeightSchedule(cfg.model.schedule_mode,
-                                      cfg.model.depth)
+    schedule = cfg.model.schedule()
     train_w = datasets.extract_windows(dataset.train, cfg.model.depth)
     val_w = datasets.extract_windows(dataset.val, cfg.model.depth)
     uplink = None if cfg.link.ideal else build_link(cfg, streams["uplink"])
@@ -343,37 +369,28 @@ def train_sensing(cfg, dataset, streams=None, on_epoch=None):
         gradient_link=gradient_link)
 
     gains = []
-    state = {"gain": None}
 
     def _hook(stats):
         try:
-            state["gain"] = refresh_gain(model, cfg.control.r)
+            gains.append(refresh_gain(model, cfg.control.r))
         except control.DareSolverError:
-            pass                      # keep the last solvable gain
-        gains.append(state["gain"])
-        if on_epoch is not None:
-            on_epoch(stats)
+            gains.append(gains[-1] if gains else None)  # last solvable one
 
     result = protocol.fit_with_early_stopping(
         trainer, cfg.train.max_epochs, patience=cfg.train.patience,
         min_delta=cfg.train.min_delta, on_epoch=_hook)
-    try:
-        state["gain"] = refresh_gain(model, cfg.control.r)
-    except control.DareSolverError:
-        pass
-    if state["gain"] is None:
+    if not gains or gains[-1] is None:
         raise PipelineError("no solvable latent LQR gain at any epoch")
-    return model, result, state["gain"], gains
+    return model, result, gains[-1], gains
 
 
-def train_controlling(cfg, sensing, dataset, streams=None, on_epoch=None):
+def train_controlling(cfg, sensing, dataset, streams=None):
     """Phase-1 training of the controlling model on the action stream as the
     actuator received it over the downlink. Returns (model, TrainingResult)."""
     streams = streams or seed_streams(cfg.seed)
     rng = np.random.default_rng(streams["controlling_init"])
     model = koopman.ControllingModel.build(sensing, rng)
-    schedule = koopman.WeightSchedule(cfg.model.schedule_mode,
-                                      cfg.model.depth)
+    schedule = cfg.model.schedule()
     downlink = build_link(cfg, streams["downlink"])
     recv_train = protocol.receive_action_stream(dataset.train, downlink,
                                                 q=dynamics.ACTION_DIM)
@@ -389,22 +406,20 @@ def train_controlling(cfg, sensing, dataset, streams=None, on_epoch=None):
         max_batches_per_epoch=cfg.train.max_batches_per_epoch)
     result = protocol.fit_with_early_stopping(
         trainer, cfg.train.max_epochs, patience=cfg.train.patience,
-        min_delta=cfg.train.min_delta, on_epoch=on_epoch)
+        min_delta=cfg.train.min_delta)
     return model, result
 
 
-def evaluate_prediction(cfg, sensing, controlling, trajectories,
-                        depth=None, stride=None):
+def evaluate_prediction(cfg, sensing, controlling, trajectories):
     """Pooled state/action prediction NRMSE over anchored windows.
 
-    Anchors are spaced `stride` samples apart along each trajectory. From
-    each anchor y_m the state path is predicted `depth` steps with the
-    recorded controls, and the action path with the recorded latents;
-    predictions are pooled across anchors and trajectories before the NRMSE
-    normalization. Evaluation sees clean signals; the channel degrades
-    training, not scoring."""
-    depth = cfg.eval.depth if depth is None else int(depth)
-    stride = cfg.eval.anchor_stride if stride is None else int(stride)
+    Anchors are spaced `cfg.eval.anchor_stride` samples apart along each
+    trajectory. From each anchor y_m the state path is predicted
+    `cfg.eval.depth` steps with the recorded controls, and the action path
+    with the recorded latents; predictions are pooled across anchors and
+    trajectories before the NRMSE normalization. Evaluation sees clean
+    signals; the channel degrades training, not scoring."""
+    depth, stride = cfg.eval.depth, cfg.eval.anchor_stride
     pred_s, obs_s, pred_a, obs_a = [], [], [], []
     for traj in trajectories:
         n = len(traj)
@@ -431,9 +446,8 @@ def evaluate_prediction(cfg, sensing, controlling, trajectories,
     return out
 
 
-def control_rollout(cfg, sensing, gain, controlling=None, x0=None,
-                    streams=None, uplink=None, downlink=None, n_loops=None,
-                    plant_rng=None):
+def control_rollout(cfg, sensing, gain, controlling=None, streams=None,
+                    uplink=None, downlink=None):
     """Phase-2 closed loop; returns (Phase2Result, summary dict)."""
     streams = streams or seed_streams(cfg.seed)
     params, integrator, noise = build_plant(cfg)
@@ -444,12 +458,12 @@ def control_rollout(cfg, sensing, gain, controlling=None, x0=None,
         uplink = build_link(cfg, streams["eval_uplink"])
     if downlink is None:
         downlink = build_link(cfg, streams["eval_downlink"])
-    p2 = cfg.control.phase2_config(n_loops)
-    x0 = np.asarray(cfg.control.x0 if x0 is None else x0, dtype=np.float64)
-    if plant_rng is None and noise.variance > 0.0:
+    plant_rng = None
+    if noise.variance > 0.0:
         plant_rng = np.random.default_rng(streams["eval_plant"])
-    result = protocol.run_phase2_loop(system, x0, uplink, downlink, p2,
-                                      plant_rng=plant_rng)
+    result = protocol.run_phase2_loop(
+        system, np.asarray(cfg.control.x0, dtype=np.float64), uplink,
+        downlink, cfg.control.phase2_config(), plant_rng=plant_rng)
     down_flags = [r.downlink_delivered for r in result.records
                   if r.downlink_delivered is not None]
     summary = {

@@ -14,10 +14,10 @@ The controlling model reuses the same encoder and evolves the *action*:
 u_{m+1} ~ K21' g(x_m) + K22' u_m, with its own decoder back to the state.
 The actuator uses it to ride out downlink outages.
 
-Training losses are built on the autodiff tape. Each loss accepts
-precomputed latent tensors so a split deployment can inject latents as
-received leaves (gradients then stop at the transmission boundary and are
-shipped back separately); when omitted, latents are encoded in-graph.
+Training losses are built on the autodiff tape. Each loss takes the latent
+tensors as an argument so a split deployment can inject latents as received
+leaves (gradients then stop at the transmission boundary and are shipped
+back separately); the two total losses encode them in-graph when omitted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .autodiff import (Parameter, add_scalars, block_affine, concat_cols,
                        constant, mse_rows, quad_rows, scale)
-from .neural import (Network, make_mlp, network_from_dict, network_to_dict)
+from .neural import make_mlp, network_from_dict, network_to_dict
 
 CHECKPOINT_FORMAT = "koopcontrol-checkpoint-v1"
 
@@ -171,11 +171,8 @@ class ControllingModel:
             raise ValueError("decoder must map (d+q) -> p")
 
     @classmethod
-    def build(cls, sensing, rng, encoder_hidden=None):
-        if encoder_hidden is None:
-            hidden = [layer.d_out for layer in sensing.encoder.layers[:-1]]
-        else:
-            hidden = list(encoder_hidden)
+    def build(cls, sensing, rng):
+        hidden = [layer.d_out for layer in sensing.encoder.layers[:-1]]
         p, d, q = sensing.p, sensing.d, sensing.q
         decoder = make_mlp(_decoder_dims(p, d, q, hidden), rng)
         k = np.concatenate([np.zeros((q, d)), np.eye(q)], axis=1)
@@ -209,12 +206,6 @@ class ControllingModel:
 # single-sample evolution and prediction (numpy, inference path)
 # ---------------------------------------------------------------------------
 
-def augmented(latent, u):
-    """y = [latent; u]."""
-    return np.concatenate([np.asarray(latent, dtype=np.float64).ravel(),
-                           np.asarray(u, dtype=np.float64).ravel()])
-
-
 def latent_step(model, latent, u):
     """One linear latent step: K11 latent + K12 u."""
     latent = np.asarray(latent, dtype=np.float64).ravel()
@@ -229,44 +220,23 @@ def action_step(model, latent, u):
     return model.k21 @ latent + model.k22 @ u
 
 
-def rollout_latent(model, y, controls):
-    """Iterate the latent map from y = [latent; u_m] through `controls`.
-
-    controls has one row per step; row 0 plays the role of u_m (normally it
-    equals the control part of y). Returns the latent trajectory with the
-    starting latent as row 0, so the result has len(controls)+1 rows."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
-    if controls.shape[1] != model.q:
-        controls = controls.reshape(-1, model.q)
-    lat = y[:model.d]
-    out = [lat]
-    for u in controls:
-        lat = latent_step(model, lat, u)
-        out.append(lat)
-    return np.array(out)
-
-
-def predict_states(model, y, depth, controls=None, policy=None):
+def predict_states(model, y, depth, controls):
     """Depth-k state prediction from y_m = [g(x_m); u_m].
 
     Each step advances the latent with the control in force, then decodes
-    [latent; next control]. The next control comes from `controls` (recorded
-    sequence for times m+1..m+depth) or from `policy(latent)` when running
-    closed loop. Returns (depth, p) predicted states for times m+1..m+depth."""
+    [latent; next control], the next control taken from the recorded
+    sequence `controls` for times m+1..m+depth. Returns (depth, p) predicted
+    states for times m+1..m+depth."""
     y = np.asarray(y, dtype=np.float64).ravel()
-    if (controls is None) == (policy is None):
-        raise ValueError("exactly one of controls/policy must be given")
-    if controls is not None:
-        controls = np.asarray(controls, dtype=np.float64).reshape(-1, model.q)
-        if controls.shape[0] < depth:
-            raise ValueError("need one control per predicted step")
+    controls = np.asarray(controls, dtype=np.float64).reshape(-1, model.q)
+    if controls.shape[0] < depth:
+        raise ValueError("need one control per predicted step")
     lat = y[:model.d]
     u = y[model.d:]
     states = []
     for k in range(depth):
         lat = latent_step(model, lat, u)
-        u = controls[k] if controls is not None else np.atleast_1d(policy(lat))
+        u = controls[k]
         states.append(model.decode(np.concatenate([lat, u])))
     return np.array(states)
 
@@ -364,33 +334,27 @@ def _weighted_sum(parts):
     return add_scalars(terms) if len(terms) > 1 else terms[0]
 
 
-def loss_reconstruction(model, batch, latents=None):
+def loss_reconstruction(model, batch, latents):
     """L1 (sensing) and L1' (controlling): anchor state reconstruction
     through the model's decoder, mean over the batch."""
-    if latents is None:
-        latents = encode_windows(model, batch)
     y0 = concat_cols([latents[0], constant(batch.actions[:, 0, :])])
     return mse_rows(constant(batch.states[:, 0, :]), model.decoder.forward(y0))
 
 
-def loss_latent_evolution(model, batch, schedule, latents=None):
+def loss_latent_evolution(model, batch, schedule, latents):
     """L2: latent targets vs the schedule-weighted rollout endpoint, averaged
     over the target offsets m' = 1..M_d."""
     _check_depth(batch, schedule)
-    if latents is None:
-        latents = encode_windows(model, batch)
     finals = _rollout_tensors(model, latents, batch, schedule)
     pred = _weighted_sum([(finals[l], w) for l, w in schedule.weights()])
     terms = [mse_rows(latents[mp], pred) for mp in range(1, schedule.depth + 1)]
     return scale(add_scalars(terms), 1.0 / schedule.depth)
 
 
-def loss_state_prediction(model, batch, schedule, latents=None):
+def loss_state_prediction(model, batch, schedule, latents):
     """L3: state targets vs the weighted sum of decoded rollout endpoints,
     each decoded with the control recorded at the window end."""
     _check_depth(batch, schedule)
-    if latents is None:
-        latents = encode_windows(model, batch)
     finals = _rollout_tensors(model, latents, batch, schedule)
     u_end = constant(batch.actions[:, schedule.depth, :])
     decoded = [(model.decoder.forward(concat_cols([finals[l], u_end])), w)
@@ -401,11 +365,9 @@ def loss_state_prediction(model, batch, schedule, latents=None):
     return scale(add_scalars(terms), 1.0 / schedule.depth)
 
 
-def loss_cost_consistency(model, batch, q_x, latents=None):
+def loss_cost_consistency(model, batch, q_x, latents):
     """L4: quadratic state cost vs the latent quadratic form under the
     trainable cost matrix, at the window anchor."""
-    if latents is None:
-        latents = encode_windows(model, batch)
     x0 = batch.states[:, 0, :]
     q_x = np.asarray(q_x, dtype=np.float64)
     lhs = np.einsum("bi,ij,bj->b", x0, q_x, x0)
@@ -413,10 +375,10 @@ def loss_cost_consistency(model, batch, q_x, latents=None):
     return mse_rows(constant(lhs), rhs)
 
 
-def total_sensing_loss(model, batch, schedule, coeffs=None, q_x=None,
-                       latents=None, return_terms=False):
+def total_sensing_loss(model, batch, schedule, q_x=None, latents=None,
+                       return_terms=False):
     """Weighted sensing loss c1 L1 + c2 L2 + c3 L3 + c4 L4 on one graph."""
-    coeffs = coeffs or SensingCoefficients()
+    coeffs = SensingCoefficients()
     if q_x is None:
         q_x = np.eye(model.p)
     if latents is None:
@@ -444,11 +406,9 @@ def _action_rollout_tensors(model, latents, batch, schedule):
     return finals
 
 
-def loss_action_evolution(model, batch, schedule, latents=None):
+def loss_action_evolution(model, batch, schedule, latents):
     """L2': action targets vs the weighted action-rollout endpoint."""
     _check_depth(batch, schedule)
-    if latents is None:
-        latents = encode_windows(model, batch)
     finals = _action_rollout_tensors(model, latents, batch, schedule)
     pred = _weighted_sum([(finals[l], w) for l, w in schedule.weights()])
     terms = [mse_rows(constant(batch.actions[:, mp, :]), pred)
@@ -456,12 +416,10 @@ def loss_action_evolution(model, batch, schedule, latents=None):
     return scale(add_scalars(terms), 1.0 / schedule.depth)
 
 
-def loss_action_state_prediction(model, batch, schedule, latents=None):
+def loss_action_state_prediction(model, batch, schedule, latents):
     """L3': state targets vs the actuator decode of [end latent; predicted
     action]."""
     _check_depth(batch, schedule)
-    if latents is None:
-        latents = encode_windows(model, batch)
     finals = _action_rollout_tensors(model, latents, batch, schedule)
     lat_end = latents[schedule.depth]
     decoded = [(model.decoder.forward(concat_cols([lat_end, finals[l]])), w)
@@ -472,10 +430,10 @@ def loss_action_state_prediction(model, batch, schedule, latents=None):
     return scale(add_scalars(terms), 1.0 / schedule.depth)
 
 
-def total_controlling_loss(model, batch, schedule, coeffs=None, latents=None,
+def total_controlling_loss(model, batch, schedule, latents=None,
                            return_terms=False):
     """Weighted controlling loss c1' L1' + c2' L2' + c3' L3'."""
-    coeffs = coeffs or ControllingCoefficients()
+    coeffs = ControllingCoefficients()
     if latents is None:
         latents = encode_windows(model, batch)
     l1 = loss_reconstruction(model, batch, latents)

@@ -8,8 +8,6 @@ nodes for training, `predict` is a numpy-only fast path for inference
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .autodiff import Parameter, Tensor, affine, relu
@@ -96,14 +94,14 @@ class Network:
         return out[0] if single else out
 
 
-def make_mlp(dims, rng, hidden_activation="relu", output_activation="linear"):
-    """Build a network from a dim chain [d0, d1, ..., dk]: hidden layers get
-    `hidden_activation`, the last layer `output_activation`."""
+def make_mlp(dims, rng):
+    """Build a network from a dim chain [d0, d1, ..., dk]: relu hidden
+    layers and a linear output layer."""
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
     layers = []
     for i in range(len(dims) - 1):
-        act = output_activation if i == len(dims) - 2 else hidden_activation
+        act = "linear" if i == len(dims) - 2 else "relu"
         layers.append(DenseLayer(
             init_weights(dims[i + 1], dims[i], rng),
             np.zeros(dims[i + 1]),
@@ -130,17 +128,14 @@ class Adam:
         for p in self.params:
             p.grad = None
 
-    def step(self, grads=None):
-        """Apply one update. `grads` defaults to each param's accumulated
-        .grad; a param with no gradient this round is left untouched."""
-        if grads is None:
-            grads = [p.grad for p in self.params]
-        if len(grads) != len(self.params):
-            raise ValueError("gradient count does not match parameter count")
+    def step(self):
+        """Apply one update from each param's accumulated .grad; a param
+        with no gradient this round is left untouched."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
+        for i, p in enumerate(self.params):
+            g = p.grad
             if g is None:
                 continue
             g = np.asarray(g, dtype=np.float64)
@@ -183,13 +178,3 @@ def network_from_dict(data):
         for entry in data["layers"]
     ]
     return Network(layers)
-
-
-def save_network(net, path):
-    with open(path, "w") as fh:
-        json.dump(network_to_dict(net), fh)
-
-
-def load_network(path):
-    with open(path) as fh:
-        return network_from_dict(json.load(fh))

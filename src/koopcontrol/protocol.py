@@ -23,7 +23,7 @@ ideal link the two produce bit-identical parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,21 +59,9 @@ class LoopRecord:
     state: np.ndarray = field(repr=False)
 
     def to_dict(self):
-        return {
-            "index": self.index,
-            "uplink_delivered": self.uplink_delivered,
-            "downlink_delivered": self.downlink_delivered,
-            "state_source": self.state_source,
-            "state_depth": self.state_depth,
-            "action_source": self.action_source,
-            "action_depth": self.action_depth,
-            "tau_comm_up": self.tau_comm_up,
-            "tau_comm_down": self.tau_comm_down,
-            "tau_comp": self.tau_comp,
-            "command": self.command,
-            "applied": self.applied,
-            "state": np.asarray(self.state).tolist(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["state"] = np.asarray(self.state).tolist()
+        return out
 
 
 def write_records(records, path):
@@ -118,13 +106,13 @@ class EarlyStopping:
 # missing-data prediction
 # ---------------------------------------------------------------------------
 
-def handle_missing_state(model, last_y, depth, controls, decode_u=None):
+def handle_missing_state(model, last_y, depth, controls, decode_u):
     """Estimate (latent, state) `depth` loops past the last received y.
 
     `controls` are the commands issued for the elapsed loops (row 0 pairs
-    with last_y's own control). The state estimate is decoded with
-    `decode_u`, defaulting to the freshest issued command. Raises
-    ColdStartError when nothing was ever received."""
+    with last_y's own control). The state estimate decodes the latent
+    together with `decode_u`, the command in force at the estimated time.
+    Raises ColdStartError when nothing was ever received."""
     if last_y is None:
         raise ColdStartError("no reception to predict from")
     if depth < 1:
@@ -132,9 +120,9 @@ def handle_missing_state(model, last_y, depth, controls, decode_u=None):
     controls = np.asarray(controls, dtype=np.float64).reshape(-1, model.q)
     if controls.shape[0] != depth:
         raise ValueError("need exactly one issued control per missed loop")
-    lat = koopman.rollout_latent(model, last_y, controls)[-1]
-    if decode_u is None:
-        decode_u = controls[-1]
+    lat = np.asarray(last_y, dtype=np.float64).ravel()[:model.d]
+    for u in controls:
+        lat = koopman.latent_step(model, lat, u)
     state = model.decode(np.concatenate([lat, np.ravel(decode_u)]))
     return lat, state
 
@@ -199,12 +187,17 @@ def _train_epoch(trainer, batch_step):
     return stats
 
 
-def _validation_loss(loss_fn, states, actions, chunk):
-    """Mean of `loss_fn(states, actions)` over chunks of at most `chunk`
-    windows, weighted by chunk size; NaN when there are no windows."""
+VALIDATION_CHUNK = 1024   # validation windows scored per loss graph
+
+
+def _validation_loss(loss_fn, states, actions):
+    """Mean of `loss_fn(states, actions)` over chunks of at most
+    VALIDATION_CHUNK windows, weighted by chunk size; NaN when there are no
+    windows."""
     n = states.shape[0]
     if n == 0:
         return float("nan")
+    chunk = VALIDATION_CHUNK
     total = 0.0
     for s in range(0, n, chunk):
         loss = loss_fn(states[s:s + chunk], actions[s:s + chunk])
@@ -222,12 +215,11 @@ class SensingTrainer:
     update."""
 
     def __init__(self, model, schedule, train_windows, val_windows,
-                 uplink=None, coeffs=None, q_x=None, batch_size=64,
+                 uplink=None, q_x=None, batch_size=64,
                  lr=1e-4, shuffle_seed=0, max_batches_per_epoch=None,
                  gradient_link=None):
         self.model = model
         self.schedule = schedule
-        self.coeffs = coeffs or koopman.SensingCoefficients()
         self.q_x = np.eye(model.p) if q_x is None else np.asarray(q_x, float)
         self.train_states, self.train_actions = train_windows
         self.val_states, self.val_actions = val_windows
@@ -287,7 +279,7 @@ class SensingTrainer:
     def _loss(self, states, actions, latents=None):
         return koopman.total_sensing_loss(
             self.model, WindowBatch(states, actions), self.schedule,
-            self.coeffs, self.q_x, latents=latents)
+            self.q_x, latents=latents)
 
     def _batch_step(self, states, actions, stats):
         b, t = states.shape[0], states.shape[1]
@@ -348,10 +340,9 @@ class SensingTrainer:
         both parameter partitions, then score clean validation windows."""
         return _train_epoch(self, self._batch_step)
 
-    def validation_loss(self, chunk=1024):
+    def validation_loss(self):
         """Total sensing loss on clean validation windows (no channel)."""
-        return _validation_loss(self._loss, self.val_states, self.val_actions,
-                                chunk)
+        return _validation_loss(self._loss, self.val_states, self.val_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +390,10 @@ class ControllingTrainer:
     stepped."""
 
     def __init__(self, model, schedule, train_windows, val_windows,
-                 coeffs=None, batch_size=64, lr=1e-4, shuffle_seed=0,
+                 batch_size=64, lr=1e-4, shuffle_seed=0,
                  max_batches_per_epoch=None):
         self.model = model
         self.schedule = schedule
-        self.coeffs = coeffs or koopman.ControllingCoefficients()
         self.train_states, self.train_actions = train_windows
         self.val_states, self.val_actions = val_windows
         self.batch_size = int(batch_size)
@@ -419,7 +409,7 @@ class ControllingTrainer:
     def _loss(self, states, actions):
         batch = WindowBatch(states, actions)
         return koopman.total_controlling_loss(
-            self.model, batch, self.schedule, self.coeffs,
+            self.model, batch, self.schedule,
             latents=self._latent_leaves(states))
 
     def _batch_step(self, states, actions, stats):
@@ -437,10 +427,9 @@ class ControllingTrainer:
         validation score."""
         return _train_epoch(self, self._batch_step)
 
-    def validation_loss(self, chunk=1024):
+    def validation_loss(self):
         """Total controlling loss on the validation windows."""
-        return _validation_loss(self._loss, self.val_states, self.val_actions,
-                                chunk)
+        return _validation_loss(self._loss, self.val_states, self.val_actions)
 
 
 def fit_with_early_stopping(trainer, max_epochs, patience=10, min_delta=1e-4,

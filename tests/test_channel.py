@@ -147,17 +147,6 @@ def test_snr_scaled_noise_variance():
     assert np.isclose(out.noise_std, math.sqrt(expected), rtol=1e-12)
 
 
-def test_fixed_variance_noise_model():
-    cfg = channel.channel_config_for_target_snr(
-        channel.ChannelConfig(noise_model="fixed_variance",
-                              fixed_noise_variance=0.25), 60.0)
-    rng = np.random.default_rng(77)
-    payload = np.zeros(200_000)
-    out = channel.transmit(cfg, payload, 96, rng)
-    assert out.delivered
-    assert abs(np.var(out.payload) - 0.25) / 0.25 < 0.05
-
-
 def test_unknown_noise_model_rejected():
     with pytest.raises(ValueError):
         channel.ChannelConfig(noise_model="laplace")

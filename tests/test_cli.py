@@ -117,15 +117,19 @@ def test_exit_config_on_unknown_key(tmp_path):
 
 
 def test_exit_config_on_invalid_link_distance(tmp_path, capsys):
-    cfg_path = micro_config(tmp_path)
-    raw = json.loads(cfg_path.read_text())
-    raw["link"]["distance"] = 0
-    cfg_path.write_text(json.dumps(raw))
-    code = cli.main(["train-sensing", "--config", str(cfg_path),
-                     "--out-dir", str(tmp_path)])
-    assert code == cli.EXIT_CONFIG
-    assert "must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "dataset.npz").exists()
+    # also a bad train value: every section is checked before data exists
+    for section, key, message in (("link", "distance", "must be positive"),
+                                  ("train", "patience",
+                                   "patience must be >= 1")):
+        cfg_path = micro_config(tmp_path)
+        raw = json.loads(cfg_path.read_text())
+        raw[section][key] = 0
+        cfg_path.write_text(json.dumps(raw))
+        code = cli.main(["train-sensing", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "dataset.npz").exists()
 
 
 def test_exit_config_on_missing_sensing_checkpoint(tmp_path):

@@ -93,8 +93,9 @@ def test_dare_iteration_budget_respected():
 
 
 def test_optimal_action_sign_and_shape():
-    gain = np.array([[1.0, -2.0]])
-    u = control.optimal_action(gain, np.array([3.0, 1.0]))
+    ctl = control.JacobianController(gain=np.array([[1.0, -2.0]]),
+                                     a_d=np.eye(2), b_d=np.ones((2, 1)))
+    u = ctl.action(np.array([3.0, 1.0]))
     assert u.shape == (1,)
     assert np.isclose(u[0], -1.0)    # -(3 - 2)
 
@@ -102,9 +103,8 @@ def test_optimal_action_sign_and_shape():
 def test_jacobian_controller_discretization():
     params = dynamics.CartPoleParams()
     integ = dynamics.IntegratorConfig()
-    weights = control.LqrWeights(q_g=np.eye(4), r=np.eye(1),
-                                 q_x=np.eye(4))
-    ctl = control.build_jacobian_controller(params, integ, weights)
+    ctl = control.build_jacobian_controller(params, integ, np.eye(4),
+                                            np.eye(1))
     # forward Euler: A_d = I + tau_o * A_c, so A_d[0,1] = tau_o = 0.01
     assert np.isclose(ctl.a_d[0, 1], 0.01, atol=1e-9)
     assert np.isclose(ctl.a_d[1, 1], 1.004, atol=1e-7)
@@ -115,8 +115,8 @@ def test_jacobian_controller_discretization():
 def test_jacobian_controller_stabilizes_near_equilibrium():
     params = dynamics.CartPoleParams()
     integ = dynamics.IntegratorConfig()
-    weights = control.LqrWeights(q_g=np.eye(4), r=np.eye(1), q_x=np.eye(4))
-    ctl = control.build_jacobian_controller(params, integ, weights)
+    ctl = control.build_jacobian_controller(params, integ, np.eye(4),
+                                            np.eye(1))
     x = np.full(4, 0.05)
     for _ in range(1000):    # 10 s of control
         u = ctl.action(x)

@@ -17,9 +17,8 @@ def plant():
 @pytest.fixture(scope="module")
 def baseline(plant):
     params, integrator, _ = plant
-    weights = control.LqrWeights(q_g=np.eye(4), r=np.eye(1),
-                                 q_x=np.eye(4))
-    return control.build_jacobian_controller(params, integrator, weights)
+    return control.build_jacobian_controller(params, integrator, np.eye(4),
+                                             np.eye(1))
 
 
 def small_cfg(**kw):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from koopcontrol import experiments
+from koopcontrol import control, experiments
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,17 @@ def test_config_rejects_bad_link_and_control_values():
     for section, field, value in (("link", "distance", 0.0),
                                   ("link", "bandwidth", -1.0),
                                   ("link", "noise_model", "pink"),
+                                  ("link", "noise_model", "fixed_variance"),
                                   ("link", "snr_db", 1e5),
+                                  ("model", "depth", 0),
+                                  ("model", "schedule_mode", "weird"),
+                                  ("train", "patience", 0),
+                                  ("train", "batch_size", 0),
+                                  ("train", "max_epochs", 0),
+                                  ("train", "max_batches_per_epoch", 0),
+                                  ("train", "lr", -1.0),
+                                  ("eval", "depth", 0),
+                                  ("eval", "anchor_stride", 0),
                                   ("control", "action_predict_mode",
                                    "recorded"),
                                   ("control", "action_predict_mode",
@@ -206,13 +216,21 @@ def test_run_experiment_seed_changes_results(micro_run):
     assert other["state_nrmse"] != first["state_nrmse"]
 
 
-def test_training_steps_reduce_validation_loss():
+def test_training_steps_reduce_validation_loss(monkeypatch):
     cfg = micro_cfg()
     cfg = dataclasses.replace(cfg,
                               train=dataclasses.replace(cfg.train,
                                                         max_epochs=6))
     streams = experiments.seed_streams(cfg.seed)
     dataset = experiments.make_dataset(cfg, streams)
+    solves = []
+    solve_dare = control.solve_dare
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve_dare(*args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_dare", counted_solve)
     model, result, gain, gains = experiments.train_sensing(cfg, dataset,
                                                            streams)
     assert result.epochs == 6
@@ -221,6 +239,9 @@ def test_training_steps_reduce_validation_loss():
     assert result.best_val == min(vals)
     assert gain.shape == (1, cfg.model.latent_dim)
     assert len(gains) == result.epochs
+    # one gain solve per epoch, and the returned gain is the last epoch's
+    assert len(solves) == result.epochs
+    assert np.array_equal(gain, gains[-1])
 
 
 def test_impaired_gradients_on_ideal_link_train_losslessly():

@@ -114,30 +114,24 @@ def test_latent_step_hand_value():
     assert np.isclose(out[0], 5.0, atol=1e-15)
 
 
-def test_augmented_concatenation():
-    y = koopman.augmented(np.array([1.0, 2.0]), np.array([3.0]))
-    assert np.array_equal(y, [1.0, 2.0, 3.0])
-
-
 def test_rollout_matches_matrix_power_expansion():
-    # final latent after M steps must equal
-    # K11^M g + sum_j K11^(M-1-j) K12 u_j, computed by an independent
-    # matrix-power oracle
+    # the latent after m composed steps must equal
+    # K11^m g + sum_j K11^(m-1-j) K12 u_j, computed by an independent
+    # matrix-power oracle, at every m along a four-control rollout
     rng = np.random.default_rng(3)
     a = rng.normal(scale=0.5, size=(3, 3))
     b = rng.normal(size=(3, 1))
     model = passthrough_sensing(a, b)
     g = rng.normal(size=3)
     controls = rng.normal(size=(4, 1))
-    y = koopman.augmented(g, controls[0])
-    lats = koopman.rollout_latent(model, y, controls)
-    assert lats.shape == (5, 3)
-    assert np.array_equal(lats[0], g)
-
-    expect = np.linalg.matrix_power(a, 4) @ g
-    for j in range(4):
-        expect = expect + np.linalg.matrix_power(a, 3 - j) @ b @ controls[j]
-    assert np.allclose(lats[-1], expect, atol=1e-12)
+    lat = g
+    for m in range(1, 5):
+        lat = koopman.latent_step(model, lat, controls[m - 1])
+        expect = np.linalg.matrix_power(a, m) @ g
+        for j in range(m):
+            expect = expect + (np.linalg.matrix_power(a, m - 1 - j)
+                               @ b @ controls[j])
+        assert np.allclose(lat, expect, atol=1e-12)
 
 
 def test_predict_states_is_composed_latent_steps():
@@ -147,7 +141,7 @@ def test_predict_states_is_composed_latent_steps():
     model = passthrough_sensing(a, b)
     x = rng.normal(size=2)
     controls = rng.normal(size=(2, 1))
-    y = koopman.augmented(x, np.array([0.7]))
+    y = np.concatenate([x, [0.7]])
     preds = koopman.predict_states(model, y, 2, controls=controls)
     lat1 = koopman.latent_step(model, x, [0.7])
     lat2 = koopman.latent_step(model, lat1, controls[0])
@@ -163,7 +157,7 @@ def test_predict_states_exact_on_linear_plant():
     x = rng.normal(size=3)
     u0 = rng.normal(size=1)
     controls = rng.normal(size=(5, 1))
-    y = koopman.augmented(x, u0)
+    y = np.concatenate([x, u0])
     preds = koopman.predict_states(model, y, 5, controls=controls)
     truth = []
     xs, us = x, u0
@@ -176,31 +170,13 @@ def test_predict_states_exact_on_linear_plant():
     assert np.allclose(preds, truth, atol=1e-10)
 
 
-def test_predict_states_policy_closure():
-    a = np.array([[0.5]])
-    b = np.array([[1.0]])
-    model = passthrough_sensing(a, b)
-    y = koopman.augmented(np.array([1.0]), np.array([0.0]))
-    gain = 0.3
-    preds = koopman.predict_states(model, y, 3,
-                                   policy=lambda lat: -gain * lat)
-    x, u = 1.0, 0.0
-    expect = []
-    for _ in range(3):
-        x = 0.5 * x + u
-        u = -gain * x
-        expect.append(x)
-    assert np.allclose(preds.ravel(), expect, atol=1e-12)
-
-
-def test_predict_states_requires_exactly_one_control_source():
+def test_predict_states_requires_one_control_per_step():
     model = passthrough_sensing(np.eye(2), np.ones((2, 1)))
     y = np.zeros(3)
     with pytest.raises(ValueError):
-        koopman.predict_states(model, y, 2)
-    with pytest.raises(ValueError):
-        koopman.predict_states(model, y, 2, controls=np.zeros((2, 1)),
-                               policy=lambda lat: np.zeros(1))
+        koopman.predict_states(model, y, 2, controls=np.zeros((1, 1)))
+    assert koopman.predict_states(model, y, 2,
+                                  controls=np.zeros((2, 1))).shape == (2, 2)
 
 
 def test_action_step_and_predict_actions_depth_one():
@@ -211,7 +187,7 @@ def test_action_step_and_predict_actions_depth_one():
     u = np.array([0.4])
     stepped = koopman.action_step(model_c, lat, u)
     assert np.isclose(stepped[0], 2.0 - 1.0 + 0.2)
-    z = koopman.augmented(lat, u)
+    z = np.concatenate([lat, u])
     pred = koopman.predict_actions(model_c, z, 1)
     assert np.allclose(pred, [stepped])
 
@@ -225,7 +201,7 @@ def test_predict_actions_hold_vs_advance_vs_recorded():
                                    np.array([[0.8]]))
     lat0 = rng.normal(size=2)
     u0 = rng.normal(size=1)
-    z = koopman.augmented(lat0, u0)
+    z = np.concatenate([lat0, u0])
 
     hold = koopman.predict_actions(ctrl, z, 3, mode="hold")
     u = u0
@@ -308,7 +284,8 @@ def test_latent_evolution_loss_hand_computed_scalar():
     actions = np.array([[[0.5], [-0.4], [0.2]]])
     batch = koopman.WindowBatch(states, actions)
     sched = koopman.WeightSchedule("special", 2)
-    loss = koopman.loss_latent_evolution(model, batch, sched)
+    loss = koopman.loss_latent_evolution(
+        model, batch, sched, koopman.encode_windows(model, batch))
     roll = k11 * (k11 * 1.0 + k12 * 0.5) + k12 * (-0.4)
     expect = 0.5 * ((2.0 - roll) ** 2 + (-1.0 - roll) ** 2)
     assert np.isclose(float(loss.value), expect, atol=1e-12)
@@ -321,7 +298,8 @@ def test_latent_evolution_loss_general_schedule_hand_computed():
     actions = np.array([[[0.5], [-0.4], [0.2]]])
     batch = koopman.WindowBatch(states, actions)
     sched = koopman.WeightSchedule("general", 2)
-    loss = koopman.loss_latent_evolution(model, batch, sched)
+    loss = koopman.loss_latent_evolution(
+        model, batch, sched, koopman.encode_windows(model, batch))
     roll0 = k11 * (k11 * 1.0 + k12 * 0.5) + k12 * (-0.4)
     roll1 = k11 * 2.0 + k12 * (-0.4)
     pred = 0.5 * roll0 + 0.5 * roll1
@@ -339,11 +317,14 @@ def test_cost_consistency_hand_values():
     states = np.array([[[2.0], [0.0]]])
     actions = np.zeros((1, 2, 1))
     batch = koopman.WindowBatch(states, actions)
-    loss = koopman.loss_cost_consistency(model, batch, np.array([[0.5]]))
+    latents = koopman.encode_windows(model, batch)
+    loss = koopman.loss_cost_consistency(model, batch, np.array([[0.5]]),
+                                         latents)
     assert np.isclose(float(loss.value), 1.0, atol=1e-12)
     # matching quadratic forms zero it out
     model.cost.value[:] = np.array([[2.0]])
-    loss0 = koopman.loss_cost_consistency(model, batch, np.array([[0.5]]))
+    loss0 = koopman.loss_cost_consistency(model, batch, np.array([[0.5]]),
+                                          latents)
     assert np.isclose(float(loss0.value), 0.0, atol=1e-15)
 
 
@@ -381,7 +362,8 @@ def test_loss_depth_mismatch_raises():
     batch = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=3, depth=2)
     with pytest.raises(ValueError):
         koopman.loss_latent_evolution(model, batch,
-                                      koopman.WeightSchedule("special", 3))
+                                      koopman.WeightSchedule("special", 3),
+                                      koopman.encode_windows(model, batch))
 
 
 def test_window_batch_validation():
@@ -450,7 +432,8 @@ def test_reconstruction_leaves_koopman_and_cost_grad_unset():
     batch = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)), n=3, depth=1,
                             seed=23)
     # reconstruction touches encoder and decoder but not koopman or cost
-    ad.backward(koopman.loss_reconstruction(model, batch))
+    ad.backward(koopman.loss_reconstruction(
+        model, batch, koopman.encode_windows(model, batch)))
     assert model.koopman.grad is None
     assert model.cost.grad is None
     enc_first = model.encoder_parameters()[0]

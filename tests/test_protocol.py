@@ -49,30 +49,39 @@ def test_early_stopping_validation():
 # ---------------------------------------------------------------------------
 
 def test_handle_missing_state_linear_oracle():
+    # after M missed loops the latent is K11^M g + sum_j K11^(M-1-j) K12 u_j,
+    # checked against an independent matrix-power expansion
     rng = np.random.default_rng(0)
     a = rng.normal(scale=0.4, size=(3, 3))
     b = rng.normal(size=(3, 1))
     model = passthrough_sensing(a, b)
-    g = rng.normal(size=3)
-    u0, u1 = rng.normal(size=(2, 1))
-    y = np.concatenate([g, u0])
-    lat, state = protocol.handle_missing_state(model, y, 2,
-                                               np.stack([u0, u1]))
-    expect = a @ (a @ g + b @ u0) + b @ u1
-    assert np.allclose(lat, expect, atol=1e-12)
-    # pass-through decoder reads the latent back out
-    assert np.allclose(state, expect, atol=1e-12)
+    for depth in (2, 4):
+        g = rng.normal(size=3)
+        controls = rng.normal(size=(depth, 1))
+        y = np.concatenate([g, controls[0]])
+        lat, state = protocol.handle_missing_state(model, y, depth, controls,
+                                                   controls[-1])
+        expect = np.linalg.matrix_power(a, depth) @ g
+        for j in range(depth):
+            expect = expect + (np.linalg.matrix_power(a, depth - 1 - j)
+                               @ b @ controls[j])
+        assert np.allclose(lat, expect, atol=1e-12)
+        # pass-through decoder reads the latent back out
+        assert np.allclose(state, expect, atol=1e-12)
 
 
 def test_handle_missing_state_errors():
     model = passthrough_sensing(np.eye(2), np.ones((2, 1)))
     with pytest.raises(protocol.ColdStartError):
-        protocol.handle_missing_state(model, None, 1, np.zeros((1, 1)))
+        protocol.handle_missing_state(model, None, 1, np.zeros((1, 1)),
+                                      np.zeros(1))
     y = np.zeros(3)
     with pytest.raises(ValueError):
-        protocol.handle_missing_state(model, y, 0, np.zeros((0, 1)))
+        protocol.handle_missing_state(model, y, 0, np.zeros((0, 1)),
+                                      np.zeros(1))
     with pytest.raises(ValueError):
-        protocol.handle_missing_state(model, y, 2, np.zeros((1, 1)))
+        protocol.handle_missing_state(model, y, 2, np.zeros((1, 1)),
+                                      np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
