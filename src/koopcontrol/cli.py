@@ -182,6 +182,8 @@ def cmd_run_control(args):
 
 
 def cmd_sweep(args):
+    if args.seeds < 1:
+        raise experiments.ConfigError("--seeds must be >= 1")
     cfg = _load_cfg(args, scalar_overrides=False)
     out = _out_dir(args)
     snrs = _floats(args.snr_db) if args.snr_db else [-10.0, 0.0, 10.0, 20.0]

@@ -39,6 +39,17 @@ class DataSettings:
     noise_var: float = 0.0     # plant process noise, applied by the caller
     max_retries: int = 25
 
+    def __post_init__(self):
+        if min(self.counts().values()) < 1:
+            raise ValueError("n_train, n_val and n_test must be >= 1")
+        if not self.duration_s > 0.0:
+            raise ValueError("duration_s must be positive")
+        for name in ("explore_std", "noise_var", "max_retries"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not self.ic_low <= self.ic_high:
+            raise ValueError("ic_low must be <= ic_high")
+
     def counts(self):
         return {"train": self.n_train, "val": self.n_val, "test": self.n_test}
 

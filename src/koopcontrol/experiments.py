@@ -425,15 +425,14 @@ def evaluate_prediction(cfg, sensing, controlling, trajectories):
         n = len(traj)
         for m in range(0, n - depth, stride):
             lat = sensing.encode(traj.states[m])
-            y = np.concatenate([lat, traj.actions[m]])
             controls = traj.actions[m + 1:m + depth + 1]
-            pred_s.append(koopman.predict_states(sensing, y, depth,
-                                                 controls=controls))
+            pred_s.append(koopman.predict_states(sensing, lat, traj.actions[m],
+                                                 controls))
             obs_s.append(traj.states[m + 1:m + depth + 1])
             if controlling is not None:
                 lats = sensing.encode(traj.states[m:m + depth])
                 pred_a.append(koopman.predict_actions(
-                    controlling, y, depth, mode="recorded", latents=lats))
+                    controlling, traj.actions[m], lats))
                 obs_a.append(traj.actions[m + 1:m + depth + 1])
     if not pred_s:
         raise ValueError("no anchor fits the requested depth")

@@ -220,54 +220,30 @@ def action_step(model, latent, u):
     return model.k21 @ latent + model.k22 @ u
 
 
-def predict_states(model, y, depth, controls):
-    """Depth-k state prediction from y_m = [g(x_m); u_m].
+def predict_states(model, latent, u, controls):
+    """State prediction from g(x_m) = `latent` with u_m = `u` in force.
 
     Each step advances the latent with the control in force, then decodes
     [latent; next control], the next control taken from the recorded
-    sequence `controls` for times m+1..m+depth. Returns (depth, p) predicted
-    states for times m+1..m+depth."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    controls = np.asarray(controls, dtype=np.float64).reshape(-1, model.q)
-    if controls.shape[0] < depth:
-        raise ValueError("need one control per predicted step")
-    lat = y[:model.d]
-    u = y[model.d:]
+    sequence `controls`, one row per step, for times m+1..m+k. Returns
+    (k, p) predicted states for times m+1..m+k."""
     states = []
-    for k in range(depth):
-        lat = latent_step(model, lat, u)
-        u = controls[k]
-        states.append(model.decode(np.concatenate([lat, u])))
+    for c in controls:
+        latent = latent_step(model, latent, u)
+        u = c
+        states.append(model.decode(np.concatenate([latent, u])))
     return np.array(states)
 
 
-def predict_actions(model, z, depth, mode="hold", sensing=None, latents=None):
-    """Depth-k action prediction from z_m = [g(x_m); u_m].
-
-    mode "hold" keeps the anchor latent for every step (the conservative
-    outage default), "advance" rolls it forward through a local copy of the
-    sensing blocks using the predicted actions, "recorded" consumes a given
-    latent sequence (one row per step, row 0 = anchor latent). Returns
-    (depth, q) predicted actions for times m+1..m+depth."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    lat = z[:model.d]
-    u = z[model.d:]
-    if mode == "advance" and sensing is None:
-        raise ValueError("advance mode needs the sensing model blocks")
-    if mode == "recorded":
-        latents = np.asarray(latents, dtype=np.float64).reshape(-1, model.d)
-        if latents.shape[0] < depth:
-            raise ValueError("need one latent per predicted step")
+def predict_actions(model, u, latents):
+    """Action prediction from u_m = `u`, one action step per row of
+    `latents` (g(x_m), g(x_{m+1}), ...; a single latent gives one step).
+    Returns (k, q) predicted actions for times m+1..m+k."""
+    latents = np.asarray(latents, dtype=np.float64).reshape(-1, model.d)
     actions = []
-    for k in range(depth):
-        if mode == "recorded":
-            lat_k = latents[k]
-        else:
-            lat_k = lat
-        u = action_step(model, lat_k, u)
+    for lat in latents:
+        u = action_step(model, lat, u)
         actions.append(u)
-        if mode == "advance":
-            lat = latent_step(sensing, lat, u)
     return np.array(actions)
 
 

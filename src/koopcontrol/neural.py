@@ -130,7 +130,12 @@ class Adam:
 
     def step(self):
         """Apply one update from each param's accumulated .grad; a param
-        with no gradient this round is left untouched."""
+        with no gradient this round is left untouched. A wrong-shape
+        gradient rejects the whole step before any state changes."""
+        for p in self.params:
+            if p.grad is not None and np.shape(p.grad) != p.value.shape:
+                raise ValueError(f"grad shape {np.shape(p.grad)} does not "
+                                 f"match param {p.value.shape}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -139,9 +144,6 @@ class Adam:
             if g is None:
                 continue
             g = np.asarray(g, dtype=np.float64)
-            if g.shape != p.value.shape:
-                raise ValueError(
-                    f"grad shape {g.shape} does not match param {p.value.shape}")
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[i] / b1t

@@ -34,10 +34,6 @@ from .koopman import WindowBatch
 from .neural import Adam
 
 
-class ColdStartError(RuntimeError):
-    """No prior reception to predict from."""
-
-
 # ---------------------------------------------------------------------------
 # phase-2 loop records
 # ---------------------------------------------------------------------------
@@ -106,23 +102,11 @@ class EarlyStopping:
 # missing-data prediction
 # ---------------------------------------------------------------------------
 
-def handle_missing_state(model, last_y, depth, controls, decode_u):
-    """Estimate (latent, state) `depth` loops past the last received y.
-
-    `controls` are the commands issued for the elapsed loops (row 0 pairs
-    with last_y's own control). The state estimate decodes the latent
-    together with `decode_u`, the command in force at the estimated time.
-    Raises ColdStartError when nothing was ever received."""
-    if last_y is None:
-        raise ColdStartError("no reception to predict from")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    controls = np.asarray(controls, dtype=np.float64).reshape(-1, model.q)
-    if controls.shape[0] != depth:
-        raise ValueError("need exactly one issued control per missed loop")
-    lat = np.asarray(last_y, dtype=np.float64).ravel()[:model.d]
-    for u in controls:
-        lat = koopman.latent_step(model, lat, u)
+def handle_missing_state(model, latent, u, decode_u):
+    """Estimate (latent, state) one loop past `latent` with command `u` in
+    force: one latent step, then a decode together with `decode_u`, the
+    command in force at the estimated time. Longer gaps chain calls."""
+    lat = koopman.latent_step(model, latent, u)
     state = model.decode(np.concatenate([lat, np.ravel(decode_u)]))
     return lat, state
 
@@ -259,19 +243,15 @@ class SensingTrainer:
                 else:
                     lost += 1
         kept = np.flatnonzero(mask[:, 0])
-        # fill interior losses by rolling from the last delivery in-window;
+        # fill each interior loss one latent step on from sample j-1, which
+        # was delivered or filled already (a kept window has its anchor);
         # fills are data, not graph nodes
         for i in kept:
             for j in range(1, t):
-                if mask[i, j]:
-                    continue
-                j0 = max(jj for jj in range(j) if mask[i, jj])
-                y_last = np.concatenate([recv_lat[i, j0], actions[i, j0]])
-                lat, est = handle_missing_state(
-                    self.model, y_last, j - j0,
-                    actions[i, j0:j], decode_u=actions[i, j])
-                recv_lat[i, j] = lat
-                recv_states[i, j] = est
+                if not mask[i, j]:
+                    recv_lat[i, j], recv_states[i, j] = handle_missing_state(
+                        self.model, recv_lat[i, j - 1], actions[i, j - 1],
+                        decode_u=actions[i, j])
         return kept, recv_lat, recv_states, mask, lost
 
     # -- one mini-batch ----------------------------------------------------
@@ -455,8 +435,9 @@ def fit_with_early_stopping(trainer, max_epochs, patience=10, min_delta=1e-4,
 # ---------------------------------------------------------------------------
 
 FALLBACKS = ("predict", "hold")
-# latent handling inside koopman.predict_actions that the loop can drive;
-# "recorded" needs the future latents, which the actuator never holds
+# what the actuator does with its latent through a downlink outage: "hold"
+# keeps the latent of the last delivery, "advance" steps it through the
+# sensing blocks with each predicted action
 PHASE2_PREDICT_MODES = ("hold", "advance")
 
 
@@ -521,12 +502,12 @@ def run_phase2_loop(system, x0, uplink, downlink, config, plant_rng=None):
     ctrl_lat = None           # controller's latent estimate
     ctrl_depth = 0
     last_cmd = np.zeros(q)
-    anchor_z = None           # actuator's [g(x); u] at last downlink delivery
+    act_lat = None            # actuator's latent and command, set on each
+    act_u = None              # downlink delivery and carried through losses
     down_losses = 0
-    last_applied = np.zeros(q)
 
     for m in range(n):
-        g = model.encode(x)   # the uplink payload and the actuator's anchor
+        g = model.encode(x)   # the uplink payload and the actuator's latent
         # --- uplink ---------------------------------------------------
         attempt_uplink = config.uplink_refresh or m == 0
         up_out = None
@@ -558,31 +539,30 @@ def run_phase2_loop(system, x0, uplink, downlink, config, plant_rng=None):
             u_app = np.atleast_1d(down_out.payload)
             down_losses = 0
             action_source = "received"
-            anchor_z = np.concatenate([g, u_app])
+            act_lat, act_u = g, u_app
         else:
             down_losses += 1
             if config.action_fallback == "predict" and ctrl is not None \
-                    and anchor_z is not None:
-                seq = koopman.predict_actions(
-                    ctrl, anchor_z, down_losses,
-                    mode=config.action_predict_mode, sensing=model)
-                u_app = seq[-1]
+                    and act_lat is not None:
+                u_app = koopman.predict_actions(ctrl, act_u, act_lat)[0]
+                if config.action_predict_mode == "advance":
+                    act_lat = koopman.latent_step(model, act_lat, u_app)
+                act_u = u_app
                 action_source = "predicted"
-            elif anchor_z is not None or m > 0:
-                u_app = last_applied
+            elif m > 0:
+                u_app = applied[m - 1]
                 action_source = "held"
             else:
                 u_app = np.zeros(q)
                 action_source = "cold"
         applied[m] = u_app
-        last_applied = u_app
 
         records.append(LoopRecord(
             index=m,
             uplink_delivered=None if up_out is None else up_out.delivered,
             downlink_delivered=down_out.delivered,
             state_source=state_source,
-            state_depth=ctrl_depth if state_source != "received" else 0,
+            state_depth=ctrl_depth,
             action_source=action_source,
             action_depth=down_losses,
             tau_comm_up=up_out.tau_comm if up_out is not None else float("nan"),

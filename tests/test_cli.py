@@ -120,7 +120,8 @@ def test_exit_config_on_invalid_link_distance(tmp_path, capsys):
     # also a bad train value: every section is checked before data exists
     for section, key, message in (("link", "distance", "must be positive"),
                                   ("train", "patience",
-                                   "patience must be >= 1")):
+                                   "patience must be >= 1"),
+                                  ("data", "n_train", "must be >= 1")):
         cfg_path = micro_config(tmp_path)
         raw = json.loads(cfg_path.read_text())
         raw[section][key] = 0
@@ -130,6 +131,14 @@ def test_exit_config_on_invalid_link_distance(tmp_path, capsys):
         assert code == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "dataset.npz").exists()
+    # a sweep over no seeds is refused before any cell runs
+    cfg_path = micro_config(tmp_path)
+    for seeds in ("0", "-2"):
+        code = cli.main(["sweep", "--config", str(cfg_path), "--out-dir",
+                         str(tmp_path), "--seeds", seeds])
+        assert code == cli.EXIT_CONFIG
+        assert "--seeds must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_exit_config_on_missing_sensing_checkpoint(tmp_path):

@@ -61,7 +61,15 @@ def test_config_rejects_bad_link_and_control_values():
                                   ("control", "action_predict_mode",
                                    "nonsense"),
                                   ("control", "action_fallback", "improvise"),
-                                  ("control", "latent_fallback", "improvise")):
+                                  ("control", "latent_fallback", "improvise"),
+                                  ("data", "n_train", 0),
+                                  ("data", "n_val", 0),
+                                  ("data", "n_test", -1),
+                                  ("data", "duration_s", 0.0),
+                                  ("data", "max_retries", -1),
+                                  ("data", "explore_std", -0.1),
+                                  ("data", "noise_var", -1.0),
+                                  ("data", "ic_low", 0.6)):
         d = experiments.config_to_dict(experiments.desk_preset())
         d[section][field] = value
         with pytest.raises(experiments.ConfigError):

@@ -141,8 +141,7 @@ def test_predict_states_is_composed_latent_steps():
     model = passthrough_sensing(a, b)
     x = rng.normal(size=2)
     controls = rng.normal(size=(2, 1))
-    y = np.concatenate([x, [0.7]])
-    preds = koopman.predict_states(model, y, 2, controls=controls)
+    preds = koopman.predict_states(model, x, [0.7], controls)
     lat1 = koopman.latent_step(model, x, [0.7])
     lat2 = koopman.latent_step(model, lat1, controls[0])
     assert np.allclose(preds[0], model.decode(np.concatenate([lat1, controls[0]])))
@@ -157,8 +156,7 @@ def test_predict_states_exact_on_linear_plant():
     x = rng.normal(size=3)
     u0 = rng.normal(size=1)
     controls = rng.normal(size=(5, 1))
-    y = np.concatenate([x, u0])
-    preds = koopman.predict_states(model, y, 5, controls=controls)
+    preds = koopman.predict_states(model, x, u0, controls)
     truth = []
     xs, us = x, u0
     for k in range(5):
@@ -170,15 +168,6 @@ def test_predict_states_exact_on_linear_plant():
     assert np.allclose(preds, truth, atol=1e-10)
 
 
-def test_predict_states_requires_one_control_per_step():
-    model = passthrough_sensing(np.eye(2), np.ones((2, 1)))
-    y = np.zeros(3)
-    with pytest.raises(ValueError):
-        koopman.predict_states(model, y, 2, controls=np.zeros((1, 1)))
-    assert koopman.predict_states(model, y, 2,
-                                  controls=np.zeros((2, 1))).shape == (2, 2)
-
-
 def test_action_step_and_predict_actions_depth_one():
     model_s = passthrough_sensing(np.eye(2) * 0.5, np.ones((2, 1)))
     model_c = passthrough_controlling(model_s, np.array([[1.0, -1.0]]),
@@ -187,12 +176,15 @@ def test_action_step_and_predict_actions_depth_one():
     u = np.array([0.4])
     stepped = koopman.action_step(model_c, lat, u)
     assert np.isclose(stepped[0], 2.0 - 1.0 + 0.2)
-    z = np.concatenate([lat, u])
-    pred = koopman.predict_actions(model_c, z, 1)
-    assert np.allclose(pred, [stepped])
+    # a single latent row is one step
+    pred = koopman.predict_actions(model_c, u, lat)
+    assert np.array_equal(pred, [stepped])
 
 
 def test_predict_actions_hold_vs_advance_vs_recorded():
+    # one action step per latent row: "hold" repeats the anchor latent,
+    # "recorded" feeds a given sequence, and "advance" chains one-row calls
+    # with a latent step on each predicted action, as the actuator does
     rng = np.random.default_rng(4)
     a = rng.normal(scale=0.5, size=(2, 2))
     b = rng.normal(size=(2, 1))
@@ -201,17 +193,22 @@ def test_predict_actions_hold_vs_advance_vs_recorded():
                                    np.array([[0.8]]))
     lat0 = rng.normal(size=2)
     u0 = rng.normal(size=1)
-    z = np.concatenate([lat0, u0])
 
-    hold = koopman.predict_actions(ctrl, z, 3, mode="hold")
+    hold = koopman.predict_actions(ctrl, u0, np.tile(lat0, (3, 1)))
     u = u0
     expect_hold = []
     for _ in range(3):
         u = ctrl.k21 @ lat0 + ctrl.k22 @ u
         expect_hold.append(u)
+    assert hold.shape == (3, 1)
     assert np.allclose(hold, expect_hold, atol=1e-12)
 
-    adv = koopman.predict_actions(ctrl, z, 3, mode="advance", sensing=sens)
+    lat, u = lat0, u0
+    adv = []
+    for _ in range(3):
+        u = koopman.predict_actions(ctrl, u, lat)[0]
+        adv.append(u)
+        lat = koopman.latent_step(sens, lat, u)
     lat, u = lat0, u0
     expect_adv = []
     for _ in range(3):
@@ -221,18 +218,13 @@ def test_predict_actions_hold_vs_advance_vs_recorded():
     assert np.allclose(adv, expect_adv, atol=1e-12)
 
     lats = rng.normal(size=(3, 2))
-    rec = koopman.predict_actions(ctrl, z, 3, mode="recorded", latents=lats)
+    rec = koopman.predict_actions(ctrl, u0, lats)
     u = u0
     expect_rec = []
     for k in range(3):
         u = ctrl.k21 @ lats[k] + ctrl.k22 @ u
         expect_rec.append(u)
     assert np.allclose(rec, expect_rec, atol=1e-12)
-
-    with pytest.raises(ValueError):
-        koopman.predict_actions(ctrl, z, 2, mode="advance")
-    with pytest.raises(ValueError):
-        koopman.predict_actions(ctrl, z, 4, mode="recorded", latents=lats)
 
 
 # ---------------------------------------------------------------------------

@@ -124,13 +124,30 @@ def test_adam_shared_step_counter_bias_correction():
 
 
 def test_adam_rejects_shape_mismatch():
-    p = ad.Parameter(np.zeros((2, 2)))
-    opt = neural.Adam([p])
+    # a rejected step leaves the optimizer untouched, even when another
+    # parameter's gradient is fine: the next valid step is a first step
+    rng = np.random.default_rng(2)
+    w0, v0 = rng.normal(size=(2, 2)), rng.normal(size=3)
+    p, q = ad.Parameter(w0.copy()), ad.Parameter(v0.copy())
+    opt = neural.Adam([q, p], lr=1e-2)
+    g_p, g_q = rng.normal(size=(2, 2)), rng.normal(size=3)
     for wrong in (np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 1))):
-        p.grad = wrong
+        q.grad, p.grad = g_q, wrong
         with pytest.raises(ValueError):
             opt.step()
-    assert np.array_equal(p.value, np.zeros((2, 2)))
+    assert opt.t == 0
+    assert all(not m.any() for m in opt.m + opt.v)
+    assert np.array_equal(p.value, w0) and np.array_equal(q.value, v0)
+
+    p.grad = g_p
+    opt.step()
+    fp, fq = ad.Parameter(w0.copy()), ad.Parameter(v0.copy())
+    fresh = neural.Adam([fq, fp], lr=1e-2)
+    fq.grad, fp.grad = g_q, g_p
+    fresh.step()
+    assert opt.t == fresh.t == 1
+    assert np.array_equal(p.value, fp.value)
+    assert np.array_equal(q.value, fq.value)
 
 
 def test_adam_matches_reference_trajectory():

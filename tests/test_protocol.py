@@ -45,46 +45,6 @@ def test_early_stopping_validation():
 
 
 # ---------------------------------------------------------------------------
-# missing-data prediction
-# ---------------------------------------------------------------------------
-
-def test_handle_missing_state_linear_oracle():
-    # after M missed loops the latent is K11^M g + sum_j K11^(M-1-j) K12 u_j,
-    # checked against an independent matrix-power expansion
-    rng = np.random.default_rng(0)
-    a = rng.normal(scale=0.4, size=(3, 3))
-    b = rng.normal(size=(3, 1))
-    model = passthrough_sensing(a, b)
-    for depth in (2, 4):
-        g = rng.normal(size=3)
-        controls = rng.normal(size=(depth, 1))
-        y = np.concatenate([g, controls[0]])
-        lat, state = protocol.handle_missing_state(model, y, depth, controls,
-                                                   controls[-1])
-        expect = np.linalg.matrix_power(a, depth) @ g
-        for j in range(depth):
-            expect = expect + (np.linalg.matrix_power(a, depth - 1 - j)
-                               @ b @ controls[j])
-        assert np.allclose(lat, expect, atol=1e-12)
-        # pass-through decoder reads the latent back out
-        assert np.allclose(state, expect, atol=1e-12)
-
-
-def test_handle_missing_state_errors():
-    model = passthrough_sensing(np.eye(2), np.ones((2, 1)))
-    with pytest.raises(protocol.ColdStartError):
-        protocol.handle_missing_state(model, None, 1, np.zeros((1, 1)),
-                                      np.zeros(1))
-    y = np.zeros(3)
-    with pytest.raises(ValueError):
-        protocol.handle_missing_state(model, y, 0, np.zeros((0, 1)),
-                                      np.zeros(1))
-    with pytest.raises(ValueError):
-        protocol.handle_missing_state(model, y, 2, np.zeros((1, 1)),
-                                      np.zeros(1))
-
-
-# ---------------------------------------------------------------------------
 # split sensing trainer
 # ---------------------------------------------------------------------------
 
@@ -167,6 +127,39 @@ def test_transport_fills_interior_losses_with_rollout():
     assert np.allclose(recv_states[0, 1], expect, atol=1e-12)
     # delivered samples pass through untouched
     assert np.array_equal(recv_lat[0, 2], lat_vals[0, 2])
+
+
+def test_transport_fill_matches_matrix_power_oracle():
+    # a latent filled M samples past the last delivery j0 must equal
+    # K11^M g + sum_k K11^(M-1-k) K12 u_(j0+k), computed by an independent
+    # matrix-power expansion; window 0 loses samples 1-2 and window 1
+    # samples 2-3 of its 4 (depth 3)
+    rng = np.random.default_rng(0)
+    a = rng.normal(scale=0.4, size=(3, 3))
+    b = rng.normal(size=(3, 1))
+    model = passthrough_sensing(a, b)
+    batch = _linear_windows(a, b, n=2, depth=3, seed=4)
+    sched = koopman.WeightSchedule("special", 3)
+    trainer = protocol.SensingTrainer(
+        model, sched, (batch.states, batch.actions),
+        (batch.states, batch.actions), uplink=scripted([1, 2, 6, 7]))
+    lat_vals = np.stack([model.encode(batch.states[:, j, :])
+                         for j in range(4)], axis=1)
+    kept, recv_lat, recv_states, mask, lost = trainer._transport(
+        lat_vals, batch.states, batch.actions)
+    assert lost == 4 and list(kept) == [0, 1]
+    for i, j0, filled in ((0, 0, (1, 2)), (1, 1, (2, 3))):
+        for j in filled:
+            depth = j - j0
+            expect = np.linalg.matrix_power(a, depth) @ lat_vals[i, j0]
+            for k in range(depth):
+                expect = expect + (np.linalg.matrix_power(a, depth - 1 - k)
+                                   @ b @ batch.actions[i, j0 + k])
+            assert not mask[i, j]
+            assert np.allclose(recv_lat[i, j], expect, atol=1e-12)
+            # pass-through decoder reads the latent back out
+            assert np.allclose(recv_states[i, j], expect, atol=1e-12)
+    assert np.array_equal(recv_lat[0, 3], lat_vals[0, 3])
 
 
 def test_impaired_gradient_link_freezes_encoder():
@@ -312,20 +305,6 @@ def test_controlling_trainer_loss_decreases():
 # phase 2 closed loop
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def trained_stub():
-    """Pass-through latent plant with a mildly stabilizing gain; exact
-    algebra beats a real trained model for routing tests."""
-    a = np.array([[0.9, 0.1], [0.0, 0.8]])
-    b = np.array([[0.0], [0.2]])
-    sens = passthrough_sensing(a, b)
-    ctrl = passthrough_controlling(sens, np.array([[-0.1, -0.2]]),
-                                   np.array([[0.5]]))
-    from koopcontrol import control
-    sol = control.solve_dare(a, b, np.eye(2), np.eye(1))
-    return sens, ctrl, sol.gain
-
-
 def _system(sens, gain, ctrl=None):
     return protocol.ControlSystem(
         params=dynamics.CartPoleParams(),
@@ -395,32 +374,65 @@ def test_phase2_routing_exclusivity_under_losses():
     assert any(r.action_source == "predicted" for r in res.records)
 
 
-def test_phase2_action_prediction_depth_tracks_burst(trained_stub):
-    sens, ctrl, gain = trained_stub
-    system = _system(sens, gain, ctrl)
-    system = protocol.ControlSystem(
-        params=system.params, integrator=system.integrator,
-        noise=system.noise, sensing=sens, gain=gain, controlling=ctrl)
-    down = scripted([3, 4, 5])
-    # d = p = 2 stub cannot drive the cart-pole; use a 2-state skip plant
-    # by monkeypatching is heavier than just checking the records on the
-    # real plant with a 4-d stub, so reuse the 4-d one here
+def test_phase2_action_prediction_depth_tracks_burst():
     sens4 = _cartpole_like_stub()
     ctrl4 = passthrough_controlling(sens4, np.full((1, 4), -0.05),
                                     np.array([[0.6]]))
     gain4 = np.array([[0.1, 0.2, 0.1, 0.05]])
     system = _system(sens4, gain4, ctrl4)
-    res = protocol.run_phase2_loop(system, np.full(4, 0.02), ideal(), down,
+    res = protocol.run_phase2_loop(system, np.full(4, 0.02), ideal(),
+                                   scripted([3, 4, 5]),
                                    protocol.Phase2Config(n_loops=8))
     depths = [r.action_depth for r in res.records]
     assert depths == [0, 0, 0, 1, 2, 3, 0, 0]
     # the predicted command at depth k equals the k-step action rollout
-    # from the anchor taken at the last delivery (loop 2)
-    anchor = np.concatenate([sens4.encode(res.states[2]), res.applied[2]])
-    seq = koopman.predict_actions(ctrl4, anchor, 3, mode="hold")
-    for k, m in enumerate((3, 4, 5)):
-        assert np.allclose(res.applied[m], seq[k], atol=1e-12)
+    # from the latent and command of the last delivery (loop 2)
+    lat = sens4.encode(res.states[2])
+    u = res.applied[2]
+    for m in (3, 4, 5):
+        u = koopman.action_step(ctrl4, lat, u)
+        assert np.allclose(res.applied[m], u, atol=1e-12)
         assert res.records[m].action_source == "predicted"
+
+
+def test_phase2_action_prediction_matches_replay_from_last_delivery():
+    # downlink bursts of 1..10 losses, each followed by one delivery; every
+    # predicted command must equal, bit for bit, a replay of the whole
+    # prediction from the last delivery, in both latent modes
+    sens4 = _cartpole_like_stub()
+    ctrl4 = passthrough_controlling(sens4, np.full((1, 4), -0.05),
+                                    np.array([[0.6]]))
+    system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]), ctrl4)
+    lost, m = [], 1
+    for burst in range(1, 11):
+        lost += range(m, m + burst)
+        m += burst + 1
+    applied = {}
+    for mode in protocol.PHASE2_PREDICT_MODES:
+        res = protocol.run_phase2_loop(
+            system, np.full(4, 0.02), ideal(), scripted(lost),
+            protocol.Phase2Config(n_loops=m, action_predict_mode=mode))
+        applied[mode] = res.applied
+        anchor = None
+        for rec in res.records:
+            if rec.downlink_delivered:
+                assert rec.action_source == "received"
+                assert rec.action_depth == 0
+                anchor = rec.index
+                continue
+            assert rec.action_source == "predicted"
+            assert rec.action_depth == rec.index - anchor
+            lat = sens4.encode(res.states[anchor])
+            u = res.applied[anchor]
+            for _ in range(rec.action_depth):
+                u = koopman.action_step(ctrl4, lat, u)
+                if mode == "advance":
+                    lat = koopman.latent_step(sens4, lat, u)
+            assert np.array_equal(res.applied[rec.index], u)
+        assert max(r.action_depth for r in res.records) == 10
+    # the advancing latent changes the commands after the first lost loop
+    assert np.array_equal(applied["hold"][:2], applied["advance"][:2])
+    assert not np.array_equal(applied["hold"], applied["advance"])
 
 
 def test_phase2_hold_fallback_and_cold_start():
