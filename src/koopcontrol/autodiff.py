@@ -78,8 +78,11 @@ def _accumulate(node, g):
     if not node.requires_grad:
         return
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        # a fresh array with the bits of zeros + g (so -0.0 becomes +0.0):
+        # a later += must never write into an upstream gradient
+        node.grad = g + 0.0
+    else:
+        node.grad += g
 
 
 def _unbroadcast(g, shape):

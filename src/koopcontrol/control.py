@@ -48,71 +48,76 @@ def solve_dare(a, b, q, r, tol=1e-10, max_iter=10000):
     Raises DareSolverError if the iteration does not reach `tol` (max-norm of
     the update) within `max_iter` sweeps, or if the resulting closed loop
     A - B K is not strictly stable."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if b.ndim == 1:
-        b = b[:, None]
+    a, b, q, r = _as_system(a, b, q, r)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[0] != n:
         raise ValueError("A must be square and B row-compatible with A")
 
     p = q.copy()
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
             p_next, gain = _riccati_map(p, a, b, q, r)
             p_next = 0.5 * (p_next + p_next.T)
-        if not np.all(np.isfinite(p_next)):
-            raise DareSolverError(
-                f"Riccati iterate diverged after {it} sweeps "
-                "(system not stabilizable?)", residual=np.inf, iterations=it)
-        residual = float(np.max(np.abs(p_next - p)))
-        if residual < tol:
-            # the update IS the defect of the current iterate, so return
-            # that one with the gain this sweep took from it; the defect of
-            # p_next is unmeasured and transients of the non-normal map can
-            # push it back above tol
-            rho = spectral_radius(a - b @ gain)
-            if rho >= 1.0:
+            if not np.isfinite(p_next).all():
                 raise DareSolverError(
-                    f"converged Riccati point is not stabilizing (rho={rho:.6f})",
-                    residual=residual, iterations=it)
-            return DareSolution(p=p, gain=gain, iterations=it,
-                                residual=residual, closed_loop_radius=rho)
-        p = p_next
-    raise DareSolverError(
-        f"no convergence after {max_iter} iterations (residual {residual:.3e})",
-        residual=residual, iterations=max_iter)
+                    f"Riccati iterate diverged after {it} sweeps "
+                    "(system not stabilizable?)", residual=np.inf,
+                    iterations=it)
+            residual = float(np.abs(p_next - p).max())
+            if residual < tol:
+                break
+            p = p_next
+        else:
+            raise DareSolverError(
+                f"no convergence after {max_iter} iterations "
+                f"(residual {residual:.3e})",
+                residual=residual, iterations=max_iter)
+    # the update IS the defect of the current iterate, so return that one
+    # with the gain this sweep took from it; the defect of p_next is
+    # unmeasured and transients of the non-normal map can push it back
+    # above tol
+    rho = spectral_radius(a - b @ gain)
+    if rho >= 1.0:
+        raise DareSolverError(
+            f"converged Riccati point is not stabilizing (rho={rho:.6f})",
+            residual=residual, iterations=it)
+    return DareSolution(p=p, gain=gain, iterations=it,
+                        residual=residual, closed_loop_radius=rho)
 
 
 def lqr_gain(p, a, b, r):
     """K = (R + B^T P B)^-1 B^T P A."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 1:
-        b = b[:, None]
-    p = np.asarray(p, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    btp = b.T @ p
-    return np.linalg.solve(btp @ b + r, btp @ a)
+    a, b, p, r = _as_system(a, b, p, r)
+    return _gain(p, a, b, r)
 
 
 def dare_residual(p, a, b, q, r):
     """Max-norm defect of P against the DARE map; zero at the fixed point."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 1:
-        b = b[:, None]
+    a, b, p, q, r = _as_system(a, b, p, q, r)
     rhs, _ = _riccati_map(p, a, b, q, r)
     return float(np.max(np.abs(rhs - p)))
 
 
+def _as_system(a, b, *mats):
+    """(a, b, *mats) as float64 arrays, with a 1-D `b` made a column."""
+    a, b, *mats = (np.asarray(m, dtype=np.float64) for m in (a, b, *mats))
+    return (a, b[:, None] if b.ndim == 1 else b, *mats)
+
+
+def _gain(p, a, b, r):
+    """`lqr_gain` on arrays `_as_system` already converted."""
+    btp = b.T @ p
+    return np.linalg.solve(btp @ b + r, btp @ a)
+
+
 def _riccati_map(p, a, b, q, r):
     """One unsymmetrized DARE map A^T P A - A^T P B K + Q, with K the LQR
-    gain of P. Returns (map value, K); `b` must already be 2-D."""
-    gain = lqr_gain(p, a, b, r)
-    return a.T @ p @ a - (a.T @ p @ b) @ gain + q, gain
+    gain of P. Returns (map value, K); every argument must already be a
+    float64 array, `b` 2-D."""
+    atp = a.T @ p
+    gain = _gain(p, a, b, r)
+    return atp @ a - (atp @ b) @ gain + q, gain
 
 
 @dataclass

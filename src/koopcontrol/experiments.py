@@ -347,8 +347,10 @@ def train_sensing(cfg, dataset, streams=None):
 
     The LQR gain is refreshed from the current blocks after every epoch and
     kept at its last solvable value when a refresh fails, so the returned
-    gain is that of the last epoch whose refresh succeeded. Returns (model,
-    TrainingResult, gain, gain_history), one history entry per epoch."""
+    gain is that of the last epoch whose refresh succeeded; a failed
+    refresh sets `gain_refresh_failed` on that epoch's stats. Returns
+    (model, TrainingResult, gain, gain_history), one history entry per
+    epoch."""
     streams = streams or seed_streams(cfg.seed)
     rng = np.random.default_rng(streams["sensing_init"])
     model = koopman.SensingModel.build(
@@ -374,6 +376,7 @@ def train_sensing(cfg, dataset, streams=None):
         try:
             gains.append(refresh_gain(model, cfg.control.r))
         except control.DareSolverError:
+            stats.gain_refresh_failed = True
             gains.append(gains[-1] if gains else None)  # last solvable one
 
     result = protocol.fit_with_early_stopping(
@@ -424,13 +427,17 @@ def evaluate_prediction(cfg, sensing, controlling, trajectories):
     for traj in trajectories:
         n = len(traj)
         for m in range(0, n - depth, stride):
-            lat = sensing.encode(traj.states[m])
+            if controlling is not None:
+                # one encode of the window serves both paths
+                lats = sensing.encode(traj.states[m:m + depth])
+                lat = lats[0]
+            else:
+                lat = sensing.encode(traj.states[m])
             controls = traj.actions[m + 1:m + depth + 1]
             pred_s.append(koopman.predict_states(sensing, lat, traj.actions[m],
                                                  controls))
             obs_s.append(traj.states[m + 1:m + depth + 1])
             if controlling is not None:
-                lats = sensing.encode(traj.states[m:m + depth])
                 pred_a.append(koopman.predict_actions(
                     controlling, traj.actions[m], lats))
                 obs_a.append(traj.actions[m + 1:m + depth + 1])

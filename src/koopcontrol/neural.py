@@ -144,11 +144,22 @@ class Adam:
             if g is None:
                 continue
             g = np.asarray(g, dtype=np.float64)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / b1t
-            v_hat = self.v[i] / b2t
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2 and
+            # p <- p - lr m_hat / (sqrt(v_hat) + eps), op for op in place
+            m, v = self.m[i], self.v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            gg = g * g
+            gg *= 1.0 - self.beta2
+            v *= self.beta2
+            v += gg
+            denom = v / b2t
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step = m / b1t
+            step *= self.lr
+            step /= denom
+            p.value -= step
 
 
 # ---------------------------------------------------------------------------

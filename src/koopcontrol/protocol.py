@@ -125,6 +125,9 @@ class EpochStats:
     packets_lost: int = 0
     windows_dropped: int = 0
     encoder_updates_skipped: int = 0
+    # sensing only: the gain refresh after this epoch raised
+    # DareSolverError, so the previous gain was kept
+    gain_refresh_failed: bool = False
 
 
 @dataclass
@@ -228,20 +231,20 @@ class SensingTrainer:
         if self.uplink is None:
             mask = np.ones((b, t), dtype=bool)
             return np.arange(b), latent_vals.copy(), states.copy(), mask, 0
-        recv_lat = np.zeros_like(latent_vals)
-        recv_states = np.zeros_like(states)
-        mask = np.zeros((b, t), dtype=bool)
-        lost = 0
-        for i in range(b):
-            for j in range(t):
-                pkt = np.concatenate([latent_vals[i, j], states[i, j]])
-                out = self.uplink.transmit(pkt, self._uplink_bits)
-                if out.delivered:
-                    recv_lat[i, j] = out.payload[:d]
-                    recv_states[i, j] = out.payload[d:]
-                    mask[i, j] = True
-                else:
-                    lost += 1
+        # one (latent, state) packet per sample, sent in (window, time) order
+        packets = np.concatenate([latent_vals, states], axis=2).reshape(
+            b * t, d + p)
+        outs = [self.uplink.transmit(pkt, self._uplink_bits)
+                for pkt in packets]
+        delivered = np.array([out.delivered for out in outs], dtype=bool)
+        received = np.zeros_like(packets)
+        if delivered.any():
+            received[delivered] = [out.payload for out in outs
+                                   if out.delivered]
+        received = received.reshape(b, t, d + p)
+        recv_lat, recv_states = received[:, :, :d], received[:, :, d:]
+        mask = delivered.reshape(b, t)
+        lost = b * t - int(np.count_nonzero(delivered))
         kept = np.flatnonzero(mask[:, 0])
         # fill each interior loss one latent step on from sample j-1, which
         # was delivered or filled already (a kept window has its anchor);

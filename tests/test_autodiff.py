@@ -127,6 +127,23 @@ def test_gradient_accumulates_across_reuse():
     assert np.isclose(a.grad[0, 0], 16.0)
 
 
+def test_first_gradient_is_a_fresh_positive_zero_copy():
+    # add(x, x) routes the same upstream array to x twice: the first
+    # gradient stored on x must not alias it, or the second += would write
+    # into the upstream node's gradient
+    x = ad.Parameter(np.zeros((1, 3)))
+    out = ad.add(x, x)
+    ad.backward(out, seed=np.array([[0.5, 1.5, -2.0]]))
+    assert out.grad.tolist() == [[0.5, 1.5, -2.0]]
+    assert x.grad.tolist() == [[1.0, 3.0, -4.0]]
+    assert x.grad is not out.grad
+    # a -0.0 gradient is stored as +0.0, as adding it to zeros does
+    y = ad.Parameter(np.ones(2))
+    ad.backward(ad.scale(y, -1.0), seed=np.array([0.0, 2.0]))
+    assert y.grad.tolist() == [0.0, -2.0]
+    assert not np.signbit(y.grad[0])
+
+
 def test_backward_explicit_seed_is_boundary_gradient():
     a = _param(3, 2)
     w = _param(4, 2)

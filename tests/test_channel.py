@@ -1,5 +1,6 @@
 """Fading-link model tests: path loss, SNR, rate, outage, packet corruption."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_mean_snr_consistent_with_path_loss():
     cfg = channel.ChannelConfig()
     # mean snr = P_t / (N_c * PL_linear)
     pl_lin = 10.0 ** (channel.path_loss_db(cfg) / 10.0)
-    assert np.isclose(channel.mean_snr(cfg), cfg.p_t / (cfg.n_c * pl_lin),
+    assert np.isclose(cfg.mean_snr, cfg.p_t / (cfg.n_c * pl_lin),
                       rtol=1e-12)
 
 
@@ -63,7 +64,7 @@ def test_outage_closed_form_is_exponential_cdf():
     cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(), 0.0)
     bits = channel.payload_bits(5)
     s_min = channel.min_decodable_snr(cfg, bits)
-    expected = 1.0 - math.exp(-s_min / channel.mean_snr(cfg))
+    expected = 1.0 - math.exp(-s_min / cfg.mean_snr)
     assert np.isclose(channel.outage_probability(cfg, bits), expected,
                       rtol=1e-12)
 
@@ -96,7 +97,7 @@ def test_target_snr_backsolve_round_trip():
     for target in (-10.0, 0.0, 10.0, 20.0):
         cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(),
                                                     target)
-        got_db = 10.0 * math.log10(channel.mean_snr(cfg))
+        got_db = 10.0 * math.log10(cfg.mean_snr)
         assert np.isclose(got_db, target, atol=1e-9)
         assert cfg.p_t == channel.ChannelConfig().p_t    # power cap untouched
 
@@ -177,3 +178,68 @@ def test_scripted_loss_link_forces_chosen_indices():
     outcomes = [link.transmit(np.ones(1), 96).delivered for _ in range(5)]
     assert outcomes == [True, False, True, False, True]
     assert link.calls == 5
+
+
+def _transmit_reference(config, payload, bits, rng):
+    """The per-packet link as first written: np.mean for the mean square
+    and the mean SNR and airtime budget recomputed on every call."""
+    payload = np.asarray(payload, dtype=np.float64)
+    mean = (10.0 ** (-config.pl0_db / 10.0) * (config.p_t / config.n_c)
+            * (config.d0 / config.d) ** config.eta)
+    snr = mean * rng.exponential(1.0)
+    rate = config.bandwidth * math.log2(1.0 + snr)
+    tau_comm = bits / rate if rate > 0.0 else math.inf
+    if tau_comm > config.tau_o - config.tau_comp:
+        return False, None, snr, rate, tau_comm, 0.0
+    if config.noise_model == "noiseless":
+        std = 0.0
+    else:
+        mean_sq = float(np.mean(payload * payload))
+        std = math.sqrt(mean_sq / snr) if mean_sq > 0.0 else 0.0
+    received = payload + rng.normal(0.0, std, size=payload.shape) \
+        if std > 0.0 else payload.copy()
+    return True, received, snr, rate, tau_comm, std
+
+
+@pytest.mark.parametrize("noise_model", channel.NOISE_MODELS)
+def test_transmit_matches_reference_bit_for_bit(noise_model):
+    # same draws in the same order: every outcome, every payload byte and
+    # the final generator state agree with the reference over mixed losses,
+    # for single scalars, packets and a 3-D gradient block (with zeros, so
+    # the zero-noise branch is hit too)
+    cfg = channel.channel_config_for_target_snr(
+        channel.ChannelConfig(noise_model=noise_model), -3.0)
+    shapes = [(8,), (1,), (17,), (4, 2, 3)]
+    for seed in (0, 7, 2024):
+        data = np.random.default_rng(seed + 1)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcomes = set()
+        for k in range(400):
+            payload = data.normal(size=shapes[k % len(shapes)])
+            if k % 25 == 0:
+                payload[...] = 0.0
+            bits = channel.payload_bits(payload.size)
+            out = channel.transmit(cfg, payload, bits, rng)
+            delivered, received, snr, rate, tau_comm, std = \
+                _transmit_reference(cfg, payload, bits, ref_rng)
+            assert (out.delivered, out.snr, out.rate, out.tau_comm,
+                    out.noise_std) == (delivered, snr, rate, tau_comm, std)
+            if delivered:
+                assert out.payload.shape == payload.shape
+                assert out.payload.tobytes() == received.tobytes()
+            else:
+                assert out.payload is None
+            outcomes.add(delivered)
+        assert outcomes == {True, False}
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_channel_config_is_frozen_and_replace_recomputes():
+    cfg = channel.ChannelConfig()
+    budget, mean = cfg.airtime_budget, cfg.mean_snr
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_c = 1e-12
+    farther = dataclasses.replace(cfg, d=2.0 * cfg.d, tau_comp=0.002)
+    assert cfg.mean_snr == mean and cfg.airtime_budget == budget
+    assert np.isclose(farther.mean_snr, mean / 8.0, rtol=1e-12)  # eta = 3
+    assert farther.airtime_budget == 0.01 - 0.002

@@ -71,8 +71,10 @@ def test_pipeline_history_shape(pipeline):
     hist = json.loads((tmp / "sensing_history.json").read_text())
     assert len(hist["history"]) == 2
     assert {"epoch", "train_loss", "val_loss", "batches", "packets_sent",
-            "packets_lost", "windows_dropped",
-            "encoder_updates_skipped"} <= set(hist["history"][0])
+            "packets_lost", "windows_dropped", "encoder_updates_skipped",
+            "gain_refresh_failed"} <= set(hist["history"][0])
+    assert all(isinstance(h["gain_refresh_failed"], bool)
+               for h in hist["history"])
 
 
 def test_gain_file_is_loadable_matrix(pipeline):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from koopcontrol import control, experiments
+from koopcontrol import control, datasets, experiments, koopman
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +250,58 @@ def test_training_steps_reduce_validation_loss(monkeypatch):
     # one gain solve per epoch, and the returned gain is the last epoch's
     assert len(solves) == result.epochs
     assert np.array_equal(gain, gains[-1])
+
+
+def test_failed_gain_refresh_is_flagged_and_keeps_last_gain(monkeypatch):
+    cfg = micro_cfg()
+    cfg = dataclasses.replace(cfg,
+                              train=dataclasses.replace(cfg.train,
+                                                        max_epochs=3))
+    streams = experiments.seed_streams(cfg.seed)
+    dataset = experiments.make_dataset(cfg, streams)
+    refresh_gain = experiments.refresh_gain
+    calls = []
+
+    def failing_on_second(model, r):
+        calls.append(len(calls) + 1)
+        if len(calls) == 2:
+            raise control.DareSolverError("scripted failure", iterations=7)
+        return refresh_gain(model, r)
+
+    monkeypatch.setattr(experiments, "refresh_gain", failing_on_second)
+    _, result, gain, gains = experiments.train_sensing(cfg, dataset, streams)
+    assert [s.gain_refresh_failed for s in result.history] == \
+        [False, True, False]
+    assert np.array_equal(gains[1], gains[0])   # the last solvable gain
+    assert np.array_equal(gain, gains[2])
+
+
+def test_evaluate_prediction_encodes_each_anchor_once():
+    rng = np.random.default_rng(9)
+    sensing = koopman.SensingModel.build(p=4, d=4, q=1, rng=rng,
+                                         encoder_hidden=(8, 8))
+    controlling = koopman.ControllingModel.build(sensing, rng)
+    trajs = [datasets.Trajectory(rng.normal(size=(25, 4)),
+                                 rng.normal(size=(25, 1))) for _ in range(2)]
+    cfg = experiments.ExperimentConfig()
+    cfg.eval = experiments.EvalSettings(depth=1, anchor_stride=4)
+    encode = sensing.encoder.predict
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return encode(x)
+
+    sensing.encoder.predict = counted
+    scores = experiments.evaluate_prediction(cfg, sensing, controlling, trajs)
+    assert len(calls) == scores["anchors"] == 12
+    # at depth 1 the shared (1, p) encode is the state path's own encode
+    alone = experiments.evaluate_prediction(cfg, sensing, None, trajs)
+    assert alone["state_nrmse"] == scores["state_nrmse"]
+    calls.clear()
+    cfg.eval = experiments.EvalSettings(depth=3, anchor_stride=4)
+    scores = experiments.evaluate_prediction(cfg, sensing, controlling, trajs)
+    assert calls == [(3, 4)] * 12 and scores["anchors"] == 36
 
 
 def test_impaired_gradients_on_ideal_link_train_losslessly():

@@ -162,14 +162,19 @@ def test_adam_matches_reference_trajectory():
         p.grad = g.copy()
         opt.step()
 
+    # the textbook expressions, in the order of operations the optimizer
+    # promises, so the trajectory must agree to the last bit
     m = np.zeros_like(w0)
     v = np.zeros_like(w0)
     ref = w0.copy()
     for t, g in enumerate(grads, start=1):
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        ref -= 3e-3 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-    assert np.allclose(p.value, ref, atol=1e-15)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        ref -= 3e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert np.array_equal(p.value, ref)
+    assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)
 
 
 def test_serialization_bitwise_roundtrip():

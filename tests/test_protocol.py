@@ -162,6 +162,65 @@ def test_transport_fill_matches_matrix_power_oracle():
     assert np.array_equal(recv_lat[0, 3], lat_vals[0, 3])
 
 
+def _transport_reference(model, uplink, latent_vals, states, actions):
+    """Per-packet uplink as first written: one packet built, sent and
+    written back per (window, time) sample, then the interior fills."""
+    b, t, d = states.shape[0], states.shape[1], model.d
+    bits = channel.payload_bits(model.d + model.p)
+    recv_lat = np.zeros_like(latent_vals)
+    recv_states = np.zeros_like(states)
+    mask = np.zeros((b, t), dtype=bool)
+    lost = 0
+    for i in range(b):
+        for j in range(t):
+            pkt = np.concatenate([latent_vals[i, j], states[i, j]])
+            out = uplink.transmit(pkt, bits)
+            if out.delivered:
+                recv_lat[i, j] = out.payload[:d]
+                recv_states[i, j] = out.payload[d:]
+                mask[i, j] = True
+            else:
+                lost += 1
+    kept = np.flatnonzero(mask[:, 0])
+    for i in kept:
+        for j in range(1, t):
+            if not mask[i, j]:
+                recv_lat[i, j], recv_states[i, j] = \
+                    protocol.handle_missing_state(
+                        model, recv_lat[i, j - 1], actions[i, j - 1],
+                        decode_u=actions[i, j])
+    return kept, recv_lat, recv_states, mask, lost
+
+
+def test_transport_matches_per_packet_reference_bit_for_bit():
+    # -10 dB: about a fifth of the packets are lost, so windows are dropped
+    # and interior samples filled; the noisy payloads, the fills and the
+    # link's generator state must all match the per-packet loop
+    cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(),
+                                                -10.0)
+    model = micro_model(seed=6)
+    batch = _micro_windows(n=40, depth=3, seed=6)
+    lat_vals = np.stack([model.encode(batch.states[:, j, :])
+                         for j in range(4)], axis=1)
+    sched = koopman.WeightSchedule("special", 3)
+    for seed in (1, 2, 3):
+        link = channel.FadingLink(cfg, seed)
+        trainer = protocol.SensingTrainer(
+            model, sched, (batch.states, batch.actions),
+            (batch.states, batch.actions), uplink=link)
+        got = trainer._transport(lat_vals, batch.states, batch.actions)
+        ref_link = channel.FadingLink(cfg, seed)
+        want = _transport_reference(model, ref_link, lat_vals, batch.states,
+                                    batch.actions)
+        kept, recv_lat, recv_states, mask, lost = got
+        assert 0 < lost < 160 and 0 < kept.size < 40
+        assert (~mask[kept, 1:]).any()           # some fills happened
+        assert lost == want[4]
+        for g, w in zip(got[:4], want[:4]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert link.rng.bit_generator.state == ref_link.rng.bit_generator.state
+
+
 def test_impaired_gradient_link_freezes_encoder():
     model = micro_model(seed=6)
     enc_before = [p.value.copy() for p in model.encoder_parameters()]
