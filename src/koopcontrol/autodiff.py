@@ -75,8 +75,8 @@ def _as_tensor(x):
 
 
 def _accumulate(node, g):
-    if not node.requires_grad:
-        return
+    """Add `g` to node.grad. Callers build `g` only for a node that
+    requires grad, so no gradient is made to be thrown away."""
     if node.grad is None:
         # a fresh array with the bits of zeros + g (so -0.0 becomes +0.0):
         # a later += must never write into an upstream gradient
@@ -132,7 +132,8 @@ def backward(root, seed=None):
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
 
-    _accumulate(root, seed)
+    if root.requires_grad:
+        _accumulate(root, seed)
     for node in reversed(topo):
         if node._grad_fn is not None and node.grad is not None:
             node._grad_fn(node.grad)
@@ -147,8 +148,10 @@ def add(a, b):
     out_val = a.value + b.value
 
     def grad_fn(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(g, b.value.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.value.shape))
 
     return _node(out_val, (a, b), grad_fn)
 
@@ -177,9 +180,12 @@ def affine(x, w, b):
     out_val = x.value @ w.value.T + b.value
 
     def grad_fn(g):
-        _accumulate(x, g @ w.value)
-        _accumulate(w, g.T @ x.value)
-        _accumulate(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, g @ w.value)
+        if w.requires_grad:
+            _accumulate(w, g.T @ x.value)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
 
     return _node(out_val, (x, w, b), grad_fn)
 
@@ -207,9 +213,13 @@ def block_affine(a, b, k, split):
     out_val = a.value @ k1.T + b.value @ k2.T
 
     def grad_fn(g):
-        _accumulate(a, g @ k1)
-        _accumulate(b, g @ k2)
-        _accumulate(k, np.concatenate([g.T @ a.value, g.T @ b.value], axis=1))
+        if a.requires_grad:
+            _accumulate(a, g @ k1)
+        if b.requires_grad:
+            _accumulate(b, g @ k2)
+        if k.requires_grad:
+            _accumulate(k, np.concatenate([g.T @ a.value, g.T @ b.value],
+                                          axis=1))
 
     return _node(out_val, (a, b, k), grad_fn)
 
@@ -223,7 +233,8 @@ def concat_cols(parts):
     def grad_fn(g):
         off = 0
         for p, k in zip(parts, widths):
-            _accumulate(p, g[:, off:off + k])
+            if p.requires_grad:
+                _accumulate(p, g[:, off:off + k])
             off += k
 
     return _node(out_val, tuple(parts), grad_fn)
@@ -243,8 +254,10 @@ def mse_rows(a, b):
 
     def grad_fn(g):
         c = 2.0 * float(g) / n
-        _accumulate(a, c * diff)
-        _accumulate(b, -c * diff)
+        if a.requires_grad:
+            _accumulate(a, c * diff)
+        if b.requires_grad:
+            _accumulate(b, -c * diff)
 
     return _node(out_val, (a, b), grad_fn)
 
@@ -257,7 +270,9 @@ def quad_rows(x, q):
 
     def grad_fn(g):
         gcol = g[:, None]
-        _accumulate(x, gcol * (x.value @ (q.value + q.value.T)))
-        _accumulate(q, x.value.T @ (x.value * gcol))
+        if x.requires_grad:
+            _accumulate(x, gcol * (x.value @ (q.value + q.value.T)))
+        if q.requires_grad:
+            _accumulate(q, x.value.T @ (x.value * gcol))
 
     return _node(out_val, (x, q), grad_fn)

@@ -17,8 +17,11 @@ match it for any reference distance.
 The per-packet draw order is part of the reproducibility contract: every
 `transmit` call takes exactly one `exponential(1.0)` from the link's RNG,
 followed, on a delivered packet with nonzero noise, by one `normal` block of
-the payload's shape. Seeded runs reproduce bit for bit only while that order
-holds, so batching or reordering these draws changes every lossy result.
+the payload's shape. `transmit_rows` sends each row of a block as one packet
+and makes the same draws, row by row in row order, so a block costs one call
+and gives the bits of a loop of `transmit`. Seeded runs reproduce bit for bit
+only while that order holds, so merging or reordering these draws changes
+every lossy result.
 """
 
 from __future__ import annotations
@@ -128,30 +131,71 @@ def outage_probability(config, bits):
     return 1.0 - math.exp(-s_min / config.mean_snr)
 
 
+def _fade(config, bits, rng):
+    """One fading draw for a packet of `bits` bits: (snr, rate, tau_comm).
+    The packet is lost when tau_comm exceeds the airtime budget."""
+    snr = sample_snr(config, rng)
+    rate = shannon_rate(snr, config.bandwidth)
+    return snr, rate, bits / rate if rate > 0.0 else math.inf
+
+
+def _noise_std(mean_sq, snr):
+    """snr_scaled payload noise: std sqrt(mean square / snr), none for an
+    all-zero payload."""
+    return math.sqrt(mean_sq / snr) if mean_sq > 0.0 else 0.0
+
+
 def transmit(config, payload, bits, rng):
     """Push one packet through the fading link.
 
     Returns a LinkOutcome; on loss the payload slot is None. Delivered
     payloads are corrupted per the configured noise model."""
     payload = np.asarray(payload, dtype=np.float64)
-    snr = sample_snr(config, rng)
-    rate = shannon_rate(snr, config.bandwidth)
-    tau_comm = bits / rate if rate > 0.0 else math.inf
+    snr, rate, tau_comm = _fade(config, bits, rng)
     if tau_comm > config.airtime_budget:
-        return LinkOutcome(delivered=False, payload=None, snr=snr,
-                           rate=rate, tau_comm=tau_comm)
+        return LinkOutcome(False, None, snr, rate, tau_comm)
 
     if config.noise_model == "noiseless":
         std = 0.0
     else:  # snr_scaled
         # the pairwise sum np.mean runs, without its wrapper
         sq = payload * payload
-        mean_sq = float(np.add.reduce(sq, axis=None) / sq.size)
-        std = math.sqrt(mean_sq / snr) if mean_sq > 0.0 else 0.0
+        std = _noise_std(float(np.add.reduce(sq, axis=None) / sq.size), snr)
     received = payload + rng.normal(0.0, std, size=payload.shape) if std > 0.0 \
         else payload.copy()
-    return LinkOutcome(delivered=True, payload=received, snr=snr,
-                       rate=rate, tau_comm=tau_comm, noise_std=std)
+    return LinkOutcome(True, received, snr, rate, tau_comm, std)
+
+
+def transmit_rows(config, payloads, bits, rng):
+    """Push each row of an (n, k) block through the fading link as one
+    packet of `bits` bits, in row order, with the draws of n `transmit`
+    calls. Returns the (n,) delivered mask and the (n, k) received rows,
+    zero where a packet was lost."""
+    payloads = np.asarray(payloads, dtype=np.float64)
+    n, k = payloads.shape
+    noisy = config.noise_model != "noiseless"
+    if noisy:
+        # each row's pairwise sum, as `transmit` takes it
+        sq = payloads * payloads
+        mean_sq = (np.add.reduce(sq, axis=1) / k).tolist()
+    budget = config.airtime_budget
+    delivered = np.zeros(n, dtype=bool)
+    noise_rows, noise = [], []
+    for i in range(n):
+        snr, _, tau_comm = _fade(config, bits, rng)
+        if tau_comm > budget:
+            continue
+        delivered[i] = True
+        if noisy:
+            std = _noise_std(mean_sq[i], snr)
+            if std > 0.0:
+                noise_rows.append(i)
+                noise.append(rng.normal(0.0, std, size=k))
+    received = np.zeros_like(payloads)
+    received[delivered] = payloads[delivered]
+    if noise_rows:
+        received[noise_rows] += noise
+    return delivered, received
 
 
 def channel_config_for_target_snr(config, target_snr_db):
@@ -179,6 +223,9 @@ class FadingLink:
     def transmit(self, payload, bits):
         return transmit(self.config, payload, bits, self.rng)
 
+    def transmit_rows(self, payloads, bits):
+        return transmit_rows(self.config, payloads, bits, self.rng)
+
 
 class IdealLink:
     """Lossless, noiseless, zero-latency stand-in with the same interface."""
@@ -188,11 +235,15 @@ class IdealLink:
         return LinkOutcome(delivered=True, payload=payload.copy(),
                            snr=math.inf, rate=math.inf, tau_comm=0.0)
 
+    def transmit_rows(self, payloads, bits):
+        payloads = np.asarray(payloads, dtype=np.float64)
+        return np.ones(payloads.shape[0], dtype=bool), payloads.copy()
+
 
 class ScriptedLossLink:
     """Wraps another link and forces losses at chosen packet indices
-    (0-based, counted per transmit call). Used for controlled burst
-    experiments and protocol tests."""
+    (0-based, counted per packet over `transmit` and `transmit_rows`
+    calls). Used for controlled burst experiments and protocol tests."""
 
     def __init__(self, inner, lost_indices):
         self.inner = inner
@@ -206,3 +257,17 @@ class ScriptedLossLink:
             return LinkOutcome(delivered=False, payload=None, snr=0.0,
                                rate=0.0, tau_comm=math.inf)
         return self.inner.transmit(payload, bits)
+
+    def transmit_rows(self, payloads, bits):
+        """Rows forced lost never reach the inner link; the others are
+        passed to it as one block, in order."""
+        payloads = np.asarray(payloads, dtype=np.float64)
+        start = self.calls
+        self.calls += payloads.shape[0]
+        passed = np.array([i not in self.lost
+                           for i in range(start, self.calls)], dtype=bool)
+        delivered = np.zeros(payloads.shape[0], dtype=bool)
+        received = np.zeros_like(payloads)
+        delivered[passed], received[passed] = self.inner.transmit_rows(
+            payloads[passed], bits)
+        return delivered, received

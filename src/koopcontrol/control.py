@@ -13,6 +13,7 @@ strictly stable closed loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,12 +60,13 @@ def solve_dare(a, b, q, r, tol=1e-10, max_iter=10000):
         for it in range(1, max_iter + 1):
             p_next, gain = _riccati_map(p, a, b, q, r)
             p_next = 0.5 * (p_next + p_next.T)
-            if not np.isfinite(p_next).all():
+            residual = float(np.abs(p_next - p).max())
+            # p is finite, so a non-finite iterate shows in the residual
+            if not math.isfinite(residual) and not np.isfinite(p_next).all():
                 raise DareSolverError(
                     f"Riccati iterate diverged after {it} sweeps "
                     "(system not stabilizable?)", residual=np.inf,
                     iterations=it)
-            residual = float(np.abs(p_next - p).max())
             if residual < tol:
                 break
             p = p_next

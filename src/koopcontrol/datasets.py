@@ -25,6 +25,12 @@ class DataGenerationError(RuntimeError):
     """A trajectory slot kept diverging after the allowed retries."""
 
 
+class InsufficientDataError(ValueError):
+    """The data a stage gets cannot feed it: no trajectory is long enough
+    for the window depth, every action window lost a packet on the link, or
+    no evaluation anchor fits the depth."""
+
+
 @dataclass
 class DataSettings:
     """Dataset size and generation recipe; also the `data` section of an
@@ -150,7 +156,8 @@ def extract_windows(trajectories, depth):
         s_parts.append(traj.states[idx])
         a_parts.append(traj.actions[idx])
     if not s_parts:
-        raise ValueError("no trajectory is long enough for the window depth")
+        raise InsufficientDataError(
+            "no trajectory is long enough for the window depth")
     return np.concatenate(s_parts), np.concatenate(a_parts)
 
 

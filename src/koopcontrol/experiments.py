@@ -442,7 +442,8 @@ def evaluate_prediction(cfg, sensing, controlling, trajectories):
                     controlling, traj.actions[m], lats))
                 obs_a.append(traj.actions[m + 1:m + depth + 1])
     if not pred_s:
-        raise ValueError("no anchor fits the requested depth")
+        raise datasets.InsufficientDataError(
+            "no anchor fits the requested depth")
     pred_s, obs_s = np.concatenate(pred_s), np.concatenate(obs_s)
     out = {"state_nrmse": metrics.nrmse(pred_s, obs_s, len(pred_s)),
            "action_nrmse": None, "depth": depth, "anchors": len(pred_s)}
@@ -575,8 +576,10 @@ def run_sweep(base_cfg, snr_values, seeds, latent_dims=None, out_csv=None,
               with_control=False, on_cell=None):
     """Train+evaluate over the (snr, latent_dim, seed) grid.
 
-    Failed cells go to a `<out_csv>.errors.csv` sidecar and the sweep keeps
-    going. Returns the completed ResultRows."""
+    Cells that fail on their data or their numerics go to a
+    `<out_csv>.errors.csv` sidecar and the sweep keeps going; any other
+    error, a programming error among them, propagates. Returns the
+    completed ResultRows."""
     latent_dims = latent_dims or [base_cfg.model.latent_dim]
     rows, errors = [], []
     for snr in snr_values:
@@ -587,9 +590,10 @@ def run_sweep(base_cfg, snr_values, seeds, latent_dims=None, out_csv=None,
                                       latent_dim=d)
                 try:
                     summary = run_experiment(cfg, with_control=with_control)
-                except (PipelineError, control.DareSolverError,
-                        FloatingPointError, ValueError,
+                except (PipelineError, ConfigError, control.DareSolverError,
+                        FloatingPointError, datasets.InsufficientDataError,
                         datasets.DataGenerationError,
+                        metrics.UndefinedNormalizationError,
                         dynamics.IntegrationDivergedError) as exc:
                     errors.append((cell, f"{type(exc).__name__}: {exc}"))
                     continue

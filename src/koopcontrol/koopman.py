@@ -207,10 +207,12 @@ class ControllingModel:
 # ---------------------------------------------------------------------------
 
 def latent_step(model, latent, u):
-    """One linear latent step: K11 latent + K12 u."""
-    latent = np.asarray(latent, dtype=np.float64).ravel()
-    u = np.asarray(u, dtype=np.float64).ravel()
-    return model.k11 @ latent + model.k12 @ u
+    """One linear latent step: K11 latent + K12 u, for one latent (d,) or a
+    stack of rows (k, d) with one command per row. Each row is its own
+    matrix-vector product, so a stack gives the bits of k single steps."""
+    latent = np.asarray(latent, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64).reshape(latent.shape[:-1] + (-1, 1))
+    return (model.k11 @ latent[..., None] + model.k12 @ u)[..., 0]
 
 
 def action_step(model, latent, u):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import channel, dynamics, koopman
 from .autodiff import Tensor, backward
-from .datasets import window_index
+from .datasets import InsufficientDataError, window_index
 from .koopman import WindowBatch
 from .neural import Adam
 
@@ -103,12 +103,14 @@ class EarlyStopping:
 # ---------------------------------------------------------------------------
 
 def handle_missing_state(model, latent, u, decode_u):
-    """Estimate (latent, state) one loop past `latent` with command `u` in
-    force: one latent step, then a decode together with `decode_u`, the
-    command in force at the estimated time. Longer gaps chain calls."""
+    """Estimate (latent, state) one loop past each row of `latent` (k, d)
+    with the commands `u` (k, q) in force: one latent step, then a decode
+    together with `decode_u`, the commands in force at the estimated time.
+    Longer gaps chain calls. Each row is decoded as its own (1, d+q)
+    product, so a stack gives the bits of k single-row fills."""
     lat = koopman.latent_step(model, latent, u)
-    state = model.decode(np.concatenate([lat, np.ravel(decode_u)]))
-    return lat, state
+    y = np.concatenate([lat, decode_u], axis=1)
+    return lat, model.decode(y[:, None, :])[:, 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +198,11 @@ class SensingTrainer:
     """Runs phase-1 epochs for the sensing autoencoder.
 
     `uplink=None` trains centralized (no packetization); any link object
-    with a .transmit(payload, bits) method enables the split path. The
+    with a .transmit_rows(payloads, bits) method enables the split path,
+    one (latent, state) packet per row of a batch's (b·t, d+p) block. The
     gradient downlink is lossless when `gradient_link` is None; otherwise it
-    carries one packet per batch and a loss skips that batch's encoder
-    update."""
+    carries one packet per batch through its .transmit(payload, bits), and
+    a loss skips that batch's encoder update."""
 
     def __init__(self, model, schedule, train_windows, val_windows,
                  uplink=None, q_x=None, batch_size=64,
@@ -234,27 +237,23 @@ class SensingTrainer:
         # one (latent, state) packet per sample, sent in (window, time) order
         packets = np.concatenate([latent_vals, states], axis=2).reshape(
             b * t, d + p)
-        outs = [self.uplink.transmit(pkt, self._uplink_bits)
-                for pkt in packets]
-        delivered = np.array([out.delivered for out in outs], dtype=bool)
-        received = np.zeros_like(packets)
-        if delivered.any():
-            received[delivered] = [out.payload for out in outs
-                                   if out.delivered]
+        delivered, received = self.uplink.transmit_rows(packets,
+                                                        self._uplink_bits)
         received = received.reshape(b, t, d + p)
         recv_lat, recv_states = received[:, :, :d], received[:, :, d:]
         mask = delivered.reshape(b, t)
         lost = b * t - int(np.count_nonzero(delivered))
         kept = np.flatnonzero(mask[:, 0])
         # fill each interior loss one latent step on from sample j-1, which
-        # was delivered or filled already (a kept window has its anchor);
-        # fills are data, not graph nodes
-        for i in kept:
-            for j in range(1, t):
-                if not mask[i, j]:
-                    recv_lat[i, j], recv_states[i, j] = handle_missing_state(
-                        self.model, recv_lat[i, j - 1], actions[i, j - 1],
-                        decode_u=actions[i, j])
+        # was delivered or filled already (a kept window has its anchor),
+        # every kept window lost at sample j in one call; fills are data,
+        # not graph nodes
+        for j in range(1, t):
+            rows = kept[~mask[kept, j]]
+            if rows.size:
+                recv_lat[rows, j], recv_states[rows, j] = handle_missing_state(
+                    self.model, recv_lat[rows, j - 1], actions[rows, j - 1],
+                    decode_u=actions[rows, j])
         return kept, recv_lat, recv_states, mask, lost
 
     # -- one mini-batch ----------------------------------------------------
@@ -339,13 +338,7 @@ def receive_action_stream(trajectories, link, q=1):
     bits = channel.payload_bits(q)
     received = []
     for traj in trajectories:
-        acts = np.zeros_like(traj.actions)
-        mask = np.zeros(len(traj), dtype=bool)
-        for m in range(len(traj)):
-            out = link.transmit(traj.actions[m], bits)
-            if out.delivered:
-                acts[m] = out.payload
-                mask[m] = True
+        mask, acts = link.transmit_rows(traj.actions, bits)
         received.append((acts, mask))
     return received
 
@@ -361,7 +354,8 @@ def controlling_windows(trajectories, received, depth):
             s_parts.append(traj.states[idx[keep]])
             a_parts.append(acts[idx[keep]])
     if not s_parts:
-        raise ValueError("every window lost at least one action packet")
+        raise InsufficientDataError(
+            "every window lost at least one action packet")
     return np.concatenate(s_parts), np.concatenate(a_parts)
 
 

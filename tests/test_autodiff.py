@@ -1,5 +1,7 @@
 """Gradient-tape unit tests: every op against central finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,51 @@ def test_fd_helper_agrees_with_hand_derivative():
     p = ad.Parameter(np.array([3.0]))
     grad = fd_gradient(lambda: float(p.value[0] ** 2), p)
     assert max_rel_error(grad, np.array([6.0])) < 1e-8
+
+
+def checked_accumulate(monkeypatch):
+    """Wrap `_accumulate` so that a gradient handed over for a node that
+    needs none fails the test."""
+    accumulate = ad._accumulate
+
+    def checked(node, g):
+        assert node.requires_grad, f"gradient built for {node!r}"
+        accumulate(node, g)
+
+    monkeypatch.setattr(ad, "_accumulate", checked)
+
+
+MULTI_PARENT_OPS = {
+    "add": (ad.add, [(6, 3), (3,)]),
+    "affine": (ad.affine, [(6, 3), (4, 3), (4,)]),
+    "block_affine": (lambda a, b, k: ad.block_affine(a, b, k, 3),
+                     [(6, 3), (6, 2), (4, 5)]),
+    "concat_cols": (lambda a, b: ad.concat_cols([a, b]), [(6, 3), (6, 2)]),
+    "mse_rows": (ad.mse_rows, [(6, 3), (6, 3)]),
+    "quad_rows": (ad.quad_rows, [(6, 3), (3, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_PARENT_OPS))
+def test_no_gradient_is_built_for_a_constant_parent(monkeypatch, name):
+    # with any mix of constant and trained parents, no gradient reaches a
+    # constant, and each trained parent's gradient has the bits it has when
+    # every parent is trained (so all parent gradients are built)
+    op, shapes = MULTI_PARENT_OPS[name]
+    rng = np.random.default_rng(5)
+    values = [rng.normal(size=s) for s in shapes]
+
+    def grads(trained):
+        leaves = [ad.Parameter(v) if i in trained else ad.constant(v)
+                  for i, v in enumerate(values)]
+        out = op(*leaves)
+        ad.backward(out, seed=np.random.default_rng(6).normal(
+            size=out.shape))
+        return {i: leaves[i].grad for i in trained}
+
+    every = grads(set(range(len(values))))
+    checked_accumulate(monkeypatch)
+    for k in range(1, len(values)):
+        for trained in itertools.combinations(range(len(values)), k):
+            for i, g in grads(set(trained)).items():
+                assert g.tobytes() == every[i].tobytes(), (trained, i)

@@ -171,6 +171,10 @@ def test_ideal_link_passthrough():
     assert np.array_equal(out.payload, [3.0, 4.0])
     assert out.tau_comm == 0.0
     assert math.isinf(out.snr)
+    block = np.arange(6.0).reshape(3, 2)
+    mask, received = channel.IdealLink().transmit_rows(block, 128)
+    assert mask.tolist() == [True] * 3
+    assert np.array_equal(received, block) and received is not block
 
 
 def test_scripted_loss_link_forces_chosen_indices():
@@ -232,6 +236,82 @@ def test_transmit_matches_reference_bit_for_bit(noise_model):
             outcomes.add(delivered)
         assert outcomes == {True, False}
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _transmit_loop(link, block, bits):
+    """A block sent one `transmit` call per row, as the (mask, received
+    rows) that `transmit_rows` returns."""
+    outs = [link.transmit(row, bits) for row in block]
+    received = np.zeros_like(block)
+    for i, out in enumerate(outs):
+        if out.delivered:
+            received[i] = out.payload
+    return np.array([out.delivered for out in outs], dtype=bool), received
+
+
+@pytest.mark.parametrize("noise_model", channel.NOISE_MODELS)
+def test_transmit_rows_matches_a_loop_of_transmit_bit_for_bit(noise_model):
+    # same draws in the same order: the mask, every payload byte (signed
+    # zeros of all-zero rows included) and the final generator state agree
+    # with one `transmit` call per row, over mixed losses, an all-lost block
+    # (oversized packets) and an empty block
+    cfg = channel.channel_config_for_target_snr(
+        channel.ChannelConfig(noise_model=noise_model), -10.0)
+    for seed in (0, 7, 2024):
+        data = np.random.default_rng(seed + 1)
+        link, ref = channel.FadingLink(cfg, seed), channel.FadingLink(cfg, seed)
+        outcomes = set()
+        for width in (8, 1):
+            block = data.normal(size=(300, width))
+            block[::17] = 0.0
+            block[5::17] = -0.0
+            for rows, bits in ((block, channel.payload_bits(width)),
+                               (block[:40], 10 ** 9),
+                               (block[:0], channel.payload_bits(width))):
+                mask, received = link.transmit_rows(rows, bits)
+                want_mask, want = _transmit_loop(ref, rows, bits)
+                assert mask.dtype == bool and mask.shape == (rows.shape[0],)
+                assert mask.tolist() == want_mask.tolist()
+                assert received.shape == rows.shape
+                assert received.tobytes() == want.tobytes()
+                if bits == 10 ** 9:
+                    assert not mask.any()
+                outcomes.update(mask.tolist())
+        assert outcomes == {True, False}
+        assert link.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def test_scripted_loss_link_counts_packets_across_both_calls():
+    # forced indices count packets over `transmit` and `transmit_rows`
+    # alike, and the inner link sees exactly the packets that are not
+    # forced lost, in order: the same draws as per-packet sending
+    cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(), 0.0)
+    lost = [1, 3, 4, 9, 11, 12, 13]
+    link = channel.ScriptedLossLink(channel.FadingLink(cfg, 5), lost)
+    ref = channel.ScriptedLossLink(channel.FadingLink(cfg, 5), lost)
+    data = np.random.default_rng(6)
+    got, want = [], []
+    for kind, n in (("one", 3), ("rows", 5), ("one", 2), ("rows", 4),
+                    ("rows", 0), ("one", 1)):
+        block = data.normal(size=(n, 3))
+        if kind == "one":
+            for row in block:
+                out = link.transmit(row, 160)
+                got.append(None if not out.delivered else out.payload)
+        else:
+            mask, received = link.transmit_rows(block, 160)
+            got += [r if m else None for m, r in zip(mask, received)]
+        for row in block:
+            out = ref.transmit(row, 160)
+            want.append(None if not out.delivered else out.payload)
+    assert link.calls == ref.calls == 15
+    assert [g is None for g in got] == [w is None for w in want]
+    assert set(lost) <= {k for k, w in enumerate(got) if w is None}
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g.tobytes() == w.tobytes()
+    assert link.inner.rng.bit_generator.state == \
+        ref.inner.rng.bit_generator.state
 
 
 def test_channel_config_is_frozen_and_replace_recomputes():

@@ -85,6 +85,29 @@ def test_dare_unstabilizable_system_raises():
         control.solve_dare(a, b, np.eye(2), np.eye(1))
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.diag([2.0, 0.5]), np.array([[0.0], [1.0]])),
+    (np.array([[3.0]]), np.array([[0.0]])),
+])
+def test_dare_divergence_raises_at_the_first_non_finite_sweep(a, b):
+    # the sweep that first makes a non-finite iterate, found by checking
+    # every iterate for finiteness, is where the solver raises
+    q, r = np.eye(a.shape[0]), np.eye(1)
+    p = q.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, 10001):
+            p_next, _ = control._riccati_map(p, a, b, q, r)
+            p_next = 0.5 * (p_next + p_next.T)
+            if not np.isfinite(p_next).all():
+                break
+            p = p_next
+    assert sweep < 10000
+    with pytest.raises(control.DareSolverError, match="diverged") as err:
+        control.solve_dare(a, b, q, r)
+    assert err.value.iterations == sweep
+    assert err.value.residual == np.inf
+
+
 def test_dare_iteration_budget_respected():
     with pytest.raises(control.DareSolverError) as err:
         control.solve_dare(np.diag([2.0, 0.5]), np.array([[0.0], [1.0]]),

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from koopcontrol import control, datasets, experiments, koopman
+from koopcontrol import channel, control, datasets, experiments, koopman
 
 
 # ---------------------------------------------------------------------------
@@ -330,4 +330,39 @@ def test_sweep_writes_table_and_errors_sidecar(tmp_path):
     assert len(back) == len(rows) == 2
     assert sorted(r.snr_db for r in back) == [0.0, 20.0]
     assert all(np.isfinite(r.state_nrmse) for r in back)
+    assert not (tmp_path / "sweep.csv.errors.csv").exists()
+
+
+def test_sweep_records_a_cell_whose_downlink_loses_every_action(
+        tmp_path, monkeypatch):
+    # every action packet is lost, so the controlling stage has no window:
+    # a data failure of the cell, written to the sidecar
+    build_link = experiments.build_link
+    downlink_seed = experiments.seed_streams(0)["downlink"]
+
+    def dead_downlink(cfg, seed):
+        link = build_link(cfg, seed)
+        if seed == downlink_seed:
+            return channel.ScriptedLossLink(link, range(10_000))
+        return link
+
+    monkeypatch.setattr(experiments, "build_link", dead_downlink)
+    out = tmp_path / "sweep.csv"
+    rows = experiments.run_sweep(micro_cfg(ideal=False), snr_values=[20.0],
+                                 seeds=[0], out_csv=out)
+    assert rows == []
+    errors = (tmp_path / "sweep.csv.errors.csv").read_text()
+    assert "InsufficientDataError: every window lost at least one action " \
+        "packet" in errors
+
+
+def test_sweep_propagates_a_plain_value_error(tmp_path, monkeypatch):
+    # a bare ValueError is a programming error, not a failed cell
+    def broken(cfg, streams=None):
+        raise ValueError("not a data failure")
+
+    monkeypatch.setattr(experiments, "make_dataset", broken)
+    with pytest.raises(ValueError, match="not a data failure"):
+        experiments.run_sweep(micro_cfg(ideal=False), snr_values=[20.0],
+                              seeds=[0], out_csv=tmp_path / "sweep.csv")
     assert not (tmp_path / "sweep.csv.errors.csv").exists()

@@ -114,6 +114,22 @@ def test_latent_step_hand_value():
     assert np.isclose(out[0], 5.0, atol=1e-15)
 
 
+def test_stacked_latent_step_matches_single_steps_bit_for_bit():
+    # each row of a stack is its own matrix-vector product: the bits of a
+    # 1-D step per row, at the latent widths training uses and wider
+    rng = np.random.default_rng(21)
+    for d, q, k in ((4, 1, 1), (4, 1, 37), (2, 1, 5), (8, 2, 64), (33, 3, 9)):
+        model = micro_model(seed=d + k, d=d, q=q)
+        lats, us = rng.normal(size=(k, d)), rng.normal(size=(k, q))
+        stacked = koopman.latent_step(model, lats, us)
+        assert stacked.shape == (k, d)
+        for i in range(k):
+            one = model.k11 @ lats[i] + model.k12 @ us[i]
+            assert stacked[i].tobytes() == one.tobytes()
+            assert koopman.latent_step(model, lats[i], us[i]).tobytes() \
+                == one.tobytes()
+
+
 def test_rollout_matches_matrix_power_expansion():
     # the latent after m composed steps must equal
     # K11^m g + sum_j K11^(m-1-j) K12 u_j, computed by an independent

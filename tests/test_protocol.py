@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from koopcontrol import channel, datasets, dynamics, koopman, protocol
+from koopcontrol import autodiff, channel, datasets, dynamics, koopman, protocol
+from test_autodiff import checked_accumulate
 from test_koopman import (_linear_windows, micro_model, passthrough_sensing,
                           passthrough_controlling)
 
@@ -162,9 +163,17 @@ def test_transport_fill_matches_matrix_power_oracle():
     assert np.array_equal(recv_lat[0, 3], lat_vals[0, 3])
 
 
+def _fill_reference(model, latent, u, decode_u):
+    """One single-row interior fill as first written: a 1-D latent step,
+    then a decode of the 1-D [latent; command]."""
+    lat = model.k11 @ np.ravel(latent) + model.k12 @ np.ravel(u)
+    return lat, model.decode(np.concatenate([lat, np.ravel(decode_u)]))
+
+
 def _transport_reference(model, uplink, latent_vals, states, actions):
     """Per-packet uplink as first written: one packet built, sent and
-    written back per (window, time) sample, then the interior fills."""
+    written back per (window, time) sample, then the interior fills one
+    window sample at a time."""
     b, t, d = states.shape[0], states.shape[1], model.d
     bits = channel.payload_bits(model.d + model.p)
     recv_lat = np.zeros_like(latent_vals)
@@ -185,11 +194,26 @@ def _transport_reference(model, uplink, latent_vals, states, actions):
     for i in kept:
         for j in range(1, t):
             if not mask[i, j]:
-                recv_lat[i, j], recv_states[i, j] = \
-                    protocol.handle_missing_state(
-                        model, recv_lat[i, j - 1], actions[i, j - 1],
-                        decode_u=actions[i, j])
+                recv_lat[i, j], recv_states[i, j] = _fill_reference(
+                    model, recv_lat[i, j - 1], actions[i, j - 1],
+                    decode_u=actions[i, j])
     return kept, recv_lat, recv_states, mask, lost
+
+
+def test_stacked_fill_matches_single_row_fills_bit_for_bit():
+    # a stack of k fills decodes each row as its own (1, d+q) product, so it
+    # has the bits of k single-row fills, at any stack size
+    rng = np.random.default_rng(8)
+    for d, k in ((4, 1), (4, 23), (2, 64)):
+        model = koopman.SensingModel.build(p=4, d=d, q=1, rng=rng)
+        lats, us, next_us = (rng.normal(size=(k, w)) for w in (d, 1, 1))
+        lat, state = protocol.handle_missing_state(model, lats, us, next_us)
+        assert lat.shape == (k, d) and state.shape == (k, 4)
+        for i in range(k):
+            want_lat, want_state = _fill_reference(model, lats[i], us[i],
+                                                   next_us[i])
+            assert lat[i].tobytes() == want_lat.tobytes()
+            assert state[i].tobytes() == want_state.tobytes()
 
 
 def test_transport_matches_per_packet_reference_bit_for_bit():
@@ -310,6 +334,40 @@ def test_receive_action_stream_masks_and_payloads():
     assert np.all(a0[1] == 0.0)
 
 
+def _action_stream_reference(trajectories, link, q=1):
+    """The downlink action stream as first written: one `transmit` call
+    and one write-back per recorded command."""
+    bits = channel.payload_bits(q)
+    received = []
+    for traj in trajectories:
+        acts = np.zeros_like(traj.actions)
+        mask = np.zeros(len(traj), dtype=bool)
+        for m in range(len(traj)):
+            out = link.transmit(traj.actions[m], bits)
+            if out.delivered:
+                acts[m] = out.payload
+                mask[m] = True
+        received.append((acts, mask))
+    return received
+
+
+@pytest.mark.parametrize("noise_model", channel.NOISE_MODELS)
+def test_receive_action_stream_matches_per_packet_reference(noise_model):
+    cfg = channel.channel_config_for_target_snr(
+        channel.ChannelConfig(noise_model=noise_model), -10.0)
+    trajs = _tiny_trajectories(n=3, length=200, seed=4)
+    trajs[1].actions[50:60] = 0.0
+    for seed in (0, 7, 2024):
+        link, ref = channel.FadingLink(cfg, seed), channel.FadingLink(cfg, seed)
+        got = protocol.receive_action_stream(trajs, link)
+        want = _action_stream_reference(trajs, ref)
+        for (acts, mask), (want_acts, want_mask) in zip(got, want):
+            assert mask.tolist() == want_mask.tolist()
+            assert acts.tobytes() == want_acts.tobytes()
+        assert not all(m.all() for _, m in got)
+        assert link.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
 def test_controlling_windows_drop_lossy():
     traj = datasets.Trajectory(np.arange(20, dtype=float).reshape(5, 4),
                                np.arange(5, dtype=float).reshape(5, 1))
@@ -344,6 +402,36 @@ def test_controlling_trainer_moves_only_local_params():
     moved = any(not np.array_equal(p.value, b)
                 for p, b in zip(model.local_parameters(), local_before))
     assert moved
+
+
+def test_training_builds_no_gradient_it_drops(monkeypatch):
+    # the encoder's raw-state input, the loss targets and the actions need
+    # no gradient, so the tape builds none for them; and the controlling
+    # loss's parameter gradients have the same bits as when its detached
+    # latents are leaves that require grad (every parent gradient built)
+    checked_accumulate(monkeypatch)
+    trainer = _trainer(micro_model(seed=6), scripted([1, 4, 9]), depth=2,
+                       gradient_link=ideal())
+    assert np.isfinite(trainer.run_epoch().train_loss)
+
+    sens = micro_model(seed=10)
+    model = koopman.ControllingModel.build(sens, np.random.default_rng(11))
+    batch = _micro_windows(n=16, depth=2)
+    sched = koopman.WeightSchedule("general", 2)
+    latents = [model.encode(batch.states[:, j, :]) for j in range(3)]
+
+    def grads(requires_grad):
+        leaves = [autodiff.Tensor(z, requires_grad=requires_grad)
+                  for z in latents]
+        autodiff.backward(koopman.total_controlling_loss(
+            model, batch, sched, latents=leaves))
+        out = [p.grad.copy() for p in model.local_parameters()]
+        for p in model.local_parameters():
+            p.grad = None
+        return out
+
+    for got, want in zip(grads(False), grads(True)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_controlling_trainer_loss_decreases():
