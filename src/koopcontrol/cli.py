@@ -3,8 +3,9 @@
 Thin wrappers over the experiments pipeline so every stage can run from a
 shell: dataset generation, the two training phases, prediction scoring, the
 predictive closed loop, sweeps, and report generation. Exit codes: 0 on
-success, 2 on configuration problems, 3 on numerical failures (diverged
-integration, unsolvable Riccati iteration, non-finite loss).
+success, 2 on configuration problems, 3 when a run fails on its data or its
+numerics (`experiments.RUN_ERRORS`: diverged integration, unsolvable Riccati
+iteration, non-finite loss, data too short or too lossy for a stage).
 """
 
 from __future__ import annotations
@@ -17,15 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import control, datasets, dynamics, experiments, koopman, protocol
+from . import datasets, experiments, koopman, protocol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-_NUMERIC_ERRORS = (control.DareSolverError, dynamics.IntegrationDivergedError,
-                   datasets.DataGenerationError, experiments.PipelineError,
-                   FloatingPointError)
 
 
 def _add_common(parser):
@@ -259,7 +256,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
+    except experiments.RUN_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERIC

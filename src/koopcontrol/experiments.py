@@ -31,21 +31,27 @@ CONFIG_FORMAT = "koopcontrol-config-v1"
 
 REPORT_FORMAT = "koopcontrol-report-v1"
 
-SWEEP_COLUMNS = ("experiment", "seed", "snr_db", "latent_dim", "n_train",
-                 "state_nrmse", "action_nrmse", "msce", "m_lost", "epochs",
-                 "train_s")
-
 STREAM_NAMES = ("data", "sensing_init", "controlling_init", "uplink",
                 "downlink", "gradient", "shuffle", "eval_uplink",
                 "eval_downlink", "eval_plant")
 
 
 class ConfigError(ValueError):
-    """Malformed or unrecognized experiment configuration."""
+    """Malformed or unrecognized experiment configuration. The config
+    sections raise ValueError; the two entry points for outside values,
+    _build_section and apply_overrides, turn it into ConfigError."""
 
 
 class PipelineError(RuntimeError):
     """A training/evaluation stage failed in a way worth reporting upward."""
+
+
+# what a run raises when it fails on its data or its numerics, as opposed
+# to a configuration error or a bug
+RUN_ERRORS = (PipelineError, control.DareSolverError, FloatingPointError,
+              datasets.InsufficientDataError, datasets.DataGenerationError,
+              metrics.UndefinedNormalizationError,
+              dynamics.IntegrationDivergedError)
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +63,14 @@ class ModelSettings:
     latent_dim: int = 4
     depth: int = 1                     # prediction depth the losses train for
     schedule_mode: str = "special"
-    encoder_hidden: tuple = (128, 64, 32)
+    encoder_hidden: tuple = koopman.DEFAULT_ENCODER_HIDDEN
 
     def __post_init__(self):
         self.encoder_hidden = tuple(int(w) for w in self.encoder_hidden)
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be >= 1")
-        try:
-            self.schedule()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if min((self.latent_dim, *self.encoder_hidden)) < 1:
+            raise ValueError("latent_dim and encoder_hidden widths must be "
+                             ">= 1")
+        self.schedule()
 
     def schedule(self):
         """The loss weight schedule both models train with."""
@@ -85,19 +89,16 @@ class TrainSettings:
     impair_gradients: bool = False
 
     def __post_init__(self):
-        try:
-            protocol.EarlyStopping(self.patience, self.min_delta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        protocol.EarlyStopping(self.patience, self.min_delta)
         # max_epochs too: the latent gain is only solved after an epoch
         for name in ("batch_size", "max_epochs"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1")
         if self.max_batches_per_epoch is not None \
                 and self.max_batches_per_epoch < 1:
-            raise ConfigError("max_batches_per_epoch must be >= 1 or null")
+            raise ValueError("max_batches_per_epoch must be >= 1 or null")
         if not self.lr > 0.0:
-            raise ConfigError("lr must be positive")
+            raise ValueError("lr must be positive")
 
 
 @dataclass
@@ -112,10 +113,7 @@ class LinkSettings:
 
     def __post_init__(self):
         # checked even on an ideal link: a sweep may switch it to fading
-        try:
-            self.channel_config()
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(str(exc)) from exc
+        self.channel_config()
 
     def channel_config(self):
         """The fading-link configuration these settings describe."""
@@ -129,38 +127,6 @@ class LinkSettings:
 
 
 @dataclass
-class ControlSettings:
-    r: float = 1.0
-    q_x_diag: tuple = (1.0, 1.0, 1.0, 1.0)
-    n_loops: int = 1000
-    x0: tuple = (0.05, 0.05, 0.05, 0.05)
-    uplink_refresh: bool = True
-    action_fallback: str = "predict"
-    action_predict_mode: str = "hold"
-    latent_fallback: str = "predict"
-
-    def __post_init__(self):
-        self.q_x_diag = tuple(float(v) for v in self.q_x_diag)
-        self.x0 = tuple(float(v) for v in self.x0)
-        try:
-            self.phase2_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def phase2_config(self):
-        """The phase-2 loop settings."""
-        return protocol.Phase2Config(
-            n_loops=self.n_loops,
-            uplink_refresh=self.uplink_refresh,
-            action_fallback=self.action_fallback,
-            action_predict_mode=self.action_predict_mode,
-            latent_fallback=self.latent_fallback)
-
-    def q_x(self):
-        return np.diag(self.q_x_diag)
-
-
-@dataclass
 class EvalSettings:
     depth: int = 1                     # prediction depth scored by NRMSE
     anchor_stride: int = 10            # spacing between prediction anchors
@@ -168,7 +134,7 @@ class EvalSettings:
     def __post_init__(self):
         for name in ("depth", "anchor_stride"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"eval {name} must be >= 1")
+                raise ValueError(f"eval {name} must be >= 1")
 
 
 @dataclass
@@ -179,13 +145,13 @@ class ExperimentConfig:
     model: ModelSettings = field(default_factory=ModelSettings)
     train: TrainSettings = field(default_factory=TrainSettings)
     link: LinkSettings = field(default_factory=LinkSettings)
-    control: ControlSettings = field(default_factory=ControlSettings)
+    control: protocol.Phase2Config = field(
+        default_factory=protocol.Phase2Config)
     eval: EvalSettings = field(default_factory=EvalSettings)
 
 
-_SECTIONS = {"data": DataSettings, "model": ModelSettings,
-             "train": TrainSettings, "link": LinkSettings,
-             "control": ControlSettings, "eval": EvalSettings}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(
+    ExperimentConfig) if f.default_factory is not dataclasses.MISSING}
 
 
 def config_to_dict(cfg):
@@ -204,7 +170,7 @@ def _build_section(cls, payload):
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     try:
         return cls(**payload)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
 
 
@@ -272,8 +238,11 @@ def apply_overrides(cfg, seed=None, snr_db=None, latent_dim=None, name=None):
         changes["link"] = {"snr_db": float(snr_db), "ideal": False}
     if latent_dim is not None:
         changes["model"] = {"latent_dim": int(latent_dim)}
-    top = {section: dataclasses.replace(getattr(cfg, section), **fields)
-           for section, fields in changes.items()}
+    try:
+        top = {section: dataclasses.replace(getattr(cfg, section), **fields)
+               for section, fields in changes.items()}
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
     if seed is not None:
         top["seed"] = int(seed)
     if name is not None:
@@ -427,15 +396,11 @@ def evaluate_prediction(cfg, sensing, controlling, trajectories):
     for traj in trajectories:
         n = len(traj)
         for m in range(0, n - depth, stride):
-            if controlling is not None:
-                # one encode of the window serves both paths
-                lats = sensing.encode(traj.states[m:m + depth])
-                lat = lats[0]
-            else:
-                lat = sensing.encode(traj.states[m])
+            # one encode of the window serves both paths
+            lats = sensing.encode(traj.states[m:m + depth])
             controls = traj.actions[m + 1:m + depth + 1]
-            pred_s.append(koopman.predict_states(sensing, lat, traj.actions[m],
-                                                 controls))
+            pred_s.append(koopman.predict_states(
+                sensing, lats[0], traj.actions[m], controls))
             obs_s.append(traj.states[m + 1:m + depth + 1])
             if controlling is not None:
                 pred_a.append(koopman.predict_actions(
@@ -470,9 +435,8 @@ def control_rollout(cfg, sensing, gain, controlling=None, streams=None,
         plant_rng = np.random.default_rng(streams["eval_plant"])
     result = protocol.run_phase2_loop(
         system, np.asarray(cfg.control.x0, dtype=np.float64), uplink,
-        downlink, cfg.control.phase2_config(), plant_rng=plant_rng)
-    down_flags = [r.downlink_delivered for r in result.records
-                  if r.downlink_delivered is not None]
+        downlink, cfg.control, plant_rng=plant_rng)
+    down_flags = [r.downlink_delivered for r in result.records]
     summary = {
         "msce": metrics.msce(result.states[1:], np.zeros(dynamics.STATE_DIM)),
         "m_lost": metrics.consecutive_lost(down_flags),
@@ -521,6 +485,7 @@ def run_experiment(cfg, with_control=True):
 
 @dataclass
 class ResultRow:
+    """One sweep cell; its fields, in order, are the sweep CSV's columns."""
     experiment: str
     seed: int
     snr_db: float | None
@@ -533,12 +498,22 @@ class ResultRow:
     epochs: int
     train_s: float
 
-    @classmethod
-    def from_summary(cls, s):
-        return cls(**{k: s.get(k) for k in SWEEP_COLUMNS})
 
-    def as_list(self):
-        return [getattr(self, k) for k in SWEEP_COLUMNS]
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
+
+
+def _parse_cell(f, text):
+    """One CSV cell as the type its ResultRow field is annotated with; a
+    blank or "None" cell is None in an optional (`| None`) number field."""
+    kind, _, optional = f.type.partition(" | ")
+    if kind != "str" and text in ("", "None", None):
+        if optional:
+            return None
+        raise ConfigError(f"blank {f.name} cell")
+    try:
+        return {"str": str, "int": int, "float": float}[kind](text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {f.name} cell: {exc}") from exc
 
 
 def write_rows(rows, path):
@@ -546,7 +521,7 @@ def write_rows(rows, path):
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow(row.as_list())
+            writer.writerow(dataclasses.astuple(row))
 
 
 def read_rows(path):
@@ -556,19 +531,8 @@ def read_rows(path):
         if tuple(reader.fieldnames or ()) != SWEEP_COLUMNS:
             raise ConfigError(f"unrecognized sweep CSV header in {path}")
         for rec in reader:
-            rows.append(ResultRow(
-                experiment=rec["experiment"], seed=int(rec["seed"]),
-                snr_db=None if rec["snr_db"] in ("", "None")
-                else float(rec["snr_db"]),
-                latent_dim=int(rec["latent_dim"]),
-                n_train=int(rec["n_train"]),
-                state_nrmse=float(rec["state_nrmse"]),
-                action_nrmse=float(rec["action_nrmse"]),
-                msce=None if rec["msce"] in ("", "None")
-                else float(rec["msce"]),
-                m_lost=None if rec["m_lost"] in ("", "None")
-                else int(rec["m_lost"]),
-                epochs=int(rec["epochs"]), train_s=float(rec["train_s"])))
+            rows.append(ResultRow(**{f.name: _parse_cell(f, rec[f.name])
+                                     for f in dataclasses.fields(ResultRow)}))
     return rows
 
 
@@ -590,14 +554,11 @@ def run_sweep(base_cfg, snr_values, seeds, latent_dims=None, out_csv=None,
                                       latent_dim=d)
                 try:
                     summary = run_experiment(cfg, with_control=with_control)
-                except (PipelineError, ConfigError, control.DareSolverError,
-                        FloatingPointError, datasets.InsufficientDataError,
-                        datasets.DataGenerationError,
-                        metrics.UndefinedNormalizationError,
-                        dynamics.IntegrationDivergedError) as exc:
+                except (ConfigError, *RUN_ERRORS) as exc:
                     errors.append((cell, f"{type(exc).__name__}: {exc}"))
                     continue
-                rows.append(ResultRow.from_summary(summary))
+                rows.append(ResultRow(**{k: summary.get(k)
+                                         for k in SWEEP_COLUMNS}))
                 if on_cell is not None:
                     on_cell(rows[-1])
     if out_csv is not None:

@@ -14,10 +14,13 @@ The controlling model reuses the same encoder and evolves the *action*:
 u_{m+1} ~ K21' g(x_m) + K22' u_m, with its own decoder back to the state.
 The actuator uses it to ride out downlink outages.
 
-Training losses are built on the autodiff tape. Each loss takes the latent
-tensors as an argument so a split deployment can inject latents as received
-leaves (gradients then stop at the transmission boundary and are shipped
-back separately); the two total losses encode them in-graph when omitted.
+Training losses are built on the autodiff tape from (B, M_d+1, p) state and
+(B, M_d+1, q) action window arrays, the states being what the loss side
+holds (received estimates for sensing, true states for controlling). Each
+loss takes the latent tensors as an argument so a split deployment can
+inject latents as received leaves (gradients then stop at the transmission
+boundary and are shipped back separately); the two total losses encode them
+in-graph when omitted.
 """
 
 from __future__ import annotations
@@ -54,29 +57,13 @@ class WeightSchedule:
 
     def weights(self):
         if self.mode == "special":
-            terms = [(0, 1.0)]
-        else:
-            terms = [(l, 1.0 / self.depth) for l in range(self.depth)]
-        total = sum(w for _, w in terms)
-        assert abs(total - 1.0) < 1e-12, "schedule weights must sum to 1"
-        if self.mode == "special":
-            assert len(terms) == 1
-        return terms
+            return [(0, 1.0)]
+        return [(l, 1.0 / self.depth) for l in range(self.depth)]
 
 
-@dataclass(frozen=True)
-class SensingCoefficients:
-    c1: float = 0.5
-    c2: float = 1.0
-    c3: float = 0.5
-    c4: float = 1.0
-
-
-@dataclass(frozen=True)
-class ControllingCoefficients:
-    c1: float = 0.5
-    c2: float = 1.0
-    c3: float = 0.5
+# loss weights: c1..c4 of the sensing loss, c1'..c3' of the controlling loss
+SENSING_WEIGHTS = (0.5, 1.0, 0.5, 1.0)
+CONTROLLING_WEIGHTS = (0.5, 1.0, 0.5)
 
 
 def project_psd(m):
@@ -95,24 +82,37 @@ def _decoder_dims(p, d, q, encoder_hidden):
     return [d + q, d + q, d + q, *reversed(encoder_hidden), p]
 
 
-class SensingModel:
+class _KoopmanAutoencoder:
+    """What both models are: an encoder g (p -> d), a Koopman matrix
+    [K1 | K2] acting on [g(x); u] with u of width q, and a decoder taking
+    [latent; u] back to the state."""
+
+    def __init__(self, encoder, koopman, decoder, rows):
+        self.encoder = encoder
+        self.decoder = decoder
+        self.koopman = koopman
+        self.p = encoder.d_in
+        self.d = encoder.d_out
+        self.q = koopman.value.shape[1] - self.d
+        if koopman.value.shape[0] != getattr(self, rows) or self.q < 1:
+            raise ValueError(f"Koopman matrix must be ({rows}, d+q)")
+        if decoder.d_in != self.d + self.q or decoder.d_out != self.p:
+            raise ValueError("decoder must map (d+q) -> p")
+
+    def encode(self, x):
+        return self.encoder.predict(x)
+
+    def decode(self, y):
+        return self.decoder.predict(y)
+
+
+class SensingModel(_KoopmanAutoencoder):
     """Encoder + state Koopman matrix + decoder + trainable cost matrix."""
 
     def __init__(self, encoder, koopman, decoder, cost):
-        self.encoder = encoder
-        self.decoder = decoder
-        self.koopman = koopman if isinstance(koopman, Parameter) \
-            else Parameter(koopman, name="K_s")
-        self.cost = cost if isinstance(cost, Parameter) \
-            else Parameter(cost, name="cost")
-        self.p = encoder.d_in
-        self.d = encoder.d_out
-        self.q = self.koopman.value.shape[1] - self.d
-        if self.koopman.value.shape[0] != self.d or self.q < 1:
-            raise ValueError("state Koopman matrix must be (d, d+q)")
-        if decoder.d_in != self.d + self.q or decoder.d_out != self.p:
-            raise ValueError("decoder must map (d+q) -> p")
-        if self.cost.value.shape != (self.d, self.d):
+        super().__init__(encoder, koopman, decoder, rows="d")
+        self.cost = cost
+        if cost.value.shape != (self.d, self.d):
             raise ValueError("cost matrix must be (d, d)")
 
     @classmethod
@@ -137,12 +137,6 @@ class SensingModel:
     def k12(self):
         return self.koopman.value[:, self.d:]
 
-    def encode(self, x):
-        return self.encoder.predict(x)
-
-    def decode(self, y):
-        return self.decoder.predict(y)
-
     def encoder_parameters(self):
         return self.encoder.parameters()
 
@@ -154,21 +148,11 @@ class SensingModel:
         return [*self.encoder_parameters(), *self.server_parameters()]
 
 
-class ControllingModel:
+class ControllingModel(_KoopmanAutoencoder):
     """Action Koopman matrix + decoder, sharing the sensing encoder."""
 
     def __init__(self, encoder, koopman, decoder):
-        self.encoder = encoder
-        self.decoder = decoder
-        self.koopman = koopman if isinstance(koopman, Parameter) \
-            else Parameter(koopman, name="K_a")
-        self.p = encoder.d_in
-        self.d = encoder.d_out
-        self.q = self.koopman.value.shape[1] - self.d
-        if self.koopman.value.shape[0] != self.q or self.q < 1:
-            raise ValueError("action Koopman matrix must be (q, d+q)")
-        if decoder.d_in != self.d + self.q or decoder.d_out != self.p:
-            raise ValueError("decoder must map (d+q) -> p")
+        super().__init__(encoder, koopman, decoder, rows="q")
 
     @classmethod
     def build(cls, sensing, rng):
@@ -187,12 +171,6 @@ class ControllingModel:
     def k22(self):
         return self.koopman.value[:, self.d:]
 
-    def encode(self, x):
-        return self.encoder.predict(x)
-
-    def decode(self, z):
-        return self.decoder.predict(z)
-
     def local_parameters(self):
         """Trained at the actuator; the shared encoder is a snapshot and is
         left out on purpose."""
@@ -207,19 +185,23 @@ class ControllingModel:
 # ---------------------------------------------------------------------------
 
 def latent_step(model, latent, u):
-    """One linear latent step: K11 latent + K12 u, for one latent (d,) or a
-    stack of rows (k, d) with one command per row. Each row is its own
-    matrix-vector product, so a stack gives the bits of k single steps."""
+    """One linear step [K1 | K2] [latent; u] of either model: K11 latent +
+    K12 u for the sensing model, the action K21' latent + K22' u for the
+    controlling one. Takes one latent (d,) or a stack of rows (k, d) with
+    one command per row; each row is its own matrix-vector product, so a
+    stack gives the bits of k single steps."""
+    k, d = model.koopman.value, model.d
     latent = np.asarray(latent, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64).reshape(latent.shape[:-1] + (-1, 1))
-    return (model.k11 @ latent[..., None] + model.k12 @ u)[..., 0]
+    u = np.asarray(u, dtype=np.float64)
+    if latent.ndim == 1:
+        return k[:, :d] @ latent + k[:, d:] @ u.ravel()
+    u = u.reshape(latent.shape[:-1] + (-1, 1))
+    return (k[:, :d] @ latent[..., None] + k[:, d:] @ u)[..., 0]
 
 
-def action_step(model, latent, u):
-    """One linear action step: K21' latent + K22' u."""
-    latent = np.asarray(latent, dtype=np.float64).ravel()
-    u = np.asarray(u, dtype=np.float64).ravel()
-    return model.k21 @ latent + model.k22 @ u
+# the controlling model's step, under its own name: wrapping `latent_step`
+# to count latent steps leaves the action steps out
+action_step = latent_step
 
 
 def predict_states(model, latent, u, controls):
@@ -253,57 +235,41 @@ def predict_actions(model, u, latents):
 # training losses (tape graph)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WindowBatch:
-    """A batch of length-(M_d+1) training windows.
-
-    states:  (B, M_d+1, p) what the loss-computing side holds (received
-             estimates for the sensing loss, true states for the controlling
-             loss)
-    actions: (B, M_d+1, q)
-    """
-    states: np.ndarray
-    actions: np.ndarray
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.float64)
-        self.actions = np.asarray(self.actions, dtype=np.float64)
-        if self.states.ndim != 3 or self.actions.ndim != 3:
-            raise ValueError("window batch arrays must be 3-D")
-        if self.states.shape[:2] != self.actions.shape[:2]:
-            raise ValueError("states/actions disagree on batch or window size")
-
-    @property
-    def size(self):
-        return self.states.shape[0]
-
-    @property
-    def depth(self):
-        return self.states.shape[1] - 1
-
-
-def encode_windows(model, batch):
+def encode_windows(model, states):
     """In-graph latents, one (B, d) tensor per window time index."""
-    return [model.encoder.forward(batch.states[:, t, :])
-            for t in range(batch.depth + 1)]
+    return [model.encoder.forward(states[:, t, :])
+            for t in range(states.shape[1])]
 
 
-def _check_depth(batch, schedule):
-    if batch.depth != schedule.depth:
+def _check_depth(states, schedule):
+    depth = states.shape[1] - 1
+    if depth != schedule.depth:
         raise ValueError(
-            f"window depth {batch.depth} != schedule depth {schedule.depth}")
+            f"window depth {depth} != schedule depth {schedule.depth}")
 
 
-def _rollout_tensors(model, latents, batch, schedule):
-    """Final-time latent tensor of each scheduled rollout: start at offset l,
-    iterate to the window end feeding recorded controls."""
-    finals = {}
-    for l, _ in schedule.weights():
+def _rollout_tensors(model, latents, actions, schedule):
+    """(final-time latent tensor, weight) of each scheduled rollout: start
+    at offset l, iterate to the window end feeding recorded controls."""
+    finals = []
+    for l, w in schedule.weights():
         lat = latents[l]
         for j in range(l, schedule.depth):
-            lat = block_affine(lat, constant(batch.actions[:, j, :]),
+            lat = block_affine(lat, constant(actions[:, j, :]),
                                model.koopman, model.d)
-        finals[l] = lat
+        finals.append((lat, w))
+    return finals
+
+
+def _action_rollout_tensors(model, latents, actions, schedule):
+    """Controlling analog of _rollout_tensors: evolve the action estimate,
+    feeding the recorded latent at every intermediate step."""
+    finals = []
+    for l, w in schedule.weights():
+        act = constant(actions[:, l, :])
+        for j in range(l, schedule.depth):
+            act = block_affine(latents[j], act, model.koopman, model.d)
+        finals.append((act, w))
     return finals
 
 
@@ -312,116 +278,108 @@ def _weighted_sum(parts):
     return add_scalars(terms) if len(terms) > 1 else terms[0]
 
 
-def loss_reconstruction(model, batch, latents):
+def _depth_mean(targets, pred):
+    """Mean over the target offsets m' = 1..M_d of mse_rows(target, pred),
+    one target tensor per offset."""
+    terms = [mse_rows(t, pred) for t in targets]
+    return scale(add_scalars(terms), 1.0 / len(terms))
+
+
+def _targets(windows):
+    """Constant targets windows[:, m', :] for m' = 1..M_d."""
+    return [constant(windows[:, mp, :]) for mp in range(1, windows.shape[1])]
+
+
+def loss_reconstruction(model, states, actions, latents):
     """L1 (sensing) and L1' (controlling): anchor state reconstruction
     through the model's decoder, mean over the batch."""
-    y0 = concat_cols([latents[0], constant(batch.actions[:, 0, :])])
-    return mse_rows(constant(batch.states[:, 0, :]), model.decoder.forward(y0))
+    y0 = concat_cols([latents[0], constant(actions[:, 0, :])])
+    return mse_rows(constant(states[:, 0, :]), model.decoder.forward(y0))
 
 
-def loss_latent_evolution(model, batch, schedule, latents):
+def loss_latent_evolution(model, states, actions, schedule, latents):
     """L2: latent targets vs the schedule-weighted rollout endpoint, averaged
     over the target offsets m' = 1..M_d."""
-    _check_depth(batch, schedule)
-    finals = _rollout_tensors(model, latents, batch, schedule)
-    pred = _weighted_sum([(finals[l], w) for l, w in schedule.weights()])
-    terms = [mse_rows(latents[mp], pred) for mp in range(1, schedule.depth + 1)]
-    return scale(add_scalars(terms), 1.0 / schedule.depth)
+    _check_depth(states, schedule)
+    pred = _weighted_sum(_rollout_tensors(model, latents, actions, schedule))
+    return _depth_mean(latents[1:schedule.depth + 1], pred)
 
 
-def loss_state_prediction(model, batch, schedule, latents):
+def loss_state_prediction(model, states, actions, schedule, latents):
     """L3: state targets vs the weighted sum of decoded rollout endpoints,
     each decoded with the control recorded at the window end."""
-    _check_depth(batch, schedule)
-    finals = _rollout_tensors(model, latents, batch, schedule)
-    u_end = constant(batch.actions[:, schedule.depth, :])
-    decoded = [(model.decoder.forward(concat_cols([finals[l], u_end])), w)
-               for l, w in schedule.weights()]
-    pred = _weighted_sum(decoded)
-    terms = [mse_rows(constant(batch.states[:, mp, :]), pred)
-             for mp in range(1, schedule.depth + 1)]
-    return scale(add_scalars(terms), 1.0 / schedule.depth)
+    _check_depth(states, schedule)
+    finals = _rollout_tensors(model, latents, actions, schedule)
+    u_end = constant(actions[:, schedule.depth, :])
+    pred = _weighted_sum([(model.decoder.forward(concat_cols([f, u_end])), w)
+                          for f, w in finals])
+    return _depth_mean(_targets(states), pred)
 
 
-def loss_cost_consistency(model, batch, q_x, latents):
+def loss_cost_consistency(model, states, q_x, latents):
     """L4: quadratic state cost vs the latent quadratic form under the
     trainable cost matrix, at the window anchor."""
-    x0 = batch.states[:, 0, :]
+    x0 = states[:, 0, :]
     q_x = np.asarray(q_x, dtype=np.float64)
     lhs = np.einsum("bi,ij,bj->b", x0, q_x, x0)
     rhs = quad_rows(latents[0], model.cost)
     return mse_rows(constant(lhs), rhs)
 
 
-def total_sensing_loss(model, batch, schedule, q_x=None, latents=None,
-                       return_terms=False):
-    """Weighted sensing loss c1 L1 + c2 L2 + c3 L3 + c4 L4 on one graph."""
-    coeffs = SensingCoefficients()
+def loss_action_evolution(model, states, actions, schedule, latents):
+    """L2': action targets vs the weighted action-rollout endpoint."""
+    _check_depth(states, schedule)
+    pred = _weighted_sum(
+        _action_rollout_tensors(model, latents, actions, schedule))
+    return _depth_mean(_targets(actions), pred)
+
+
+def loss_action_state_prediction(model, states, actions, schedule, latents):
+    """L3': state targets vs the actuator decode of [end latent; predicted
+    action]."""
+    _check_depth(states, schedule)
+    finals = _action_rollout_tensors(model, latents, actions, schedule)
+    lat_end = latents[schedule.depth]
+    pred = _weighted_sum([(model.decoder.forward(concat_cols([lat_end, a])), w)
+                          for a, w in finals])
+    return _depth_mean(_targets(states), pred)
+
+
+def _total(terms, weights, return_terms):
+    """sum_i weights[i] terms[i], and the terms by name l1, l2, ... when
+    asked for."""
+    total = _weighted_sum(zip(terms, weights))
+    if return_terms:
+        return total, {f"l{i}": t for i, t in enumerate(terms, 1)}
+    return total
+
+
+def total_sensing_loss(model, states, actions, schedule, q_x=None,
+                       latents=None, return_terms=False):
+    """Weighted sensing loss c1 L1 + c2 L2 + c3 L3 + c4 L4 on one graph, the
+    weights SENSING_WEIGHTS."""
     if q_x is None:
         q_x = np.eye(model.p)
     if latents is None:
-        latents = encode_windows(model, batch)
-    l1 = loss_reconstruction(model, batch, latents)
-    l2 = loss_latent_evolution(model, batch, schedule, latents)
-    l3 = loss_state_prediction(model, batch, schedule, latents)
-    l4 = loss_cost_consistency(model, batch, q_x, latents)
-    total = add_scalars([scale(l1, coeffs.c1), scale(l2, coeffs.c2),
-                         scale(l3, coeffs.c3), scale(l4, coeffs.c4)])
-    if return_terms:
-        return total, {"l1": l1, "l2": l2, "l3": l3, "l4": l4}
-    return total
+        latents = encode_windows(model, states)
+    terms = [loss_reconstruction(model, states, actions, latents),
+             loss_latent_evolution(model, states, actions, schedule, latents),
+             loss_state_prediction(model, states, actions, schedule, latents),
+             loss_cost_consistency(model, states, q_x, latents)]
+    return _total(terms, SENSING_WEIGHTS, return_terms)
 
 
-def _action_rollout_tensors(model, latents, batch, schedule):
-    """Controlling analog of _rollout_tensors: evolve the action estimate,
-    feeding the recorded latent at every intermediate step."""
-    finals = {}
-    for l, _ in schedule.weights():
-        act = constant(batch.actions[:, l, :])
-        for j in range(l, schedule.depth):
-            act = block_affine(latents[j], act, model.koopman, model.d)
-        finals[l] = act
-    return finals
-
-
-def loss_action_evolution(model, batch, schedule, latents):
-    """L2': action targets vs the weighted action-rollout endpoint."""
-    _check_depth(batch, schedule)
-    finals = _action_rollout_tensors(model, latents, batch, schedule)
-    pred = _weighted_sum([(finals[l], w) for l, w in schedule.weights()])
-    terms = [mse_rows(constant(batch.actions[:, mp, :]), pred)
-             for mp in range(1, schedule.depth + 1)]
-    return scale(add_scalars(terms), 1.0 / schedule.depth)
-
-
-def loss_action_state_prediction(model, batch, schedule, latents):
-    """L3': state targets vs the actuator decode of [end latent; predicted
-    action]."""
-    _check_depth(batch, schedule)
-    finals = _action_rollout_tensors(model, latents, batch, schedule)
-    lat_end = latents[schedule.depth]
-    decoded = [(model.decoder.forward(concat_cols([lat_end, finals[l]])), w)
-               for l, w in schedule.weights()]
-    pred = _weighted_sum(decoded)
-    terms = [mse_rows(constant(batch.states[:, mp, :]), pred)
-             for mp in range(1, schedule.depth + 1)]
-    return scale(add_scalars(terms), 1.0 / schedule.depth)
-
-
-def total_controlling_loss(model, batch, schedule, latents=None,
+def total_controlling_loss(model, states, actions, schedule, latents=None,
                            return_terms=False):
-    """Weighted controlling loss c1' L1' + c2' L2' + c3' L3'."""
-    coeffs = ControllingCoefficients()
+    """Weighted controlling loss c1' L1' + c2' L2' + c3' L3', the weights
+    CONTROLLING_WEIGHTS."""
     if latents is None:
-        latents = encode_windows(model, batch)
-    l1 = loss_reconstruction(model, batch, latents)
-    l2 = loss_action_evolution(model, batch, schedule, latents)
-    l3 = loss_action_state_prediction(model, batch, schedule, latents)
-    total = add_scalars([scale(l1, coeffs.c1), scale(l2, coeffs.c2),
-                         scale(l3, coeffs.c3)])
-    if return_terms:
-        return total, {"l1": l1, "l2": l2, "l3": l3}
-    return total
+        latents = encode_windows(model, states)
+    terms = [loss_reconstruction(model, states, actions, latents),
+             loss_action_evolution(model, states, actions, schedule, latents),
+             loss_action_state_prediction(model, states, actions, schedule,
+                                          latents)]
+    return _total(terms, CONTROLLING_WEIGHTS, return_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ import numpy as np
 from . import channel, dynamics, koopman
 from .autodiff import Tensor, backward
 from .datasets import InsufficientDataError, window_index
-from .koopman import WindowBatch
 from .neural import Adam
 
 
@@ -197,9 +196,11 @@ def _validation_loss(loss_fn, states, actions):
 class SensingTrainer:
     """Runs phase-1 epochs for the sensing autoencoder.
 
-    `uplink=None` trains centralized (no packetization); any link object
-    with a .transmit_rows(payloads, bits) method enables the split path,
-    one (latent, state) packet per row of a batch's (b·t, d+p) block. The
+    `train_windows` and `val_windows` are (states, actions) pairs of
+    (B, M_d+1, p) and (B, M_d+1, q) window arrays. `uplink=None` trains
+    centralized (no packetization); any link object with a
+    .transmit_rows(payloads, bits) method enables the split path, one
+    (latent, state) packet per row of a batch's (b·t, d+p) block. The
     gradient downlink is lossless when `gradient_link` is None; otherwise it
     carries one packet per batch through its .transmit(payload, bits), and
     a loss skips that batch's encoder update."""
@@ -260,14 +261,13 @@ class SensingTrainer:
 
     def _loss(self, states, actions, latents=None):
         return koopman.total_sensing_loss(
-            self.model, WindowBatch(states, actions), self.schedule,
-            self.q_x, latents=latents)
+            self.model, states, actions, self.schedule, self.q_x,
+            latents=latents)
 
     def _batch_step(self, states, actions, stats):
         b, t = states.shape[0], states.shape[1]
         # stage A: sensor-side encode (graph kept for the second stage)
-        enc_nodes = [self.model.encoder.forward(states[:, j, :])
-                     for j in range(t)]
+        enc_nodes = koopman.encode_windows(self.model, states)
         latent_vals = np.stack([n.value for n in enc_nodes], axis=1)
 
         kept, recv_lat, recv_states, mask, lost = self._transport(
@@ -384,9 +384,8 @@ class ControllingTrainer:
         return [Tensor(self.model.encode(states[:, j, :])) for j in range(t)]
 
     def _loss(self, states, actions):
-        batch = WindowBatch(states, actions)
         return koopman.total_controlling_loss(
-            self.model, batch, self.schedule,
+            self.model, states, actions, self.schedule,
             latents=self._latent_leaves(states))
 
     def _batch_step(self, states, actions, stats):
@@ -452,19 +451,41 @@ class ControlSystem:
 
 @dataclass
 class Phase2Config:
+    """Phase-2 loop settings, and the `control` section of an experiment
+    config: the LQR weights `r` and `q_x_diag` also shape training."""
     n_loops: int = 1000
     uplink_refresh: bool = True      # False = pure prediction after loop 0
     action_fallback: str = "predict"  # one of FALLBACKS
     action_predict_mode: str = "hold"  # one of PHASE2_PREDICT_MODES
     latent_fallback: str = "predict"   # controller side: one of FALLBACKS
+    r: float = 1.0                     # LQR action weight
+    q_x_diag: tuple = (1.0, 1.0, 1.0, 1.0)   # LQR state weights
+    x0: tuple = (0.05, 0.05, 0.05, 0.05)     # initial plant state
 
     def __post_init__(self):
+        self.q_x_diag = tuple(float(v) for v in self.q_x_diag)
+        self.x0 = tuple(float(v) for v in self.x0)
         for name, allowed in (("action_fallback", FALLBACKS),
                               ("action_predict_mode", PHASE2_PREDICT_MODES),
                               ("latent_fallback", FALLBACKS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, "
                                  f"not {getattr(self, name)!r}")
+        if self.n_loops < 1:
+            raise ValueError("n_loops must be >= 1")
+        for name in ("q_x_diag", "x0"):
+            values = getattr(self, name)
+            if len(values) != dynamics.STATE_DIM \
+                    or not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be {dynamics.STATE_DIM} "
+                                 f"finite values")
+        if min(self.q_x_diag) < 0.0:
+            raise ValueError("q_x_diag must be >= 0")
+        if not (np.isfinite(self.r) and self.r > 0.0):
+            raise ValueError("r must be finite and positive")
+
+    def q_x(self):
+        return np.diag(self.q_x_diag)
 
 
 @dataclass

@@ -32,13 +32,13 @@ def test_criterion_1_gradient_suite():
     worst = 0.0
     for depth, mode in ((1, "special"), (1, "general"),
                         (3, "special"), (3, "general")):
-        model, batch, sched = gradcheck_sensing_case(depth, mode)
+        model, windows, sched = gradcheck_sensing_case(depth, mode)
         worst = max(worst, check_params(
-            lambda: koopman.total_sensing_loss(model, batch, sched),
+            lambda: koopman.total_sensing_loss(model, *windows, sched),
             model.parameters(), tol=1e-5))
-        cmodel, cbatch, csched = gradcheck_controlling_case(depth, mode)
+        cmodel, cwindows, csched = gradcheck_controlling_case(depth, mode)
         worst = max(worst, check_params(
-            lambda: koopman.total_controlling_loss(cmodel, cbatch, csched),
+            lambda: koopman.total_controlling_loss(cmodel, *cwindows, csched),
             cmodel.parameters(), tol=1e-5))
     elapsed = time.monotonic() - t0
     assert worst < 1e-5, f"worst gradient relative error {worst:.2e}"

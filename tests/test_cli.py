@@ -165,10 +165,9 @@ def test_exit_config_on_invalid_latent_dim_override(tmp_path, capsys):
     assert not (tmp_path / "sensing.json").exists()
 
 
-def test_exit_numeric_on_unstabilizable_gain(tmp_path, capsys):
+def _unstabilizable_checkpoint(tmp_path):
     # handcraft a sensing checkpoint whose latent dynamics are an
     # uncontrollable unstable pair: K11 = 2I, K12 = 0
-    cfg_path = micro_config(tmp_path)
     model = koopman.SensingModel.build(p=4, d=4, q=1,
                                        rng=np.random.default_rng(0),
                                        encoder_hidden=(8, 8))
@@ -177,10 +176,28 @@ def test_exit_numeric_on_unstabilizable_gain(tmp_path, capsys):
     model.cost.value[:] = np.eye(4)
     koopman.save_checkpoint(model, tmp_path / "sensing.json",
                             koopman.WeightSchedule("special", 1))
+
+
+def test_exit_numeric_on_unstabilizable_gain(tmp_path, capsys):
+    cfg_path = micro_config(tmp_path)
+    _unstabilizable_checkpoint(tmp_path)
     code = cli.main(["run-control", "--config", str(cfg_path),
                      "--out-dir", str(tmp_path)])
     assert code == cli.EXIT_NUMERIC
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_numeric_on_eval_depth_beyond_the_data(tmp_path, capsys):
+    # an eval depth longer than the 4 s test trajectory leaves no anchor:
+    # a typed data failure, reported with exit 3 and no scores written
+    cfg_path = micro_config(tmp_path, eval=experiments.EvalSettings(
+        depth=1000))
+    _unstabilizable_checkpoint(tmp_path)
+    code = cli.main(["eval-predict", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_NUMERIC
+    assert "InsufficientDataError" in capsys.readouterr().err
+    assert not (tmp_path / "prediction.json").exists()
 
 
 def test_preset_flag_selects_config():

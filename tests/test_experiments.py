@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from koopcontrol import channel, control, datasets, experiments, koopman
+from koopcontrol import (channel, control, datasets, experiments, koopman,
+                         neural, protocol)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,23 @@ def test_config_rejects_bad_link_and_control_values():
                                   ("data", "max_retries", -1),
                                   ("data", "explore_std", -0.1),
                                   ("data", "noise_var", -1.0),
-                                  ("data", "ic_low", 0.6)):
+                                  ("data", "ic_low", 0.6),
+                                  ("control", "n_loops", 0),
+                                  ("control", "n_loops", -3),
+                                  ("control", "x0", [0.05]),
+                                  ("control", "x0", [0.05, 0.05, float("nan"),
+                                                     0.05]),
+                                  ("control", "q_x_diag", [1.0, 1.0]),
+                                  ("control", "q_x_diag", [1.0, -1.0, 1.0,
+                                                           1.0]),
+                                  ("control", "q_x_diag", [1.0, 1.0, 1.0,
+                                                           float("inf")]),
+                                  ("control", "r", -1.0),
+                                  ("control", "r", 0.0),
+                                  ("control", "r", float("inf")),
+                                  ("model", "encoder_hidden", [0]),
+                                  ("model", "encoder_hidden", [-4]),
+                                  ("model", "encoder_hidden", [8, 0, 8])):
         d = experiments.config_to_dict(experiments.desk_preset())
         d[section][field] = value
         with pytest.raises(experiments.ConfigError):
@@ -98,6 +115,26 @@ def test_apply_overrides_copies():
     # original untouched
     assert cfg.seed != 9 or cfg.model.latent_dim == 4
     assert cfg.link.snr_db is None
+    # overridden values are checked as a loaded config's are
+    for overrides in ({"snr_db": 1e5}, {"latent_dim": 0}):
+        with pytest.raises(experiments.ConfigError):
+            experiments.apply_overrides(cfg, **overrides)
+
+
+def test_parent_saved_control_section_loads():
+    # a control section saved with the keys in their earlier order
+    d = experiments.config_to_dict(experiments.desk_preset())
+    d["control"] = {"r": 2.0, "q_x_diag": [1.0, 2.0, 3.0, 4.0],
+                    "n_loops": 50, "x0": [0.01, 0.02, 0.03, 0.04],
+                    "uplink_refresh": True, "action_fallback": "hold",
+                    "action_predict_mode": "advance",
+                    "latent_fallback": "predict"}
+    cfg = experiments.config_from_dict(d)
+    assert cfg.control == protocol.Phase2Config(
+        n_loops=50, action_fallback="hold", action_predict_mode="advance",
+        r=2.0, q_x_diag=(1.0, 2.0, 3.0, 4.0), x0=(0.01, 0.02, 0.03, 0.04))
+    assert experiments.config_from_dict(
+        experiments.config_to_dict(cfg)) == cfg
 
 
 def test_control_settings_q_x():
@@ -145,6 +182,23 @@ def test_result_rows_csv_roundtrip(tmp_path):
     assert back[1].snr_db is None
     assert np.isnan(back[1].state_nrmse)
     assert back[1].seed == 2 and back[1].m_lost == 3
+
+
+def test_read_rows_blank_cells(tmp_path):
+    path = tmp_path / "rows.csv"
+    experiments.write_rows([_row(msce=None, m_lost=None)], path)
+    header, line = path.read_text().splitlines()
+    assert experiments.SWEEP_COLUMNS == tuple(header.split(","))
+    back = experiments.read_rows(path)
+    assert back[0].msce is None and back[0].m_lost is None
+    assert back[0] == _row(msce=None, m_lost=None)
+    # a blank cell in a column that has no "missing" value is refused
+    for column in ("seed", "state_nrmse", "epochs"):
+        cells = line.split(",")
+        cells[experiments.SWEEP_COLUMNS.index(column)] = ""
+        path.write_text(header + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(experiments.ConfigError, match=column):
+            experiments.read_rows(path)
 
 
 def test_read_rows_rejects_bad_header(tmp_path):
@@ -302,6 +356,29 @@ def test_evaluate_prediction_encodes_each_anchor_once():
     cfg.eval = experiments.EvalSettings(depth=3, anchor_stride=4)
     scores = experiments.evaluate_prediction(cfg, sensing, controlling, trajs)
     assert calls == [(3, 4)] * 12 and scores["anchors"] == 36
+
+
+def test_state_prediction_ignores_the_controlling_model():
+    # the state path reads the same encode with or without an action model,
+    # so its score has the same bits; a linear decoder passes the last bits
+    # of the latent through to the score (seed 1 showed a difference when
+    # the state path alone encoded the anchor as a single row)
+    rng = np.random.default_rng(1)
+    built = koopman.SensingModel.build(p=4, d=4, q=1, rng=rng)
+    decoder = neural.Network([neural.DenseLayer(
+        np.hstack([np.eye(4), np.zeros((4, 1))]), np.zeros(4), "linear")])
+    sensing = koopman.SensingModel(built.encoder, built.koopman, decoder,
+                                   built.cost)
+    controlling = koopman.ControllingModel.build(sensing, rng)
+    trajs = [datasets.Trajectory(rng.normal(size=(30, 4)),
+                                 rng.normal(size=(30, 1))) for _ in range(2)]
+    cfg = experiments.ExperimentConfig()
+    cfg.eval = experiments.EvalSettings(depth=3, anchor_stride=3)
+    both = experiments.evaluate_prediction(cfg, sensing, controlling, trajs)
+    alone = experiments.evaluate_prediction(cfg, sensing, None, trajs)
+    assert alone["action_nrmse"] is None
+    assert alone["state_nrmse"] == both["state_nrmse"]
+    assert alone["anchors"] == both["anchors"]
 
 
 def test_impaired_gradients_on_ideal_link_train_losslessly():

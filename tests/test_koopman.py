@@ -38,8 +38,9 @@ def passthrough_controlling(sensing, k21, k22):
 
 def _linear_windows(a, b, k21=None, k22=None, n=6, depth=3, seed=0,
                     scale=1.0):
-    """Batch of windows from x_{t+1} = A x_t + B u_t. When (k21, k22) is
-    given, actions follow u_{t+1} = K21 x_t + K22 u_t; otherwise random."""
+    """(states, actions) windows from x_{t+1} = A x_t + B u_t. When (k21,
+    k22) is given, actions follow u_{t+1} = K21 x_t + K22 u_t; otherwise
+    random."""
     rng = np.random.default_rng(seed)
     d, q = a.shape[0], b.shape[1]
     states = np.zeros((n, depth + 1, d))
@@ -53,7 +54,7 @@ def _linear_windows(a, b, k21=None, k22=None, n=6, depth=3, seed=0,
             x = a @ x + b @ u
             u = (k21 @ states[i, t] + k22 @ u) if k21 is not None \
                 else rng.normal(size=q) * scale
-    return koopman.WindowBatch(states, actions)
+    return states, actions
 
 
 def micro_model(seed=0, p=4, d=2, q=1):
@@ -85,10 +86,8 @@ def test_schedule_validation():
 
 
 def test_default_coefficients():
-    c = koopman.SensingCoefficients()
-    assert (c.c1, c.c2, c.c3, c.c4) == (0.5, 1.0, 0.5, 1.0)
-    cc = koopman.ControllingCoefficients()
-    assert (cc.c1, cc.c2, cc.c3) == (0.5, 1.0, 0.5)
+    assert koopman.SENSING_WEIGHTS == (0.5, 1.0, 0.5, 1.0)
+    assert koopman.CONTROLLING_WEIGHTS == (0.5, 1.0, 0.5)
 
 
 def test_project_psd_clips_and_is_idempotent():
@@ -116,18 +115,23 @@ def test_latent_step_hand_value():
 
 def test_stacked_latent_step_matches_single_steps_bit_for_bit():
     # each row of a stack is its own matrix-vector product: the bits of a
-    # 1-D step per row, at the latent widths training uses and wider
+    # 1-D step per row, at the latent widths training uses and wider, for
+    # the sensing blocks [K11 | K12] and the action blocks [K21' | K22']
     rng = np.random.default_rng(21)
     for d, q, k in ((4, 1, 1), (4, 1, 37), (2, 1, 5), (8, 2, 64), (33, 3, 9)):
         model = micro_model(seed=d + k, d=d, q=q)
+        ctrl = koopman.ControllingModel.build(model, rng)
         lats, us = rng.normal(size=(k, d)), rng.normal(size=(k, q))
-        stacked = koopman.latent_step(model, lats, us)
-        assert stacked.shape == (k, d)
-        for i in range(k):
-            one = model.k11 @ lats[i] + model.k12 @ us[i]
-            assert stacked[i].tobytes() == one.tobytes()
-            assert koopman.latent_step(model, lats[i], us[i]).tobytes() \
-                == one.tobytes()
+        for m, k1, k2 in ((model, model.k11, model.k12),
+                          (ctrl, ctrl.k21, ctrl.k22)):
+            stacked = koopman.latent_step(m, lats, us)
+            assert stacked.shape == (k, k1.shape[0])
+            for i in range(k):
+                one = k1 @ lats[i] + k2 @ us[i]
+                assert stacked[i].tobytes() == one.tobytes()
+                assert koopman.latent_step(m, lats[i], us[i]).tobytes() \
+                    == one.tobytes()
+        assert koopman.action_step is koopman.latent_step
 
 
 def test_rollout_matches_matrix_power_expansion():
@@ -257,9 +261,9 @@ def test_sensing_losses_vanish_on_consistent_linear_model():
     rng = np.random.default_rng(100)
     a, b = _stable_pair(rng)
     model = passthrough_sensing(a, b)
-    batch = _linear_windows(a, b, n=8, depth=1, seed=7)
+    states, actions = _linear_windows(a, b, n=8, depth=1, seed=7)
     sched = koopman.WeightSchedule("special", 1)
-    total, terms = koopman.total_sensing_loss(model, batch, sched,
+    total, terms = koopman.total_sensing_loss(model, states, actions, sched,
                                               q_x=np.eye(3),
                                               return_terms=True)
     for name, t in terms.items():
@@ -274,10 +278,11 @@ def test_controlling_losses_vanish_on_consistent_linear_model():
     k22 = np.array([[0.5]])
     sens = passthrough_sensing(a, b)
     model = passthrough_controlling(sens, k21, k22)
-    batch = _linear_windows(a, b, k21=k21, k22=k22, n=8, depth=1, seed=8)
+    states, actions = _linear_windows(a, b, k21=k21, k22=k22, n=8, depth=1,
+                                      seed=8)
     sched = koopman.WeightSchedule("special", 1)
-    total, terms = koopman.total_controlling_loss(model, batch, sched,
-                                                  return_terms=True)
+    total, terms = koopman.total_controlling_loss(model, states, actions,
+                                                  sched, return_terms=True)
     for name, t in terms.items():
         assert float(t.value) < 1e-20, f"{name} nonzero on consistent data"
     assert float(total.value) < 1e-20
@@ -290,10 +295,9 @@ def test_latent_evolution_loss_hand_computed_scalar():
     model = passthrough_sensing(np.array([[k11]]), np.array([[k12]]))
     states = np.array([[[1.0], [2.0], [-1.0]]])
     actions = np.array([[[0.5], [-0.4], [0.2]]])
-    batch = koopman.WindowBatch(states, actions)
     sched = koopman.WeightSchedule("special", 2)
     loss = koopman.loss_latent_evolution(
-        model, batch, sched, koopman.encode_windows(model, batch))
+        model, states, actions, sched, koopman.encode_windows(model, states))
     roll = k11 * (k11 * 1.0 + k12 * 0.5) + k12 * (-0.4)
     expect = 0.5 * ((2.0 - roll) ** 2 + (-1.0 - roll) ** 2)
     assert np.isclose(float(loss.value), expect, atol=1e-12)
@@ -304,10 +308,9 @@ def test_latent_evolution_loss_general_schedule_hand_computed():
     model = passthrough_sensing(np.array([[k11]]), np.array([[k12]]))
     states = np.array([[[1.0], [2.0], [-1.0]]])
     actions = np.array([[[0.5], [-0.4], [0.2]]])
-    batch = koopman.WindowBatch(states, actions)
     sched = koopman.WeightSchedule("general", 2)
     loss = koopman.loss_latent_evolution(
-        model, batch, sched, koopman.encode_windows(model, batch))
+        model, states, actions, sched, koopman.encode_windows(model, states))
     roll0 = k11 * (k11 * 1.0 + k12 * 0.5) + k12 * (-0.4)
     roll1 = k11 * 2.0 + k12 * (-0.4)
     pred = 0.5 * roll0 + 0.5 * roll1
@@ -323,43 +326,41 @@ def test_cost_consistency_hand_values():
     model = koopman.SensingModel(enc, ad.Parameter(np.array([[1.0, 0.0]])),
                                  dec, ad.Parameter(np.array([[1.0]])))
     states = np.array([[[2.0], [0.0]]])
-    actions = np.zeros((1, 2, 1))
-    batch = koopman.WindowBatch(states, actions)
-    latents = koopman.encode_windows(model, batch)
-    loss = koopman.loss_cost_consistency(model, batch, np.array([[0.5]]),
+    latents = koopman.encode_windows(model, states)
+    loss = koopman.loss_cost_consistency(model, states, np.array([[0.5]]),
                                          latents)
     assert np.isclose(float(loss.value), 1.0, atol=1e-12)
     # matching quadratic forms zero it out
     model.cost.value[:] = np.array([[2.0]])
-    loss0 = koopman.loss_cost_consistency(model, batch, np.array([[0.5]]),
+    loss0 = koopman.loss_cost_consistency(model, states, np.array([[0.5]]),
                                           latents)
     assert np.isclose(float(loss0.value), 0.0, atol=1e-15)
 
 
 def test_total_sensing_loss_is_weighted_sum_of_terms():
     model = micro_model(seed=5)
-    batch = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=6, depth=2,
-                            seed=11)
+    states, actions = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=6,
+                                      depth=2, seed=11)
     sched = koopman.WeightSchedule("general", 2)
-    total, terms = koopman.total_sensing_loss(model, batch, sched,
+    total, terms = koopman.total_sensing_loss(model, states, actions, sched,
                                               return_terms=True)
     expect = (0.5 * float(terms["l1"].value) + float(terms["l2"].value)
               + 0.5 * float(terms["l3"].value) + float(terms["l4"].value))
     assert np.isclose(float(total.value), expect, rtol=1e-12)
     # and with unit sub-losses that combination is 0.5+2+1.5+4 = 8 style
-    c = koopman.SensingCoefficients()
-    assert c.c1 * 1 + c.c2 * 2 + c.c3 * 3 + c.c4 * 4 == 8.0
+    c1, c2, c3, c4 = koopman.SENSING_WEIGHTS
+    assert c1 * 1 + c2 * 2 + c3 * 3 + c4 * 4 == 8.0
 
 
 def test_total_controlling_loss_is_weighted_sum_of_terms():
     rng = np.random.default_rng(6)
     sens = micro_model(seed=6)
     model = koopman.ControllingModel.build(sens, rng)
-    batch = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=5, depth=2,
-                            seed=13)
+    states, actions = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=5,
+                                      depth=2, seed=13)
     sched = koopman.WeightSchedule("special", 2)
-    total, terms = koopman.total_controlling_loss(model, batch, sched,
-                                                  return_terms=True)
+    total, terms = koopman.total_controlling_loss(model, states, actions,
+                                                  sched, return_terms=True)
     expect = (0.5 * float(terms["l1"].value) + float(terms["l2"].value)
               + 0.5 * float(terms["l3"].value))
     assert np.isclose(float(total.value), expect, rtol=1e-12)
@@ -367,20 +368,12 @@ def test_total_controlling_loss_is_weighted_sum_of_terms():
 
 def test_loss_depth_mismatch_raises():
     model = micro_model()
-    batch = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=3, depth=2)
+    states, actions = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=3,
+                                      depth=2)
     with pytest.raises(ValueError):
-        koopman.loss_latent_evolution(model, batch,
+        koopman.loss_latent_evolution(model, states, actions,
                                       koopman.WeightSchedule("special", 3),
-                                      koopman.encode_windows(model, batch))
-
-
-def test_window_batch_validation():
-    with pytest.raises(ValueError):
-        koopman.WindowBatch(np.zeros((2, 3)), np.zeros((2, 3, 1)))
-    with pytest.raises(ValueError):
-        koopman.WindowBatch(np.zeros((2, 3, 4)), np.zeros((2, 2, 1)))
-    batch = koopman.WindowBatch(np.zeros((2, 3, 4)), np.zeros((2, 3, 1)))
-    assert batch.size == 2 and batch.depth == 2
+                                      koopman.encode_windows(model, states))
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +390,11 @@ GRADCHECK_CONTROLLING_SEED = 8
 
 def gradcheck_sensing_case(depth, mode):
     model = micro_model(seed=GRADCHECK_SENSING_SEED)
-    batch = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)) * 0.5, n=4,
-                            depth=depth, seed=GRADCHECK_SENSING_SEED + 1000,
-                            scale=0.6)
+    windows = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)) * 0.5, n=4,
+                              depth=depth, seed=GRADCHECK_SENSING_SEED + 1000,
+                              scale=0.6)
     sched = koopman.WeightSchedule(mode, depth)
-    return model, batch, sched
+    return model, windows, sched
 
 
 def gradcheck_controlling_case(depth, mode):
@@ -409,39 +402,39 @@ def gradcheck_controlling_case(depth, mode):
     sens = micro_model(seed=seed)
     model = koopman.ControllingModel.build(sens,
                                            np.random.default_rng(seed + 500))
-    batch = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)) * 0.5, n=4,
-                            depth=depth, seed=seed + 2000, scale=0.6)
+    windows = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)) * 0.5, n=4,
+                              depth=depth, seed=seed + 2000, scale=0.6)
     sched = koopman.WeightSchedule(mode, depth)
-    return model, batch, sched
+    return model, windows, sched
 
 
 @pytest.mark.parametrize("depth,mode", [(1, "special"), (3, "general")])
 def test_sensing_loss_gradients_match_finite_differences(depth, mode):
-    model, batch, sched = gradcheck_sensing_case(depth, mode)
+    model, (states, actions), sched = gradcheck_sensing_case(depth, mode)
 
     def loss():
-        return koopman.total_sensing_loss(model, batch, sched)
+        return koopman.total_sensing_loss(model, states, actions, sched)
 
     check_params(loss, model.parameters())
 
 
 @pytest.mark.parametrize("depth,mode", [(1, "special"), (3, "general")])
 def test_controlling_loss_gradients_match_finite_differences(depth, mode):
-    model, batch, sched = gradcheck_controlling_case(depth, mode)
+    model, (states, actions), sched = gradcheck_controlling_case(depth, mode)
 
     def loss():
-        return koopman.total_controlling_loss(model, batch, sched)
+        return koopman.total_controlling_loss(model, states, actions, sched)
 
     check_params(loss, model.parameters())
 
 
 def test_reconstruction_leaves_koopman_and_cost_grad_unset():
     model = micro_model(seed=45)
-    batch = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)), n=3, depth=1,
-                            seed=23)
+    states, actions = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)), n=3,
+                                      depth=1, seed=23)
     # reconstruction touches encoder and decoder but not koopman or cost
     ad.backward(koopman.loss_reconstruction(
-        model, batch, koopman.encode_windows(model, batch)))
+        model, states, actions, koopman.encode_windows(model, states)))
     assert model.koopman.grad is None
     assert model.cost.grad is None
     enc_first = model.encoder_parameters()[0]

@@ -55,13 +55,11 @@ def _micro_windows(n=24, depth=1, seed=0):
 
 
 def _trainer(model, uplink, depth=1, seed=0, **kw):
-    batch = _micro_windows(n=24, depth=depth, seed=seed)
-    val = _micro_windows(n=8, depth=depth, seed=seed + 1)
     sched = koopman.WeightSchedule("special", depth)
     return protocol.SensingTrainer(
-        model, sched, (batch.states, batch.actions),
-        (val.states, val.actions), uplink=uplink, batch_size=8, lr=1e-3,
-        shuffle_seed=42, **kw)
+        model, sched, _micro_windows(n=24, depth=depth, seed=seed),
+        _micro_windows(n=8, depth=depth, seed=seed + 1), uplink=uplink,
+        batch_size=8, lr=1e-3, shuffle_seed=42, **kw)
 
 
 def test_split_ideal_link_matches_centralized_bitwise():
@@ -109,21 +107,20 @@ def test_transport_fills_interior_losses_with_rollout():
     a = np.eye(2) * 0.5
     b = np.ones((2, 1)) * 0.25
     model = passthrough_sensing(a, b)
-    batch = _linear_windows(a, b, n=1, depth=2, seed=3)
+    states, actions = windows = _linear_windows(a, b, n=1, depth=2, seed=3)
     sched = koopman.WeightSchedule("special", 2)
     link = scripted([1])   # lose the middle packet of the only window
-    trainer = protocol.SensingTrainer(
-        model, sched, (batch.states, batch.actions),
-        (batch.states, batch.actions), uplink=link)
-    lat_vals = np.stack([model.encode(batch.states[:, j, :])
+    trainer = protocol.SensingTrainer(model, sched, windows, windows,
+                                      uplink=link)
+    lat_vals = np.stack([model.encode(states[:, j, :])
                          for j in range(3)], axis=1)
     kept, recv_lat, recv_states, mask, lost = trainer._transport(
-        lat_vals, batch.states, batch.actions)
+        lat_vals, states, actions)
     assert lost == 1
     assert list(kept) == [0]
     assert mask[0].tolist() == [True, False, True]
     # fill rolls the latent forward from sample 0 with the recorded action
-    expect = a @ lat_vals[0, 0] + b @ batch.actions[0, 0]
+    expect = a @ lat_vals[0, 0] + b @ actions[0, 0]
     assert np.allclose(recv_lat[0, 1], expect, atol=1e-12)
     assert np.allclose(recv_states[0, 1], expect, atol=1e-12)
     # delivered samples pass through untouched
@@ -139,15 +136,14 @@ def test_transport_fill_matches_matrix_power_oracle():
     a = rng.normal(scale=0.4, size=(3, 3))
     b = rng.normal(size=(3, 1))
     model = passthrough_sensing(a, b)
-    batch = _linear_windows(a, b, n=2, depth=3, seed=4)
+    states, actions = windows = _linear_windows(a, b, n=2, depth=3, seed=4)
     sched = koopman.WeightSchedule("special", 3)
-    trainer = protocol.SensingTrainer(
-        model, sched, (batch.states, batch.actions),
-        (batch.states, batch.actions), uplink=scripted([1, 2, 6, 7]))
-    lat_vals = np.stack([model.encode(batch.states[:, j, :])
+    trainer = protocol.SensingTrainer(model, sched, windows, windows,
+                                      uplink=scripted([1, 2, 6, 7]))
+    lat_vals = np.stack([model.encode(states[:, j, :])
                          for j in range(4)], axis=1)
     kept, recv_lat, recv_states, mask, lost = trainer._transport(
-        lat_vals, batch.states, batch.actions)
+        lat_vals, states, actions)
     assert lost == 4 and list(kept) == [0, 1]
     for i, j0, filled in ((0, 0, (1, 2)), (1, 1, (2, 3))):
         for j in filled:
@@ -155,7 +151,7 @@ def test_transport_fill_matches_matrix_power_oracle():
             expect = np.linalg.matrix_power(a, depth) @ lat_vals[i, j0]
             for k in range(depth):
                 expect = expect + (np.linalg.matrix_power(a, depth - 1 - k)
-                                   @ b @ batch.actions[i, j0 + k])
+                                   @ b @ actions[i, j0 + k])
             assert not mask[i, j]
             assert np.allclose(recv_lat[i, j], expect, atol=1e-12)
             # pass-through decoder reads the latent back out
@@ -223,19 +219,18 @@ def test_transport_matches_per_packet_reference_bit_for_bit():
     cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(),
                                                 -10.0)
     model = micro_model(seed=6)
-    batch = _micro_windows(n=40, depth=3, seed=6)
-    lat_vals = np.stack([model.encode(batch.states[:, j, :])
+    states, actions = windows = _micro_windows(n=40, depth=3, seed=6)
+    lat_vals = np.stack([model.encode(states[:, j, :])
                          for j in range(4)], axis=1)
     sched = koopman.WeightSchedule("special", 3)
     for seed in (1, 2, 3):
         link = channel.FadingLink(cfg, seed)
-        trainer = protocol.SensingTrainer(
-            model, sched, (batch.states, batch.actions),
-            (batch.states, batch.actions), uplink=link)
-        got = trainer._transport(lat_vals, batch.states, batch.actions)
+        trainer = protocol.SensingTrainer(model, sched, windows, windows,
+                                          uplink=link)
+        got = trainer._transport(lat_vals, states, actions)
         ref_link = channel.FadingLink(cfg, seed)
-        want = _transport_reference(model, ref_link, lat_vals, batch.states,
-                                    batch.actions)
+        want = _transport_reference(model, ref_link, lat_vals, states,
+                                    actions)
         kept, recv_lat, recv_states, mask, lost = got
         assert 0 < lost < 160 and 0 < kept.size < 40
         assert (~mask[kept, 1:]).any()           # some fills happened
@@ -386,11 +381,10 @@ def test_controlling_windows_drop_lossy():
 def test_controlling_trainer_moves_only_local_params():
     sens = micro_model(seed=10)
     model = koopman.ControllingModel.build(sens, np.random.default_rng(11))
-    batch = _micro_windows(n=16)
+    windows = _micro_windows(n=16)
     sched = koopman.WeightSchedule("special", 1)
-    trainer = protocol.ControllingTrainer(
-        model, sched, (batch.states, batch.actions),
-        (batch.states, batch.actions), batch_size=8, lr=1e-3)
+    trainer = protocol.ControllingTrainer(model, sched, windows, windows,
+                                          batch_size=8, lr=1e-3)
     enc_before = [p.value.copy() for p in sens.encoder.parameters()]
     sens_koop_before = sens.koopman.value.copy()
     local_before = [p.value.copy() for p in model.local_parameters()]
@@ -416,15 +410,15 @@ def test_training_builds_no_gradient_it_drops(monkeypatch):
 
     sens = micro_model(seed=10)
     model = koopman.ControllingModel.build(sens, np.random.default_rng(11))
-    batch = _micro_windows(n=16, depth=2)
+    states, actions = _micro_windows(n=16, depth=2)
     sched = koopman.WeightSchedule("general", 2)
-    latents = [model.encode(batch.states[:, j, :]) for j in range(3)]
+    latents = [model.encode(states[:, j, :]) for j in range(3)]
 
     def grads(requires_grad):
         leaves = [autodiff.Tensor(z, requires_grad=requires_grad)
                   for z in latents]
         autodiff.backward(koopman.total_controlling_loss(
-            model, batch, sched, latents=leaves))
+            model, states, actions, sched, latents=leaves))
         out = [p.grad.copy() for p in model.local_parameters()]
         for p in model.local_parameters():
             p.grad = None
@@ -437,11 +431,10 @@ def test_training_builds_no_gradient_it_drops(monkeypatch):
 def test_controlling_trainer_loss_decreases():
     sens = micro_model(seed=12)
     model = koopman.ControllingModel.build(sens, np.random.default_rng(13))
-    batch = _micro_windows(n=32, seed=5)
+    windows = _micro_windows(n=32, seed=5)
     sched = koopman.WeightSchedule("special", 1)
-    trainer = protocol.ControllingTrainer(
-        model, sched, (batch.states, batch.actions),
-        (batch.states, batch.actions), batch_size=8, lr=1e-2)
+    trainer = protocol.ControllingTrainer(model, sched, windows, windows,
+                                          batch_size=8, lr=1e-2)
     first = trainer.run_epoch().val_loss
     for _ in range(4):
         last = trainer.run_epoch().val_loss
@@ -647,7 +640,17 @@ def test_phase2_config_validation():
     for field, value in (("action_fallback", "improvise"),
                          ("latent_fallback", "improvise"),
                          ("action_predict_mode", "recorded"),
-                         ("action_predict_mode", "nonsense")):
+                         ("action_predict_mode", "nonsense"),
+                         ("n_loops", 0),
+                         ("n_loops", -3),
+                         ("x0", (0.05,)),
+                         ("x0", (0.0, 0.0, float("nan"), 0.0)),
+                         ("q_x_diag", (1.0, 1.0)),
+                         ("q_x_diag", (1.0, -1.0, 1.0, 1.0)),
+                         ("q_x_diag", (1.0, 1.0, 1.0, float("inf"))),
+                         ("r", -1.0),
+                         ("r", 0.0),
+                         ("r", float("nan"))):
         with pytest.raises(ValueError, match=field):
             protocol.Phase2Config(**{field: value})
     for mode in protocol.PHASE2_PREDICT_MODES:
