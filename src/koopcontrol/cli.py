@@ -38,12 +38,13 @@ def _add_common(parser):
                         help="latent dimension d (comma list for sweep)")
 
 
-def _floats(text):
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _ints(text):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _numbers(text, kind):
+    """A comma list of `kind` (float or int) values."""
+    try:
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise experiments.ConfigError(f"bad number list {text!r}: {exc}") \
+            from exc
 
 
 def _load_cfg(args, scalar_overrides=True):
@@ -55,14 +56,14 @@ def _load_cfg(args, scalar_overrides=True):
         return experiments.apply_overrides(cfg, seed=args.seed)
     snr = None
     if args.snr_db is not None:
-        vals = _floats(args.snr_db)
+        vals = _numbers(args.snr_db, float)
         if len(vals) != 1:
             raise experiments.ConfigError(
                 "this subcommand takes a single --snr-db value")
         snr = vals[0]
     d = None
     if args.latent_dim is not None:
-        vals = _ints(args.latent_dim)
+        vals = _numbers(args.latent_dim, int)
         if len(vals) != 1:
             raise experiments.ConfigError(
                 "this subcommand takes a single --latent-dim value")
@@ -76,11 +77,29 @@ def _out_dir(args):
     return args.out_dir
 
 
-def _dataset(cfg, args, streams):
+def _dataset(cfg, args):
     path = args.out_dir / "dataset.npz"
     if path.exists():
         return datasets.load_dataset(path)
-    return experiments.make_dataset(cfg, streams)
+    return experiments.make_dataset(cfg)
+
+
+def _write_history(path, result):
+    """A TrainingResult as JSON: one EpochStats entry per epoch."""
+    history = [dataclasses.asdict(s) for s in result.history]
+    with open(path, "w") as fh:
+        json.dump({"history": history, "stopped_early": result.stopped_early},
+                  fh, indent=2)
+
+
+def _load_models(out):
+    """The sensing checkpoint in `out`, and the controlling one sharing its
+    encoder, or None when there is none."""
+    sensing, _ = koopman.load_checkpoint(out / "sensing.json")
+    path = out / "controlling.json"
+    if not path.exists():
+        return sensing, None
+    return sensing, koopman.load_checkpoint(path, encoder=sensing.encoder)[0]
 
 
 def cmd_gen_data(args):
@@ -98,15 +117,11 @@ def cmd_gen_data(args):
 def cmd_train_sensing(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    streams = experiments.seed_streams(cfg.seed)
-    ds = _dataset(cfg, args, streams)
-    model, result, gain, _ = experiments.train_sensing(cfg, ds, streams)
+    ds = _dataset(cfg, args)
+    model, result, gain, _ = experiments.train_sensing(cfg, ds)
     koopman.save_checkpoint(model, out / "sensing.json", cfg.model.schedule())
     np.savetxt(out / "gain.txt", gain)
-    history = [dataclasses.asdict(s) for s in result.history]
-    with open(out / "sensing_history.json", "w") as fh:
-        json.dump({"history": history, "stopped_early": result.stopped_early},
-                  fh, indent=2)
+    _write_history(out / "sensing_history.json", result)
     print(f"sensing model: {result.epochs} epochs, "
           f"best val loss {result.best_val:.6g}; wrote {out}/sensing.json")
     return EXIT_OK
@@ -115,16 +130,16 @@ def cmd_train_sensing(args):
 def cmd_train_controlling(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    streams = experiments.seed_streams(cfg.seed)
-    ds = _dataset(cfg, args, streams)
+    ds = _dataset(cfg, args)
     sensing_path = out / "sensing.json"
     if not sensing_path.exists():
         raise experiments.ConfigError(
             f"{sensing_path} not found; run train-sensing first")
     sensing, _ = koopman.load_checkpoint(sensing_path)
-    model, result = experiments.train_controlling(cfg, sensing, ds, streams)
+    model, result = experiments.train_controlling(cfg, sensing, ds)
     koopman.save_checkpoint(model, out / "controlling.json",
                             cfg.model.schedule())
+    _write_history(out / "controlling_history.json", result)
     print(f"controlling model: {result.epochs} epochs, "
           f"best val loss {result.best_val:.6g}; wrote {out}/controlling.json")
     return EXIT_OK
@@ -133,14 +148,8 @@ def cmd_train_controlling(args):
 def cmd_eval_predict(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    streams = experiments.seed_streams(cfg.seed)
-    ds = _dataset(cfg, args, streams)
-    sensing, _ = koopman.load_checkpoint(out / "sensing.json")
-    controlling = None
-    ctl_path = out / "controlling.json"
-    if ctl_path.exists():
-        controlling, _ = koopman.load_checkpoint(ctl_path,
-                                                 encoder=sensing.encoder)
+    ds = _dataset(cfg, args)
+    sensing, controlling = _load_models(out)
     scores = experiments.evaluate_prediction(cfg, sensing, controlling,
                                              ds.test)
     with open(out / "prediction.json", "w") as fh:
@@ -155,21 +164,14 @@ def cmd_eval_predict(args):
 def cmd_run_control(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    streams = experiments.seed_streams(cfg.seed)
-    sensing, _ = koopman.load_checkpoint(out / "sensing.json")
-    controlling = None
-    ctl_path = out / "controlling.json"
-    if ctl_path.exists():
-        controlling, _ = koopman.load_checkpoint(ctl_path,
-                                                 encoder=sensing.encoder)
+    sensing, controlling = _load_models(out)
     gain_path = out / "gain.txt"
     if gain_path.exists():
         gain = np.atleast_2d(np.loadtxt(gain_path))
     else:
         gain = experiments.refresh_gain(sensing, cfg.control.r)
     result, summary = experiments.control_rollout(cfg, sensing, gain,
-                                                  controlling,
-                                                  streams=streams)
+                                                  controlling)
     protocol.write_records(result.records, out / "loops.ndjson")
     with open(out / "control_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -183,8 +185,9 @@ def cmd_sweep(args):
         raise experiments.ConfigError("--seeds must be >= 1")
     cfg = _load_cfg(args, scalar_overrides=False)
     out = _out_dir(args)
-    snrs = _floats(args.snr_db) if args.snr_db else [-10.0, 0.0, 10.0, 20.0]
-    dims = _ints(args.latent_dim) if args.latent_dim else None
+    snrs = _numbers(args.snr_db, float) if args.snr_db \
+        else [-10.0, 0.0, 10.0, 20.0]
+    dims = _numbers(args.latent_dim, int) if args.latent_dim else None
     seeds = [cfg.seed + k for k in range(args.seeds)]
     csv_path = out / "sweep.csv"
     rows = experiments.run_sweep(

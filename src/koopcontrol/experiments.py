@@ -26,6 +26,7 @@ import numpy as np
 
 from . import channel, control, datasets, dynamics, koopman, metrics, protocol
 from .datasets import DataSettings
+from .protocol import TrainSettings
 
 CONFIG_FORMAT = "koopcontrol-config-v1"
 
@@ -75,30 +76,6 @@ class ModelSettings:
     def schedule(self):
         """The loss weight schedule both models train with."""
         return koopman.WeightSchedule(self.schedule_mode, self.depth)
-
-
-@dataclass
-class TrainSettings:
-    lr: float = 1e-4
-    batch_size: int = 64
-    max_epochs: int = 100
-    patience: int = 10
-    min_delta: float = 1e-4
-    max_batches_per_epoch: int | None = None
-    # boundary gradients cross a fading downlink (ignored on an ideal link)
-    impair_gradients: bool = False
-
-    def __post_init__(self):
-        protocol.EarlyStopping(self.patience, self.min_delta)
-        # max_epochs too: the latent gain is only solved after an epoch
-        for name in ("batch_size", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.max_batches_per_epoch is not None \
-                and self.max_batches_per_epoch < 1:
-            raise ValueError("max_batches_per_epoch must be >= 1 or null")
-        if not self.lr > 0.0:
-            raise ValueError("lr must be positive")
 
 
 @dataclass
@@ -163,15 +140,36 @@ def config_to_dict(cfg):
     return out
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build_section(cls, payload):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - allowed
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{cls.__name__} must be a mapping")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    for name, value in payload.items():
+        # an "int" or "int | None" field takes an int, never a bool
+        kind, _, optional = fields[name].type.partition(" | ")
+        if kind == "int" and not (_is_int(value)
+                                  or optional and value is None):
+            raise ConfigError(f"bad {cls.__name__}: {name} must be an "
+                              f"integer, not {value!r}")
     try:
         return cls(**payload)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
+
+
+def _seed(value):
+    """A master seed: a non-negative int, as numpy's SeedSequence needs."""
+    if not (_is_int(value) and value >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, not "
+                          f"{value!r}")
+    return value
 
 
 def config_from_dict(data):
@@ -185,7 +183,7 @@ def config_from_dict(data):
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = ExperimentConfig(name=str(data.get("name", "default")),
-                           seed=int(data.get("seed", 0)))
+                           seed=_seed(data.get("seed", 0)))
     for name, cls in _SECTIONS.items():
         if name in data:
             setattr(cfg, name, _build_section(cls, data[name]))
@@ -244,7 +242,7 @@ def apply_overrides(cfg, seed=None, snr_db=None, latent_dim=None, name=None):
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     if seed is not None:
-        top["seed"] = int(seed)
+        top["seed"] = _seed(seed)
     if name is not None:
         top["name"] = name
     return dataclasses.replace(cfg, **top)
@@ -284,6 +282,8 @@ def build_baseline(cfg):
 
 
 def make_dataset(cfg, streams=None):
+    """The config's dataset; `streams` maps "data" to the generation seed
+    and defaults to the config's seed streams."""
     streams = streams or seed_streams(cfg.seed)
     params, integrator, noise = build_plant(cfg)
     baseline = build_baseline(cfg)
@@ -311,7 +311,7 @@ def refresh_gain(model, r):
     return sol.gain
 
 
-def train_sensing(cfg, dataset, streams=None):
+def train_sensing(cfg, dataset):
     """Phase-1 split training of the sensing model over the uplink.
 
     The LQR gain is refreshed from the current blocks after every epoch and
@@ -320,7 +320,7 @@ def train_sensing(cfg, dataset, streams=None):
     refresh sets `gain_refresh_failed` on that epoch's stats. Returns
     (model, TrainingResult, gain, gain_history), one history entry per
     epoch."""
-    streams = streams or seed_streams(cfg.seed)
+    streams = seed_streams(cfg.seed)
     rng = np.random.default_rng(streams["sensing_init"])
     model = koopman.SensingModel.build(
         p=dynamics.STATE_DIM, d=cfg.model.latent_dim, q=dynamics.ACTION_DIM,
@@ -333,11 +333,8 @@ def train_sensing(cfg, dataset, streams=None):
     if cfg.train.impair_gradients and not cfg.link.ideal:
         gradient_link = build_link(cfg, streams["gradient"])
     trainer = protocol.SensingTrainer(
-        model, schedule, train_w, val_w, uplink=uplink,
-        q_x=cfg.control.q_x(), batch_size=cfg.train.batch_size,
-        lr=cfg.train.lr, shuffle_seed=streams["shuffle"],
-        max_batches_per_epoch=cfg.train.max_batches_per_epoch,
-        gradient_link=gradient_link)
+        model, schedule, train_w, val_w, cfg.train, streams["shuffle"],
+        uplink=uplink, q_x=cfg.control.q_x(), gradient_link=gradient_link)
 
     gains = []
 
@@ -348,38 +345,29 @@ def train_sensing(cfg, dataset, streams=None):
             stats.gain_refresh_failed = True
             gains.append(gains[-1] if gains else None)  # last solvable one
 
-    result = protocol.fit_with_early_stopping(
-        trainer, cfg.train.max_epochs, patience=cfg.train.patience,
-        min_delta=cfg.train.min_delta, on_epoch=_hook)
+    result = protocol.fit_with_early_stopping(trainer, on_epoch=_hook)
     if not gains or gains[-1] is None:
         raise PipelineError("no solvable latent LQR gain at any epoch")
     return model, result, gains[-1], gains
 
 
-def train_controlling(cfg, sensing, dataset, streams=None):
+def train_controlling(cfg, sensing, dataset):
     """Phase-1 training of the controlling model on the action stream as the
     actuator received it over the downlink. Returns (model, TrainingResult)."""
-    streams = streams or seed_streams(cfg.seed)
+    streams = seed_streams(cfg.seed)
     rng = np.random.default_rng(streams["controlling_init"])
     model = koopman.ControllingModel.build(sensing, rng)
     schedule = cfg.model.schedule()
     downlink = build_link(cfg, streams["downlink"])
-    recv_train = protocol.receive_action_stream(dataset.train, downlink,
-                                                q=dynamics.ACTION_DIM)
-    recv_val = protocol.receive_action_stream(dataset.val, downlink,
-                                              q=dynamics.ACTION_DIM)
+    recv_train = protocol.receive_action_stream(dataset.train, downlink)
+    recv_val = protocol.receive_action_stream(dataset.val, downlink)
     train_w = protocol.controlling_windows(dataset.train, recv_train,
                                            cfg.model.depth)
     val_w = protocol.controlling_windows(dataset.val, recv_val,
                                          cfg.model.depth)
-    trainer = protocol.ControllingTrainer(
-        model, schedule, train_w, val_w, batch_size=cfg.train.batch_size,
-        lr=cfg.train.lr, shuffle_seed=streams["shuffle"],
-        max_batches_per_epoch=cfg.train.max_batches_per_epoch)
-    result = protocol.fit_with_early_stopping(
-        trainer, cfg.train.max_epochs, patience=cfg.train.patience,
-        min_delta=cfg.train.min_delta)
-    return model, result
+    trainer = protocol.ControllingTrainer(model, schedule, train_w, val_w,
+                                          cfg.train, streams["shuffle"])
+    return model, protocol.fit_with_early_stopping(trainer)
 
 
 def evaluate_prediction(cfg, sensing, controlling, trajectories):
@@ -418,10 +406,10 @@ def evaluate_prediction(cfg, sensing, controlling, trajectories):
     return out
 
 
-def control_rollout(cfg, sensing, gain, controlling=None, streams=None,
-                    uplink=None, downlink=None):
+def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,
+                    downlink=None):
     """Phase-2 closed loop; returns (Phase2Result, summary dict)."""
-    streams = streams or seed_streams(cfg.seed)
+    streams = seed_streams(cfg.seed)
     params, integrator, noise = build_plant(cfg)
     system = protocol.ControlSystem(
         params=params, integrator=integrator, noise=noise, sensing=sensing,
@@ -433,9 +421,8 @@ def control_rollout(cfg, sensing, gain, controlling=None, streams=None,
     plant_rng = None
     if noise.variance > 0.0:
         plant_rng = np.random.default_rng(streams["eval_plant"])
-    result = protocol.run_phase2_loop(
-        system, np.asarray(cfg.control.x0, dtype=np.float64), uplink,
-        downlink, cfg.control, plant_rng=plant_rng)
+    result = protocol.run_phase2_loop(system, uplink, downlink, cfg.control,
+                                      plant_rng=plant_rng)
     down_flags = [r.downlink_delivered for r in result.records]
     summary = {
         "msce": metrics.msce(result.states[1:], np.zeros(dynamics.STATE_DIM)),
@@ -450,11 +437,9 @@ def run_experiment(cfg, with_control=True):
 
     Returns a flat summary dict, JSON-ready."""
     t0 = time.perf_counter()
-    streams = seed_streams(cfg.seed)
-    dataset = make_dataset(cfg, streams)
-    sensing, sens_result, gain, _ = train_sensing(cfg, dataset, streams)
-    controlling, ctrl_result = train_controlling(cfg, sensing, dataset,
-                                                 streams)
+    dataset = make_dataset(cfg)
+    sensing, sens_result, gain, _ = train_sensing(cfg, dataset)
+    controlling, ctrl_result = train_controlling(cfg, sensing, dataset)
     pred = evaluate_prediction(cfg, sensing, controlling, dataset.test)
     summary = {
         "experiment": cfg.name,
@@ -471,8 +456,7 @@ def run_experiment(cfg, with_control=True):
         "m_lost": None,
     }
     if with_control:
-        _, ctl = control_rollout(cfg, sensing, gain, controlling,
-                                 streams=streams)
+        _, ctl = control_rollout(cfg, sensing, gain, controlling)
         summary["msce"] = ctl["msce"]
         summary["m_lost"] = ctl["m_lost"]
     summary["train_s"] = time.perf_counter() - t0

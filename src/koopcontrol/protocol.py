@@ -68,36 +68,6 @@ def write_records(records, path):
 
 
 # ---------------------------------------------------------------------------
-# early stopping
-# ---------------------------------------------------------------------------
-
-class EarlyStopping:
-    """Stop when the validation loss has not improved by min_delta for
-    `patience` consecutive epochs."""
-
-    def __init__(self, patience=10, min_delta=1e-4):
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best = None
-        self.stale = 0
-
-    def update(self, val_loss):
-        val_loss = float(val_loss)
-        if self.best is None:
-            self.best = val_loss
-            self.stale = 0
-            return False
-        if self.best - val_loss >= self.min_delta:
-            self.best = val_loss
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.stale >= self.patience
-
-
-# ---------------------------------------------------------------------------
 # missing-data prediction
 # ---------------------------------------------------------------------------
 
@@ -113,8 +83,37 @@ def handle_missing_state(model, latent, u, decode_u):
 
 
 # ---------------------------------------------------------------------------
-# phase 1: split sensing trainer
+# phase 1: the shared schedule and the split sensing trainer
 # ---------------------------------------------------------------------------
+
+@dataclass
+class TrainSettings:
+    """Phase-1 settings of both trainers, and the `train` section of an
+    experiment config: Adam's step size, mini-batch epochs (optionally
+    capped), and a stop once the validation loss has not improved by
+    `min_delta` for `patience` epochs in a row."""
+    lr: float = 1e-4
+    batch_size: int = 64
+    max_epochs: int = 100
+    patience: int = 10
+    min_delta: float = 1e-4
+    max_batches_per_epoch: int | None = None
+    # boundary gradients cross a fading downlink (ignored on an ideal link)
+    impair_gradients: bool = False
+
+    def __post_init__(self):
+        # max_epochs too: the latent gain is only solved after an epoch
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.max_batches_per_epoch is not None \
+                and self.max_batches_per_epoch < 1:
+            raise ValueError("max_batches_per_epoch must be >= 1 or null")
+        if not self.lr > 0.0:
+            raise ValueError("lr must be positive")
+        if not (np.isfinite(self.min_delta) and self.min_delta >= 0.0):
+            raise ValueError("min_delta must be finite and >= 0")
+
 
 @dataclass
 class EpochStats:
@@ -149,19 +148,19 @@ class TrainingResult:
 
 def _train_epoch(trainer, batch_step):
     """One shuffled pass over `trainer`'s training windows in mini-batches,
-    capped at `trainer.max_batches`, then a clean validation score.
+    capped at `max_batches_per_epoch`, then a clean validation score.
     `batch_step(states, actions, stats)` trains on one batch, adds its link
     counts to `stats` and returns the batch loss, or None when no window of
     the batch survived the link."""
     trainer.epoch += 1
     stats = EpochStats(epoch=trainer.epoch, train_loss=float("nan"),
                        val_loss=float("nan"), batches=0)
+    cap = trainer.settings.max_batches_per_epoch
     n = trainer.train_states.shape[0]
     order = trainer.shuffle_rng.permutation(n)
     losses = []
     for s in range(0, n, trainer.batch_size):
-        if trainer.max_batches is not None \
-                and stats.batches >= trainer.max_batches:
+        if cap is not None and stats.batches >= cap:
             break
         idx = order[s:s + trainer.batch_size]
         loss = batch_step(trainer.train_states[idx],
@@ -193,11 +192,29 @@ def _validation_loss(loss_fn, states, actions):
     return total / n
 
 
-class SensingTrainer:
-    """Runs phase-1 epochs for the sensing autoencoder.
+class _Trainer:
+    """What both phase-1 trainers hold: the model and its loss schedule,
+    the (states, actions) training and validation windows, as (B, M_d+1, p)
+    and (B, M_d+1, q) arrays, the `train` settings and the shuffle
+    generator."""
 
-    `train_windows` and `val_windows` are (states, actions) pairs of
-    (B, M_d+1, p) and (B, M_d+1, q) window arrays. `uplink=None` trains
+    def __init__(self, model, schedule, train_windows, val_windows,
+                 settings, shuffle_seed):
+        self.model = model
+        self.schedule = schedule
+        self.train_states, self.train_actions = train_windows
+        self.val_states, self.val_actions = val_windows
+        self.settings = settings
+        self.shuffle_rng = np.random.default_rng(shuffle_seed)
+        self.epoch = 0
+
+    @property
+    def batch_size(self):
+        return self.settings.batch_size
+
+
+class SensingTrainer(_Trainer):
+    """Runs phase-1 epochs for the sensing autoencoder. `uplink=None` trains
     centralized (no packetization); any link object with a
     .transmit_rows(payloads, bits) method enables the split path, one
     (latent, state) packet per row of a batch's (b·t, d+p) block. The
@@ -205,23 +222,15 @@ class SensingTrainer:
     carries one packet per batch through its .transmit(payload, bits), and
     a loss skips that batch's encoder update."""
 
-    def __init__(self, model, schedule, train_windows, val_windows,
-                 uplink=None, q_x=None, batch_size=64,
-                 lr=1e-4, shuffle_seed=0, max_batches_per_epoch=None,
-                 gradient_link=None):
-        self.model = model
-        self.schedule = schedule
+    def __init__(self, model, schedule, train_windows, val_windows, settings,
+                 shuffle_seed, uplink=None, q_x=None, gradient_link=None):
+        super().__init__(model, schedule, train_windows, val_windows,
+                         settings, shuffle_seed)
         self.q_x = np.eye(model.p) if q_x is None else np.asarray(q_x, float)
-        self.train_states, self.train_actions = train_windows
-        self.val_states, self.val_actions = val_windows
         self.uplink = uplink
-        self.batch_size = int(batch_size)
-        self.max_batches = max_batches_per_epoch
         self.gradient_link = gradient_link
-        self.opt_server = Adam(model.server_parameters(), lr=lr)
-        self.opt_encoder = Adam(model.encoder_parameters(), lr=lr)
-        self.shuffle_rng = np.random.default_rng(shuffle_seed)
-        self.epoch = 0
+        self.opt_server = Adam(model.server_parameters(), lr=settings.lr)
+        self.opt_encoder = Adam(model.encoder_parameters(), lr=settings.lr)
         self._uplink_bits = channel.payload_bits(model.d + model.p)
 
     # -- transport ---------------------------------------------------------
@@ -331,14 +340,14 @@ class SensingTrainer:
 # phase 1: actuator-side controlling trainer
 # ---------------------------------------------------------------------------
 
-def receive_action_stream(trajectories, link, q=1):
+def receive_action_stream(trajectories, link):
     """Stream each trajectory's commands through the downlink once, as the
     actuator would have received them. Returns per-trajectory (received
     actions, delivered mask)."""
-    bits = channel.payload_bits(q)
     received = []
     for traj in trajectories:
-        mask, acts = link.transmit_rows(traj.actions, bits)
+        mask, acts = link.transmit_rows(
+            traj.actions, channel.payload_bits(traj.actions.shape[1]))
         received.append((acts, mask))
     return received
 
@@ -359,25 +368,18 @@ def controlling_windows(trajectories, received, depth):
     return np.concatenate(s_parts), np.concatenate(a_parts)
 
 
-class ControllingTrainer:
+class ControllingTrainer(_Trainer):
     """Local training of the action model at the actuator.
 
     The encoder is the sensing snapshot: latents enter the loss as detached
     values and only the action Koopman matrix and the actuator decoder are
     stepped."""
 
-    def __init__(self, model, schedule, train_windows, val_windows,
-                 batch_size=64, lr=1e-4, shuffle_seed=0,
-                 max_batches_per_epoch=None):
-        self.model = model
-        self.schedule = schedule
-        self.train_states, self.train_actions = train_windows
-        self.val_states, self.val_actions = val_windows
-        self.batch_size = int(batch_size)
-        self.max_batches = max_batches_per_epoch
-        self.opt = Adam(model.local_parameters(), lr=lr)
-        self.shuffle_rng = np.random.default_rng(shuffle_seed)
-        self.epoch = 0
+    def __init__(self, model, schedule, train_windows, val_windows, settings,
+                 shuffle_seed):
+        super().__init__(model, schedule, train_windows, val_windows,
+                         settings, shuffle_seed)
+        self.opt = Adam(model.local_parameters(), lr=settings.lr)
 
     def _latent_leaves(self, states):
         t = states.shape[1]
@@ -408,22 +410,27 @@ class ControllingTrainer:
         return _validation_loss(self._loss, self.val_states, self.val_actions)
 
 
-def fit_with_early_stopping(trainer, max_epochs, patience=10, min_delta=1e-4,
-                            on_epoch=None):
-    """Run epochs until the stopper fires or the budget runs out; the last
-    epoch of the returned TrainingResult is the switch to phase 2."""
-    stopper = EarlyStopping(patience=patience, min_delta=min_delta)
+def fit_with_early_stopping(trainer, on_epoch=None):
+    """Run up to `max_epochs` epochs of `trainer`, stopping once `patience`
+    epochs in a row have not improved on the best validation loss by
+    `min_delta` (all three from `trainer.settings`). The first epoch sets
+    the best, and a NaN loss never improves on it. The last epoch of the
+    returned TrainingResult is the switch to phase 2."""
+    settings = trainer.settings
     history = []
-    stopped = False
-    for _ in range(max_epochs):
+    best, stale = None, 0
+    for _ in range(settings.max_epochs):
         stats = trainer.run_epoch()
         history.append(stats)
         if on_epoch is not None:
             on_epoch(stats)
-        if stopper.update(stats.val_loss):
-            stopped = True
-            break
-    return TrainingResult(history=history, stopped_early=stopped)
+        if best is None or best - stats.val_loss >= settings.min_delta:
+            best, stale = stats.val_loss, 0
+            continue
+        stale += 1
+        if stale >= settings.patience:
+            return TrainingResult(history=history, stopped_early=True)
+    return TrainingResult(history=history, stopped_early=False)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +503,9 @@ class Phase2Result:
     records: list
 
 
-def run_phase2_loop(system, x0, uplink, downlink, config, plant_rng=None):
-    """Predictive remote control for config.n_loops control periods.
+def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
+    """Predictive remote control for config.n_loops control periods from
+    the plant state config.x0.
 
     Per loop: uplink the fresh latent (unless in pure-prediction mode),
     compute u = -K g, downlink it, let the actuator apply the received or
@@ -505,7 +513,7 @@ def run_phase2_loop(system, x0, uplink, downlink, config, plant_rng=None):
     predicted is used on each side each loop, which the records reflect."""
     model = system.sensing
     ctrl = system.controlling
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = np.array(config.x0, dtype=np.float64)
     n = config.n_loops
     d, q = model.d, model.q
     up_bits = channel.payload_bits(d)

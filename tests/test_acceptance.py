@@ -177,8 +177,8 @@ def test_criterion_8_protocol_equivalence():
         sched = koopman.WeightSchedule("special", 1)
         trainer = protocol.SensingTrainer(
             model, sched, _acceptance_windows(24, 1, 0),
-            _acceptance_windows(8, 1, 1), uplink=uplink, batch_size=8,
-            lr=1e-3, shuffle_seed=42)
+            _acceptance_windows(8, 1, 1),
+            protocol.TrainSettings(lr=1e-3, batch_size=8), 42, uplink=uplink)
         return model, trainer
 
     m_split, t_split = make_trainer(channel.IdealLink())
@@ -210,10 +210,9 @@ def test_criterion_8_protocol_equivalence():
         down_lost = rng.choice(n_loops, size=rng.integers(0, 25),
                                replace=False)
         res = protocol.run_phase2_loop(
-            system, np.full(4, 0.02),
-            channel.ScriptedLossLink(channel.IdealLink(), up_lost),
+            system, channel.ScriptedLossLink(channel.IdealLink(), up_lost),
             channel.ScriptedLossLink(channel.IdealLink(), down_lost),
-            protocol.Phase2Config(n_loops=n_loops))
+            protocol.Phase2Config(n_loops=n_loops, x0=(0.02,) * 4))
         run = 0
         for m, rec in enumerate(res.records):
             # exactly one source per side, tied to the delivery flags

@@ -42,6 +42,7 @@ def test_pipeline_artifacts(pipeline):
     tmp, _ = pipeline
     for name in ("dataset.npz", "sensing.json", "gain.txt",
                  "sensing_history.json", "controlling.json",
+                 "controlling_history.json",
                  "prediction.json", "loops.ndjson", "control_summary.json"):
         assert (tmp / name).exists(), name
 
@@ -68,8 +69,12 @@ def test_pipeline_control_summary(pipeline):
 
 def test_pipeline_history_shape(pipeline):
     tmp, _ = pipeline
+    # one entry per epoch of each trainer (two, and no early stop)
+    ctl = json.loads((tmp / "controlling_history.json").read_text())
+    assert [h["epoch"] for h in ctl["history"]] == [1, 2]
+    assert ctl["stopped_early"] is False
     hist = json.loads((tmp / "sensing_history.json").read_text())
-    assert len(hist["history"]) == 2
+    assert [h["epoch"] for h in hist["history"]] == [1, 2]
     assert {"epoch", "train_loss", "val_loss", "batches", "packets_sent",
             "packets_lost", "windows_dropped", "encoder_updates_skipped",
             "gain_refresh_failed"} <= set(hist["history"][0])
@@ -150,11 +155,31 @@ def test_exit_config_on_missing_sensing_checkpoint(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
-def test_exit_config_on_multivalued_scalar_flag(tmp_path):
+def test_exit_config_on_multivalued_scalar_flag(tmp_path, capsys):
     cfg_path = micro_config(tmp_path)
-    code = cli.main(["train-sensing", "--config", str(cfg_path),
-                     "--out-dir", str(tmp_path), "--snr-db", "0,10"])
-    assert code == cli.EXIT_CONFIG
+    base = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+    # a list where one value is expected, a value that is not a number,
+    # and a negative seed
+    for cmd, flags in (("train-sensing", ["--snr-db", "0,10"]),
+                       ("gen-data", ["--snr-db", "abc"]),
+                       ("gen-data", ["--latent-dim", "four"]),
+                       ("gen-data", ["--latent-dim", "1.5"]),
+                       ("gen-data", ["--seed", "-1"]),
+                       ("sweep", ["--snr-db", "0,abc"]),
+                       ("sweep", ["--latent-dim", "2,x"])):
+        assert cli.main([cmd] + base + flags) == cli.EXIT_CONFIG, flags
+        assert "config error" in capsys.readouterr().err
+    # a top-level config seed that is not a non-negative integer
+    for seed in ("x", -1):
+        raw = json.loads(cfg_path.read_text())
+        raw["seed"] = seed
+        bad = tmp_path / "bad_seed.json"
+        bad.write_text(json.dumps(raw))
+        code = cli.main(["gen-data", "--config", str(bad),
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.npz").exists()
 
 
 def test_exit_config_on_invalid_latent_dim_override(tmp_path, capsys):

@@ -86,9 +86,31 @@ def test_config_rejects_bad_link_and_control_values():
                                   ("control", "r", float("inf")),
                                   ("model", "encoder_hidden", [0]),
                                   ("model", "encoder_hidden", [-4]),
-                                  ("model", "encoder_hidden", [8, 0, 8])):
+                                  ("model", "encoder_hidden", [8, 0, 8]),
+                                  # integer fields take integers only
+                                  ("data", "n_train", 1.5),
+                                  ("data", "max_retries", 2.0),
+                                  ("model", "latent_dim", 4.0),
+                                  ("model", "depth", True),
+                                  ("train", "max_epochs", 2.0),
+                                  ("train", "batch_size", 8.5),
+                                  ("train", "patience", "3"),
+                                  ("train", "max_batches_per_epoch", 2.5),
+                                  ("control", "n_loops", 10.0),
+                                  ("eval", "anchor_stride", 2.0),
+                                  ("train", "min_delta", float("nan")),
+                                  ("train", "min_delta", float("inf")),
+                                  ("train", "min_delta", -1e-4)):
         d = experiments.config_to_dict(experiments.desk_preset())
         d[section][field] = value
+        with pytest.raises(experiments.ConfigError):
+            experiments.config_from_dict(d)
+    # a section that is not a mapping, and a seed that is not a
+    # non-negative int
+    for key, value in [(name, 5) for name in experiments._SECTIONS] + [
+            ("seed", "x"), ("seed", -1), ("seed", 1.0), ("seed", True)]:
+        d = experiments.config_to_dict(experiments.desk_preset())
+        d[key] = value
         with pytest.raises(experiments.ConfigError):
             experiments.config_from_dict(d)
 
@@ -116,7 +138,8 @@ def test_apply_overrides_copies():
     assert cfg.seed != 9 or cfg.model.latent_dim == 4
     assert cfg.link.snr_db is None
     # overridden values are checked as a loaded config's are
-    for overrides in ({"snr_db": 1e5}, {"latent_dim": 0}):
+    for overrides in ({"snr_db": 1e5}, {"latent_dim": 0}, {"seed": -1},
+                      {"seed": "x"}):
         with pytest.raises(experiments.ConfigError):
             experiments.apply_overrides(cfg, **overrides)
 
@@ -283,8 +306,7 @@ def test_training_steps_reduce_validation_loss(monkeypatch):
     cfg = dataclasses.replace(cfg,
                               train=dataclasses.replace(cfg.train,
                                                         max_epochs=6))
-    streams = experiments.seed_streams(cfg.seed)
-    dataset = experiments.make_dataset(cfg, streams)
+    dataset = experiments.make_dataset(cfg)
     solves = []
     solve_dare = control.solve_dare
 
@@ -293,8 +315,7 @@ def test_training_steps_reduce_validation_loss(monkeypatch):
         return solve_dare(*args, **kwargs)
 
     monkeypatch.setattr(control, "solve_dare", counted_solve)
-    model, result, gain, gains = experiments.train_sensing(cfg, dataset,
-                                                           streams)
+    model, result, gain, gains = experiments.train_sensing(cfg, dataset)
     assert result.epochs == 6
     vals = [s.val_loss for s in result.history]
     assert vals[-1] < vals[0]
@@ -311,8 +332,7 @@ def test_failed_gain_refresh_is_flagged_and_keeps_last_gain(monkeypatch):
     cfg = dataclasses.replace(cfg,
                               train=dataclasses.replace(cfg.train,
                                                         max_epochs=3))
-    streams = experiments.seed_streams(cfg.seed)
-    dataset = experiments.make_dataset(cfg, streams)
+    dataset = experiments.make_dataset(cfg)
     refresh_gain = experiments.refresh_gain
     calls = []
 
@@ -323,7 +343,7 @@ def test_failed_gain_refresh_is_flagged_and_keeps_last_gain(monkeypatch):
         return refresh_gain(model, r)
 
     monkeypatch.setattr(experiments, "refresh_gain", failing_on_second)
-    _, result, gain, gains = experiments.train_sensing(cfg, dataset, streams)
+    _, result, gain, gains = experiments.train_sensing(cfg, dataset)
     assert [s.gain_refresh_failed for s in result.history] == \
         [False, True, False]
     assert np.array_equal(gains[1], gains[0])   # the last solvable gain
@@ -387,11 +407,9 @@ def test_impaired_gradients_on_ideal_link_train_losslessly():
         cfg, train=dataclasses.replace(cfg.train, max_epochs=1))
     impaired = dataclasses.replace(
         cfg, train=dataclasses.replace(cfg.train, impair_gradients=True))
-    streams = experiments.seed_streams(cfg.seed)
-    dataset = experiments.make_dataset(cfg, streams)
-    _, plain, gain, _ = experiments.train_sensing(cfg, dataset, streams)
-    _, result, gain_i, _ = experiments.train_sensing(impaired, dataset,
-                                                     streams)
+    dataset = experiments.make_dataset(cfg)
+    _, plain, gain, _ = experiments.train_sensing(cfg, dataset)
+    _, result, gain_i, _ = experiments.train_sensing(impaired, dataset)
     assert result.history == plain.history
     assert result.history[0].encoder_updates_skipped == 0
     assert np.array_equal(gain_i, gain)

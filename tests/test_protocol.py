@@ -24,25 +24,51 @@ def scripted(lost):
 # early stopping
 # ---------------------------------------------------------------------------
 
+class _ScriptedTrainer:
+    """Validation losses read off a script, one per epoch."""
+
+    def __init__(self, val_losses, **settings):
+        self.val_losses = list(val_losses)
+        self.settings = protocol.TrainSettings(**settings)
+        self.epoch = 0
+
+    def run_epoch(self):
+        self.epoch += 1
+        return protocol.EpochStats(epoch=self.epoch, train_loss=1.0,
+                                   val_loss=self.val_losses[self.epoch - 1],
+                                   batches=1)
+
+
+def _stop_epoch(val_losses, patience=2, **settings):
+    """The epoch a scripted run stops early at, or None when it runs out
+    of epochs."""
+    res = protocol.fit_with_early_stopping(_ScriptedTrainer(
+        val_losses, max_epochs=len(val_losses), patience=patience,
+        **settings))
+    assert res.history[-1].epoch == res.epochs
+    return res.epochs if res.stopped_early else None
+
+
 def test_early_stopping_trace():
-    stopper = protocol.EarlyStopping(patience=2, min_delta=1e-4)
-    assert stopper.update(1.0) is False          # first value sets the best
-    assert stopper.update(0.9) is False          # clear improvement
-    assert stopper.update(0.89995) is False      # 5e-5 < min_delta: stale 1
-    assert stopper.update(0.8999) is True        # stale 2 = patience
-    assert stopper.best == 0.9
+    # the first value sets the best; 0.9 clearly improves on it; 0.89995
+    # improves by 5e-5 < min_delta (stale 1), and 0.8999 improves on the
+    # best, 0.9, by a hair under 1e-4 in floating point (stale 2 = patience)
+    assert _stop_epoch((1.0, 0.9, 0.89995, 0.8999)) == 4
+    assert _stop_epoch((1.0, 0.9, 0.89995, 0.8999), min_delta=1e-5) is None
+    assert _stop_epoch((1.0, 0.9, 0.89995)) is None
 
 
 def test_early_stopping_reset_on_improvement():
-    stopper = protocol.EarlyStopping(patience=2, min_delta=1e-4)
-    for v in (1.0, 0.99995, 0.5, 0.49995):
-        assert stopper.update(v) is False
-    assert stopper.update(0.4999) is True
+    assert _stop_epoch((1.0, 0.99995, 0.5, 0.49995, 0.4999)) == 5
+    assert _stop_epoch((1.0, 0.99995, 0.5, 0.49995)) is None
+    # a NaN loss never improves, not even as the first value
+    assert _stop_epoch((1.0, float("nan"), float("nan"))) == 3
+    assert _stop_epoch((float("nan"), 0.5, 0.1)) == 3
 
 
 def test_early_stopping_validation():
-    with pytest.raises(ValueError):
-        protocol.EarlyStopping(patience=0)
+    with pytest.raises(ValueError, match="patience"):
+        protocol.TrainSettings(patience=0)
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +80,13 @@ def _micro_windows(n=24, depth=1, seed=0):
                            depth=depth, seed=seed, scale=0.5)
 
 
-def _trainer(model, uplink, depth=1, seed=0, **kw):
+def _trainer(model, uplink, depth=1, seed=0, max_epochs=100, **kw):
     sched = koopman.WeightSchedule("special", depth)
     return protocol.SensingTrainer(
         model, sched, _micro_windows(n=24, depth=depth, seed=seed),
-        _micro_windows(n=8, depth=depth, seed=seed + 1), uplink=uplink,
-        batch_size=8, lr=1e-3, shuffle_seed=42, **kw)
+        _micro_windows(n=8, depth=depth, seed=seed + 1),
+        protocol.TrainSettings(lr=1e-3, batch_size=8, max_epochs=max_epochs),
+        42, uplink=uplink, **kw)
 
 
 def test_split_ideal_link_matches_centralized_bitwise():
@@ -111,7 +138,7 @@ def test_transport_fills_interior_losses_with_rollout():
     sched = koopman.WeightSchedule("special", 2)
     link = scripted([1])   # lose the middle packet of the only window
     trainer = protocol.SensingTrainer(model, sched, windows, windows,
-                                      uplink=link)
+                                      protocol.TrainSettings(), 0, uplink=link)
     lat_vals = np.stack([model.encode(states[:, j, :])
                          for j in range(3)], axis=1)
     kept, recv_lat, recv_states, mask, lost = trainer._transport(
@@ -139,6 +166,7 @@ def test_transport_fill_matches_matrix_power_oracle():
     states, actions = windows = _linear_windows(a, b, n=2, depth=3, seed=4)
     sched = koopman.WeightSchedule("special", 3)
     trainer = protocol.SensingTrainer(model, sched, windows, windows,
+                                      protocol.TrainSettings(), 0,
                                       uplink=scripted([1, 2, 6, 7]))
     lat_vals = np.stack([model.encode(states[:, j, :])
                          for j in range(4)], axis=1)
@@ -226,6 +254,7 @@ def test_transport_matches_per_packet_reference_bit_for_bit():
     for seed in (1, 2, 3):
         link = channel.FadingLink(cfg, seed)
         trainer = protocol.SensingTrainer(model, sched, windows, windows,
+                                          protocol.TrainSettings(), 0,
                                           uplink=link)
         got = trainer._transport(lat_vals, states, actions)
         ref_link = channel.FadingLink(cfg, seed)
@@ -279,28 +308,17 @@ def test_training_result_properties():
 
 def test_fit_with_early_stopping_budget_and_callback():
     model = micro_model(seed=9)
-    trainer = _trainer(model, None)
+    trainer = _trainer(model, None, max_epochs=3)
     seen = []
-    res = protocol.fit_with_early_stopping(trainer, max_epochs=3,
-                                           on_epoch=seen.append)
+    res = protocol.fit_with_early_stopping(trainer, on_epoch=seen.append)
     assert res.epochs == 3
     assert [s.epoch for s in seen] == [1, 2, 3]
     assert res.history == seen
 
 
-class _PlateauTrainer:
-    def __init__(self):
-        self.epoch = 0
-
-    def run_epoch(self):
-        self.epoch += 1
-        return protocol.EpochStats(epoch=self.epoch, train_loss=1.0,
-                                   val_loss=1.0, batches=1)
-
-
 def test_fit_with_early_stopping_fires_on_plateau():
-    res = protocol.fit_with_early_stopping(_PlateauTrainer(), max_epochs=50,
-                                           patience=3)
+    res = protocol.fit_with_early_stopping(_ScriptedTrainer(
+        [1.0] * 50, max_epochs=50, patience=3))
     assert res.stopped_early is True
     assert res.epochs == 4   # first epoch sets best, then 3 stale epochs
 
@@ -383,8 +401,9 @@ def test_controlling_trainer_moves_only_local_params():
     model = koopman.ControllingModel.build(sens, np.random.default_rng(11))
     windows = _micro_windows(n=16)
     sched = koopman.WeightSchedule("special", 1)
-    trainer = protocol.ControllingTrainer(model, sched, windows, windows,
-                                          batch_size=8, lr=1e-3)
+    trainer = protocol.ControllingTrainer(
+        model, sched, windows, windows,
+        protocol.TrainSettings(lr=1e-3, batch_size=8), 0)
     enc_before = [p.value.copy() for p in sens.encoder.parameters()]
     sens_koop_before = sens.koopman.value.copy()
     local_before = [p.value.copy() for p in model.local_parameters()]
@@ -433,8 +452,9 @@ def test_controlling_trainer_loss_decreases():
     model = koopman.ControllingModel.build(sens, np.random.default_rng(13))
     windows = _micro_windows(n=32, seed=5)
     sched = koopman.WeightSchedule("special", 1)
-    trainer = protocol.ControllingTrainer(model, sched, windows, windows,
-                                          batch_size=8, lr=1e-2)
+    trainer = protocol.ControllingTrainer(
+        model, sched, windows, windows,
+        protocol.TrainSettings(lr=1e-2, batch_size=8), 0)
     first = trainer.run_epoch().val_loss
     for _ in range(4):
         last = trainer.run_epoch().val_loss
@@ -444,6 +464,9 @@ def test_controlling_trainer_loss_decreases():
 # ---------------------------------------------------------------------------
 # phase 2 closed loop
 # ---------------------------------------------------------------------------
+
+X0 = (0.02,) * 4   # the plant state most phase-2 tests start from
+
 
 def _system(sens, gain, ctrl=None):
     return protocol.ControlSystem(
@@ -466,8 +489,9 @@ def test_phase2_ideal_links_match_offline_rollout():
     gain = np.array([[0.1, 0.2, 0.1, 0.05]])
     system = _system(sens, gain)
     x0 = np.array([0.05, 0.0, -0.02, 0.0])
-    res = protocol.run_phase2_loop(system, x0, ideal(), ideal(),
-                                   protocol.Phase2Config(n_loops=20))
+    res = protocol.run_phase2_loop(
+        system, ideal(), ideal(), protocol.Phase2Config(n_loops=20,
+                                                        x0=tuple(x0)))
     # replay the loop without any transport
     x = x0.copy()
     for m in range(20):
@@ -495,7 +519,7 @@ def test_phase2_routing_exclusivity_under_losses():
                                   rng.choice(60, size=18, replace=False))
     down = channel.ScriptedLossLink(ideal(),
                                     rng.choice(60, size=18, replace=False))
-    res = protocol.run_phase2_loop(system, np.full(4, 0.05), up, down,
+    res = protocol.run_phase2_loop(system, up, down,
                                    protocol.Phase2Config(n_loops=60))
     for rec in res.records:
         # exactly one source per side per loop, tied to the delivery flag
@@ -520,9 +544,8 @@ def test_phase2_action_prediction_depth_tracks_burst():
                                     np.array([[0.6]]))
     gain4 = np.array([[0.1, 0.2, 0.1, 0.05]])
     system = _system(sens4, gain4, ctrl4)
-    res = protocol.run_phase2_loop(system, np.full(4, 0.02), ideal(),
-                                   scripted([3, 4, 5]),
-                                   protocol.Phase2Config(n_loops=8))
+    res = protocol.run_phase2_loop(system, ideal(), scripted([3, 4, 5]),
+                                   protocol.Phase2Config(n_loops=8, x0=X0))
     depths = [r.action_depth for r in res.records]
     assert depths == [0, 0, 0, 1, 2, 3, 0, 0]
     # the predicted command at depth k equals the k-step action rollout
@@ -550,8 +573,8 @@ def test_phase2_action_prediction_matches_replay_from_last_delivery():
     applied = {}
     for mode in protocol.PHASE2_PREDICT_MODES:
         res = protocol.run_phase2_loop(
-            system, np.full(4, 0.02), ideal(), scripted(lost),
-            protocol.Phase2Config(n_loops=m, action_predict_mode=mode))
+            system, ideal(), scripted(lost),
+            protocol.Phase2Config(n_loops=m, action_predict_mode=mode, x0=X0))
         applied[mode] = res.applied
         anchor = None
         for rec in res.records:
@@ -581,8 +604,8 @@ def test_phase2_hold_fallback_and_cold_start():
     system = _system(sens4, gain4)   # no controlling model
     down = scripted([0, 3])
     res = protocol.run_phase2_loop(
-        system, np.full(4, 0.02), ideal(), down,
-        protocol.Phase2Config(n_loops=6, action_fallback="hold"))
+        system, ideal(), down,
+        protocol.Phase2Config(n_loops=6, action_fallback="hold", x0=X0))
     # loop 0 lost with nothing to hold: cold zero
     assert res.records[0].action_source == "cold"
     assert res.applied[0] == pytest.approx(0.0)
@@ -594,8 +617,8 @@ def test_phase2_predict_fallback_without_model_holds():
     sens4 = _cartpole_like_stub()
     system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]))
     down = scripted([2])
-    res = protocol.run_phase2_loop(system, np.full(4, 0.02), ideal(), down,
-                                   protocol.Phase2Config(n_loops=4))
+    res = protocol.run_phase2_loop(system, ideal(), down,
+                                   protocol.Phase2Config(n_loops=4, x0=X0))
     assert res.records[2].action_source == "held"
     assert np.array_equal(res.applied[2], res.applied[1])
 
@@ -604,8 +627,8 @@ def test_phase2_pure_prediction_mode():
     sens4 = _cartpole_like_stub()
     system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]))
     res = protocol.run_phase2_loop(
-        system, np.full(4, 0.02), ideal(), ideal(),
-        protocol.Phase2Config(n_loops=5, uplink_refresh=False))
+        system, ideal(), ideal(),
+        protocol.Phase2Config(n_loops=5, uplink_refresh=False, x0=X0))
     recs = res.records
     assert recs[0].uplink_delivered is True
     assert recs[0].state_source == "received"
@@ -628,8 +651,8 @@ def test_phase2_latent_hold_fallback():
     system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]))
     up = scripted([1, 2])
     res = protocol.run_phase2_loop(
-        system, np.full(4, 0.02), up, ideal(),
-        protocol.Phase2Config(n_loops=4, latent_fallback="hold"))
+        system, up, ideal(),
+        protocol.Phase2Config(n_loops=4, latent_fallback="hold", x0=X0))
     # commands repeat while the latent is held
     assert np.array_equal(res.commands[1], res.commands[0])
     assert np.array_equal(res.commands[2], res.commands[0])
@@ -668,17 +691,16 @@ def test_phase2_encodes_once_per_loop(monkeypatch):
         return predict(x)
 
     monkeypatch.setattr(sens.encoder, "predict", counted)
-    protocol.run_phase2_loop(system, np.full(4, 0.02), ideal(), ideal(),
-                             protocol.Phase2Config(n_loops=15))
+    protocol.run_phase2_loop(system, ideal(), ideal(),
+                             protocol.Phase2Config(n_loops=15, x0=X0))
     assert len(calls) == 15
 
 
 def test_write_records_roundtrip(tmp_path):
     sens4 = _cartpole_like_stub()
     system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]))
-    res = protocol.run_phase2_loop(system, np.full(4, 0.02), ideal(),
-                                   scripted([1]),
-                                   protocol.Phase2Config(n_loops=3))
+    res = protocol.run_phase2_loop(system, ideal(), scripted([1]),
+                                   protocol.Phase2Config(n_loops=3, x0=X0))
     path = tmp_path / "loops.ndjson"
     protocol.write_records(res.records, path)
     lines = [json.loads(l) for l in path.read_text().splitlines()]
