@@ -67,9 +67,9 @@ class ChannelConfig:
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"unknown noise model {self.noise_model!r}")
         for name in ("p_t", "n_c", "d", "d0", "eta", "bandwidth", "tau_o"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.tau_comp < 0.0:
+        if not self.tau_comp >= 0.0:
             raise ValueError("tau_comp must be >= 0")
 
     # derived once per config; the config is frozen, so they cannot go stale
@@ -203,6 +203,8 @@ def channel_config_for_target_snr(config, target_snr_db):
     with the transmit power left at its configured cap. The experiment
     presets quote operating points as mean-SNR targets; this maps them onto
     a concrete link."""
+    if not math.isfinite(target_snr_db):
+        raise ValueError(f"target SNR must be finite, not {target_snr_db!r}")
     target = 10.0 ** (target_snr_db / 10.0)
     n_c = (10.0 ** (-config.pl0_db / 10.0)
            * config.p_t

@@ -84,22 +84,25 @@ def _dataset(cfg, args):
     return experiments.make_dataset(cfg)
 
 
-def _write_history(path, result):
-    """A TrainingResult as JSON: one EpochStats entry per epoch."""
+def _write_history(path, result, cfg):
+    """A TrainingResult as JSON: the config it was trained under (the
+    checkpoints hold the model only, so this is where the prediction depth
+    and schedule mode are kept), then one EpochStats entry per epoch."""
     history = [dataclasses.asdict(s) for s in result.history]
     with open(path, "w") as fh:
-        json.dump({"history": history, "stopped_early": result.stopped_early},
+        json.dump({"config": experiments.config_to_dict(cfg),
+                   "history": history, "stopped_early": result.stopped_early},
                   fh, indent=2)
 
 
 def _load_models(out):
     """The sensing checkpoint in `out`, and the controlling one sharing its
     encoder, or None when there is none."""
-    sensing, _ = koopman.load_checkpoint(out / "sensing.json")
+    sensing = koopman.load_checkpoint(out / "sensing.json")
     path = out / "controlling.json"
     if not path.exists():
         return sensing, None
-    return sensing, koopman.load_checkpoint(path, encoder=sensing.encoder)[0]
+    return sensing, koopman.load_checkpoint(path, encoder=sensing.encoder)
 
 
 def cmd_gen_data(args):
@@ -119,9 +122,9 @@ def cmd_train_sensing(args):
     out = _out_dir(args)
     ds = _dataset(cfg, args)
     model, result, gain, _ = experiments.train_sensing(cfg, ds)
-    koopman.save_checkpoint(model, out / "sensing.json", cfg.model.schedule())
+    koopman.save_checkpoint(model, out / "sensing.json")
     np.savetxt(out / "gain.txt", gain)
-    _write_history(out / "sensing_history.json", result)
+    _write_history(out / "sensing_history.json", result, cfg)
     print(f"sensing model: {result.epochs} epochs, "
           f"best val loss {result.best_val:.6g}; wrote {out}/sensing.json")
     return EXIT_OK
@@ -135,11 +138,10 @@ def cmd_train_controlling(args):
     if not sensing_path.exists():
         raise experiments.ConfigError(
             f"{sensing_path} not found; run train-sensing first")
-    sensing, _ = koopman.load_checkpoint(sensing_path)
+    sensing = koopman.load_checkpoint(sensing_path)
     model, result = experiments.train_controlling(cfg, sensing, ds)
-    koopman.save_checkpoint(model, out / "controlling.json",
-                            cfg.model.schedule())
-    _write_history(out / "controlling_history.json", result)
+    koopman.save_checkpoint(model, out / "controlling.json")
+    _write_history(out / "controlling_history.json", result, cfg)
     print(f"controlling model: {result.epochs} epochs, "
           f"best val loss {result.best_val:.6g}; wrote {out}/controlling.json")
     return EXIT_OK

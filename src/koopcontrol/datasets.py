@@ -42,7 +42,7 @@ class DataSettings:
     ic_low: float = -0.5
     ic_high: float = 0.5
     explore_std: float = 0.1   # [N] dither on the applied force
-    noise_var: float = 0.0     # plant process noise, applied by the caller
+    noise_var: float = 0.0     # plant process noise variance, every step
     max_retries: int = 25
 
     def __post_init__(self):
@@ -90,7 +90,7 @@ class TrajectoryDataset:
         return getattr(self, name)
 
 
-def _one_trajectory(params, integrator, noise, controller, cfg, rng):
+def _one_trajectory(params, integrator, controller, cfg, rng):
     n_steps = int(round(cfg.duration_s / integrator.tau_o))
     for _ in range(cfg.max_retries + 1):
         x = rng.uniform(cfg.ic_low, cfg.ic_high, size=dynamics.STATE_DIM)
@@ -107,7 +107,7 @@ def _one_trajectory(params, integrator, noise, controller, cfg, rng):
                 break
             try:
                 x = dynamics.step_plant(x, u, params, integrator,
-                                        noise=noise, rng=rng)
+                                        noise_var=cfg.noise_var, rng=rng)
             except dynamics.IntegrationDivergedError:
                 ok = False
                 break
@@ -117,8 +117,9 @@ def _one_trajectory(params, integrator, noise, controller, cfg, rng):
         f"trajectory kept diverging after {cfg.max_retries} retries")
 
 
-def generate_dataset(params, integrator, noise, controller, cfg, seed):
-    """Closed-loop dataset under `controller` plus exploration dither."""
+def generate_dataset(params, integrator, controller, cfg, seed):
+    """Closed-loop dataset under `controller` plus exploration dither, with
+    the process noise of `cfg.noise_var`."""
     rng = np.random.default_rng(seed)
     ds = TrajectoryDataset(meta={
         "format": DATASET_FORMAT,
@@ -133,7 +134,7 @@ def generate_dataset(params, integrator, noise, controller, cfg, seed):
     for name in SPLITS:
         for _ in range(cfg.counts()[name]):
             ds.split(name).append(
-                _one_trajectory(params, integrator, noise, controller, cfg, rng))
+                _one_trajectory(params, integrator, controller, cfg, rng))
     return ds
 
 

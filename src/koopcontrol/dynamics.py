@@ -57,15 +57,6 @@ class CartPoleParams:
 
 
 @dataclass
-class NoiseSpec:
-    variance: float = 0.0
-
-    def __post_init__(self):
-        if self.variance < 0.0:
-            raise ValueError("noise variance must be >= 0")
-
-
-@dataclass
 class IntegratorConfig:
     h: float = 0.01       # RK4 step [s]
     tau_o: float = 0.01   # control period [s]
@@ -137,10 +128,11 @@ def rk4_step(f, state, u, h):
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_plant(state, action, params, integrator, noise=None, rng=None):
+def step_plant(state, action, params, integrator, noise_var=0.0, rng=None):
     """Advance the plant one control period: substeps of RK4 under a held
-    action, then one additive Gaussian disturbance draw on the sampled state
-    (skipped when the configured variance is zero).
+    action, then, when `noise_var` is positive, one additive Gaussian draw
+    of that variance per state entry from `rng`, which is then required. A
+    negative or NaN `noise_var` raises ValueError.
 
     The substeps run rk4_step's arithmetic on four Python floats, in its
     order, and check every stage input as cartpole_derivative does."""
@@ -179,10 +171,12 @@ def step_plant(state, action, params, integrator, noise=None, rng=None):
             or max(abs(x), abs(v), abs(theta), abs(omega)) > DIVERGENCE_BOUND:
         raise IntegrationDivergedError(
             f"state left the finite range after one control period: {nxt}")
-    if noise is not None and noise.variance > 0.0:
+    if noise_var != 0.0:
+        if not noise_var > 0.0:
+            raise ValueError("noise variance must be >= 0")
         if rng is None:
             raise ValueError("rng required when noise variance > 0")
-        nxt = nxt + rng.normal(0.0, np.sqrt(noise.variance), size=nxt.shape)
+        nxt = nxt + rng.normal(0.0, np.sqrt(noise_var), size=nxt.shape)
     return nxt
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -64,18 +65,17 @@ class ModelSettings:
     latent_dim: int = 4
     depth: int = 1                     # prediction depth the losses train for
     schedule_mode: str = "special"
-    encoder_hidden: tuple = koopman.DEFAULT_ENCODER_HIDDEN
+    encoder_hidden: tuple[int, ...] = koopman.DEFAULT_ENCODER_HIDDEN
 
     def __post_init__(self):
         self.encoder_hidden = tuple(int(w) for w in self.encoder_hidden)
-        if min((self.latent_dim, *self.encoder_hidden)) < 1:
-            raise ValueError("latent_dim and encoder_hidden widths must be "
-                             ">= 1")
-        self.schedule()
-
-    def schedule(self):
-        """The loss weight schedule both models train with."""
-        return koopman.WeightSchedule(self.schedule_mode, self.depth)
+        if min((self.latent_dim, self.depth, *self.encoder_hidden)) < 1:
+            raise ValueError("latent_dim, depth and encoder_hidden widths "
+                             "must be >= 1")
+        if self.schedule_mode not in koopman.SCHEDULE_MODES:
+            raise ValueError(f"schedule_mode must be one of "
+                             f"{koopman.SCHEDULE_MODES}, not "
+                             f"{self.schedule_mode!r}")
 
 
 @dataclass
@@ -144,6 +144,29 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_float(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# (description, check) of a config value of each annotated field type: a
+# bool is only ever a bool, and a float field takes a finite int or float
+_KINDS = {"bool": ("a bool", lambda v: isinstance(v, bool)),
+          "int": ("an integer", _is_int),
+          "float": ("a finite number", _is_float),
+          "str": ("a string", lambda v: isinstance(v, str))}
+
+
+def _expected(kind):
+    """(description, check) of a value of the annotation `kind`;
+    "tuple[int, ...]" is a list (or tuple) of ints, never a string."""
+    if kind.startswith("tuple["):
+        what, check = _expected(kind[len("tuple["):].partition(",")[0])
+        return (f"a list of which each item is {what}",
+                lambda v: isinstance(v, (list, tuple)) and all(map(check, v)))
+    return _KINDS[kind]
+
+
 def _build_section(cls, payload):
     if not isinstance(payload, dict):
         raise ConfigError(f"{cls.__name__} must be a mapping")
@@ -152,12 +175,13 @@ def _build_section(cls, payload):
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     for name, value in payload.items():
-        # an "int" or "int | None" field takes an int, never a bool
+        # an optional ("X | None") field also takes null
         kind, _, optional = fields[name].type.partition(" | ")
-        if kind == "int" and not (_is_int(value)
-                                  or optional and value is None):
-            raise ConfigError(f"bad {cls.__name__}: {name} must be an "
-                              f"integer, not {value!r}")
+        what, check = _expected(kind)
+        if not (check(value) or optional and value is None):
+            raise ConfigError(f"bad {cls.__name__}: {name} must be {what}"
+                              f"{' or null' if optional else ''}, not "
+                              f"{value!r}")
     try:
         return cls(**payload)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -265,30 +289,21 @@ def seed_streams(seed):
 # pipeline stages
 # ---------------------------------------------------------------------------
 
-def build_plant(cfg):
-    params = dynamics.CartPoleParams()
-    integrator = dynamics.IntegratorConfig()
-    noise = dynamics.NoiseSpec(variance=cfg.data.noise_var)
-    return params, integrator, noise
-
-
 def build_baseline(cfg):
-    """Controller linearized at the upright equilibrium; used to excite the
-    plant during data generation and as the comparison policy."""
-    params, integrator, _ = build_plant(cfg)
+    """Controller linearized at the upright equilibrium, with the `control`
+    section's LQR weights; it excites the plant during data generation."""
     return control.build_jacobian_controller(
-        params, integrator, cfg.control.q_x(),
-        np.eye(dynamics.ACTION_DIM) * cfg.control.r)
+        dynamics.CartPoleParams(), dynamics.IntegratorConfig(),
+        cfg.control.q_x(), np.eye(dynamics.ACTION_DIM) * cfg.control.r)
 
 
 def make_dataset(cfg, streams=None):
     """The config's dataset; `streams` maps "data" to the generation seed
     and defaults to the config's seed streams."""
     streams = streams or seed_streams(cfg.seed)
-    params, integrator, noise = build_plant(cfg)
-    baseline = build_baseline(cfg)
-    return datasets.generate_dataset(params, integrator, noise, baseline,
-                                     cfg.data, streams["data"])
+    return datasets.generate_dataset(
+        dynamics.CartPoleParams(), dynamics.IntegratorConfig(),
+        build_baseline(cfg), cfg.data, streams["data"])
 
 
 def link_config(cfg):
@@ -325,7 +340,6 @@ def train_sensing(cfg, dataset):
     model = koopman.SensingModel.build(
         p=dynamics.STATE_DIM, d=cfg.model.latent_dim, q=dynamics.ACTION_DIM,
         rng=rng, encoder_hidden=cfg.model.encoder_hidden)
-    schedule = cfg.model.schedule()
     train_w = datasets.extract_windows(dataset.train, cfg.model.depth)
     val_w = datasets.extract_windows(dataset.val, cfg.model.depth)
     uplink = None if cfg.link.ideal else build_link(cfg, streams["uplink"])
@@ -333,8 +347,9 @@ def train_sensing(cfg, dataset):
     if cfg.train.impair_gradients and not cfg.link.ideal:
         gradient_link = build_link(cfg, streams["gradient"])
     trainer = protocol.SensingTrainer(
-        model, schedule, train_w, val_w, cfg.train, streams["shuffle"],
-        uplink=uplink, q_x=cfg.control.q_x(), gradient_link=gradient_link)
+        model, cfg.model.schedule_mode, train_w, val_w, cfg.train,
+        streams["shuffle"], uplink=uplink, q_x=cfg.control.q_x(),
+        gradient_link=gradient_link)
 
     gains = []
 
@@ -357,7 +372,6 @@ def train_controlling(cfg, sensing, dataset):
     streams = seed_streams(cfg.seed)
     rng = np.random.default_rng(streams["controlling_init"])
     model = koopman.ControllingModel.build(sensing, rng)
-    schedule = cfg.model.schedule()
     downlink = build_link(cfg, streams["downlink"])
     recv_train = protocol.receive_action_stream(dataset.train, downlink)
     recv_val = protocol.receive_action_stream(dataset.val, downlink)
@@ -365,8 +379,9 @@ def train_controlling(cfg, sensing, dataset):
                                            cfg.model.depth)
     val_w = protocol.controlling_windows(dataset.val, recv_val,
                                          cfg.model.depth)
-    trainer = protocol.ControllingTrainer(model, schedule, train_w, val_w,
-                                          cfg.train, streams["shuffle"])
+    trainer = protocol.ControllingTrainer(
+        model, cfg.model.schedule_mode, train_w, val_w, cfg.train,
+        streams["shuffle"])
     return model, protocol.fit_with_early_stopping(trainer)
 
 
@@ -410,16 +425,17 @@ def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,
                     downlink=None):
     """Phase-2 closed loop; returns (Phase2Result, summary dict)."""
     streams = seed_streams(cfg.seed)
-    params, integrator, noise = build_plant(cfg)
     system = protocol.ControlSystem(
-        params=params, integrator=integrator, noise=noise, sensing=sensing,
-        gain=gain, controlling=controlling, tau_comp=cfg.link.tau_comp)
+        params=dynamics.CartPoleParams(),
+        integrator=dynamics.IntegratorConfig(), noise_var=cfg.data.noise_var,
+        sensing=sensing, gain=gain, controlling=controlling,
+        tau_comp=cfg.link.tau_comp)
     if uplink is None:
         uplink = build_link(cfg, streams["eval_uplink"])
     if downlink is None:
         downlink = build_link(cfg, streams["eval_downlink"])
     plant_rng = None
-    if noise.variance > 0.0:
+    if cfg.data.noise_var > 0.0:
         plant_rng = np.random.default_rng(streams["eval_plant"])
     result = protocol.run_phase2_loop(system, uplink, downlink, cfg.control,
                                       plant_rng=plant_rng)

@@ -16,17 +16,18 @@ The actuator uses it to ride out downlink outages.
 
 Training losses are built on the autodiff tape from (B, M_d+1, p) state and
 (B, M_d+1, q) action window arrays, the states being what the loss side
-holds (received estimates for sensing, true states for controlling). Each
-loss takes the latent tensors as an argument so a split deployment can
-inject latents as received leaves (gradients then stop at the transmission
-boundary and are shipped back separately); the two total losses encode them
-in-graph when omitted.
+holds (received estimates for sensing, true states for controlling). The
+windows set the prediction depth M_d: every rollout ends at their last
+column, and the schedule mode, "special" or "general", only picks the
+starting offsets (rollout_offsets). Each loss takes the latent tensors as
+an argument so a split deployment can inject latents as received leaves
+(gradients then stop at the transmission boundary and are shipped back
+separately); the two total losses encode them in-graph when omitted.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,24 +42,16 @@ SCHEDULE_MODES = ("special", "general")
 DEFAULT_ENCODER_HIDDEN = (128, 64, 32)
 
 
-@dataclass(frozen=True)
-class WeightSchedule:
-    """Which starting offsets l feed the depth-M_d rollouts, and how they are
-    weighted. "special" keeps only l=0 with weight one; "general" averages
-    over l = 0..M_d-1."""
-    mode: str
-    depth: int
-
-    def __post_init__(self):
-        if self.mode not in SCHEDULE_MODES:
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.depth < 1:
-            raise ValueError("prediction depth must be >= 1")
-
-    def weights(self):
-        if self.mode == "special":
-            return [(0, 1.0)]
-        return [(l, 1.0 / self.depth) for l in range(self.depth)]
+def rollout_offsets(mode, depth):
+    """(offset l, weight) of each depth-`depth` rollout: "special" keeps
+    only l=0 with weight one; "general" averages over l = 0..depth-1."""
+    if depth < 1:
+        raise ValueError("prediction depth must be >= 1")
+    if mode == "special":
+        return [(0, 1.0)]
+    if mode == "general":
+        return [(l, 1.0 / depth) for l in range(depth)]
+    raise ValueError(f"unknown schedule mode {mode!r}")
 
 
 # loss weights: c1..c4 of the sensing loss, c1'..c3' of the controlling loss
@@ -241,33 +234,28 @@ def encode_windows(model, states):
             for t in range(states.shape[1])]
 
 
-def _check_depth(states, schedule):
-    depth = states.shape[1] - 1
-    if depth != schedule.depth:
-        raise ValueError(
-            f"window depth {depth} != schedule depth {schedule.depth}")
-
-
-def _rollout_tensors(model, latents, actions, schedule):
+def _rollout_tensors(model, latents, actions, mode):
     """(final-time latent tensor, weight) of each scheduled rollout: start
     at offset l, iterate to the window end feeding recorded controls."""
+    depth = actions.shape[1] - 1
     finals = []
-    for l, w in schedule.weights():
+    for l, w in rollout_offsets(mode, depth):
         lat = latents[l]
-        for j in range(l, schedule.depth):
+        for j in range(l, depth):
             lat = block_affine(lat, constant(actions[:, j, :]),
                                model.koopman, model.d)
         finals.append((lat, w))
     return finals
 
 
-def _action_rollout_tensors(model, latents, actions, schedule):
+def _action_rollout_tensors(model, latents, actions, mode):
     """Controlling analog of _rollout_tensors: evolve the action estimate,
     feeding the recorded latent at every intermediate step."""
+    depth = actions.shape[1] - 1
     finals = []
-    for l, w in schedule.weights():
+    for l, w in rollout_offsets(mode, depth):
         act = constant(actions[:, l, :])
-        for j in range(l, schedule.depth):
+        for j in range(l, depth):
             act = block_affine(latents[j], act, model.koopman, model.d)
         finals.append((act, w))
     return finals
@@ -297,20 +285,18 @@ def loss_reconstruction(model, states, actions, latents):
     return mse_rows(constant(states[:, 0, :]), model.decoder.forward(y0))
 
 
-def loss_latent_evolution(model, states, actions, schedule, latents):
+def loss_latent_evolution(model, actions, mode, latents):
     """L2: latent targets vs the schedule-weighted rollout endpoint, averaged
     over the target offsets m' = 1..M_d."""
-    _check_depth(states, schedule)
-    pred = _weighted_sum(_rollout_tensors(model, latents, actions, schedule))
-    return _depth_mean(latents[1:schedule.depth + 1], pred)
+    pred = _weighted_sum(_rollout_tensors(model, latents, actions, mode))
+    return _depth_mean(latents[1:], pred)
 
 
-def loss_state_prediction(model, states, actions, schedule, latents):
+def loss_state_prediction(model, states, actions, mode, latents):
     """L3: state targets vs the weighted sum of decoded rollout endpoints,
     each decoded with the control recorded at the window end."""
-    _check_depth(states, schedule)
-    finals = _rollout_tensors(model, latents, actions, schedule)
-    u_end = constant(actions[:, schedule.depth, :])
+    finals = _rollout_tensors(model, latents, actions, mode)
+    u_end = constant(actions[:, -1, :])
     pred = _weighted_sum([(model.decoder.forward(concat_cols([f, u_end])), w)
                           for f, w in finals])
     return _depth_mean(_targets(states), pred)
@@ -326,20 +312,18 @@ def loss_cost_consistency(model, states, q_x, latents):
     return mse_rows(constant(lhs), rhs)
 
 
-def loss_action_evolution(model, states, actions, schedule, latents):
+def loss_action_evolution(model, actions, mode, latents):
     """L2': action targets vs the weighted action-rollout endpoint."""
-    _check_depth(states, schedule)
     pred = _weighted_sum(
-        _action_rollout_tensors(model, latents, actions, schedule))
+        _action_rollout_tensors(model, latents, actions, mode))
     return _depth_mean(_targets(actions), pred)
 
 
-def loss_action_state_prediction(model, states, actions, schedule, latents):
+def loss_action_state_prediction(model, states, actions, mode, latents):
     """L3': state targets vs the actuator decode of [end latent; predicted
     action]."""
-    _check_depth(states, schedule)
-    finals = _action_rollout_tensors(model, latents, actions, schedule)
-    lat_end = latents[schedule.depth]
+    finals = _action_rollout_tensors(model, latents, actions, mode)
+    lat_end = latents[-1]
     pred = _weighted_sum([(model.decoder.forward(concat_cols([lat_end, a])), w)
                           for a, w in finals])
     return _depth_mean(_targets(states), pred)
@@ -354,7 +338,7 @@ def _total(terms, weights, return_terms):
     return total
 
 
-def total_sensing_loss(model, states, actions, schedule, q_x=None,
+def total_sensing_loss(model, states, actions, mode, q_x=None,
                        latents=None, return_terms=False):
     """Weighted sensing loss c1 L1 + c2 L2 + c3 L3 + c4 L4 on one graph, the
     weights SENSING_WEIGHTS."""
@@ -363,21 +347,21 @@ def total_sensing_loss(model, states, actions, schedule, q_x=None,
     if latents is None:
         latents = encode_windows(model, states)
     terms = [loss_reconstruction(model, states, actions, latents),
-             loss_latent_evolution(model, states, actions, schedule, latents),
-             loss_state_prediction(model, states, actions, schedule, latents),
+             loss_latent_evolution(model, actions, mode, latents),
+             loss_state_prediction(model, states, actions, mode, latents),
              loss_cost_consistency(model, states, q_x, latents)]
     return _total(terms, SENSING_WEIGHTS, return_terms)
 
 
-def total_controlling_loss(model, states, actions, schedule, latents=None,
+def total_controlling_loss(model, states, actions, mode, latents=None,
                            return_terms=False):
     """Weighted controlling loss c1' L1' + c2' L2' + c3' L3', the weights
     CONTROLLING_WEIGHTS."""
     if latents is None:
         latents = encode_windows(model, states)
     terms = [loss_reconstruction(model, states, actions, latents),
-             loss_action_evolution(model, states, actions, schedule, latents),
-             loss_action_state_prediction(model, states, actions, schedule,
+             loss_action_evolution(model, actions, mode, latents),
+             loss_action_state_prediction(model, states, actions, mode,
                                           latents)]
     return _total(terms, CONTROLLING_WEIGHTS, return_terms)
 
@@ -386,7 +370,7 @@ def total_controlling_loss(model, states, actions, schedule, latents=None,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def checkpoint_to_dict(model, schedule=None):
+def checkpoint_to_dict(model):
     kind = "sensing" if isinstance(model, SensingModel) else "controlling"
     data = {
         "format": CHECKPOINT_FORMAT,
@@ -394,8 +378,6 @@ def checkpoint_to_dict(model, schedule=None):
         "p": model.p,
         "d": model.d,
         "q": model.q,
-        "depth": schedule.depth if schedule else None,
-        "schedule_mode": schedule.mode if schedule else None,
         "encoder": network_to_dict(model.encoder),
         "koopman": model.koopman.value.tolist(),
         "decoder": network_to_dict(model.decoder),
@@ -408,7 +390,9 @@ def checkpoint_to_dict(model, schedule=None):
 def checkpoint_from_dict(data, encoder=None):
     """Rebuild a model from its checkpoint dict. Pass `encoder` to re-share
     an existing encoder instance instead of loading the stored copy (the
-    controlling model normally shares the sensing encoder)."""
+    controlling model normally shares the sensing encoder). Keys the model
+    does not use, such as the `depth` and `schedule_mode` of older files,
+    are ignored."""
     if data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unknown checkpoint format {data.get('format')!r}")
     enc = encoder if encoder is not None else network_from_dict(data["encoder"])
@@ -416,18 +400,13 @@ def checkpoint_from_dict(data, encoder=None):
     k = Parameter(np.array(data["koopman"], dtype=np.float64))
     if data["kind"] == "sensing":
         cost = Parameter(np.array(data["cost"], dtype=np.float64))
-        model = SensingModel(enc, k, dec, cost)
-    else:
-        model = ControllingModel(enc, k, dec)
-    schedule = None
-    if data.get("depth"):
-        schedule = WeightSchedule(data["schedule_mode"], data["depth"])
-    return model, schedule
+        return SensingModel(enc, k, dec, cost)
+    return ControllingModel(enc, k, dec)
 
 
-def save_checkpoint(model, path, schedule=None):
+def save_checkpoint(model, path):
     with open(path, "w") as fh:
-        json.dump(checkpoint_to_dict(model, schedule), fh)
+        json.dump(checkpoint_to_dict(model), fh)
 
 
 def load_checkpoint(path, encoder=None):

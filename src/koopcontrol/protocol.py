@@ -193,15 +193,15 @@ def _validation_loss(loss_fn, states, actions):
 
 
 class _Trainer:
-    """What both phase-1 trainers hold: the model and its loss schedule,
-    the (states, actions) training and validation windows, as (B, M_d+1, p)
-    and (B, M_d+1, q) arrays, the `train` settings and the shuffle
-    generator."""
+    """What both phase-1 trainers hold: the model and its schedule mode
+    ("special" or "general"), the (states, actions) training and validation
+    windows, as (B, M_d+1, p) and (B, M_d+1, q) arrays, the `train` settings
+    and the shuffle generator."""
 
-    def __init__(self, model, schedule, train_windows, val_windows,
+    def __init__(self, model, mode, train_windows, val_windows,
                  settings, shuffle_seed):
         self.model = model
-        self.schedule = schedule
+        self.mode = mode
         self.train_states, self.train_actions = train_windows
         self.val_states, self.val_actions = val_windows
         self.settings = settings
@@ -222,9 +222,9 @@ class SensingTrainer(_Trainer):
     carries one packet per batch through its .transmit(payload, bits), and
     a loss skips that batch's encoder update."""
 
-    def __init__(self, model, schedule, train_windows, val_windows, settings,
+    def __init__(self, model, mode, train_windows, val_windows, settings,
                  shuffle_seed, uplink=None, q_x=None, gradient_link=None):
-        super().__init__(model, schedule, train_windows, val_windows,
+        super().__init__(model, mode, train_windows, val_windows,
                          settings, shuffle_seed)
         self.q_x = np.eye(model.p) if q_x is None else np.asarray(q_x, float)
         self.uplink = uplink
@@ -270,7 +270,7 @@ class SensingTrainer(_Trainer):
 
     def _loss(self, states, actions, latents=None):
         return koopman.total_sensing_loss(
-            self.model, states, actions, self.schedule, self.q_x,
+            self.model, states, actions, self.mode, self.q_x,
             latents=latents)
 
     def _batch_step(self, states, actions, stats):
@@ -375,9 +375,9 @@ class ControllingTrainer(_Trainer):
     values and only the action Koopman matrix and the actuator decoder are
     stepped."""
 
-    def __init__(self, model, schedule, train_windows, val_windows, settings,
+    def __init__(self, model, mode, train_windows, val_windows, settings,
                  shuffle_seed):
-        super().__init__(model, schedule, train_windows, val_windows,
+        super().__init__(model, mode, train_windows, val_windows,
                          settings, shuffle_seed)
         self.opt = Adam(model.local_parameters(), lr=settings.lr)
 
@@ -387,7 +387,7 @@ class ControllingTrainer(_Trainer):
 
     def _loss(self, states, actions):
         return koopman.total_controlling_loss(
-            self.model, states, actions, self.schedule,
+            self.model, states, actions, self.mode,
             latents=self._latent_leaves(states))
 
     def _batch_step(self, states, actions, stats):
@@ -449,7 +449,7 @@ class ControlSystem:
     """Everything the closed loop needs in one place."""
     params: dynamics.CartPoleParams
     integrator: dynamics.IntegratorConfig
-    noise: dynamics.NoiseSpec
+    noise_var: float                      # plant process noise variance
     sensing: koopman.SensingModel
     gain: np.ndarray                      # latent LQR gain (q, d)
     controlling: koopman.ControllingModel | None = None
@@ -466,8 +466,8 @@ class Phase2Config:
     action_predict_mode: str = "hold"  # one of PHASE2_PREDICT_MODES
     latent_fallback: str = "predict"   # controller side: one of FALLBACKS
     r: float = 1.0                     # LQR action weight
-    q_x_diag: tuple = (1.0, 1.0, 1.0, 1.0)   # LQR state weights
-    x0: tuple = (0.05, 0.05, 0.05, 0.05)     # initial plant state
+    q_x_diag: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)   # LQR state weights
+    x0: tuple[float, ...] = (0.05, 0.05, 0.05, 0.05)     # initial plant state
 
     def __post_init__(self):
         self.q_x_diag = tuple(float(v) for v in self.q_x_diag)
@@ -600,7 +600,7 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
         ))
 
         x = dynamics.step_plant(x, u_app, system.params, system.integrator,
-                                noise=system.noise, rng=plant_rng)
+                                noise_var=system.noise_var, rng=plant_rng)
         states[m + 1] = x
 
     return Phase2Result(states=states, commands=commands, applied=applied,

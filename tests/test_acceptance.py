@@ -32,13 +32,13 @@ def test_criterion_1_gradient_suite():
     worst = 0.0
     for depth, mode in ((1, "special"), (1, "general"),
                         (3, "special"), (3, "general")):
-        model, windows, sched = gradcheck_sensing_case(depth, mode)
+        model, windows = gradcheck_sensing_case(depth, mode)
         worst = max(worst, check_params(
-            lambda: koopman.total_sensing_loss(model, *windows, sched),
+            lambda: koopman.total_sensing_loss(model, *windows, mode),
             model.parameters(), tol=1e-5))
-        cmodel, cwindows, csched = gradcheck_controlling_case(depth, mode)
+        cmodel, cwindows = gradcheck_controlling_case(depth, mode)
         worst = max(worst, check_params(
-            lambda: koopman.total_controlling_loss(cmodel, *cwindows, csched),
+            lambda: koopman.total_controlling_loss(cmodel, *cwindows, mode),
             cmodel.parameters(), tol=1e-5))
     elapsed = time.monotonic() - t0
     assert worst < 1e-5, f"worst gradient relative error {worst:.2e}"
@@ -174,9 +174,8 @@ def test_criterion_8_protocol_equivalence():
         model = koopman.SensingModel.build(p=4, d=2, q=1,
                                            rng=np.random.default_rng(3),
                                            encoder_hidden=(8, 8))
-        sched = koopman.WeightSchedule("special", 1)
         trainer = protocol.SensingTrainer(
-            model, sched, _acceptance_windows(24, 1, 0),
+            model, "special", _acceptance_windows(24, 1, 0),
             _acceptance_windows(8, 1, 1),
             protocol.TrainSettings(lr=1e-3, batch_size=8), 42, uplink=uplink)
         return model, trainer
@@ -201,7 +200,7 @@ def test_criterion_8_protocol_equivalence():
     system = protocol.ControlSystem(
         params=dynamics.CartPoleParams(),
         integrator=dynamics.IntegratorConfig(),
-        noise=dynamics.NoiseSpec(0.0), sensing=sens, gain=gain,
+        noise_var=0.0, sensing=sens, gain=gain,
         controlling=ctrl)
     n_loops = 40
     for _ in range(1000):

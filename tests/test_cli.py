@@ -68,7 +68,7 @@ def test_pipeline_control_summary(pipeline):
 
 
 def test_pipeline_history_shape(pipeline):
-    tmp, _ = pipeline
+    tmp, cfg_path = pipeline
     # one entry per epoch of each trainer (two, and no early stop)
     ctl = json.loads((tmp / "controlling_history.json").read_text())
     assert [h["epoch"] for h in ctl["history"]] == [1, 2]
@@ -80,6 +80,14 @@ def test_pipeline_history_shape(pipeline):
             "gain_refresh_failed"} <= set(hist["history"][0])
     assert all(isinstance(h["gain_refresh_failed"], bool)
                for h in hist["history"])
+    # both files record the config the models were trained under, and with
+    # it the prediction depth and schedule mode the checkpoints leave out
+    cfg = experiments.load_config(cfg_path)
+    for record in (hist, ctl):
+        assert experiments.config_from_dict(record["config"]) == cfg
+        assert record["config"]["model"]["depth"] == cfg.model.depth
+        assert record["config"]["model"]["schedule_mode"] \
+            == cfg.model.schedule_mode
 
 
 def test_gain_file_is_loadable_matrix(pipeline):
@@ -162,6 +170,8 @@ def test_exit_config_on_multivalued_scalar_flag(tmp_path, capsys):
     # and a negative seed
     for cmd, flags in (("train-sensing", ["--snr-db", "0,10"]),
                        ("gen-data", ["--snr-db", "abc"]),
+                       ("gen-data", ["--snr-db", "nan"]),
+                       ("gen-data", ["--snr-db=-inf"]),
                        ("gen-data", ["--latent-dim", "four"]),
                        ("gen-data", ["--latent-dim", "1.5"]),
                        ("gen-data", ["--seed", "-1"]),
@@ -199,8 +209,7 @@ def _unstabilizable_checkpoint(tmp_path):
     model.koopman.value[:, :4] = 2.0 * np.eye(4)
     model.koopman.value[:, 4:] = 0.0
     model.cost.value[:] = np.eye(4)
-    koopman.save_checkpoint(model, tmp_path / "sensing.json",
-                            koopman.WeightSchedule("special", 1))
+    koopman.save_checkpoint(model, tmp_path / "sensing.json")
 
 
 def test_exit_numeric_on_unstabilizable_gain(tmp_path, capsys):

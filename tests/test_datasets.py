@@ -10,13 +10,12 @@ from koopcontrol import control, datasets, dynamics
 def plant():
     params = dynamics.CartPoleParams()
     integrator = dynamics.IntegratorConfig()
-    noise = dynamics.NoiseSpec(variance=0.0)
-    return params, integrator, noise
+    return params, integrator
 
 
 @pytest.fixture(scope="module")
 def baseline(plant):
-    params, integrator, _ = plant
+    params, integrator = plant
     return control.build_jacobian_controller(params, integrator, np.eye(4),
                                              np.eye(1))
 
@@ -28,9 +27,9 @@ def small_cfg(**kw):
 
 
 def test_counts_and_shapes(plant, baseline):
-    params, integrator, noise = plant
+    params, integrator = plant
     cfg = small_cfg()
-    ds = datasets.generate_dataset(params, integrator, noise, baseline,
+    ds = datasets.generate_dataset(params, integrator, baseline,
                                    cfg, seed=0)
     assert len(ds.train) == 2 and len(ds.val) == 1 and len(ds.test) == 1
     n = int(round(0.5 / integrator.tau_o))
@@ -41,9 +40,9 @@ def test_counts_and_shapes(plant, baseline):
 
 
 def test_initial_conditions_inside_box(plant, baseline):
-    params, integrator, noise = plant
+    params, integrator = plant
     cfg = small_cfg(n_train=6, ic_low=-0.2, ic_high=0.2)
-    ds = datasets.generate_dataset(params, integrator, noise, baseline,
+    ds = datasets.generate_dataset(params, integrator, baseline,
                                    cfg, seed=3)
     for traj in ds.train:
         assert np.all(traj.states[0] >= -0.2)
@@ -51,28 +50,43 @@ def test_initial_conditions_inside_box(plant, baseline):
 
 
 def test_same_seed_identical_bytes(plant, baseline):
-    params, integrator, noise = plant
+    params, integrator = plant
     cfg = small_cfg()
-    a = datasets.generate_dataset(params, integrator, noise, baseline, cfg, 7)
-    b = datasets.generate_dataset(params, integrator, noise, baseline, cfg, 7)
-    c = datasets.generate_dataset(params, integrator, noise, baseline, cfg, 8)
+    a = datasets.generate_dataset(params, integrator, baseline, cfg, 7)
+    b = datasets.generate_dataset(params, integrator, baseline, cfg, 7)
+    c = datasets.generate_dataset(params, integrator, baseline, cfg, 8)
     for ta, tb in zip(a.train + a.val + a.test, b.train + b.val + b.test):
         assert np.array_equal(ta.states, tb.states)
         assert np.array_equal(ta.actions, tb.actions)
     assert not np.array_equal(a.train[0].states, c.train[0].states)
 
 
+def test_process_noise_read_from_settings(plant, baseline):
+    params, integrator = plant
+    quiet = datasets.generate_dataset(params, integrator, baseline,
+                                      small_cfg(explore_std=0.0), 4)
+    noisy = [datasets.generate_dataset(params, integrator, baseline,
+                                       small_cfg(explore_std=0.0,
+                                                 noise_var=0.01), 4)
+             for _ in range(2)]
+    # the first state is the drawn initial condition, the noise enters after
+    q, n0, n1 = (ds.train[0].states for ds in (quiet, *noisy))
+    assert np.array_equal(q[0], n0[0])
+    assert not np.array_equal(q[1:], n0[1:])
+    assert np.array_equal(n0, n1)
+
+
 def test_exploration_dither_recorded_in_actions(plant, baseline):
-    params, integrator, noise = plant
+    params, integrator = plant
     cfg = small_cfg(explore_std=0.0)
-    quiet = datasets.generate_dataset(params, integrator, noise, baseline,
+    quiet = datasets.generate_dataset(params, integrator, baseline,
                                       cfg, seed=5)
     # without dither the recorded action is exactly the policy output
     traj = quiet.train[0]
     for m in (0, 3, 10):
         expect = float(np.atleast_1d(baseline.action(traj.states[m]))[0])
         assert traj.actions[m, 0] == pytest.approx(expect, abs=1e-12)
-    noisy = datasets.generate_dataset(params, integrator, noise, baseline,
+    noisy = datasets.generate_dataset(params, integrator, baseline,
                                       small_cfg(explore_std=0.1), seed=5)
     tn = noisy.train[0]
     resid = [tn.actions[m, 0]
@@ -82,9 +96,9 @@ def test_exploration_dither_recorded_in_actions(plant, baseline):
 
 
 def test_closed_loop_data_stays_bounded(plant, baseline):
-    params, integrator, noise = plant
+    params, integrator = plant
     cfg = small_cfg(n_train=3, duration_s=5.0)
-    ds = datasets.generate_dataset(params, integrator, noise, baseline,
+    ds = datasets.generate_dataset(params, integrator, baseline,
                                    cfg, seed=11)
     for traj in ds.train:
         assert np.max(np.abs(traj.states)) < 5.0
@@ -100,10 +114,10 @@ class _Destabilizer:
 
 
 def test_divergence_exhausts_retries(plant):
-    params, integrator, noise = plant
+    params, integrator = plant
     cfg = small_cfg(max_retries=2)
     with pytest.raises(datasets.DataGenerationError):
-        datasets.generate_dataset(params, integrator, noise, _Destabilizer(),
+        datasets.generate_dataset(params, integrator, _Destabilizer(),
                                   cfg, seed=0)
 
 
@@ -157,8 +171,8 @@ def test_extract_windows_skips_short_trajectories():
 # ---------------------------------------------------------------------------
 
 def test_save_load_lossless(tmp_path, plant, baseline):
-    params, integrator, noise = plant
-    ds = datasets.generate_dataset(params, integrator, noise, baseline,
+    params, integrator = plant
+    ds = datasets.generate_dataset(params, integrator, baseline,
                                    small_cfg(), seed=2)
     path = tmp_path / "ds.npz"
     datasets.save_dataset(ds, path)

@@ -153,14 +153,13 @@ def test_step_plant_substeps_match_manual_composition():
 def test_step_plant_noise_is_one_unbiased_draw():
     params = dynamics.CartPoleParams()
     integ = dynamics.IntegratorConfig()
-    noise = dynamics.NoiseSpec(variance=0.01)
     x = np.array([0.1, 0.0, 0.2, 0.0])
     clean = dynamics.step_plant(x, 0.0, params, integ)
     rng = np.random.default_rng(2024)
     n = 10_000
     acc = np.zeros(4)
     for _ in range(n):
-        acc += dynamics.step_plant(x, 0.0, params, integ, noise=noise,
+        acc += dynamics.step_plant(x, 0.0, params, integ, noise_var=0.01,
                                    rng=rng) - clean
     mean_dev = acc / n
     # sigma = 0.1, so 4*sigma/sqrt(n) = 4e-3
@@ -170,17 +169,21 @@ def test_step_plant_noise_is_one_unbiased_draw():
 def test_step_plant_requires_rng_with_noise():
     with pytest.raises(ValueError):
         dynamics.step_plant(np.zeros(4), 0.0, dynamics.CartPoleParams(),
-                            dynamics.IntegratorConfig(),
-                            noise=dynamics.NoiseSpec(variance=0.1))
+                            dynamics.IntegratorConfig(), noise_var=0.1)
+    # a negative or NaN variance is refused, with or without a generator
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            dynamics.step_plant(np.zeros(4), 0.0, dynamics.CartPoleParams(),
+                                dynamics.IntegratorConfig(), noise_var=bad,
+                                rng=np.random.default_rng(0))
 
 
 def test_step_plant_deterministic_given_seed():
     args = (np.array([0.1, 0.2, 0.3, 0.4]), 0.7, dynamics.CartPoleParams(),
             dynamics.IntegratorConfig())
-    noise = dynamics.NoiseSpec(variance=0.05)
-    a = dynamics.step_plant(*args, noise=noise,
+    a = dynamics.step_plant(*args, noise_var=0.05,
                             rng=np.random.default_rng(99))
-    b = dynamics.step_plant(*args, noise=noise,
+    b = dynamics.step_plant(*args, noise_var=0.05,
                             rng=np.random.default_rng(99))
     assert np.array_equal(a, b)
 

@@ -100,7 +100,32 @@ def test_config_rejects_bad_link_and_control_values():
                                   ("eval", "anchor_stride", 2.0),
                                   ("train", "min_delta", float("nan")),
                                   ("train", "min_delta", float("inf")),
-                                  ("train", "min_delta", -1e-4)):
+                                  ("train", "min_delta", -1e-4),
+                                  # a mean SNR must be finite
+                                  ("link", "snr_db", float("nan")),
+                                  ("link", "snr_db", float("inf")),
+                                  ("link", "snr_db", float("-inf")),
+                                  # bool fields take bools only
+                                  ("link", "ideal", "false"),
+                                  ("link", "ideal", 0),
+                                  ("train", "impair_gradients", "true"),
+                                  ("control", "uplink_refresh", 1),
+                                  # float fields take finite numbers only
+                                  ("train", "lr", True),
+                                  ("data", "noise_var", "0.01"),
+                                  ("data", "duration_s", float("inf")),
+                                  ("link", "distance", float("inf")),
+                                  ("link", "tau_comp", None),
+                                  # str fields take strings only
+                                  ("model", "schedule_mode", 1),
+                                  # tuple fields take lists of numbers
+                                  ("model", "encoder_hidden", "88"),
+                                  ("model", "encoder_hidden", [8.7, True]),
+                                  ("model", "encoder_hidden", [8.7]),
+                                  ("model", "encoder_hidden", 8),
+                                  ("control", "q_x_diag", "1234"),
+                                  ("control", "x0", [0.05, 0.05, 0.05,
+                                                     True])):
         d = experiments.config_to_dict(experiments.desk_preset())
         d[section][field] = value
         with pytest.raises(experiments.ConfigError):
@@ -139,7 +164,8 @@ def test_apply_overrides_copies():
     assert cfg.link.snr_db is None
     # overridden values are checked as a loaded config's are
     for overrides in ({"snr_db": 1e5}, {"latent_dim": 0}, {"seed": -1},
-                      {"seed": "x"}):
+                      {"seed": "x"}, {"snr_db": float("nan")},
+                      {"snr_db": float("inf")}, {"snr_db": float("-inf")}):
         with pytest.raises(experiments.ConfigError):
             experiments.apply_overrides(cfg, **overrides)
 

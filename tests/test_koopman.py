@@ -1,6 +1,8 @@
 """Koopman model tests: latent algebra against closed forms, loss semantics
 on exactly-consistent linear constructions, gradient checks, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -68,21 +70,20 @@ def micro_model(seed=0, p=4, d=2, q=1):
 # ---------------------------------------------------------------------------
 
 def test_schedule_special_case_single_unit_weight():
-    sched = koopman.WeightSchedule("special", 4)
-    assert sched.weights() == [(0, 1.0)]
+    assert koopman.rollout_offsets("special", 4) == [(0, 1.0)]
 
 
 def test_schedule_general_case_uniform_weights():
-    sched = koopman.WeightSchedule("general", 4)
-    assert sched.weights() == [(0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)]
-    assert np.isclose(sum(w for _, w in sched.weights()), 1.0)
+    offsets = koopman.rollout_offsets("general", 4)
+    assert offsets == [(0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)]
+    assert np.isclose(sum(w for _, w in offsets), 1.0)
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        koopman.WeightSchedule("typical", 2)
+        koopman.rollout_offsets("typical", 2)
     with pytest.raises(ValueError):
-        koopman.WeightSchedule("special", 0)
+        koopman.rollout_offsets("special", 0)
 
 
 def test_default_coefficients():
@@ -262,9 +263,8 @@ def test_sensing_losses_vanish_on_consistent_linear_model():
     a, b = _stable_pair(rng)
     model = passthrough_sensing(a, b)
     states, actions = _linear_windows(a, b, n=8, depth=1, seed=7)
-    sched = koopman.WeightSchedule("special", 1)
-    total, terms = koopman.total_sensing_loss(model, states, actions, sched,
-                                              q_x=np.eye(3),
+    total, terms = koopman.total_sensing_loss(model, states, actions,
+                                              "special", q_x=np.eye(3),
                                               return_terms=True)
     for name, t in terms.items():
         assert float(t.value) < 1e-20, f"{name} nonzero on consistent data"
@@ -280,9 +280,8 @@ def test_controlling_losses_vanish_on_consistent_linear_model():
     model = passthrough_controlling(sens, k21, k22)
     states, actions = _linear_windows(a, b, k21=k21, k22=k22, n=8, depth=1,
                                       seed=8)
-    sched = koopman.WeightSchedule("special", 1)
     total, terms = koopman.total_controlling_loss(model, states, actions,
-                                                  sched, return_terms=True)
+                                                  "special", return_terms=True)
     for name, t in terms.items():
         assert float(t.value) < 1e-20, f"{name} nonzero on consistent data"
     assert float(total.value) < 1e-20
@@ -295,9 +294,8 @@ def test_latent_evolution_loss_hand_computed_scalar():
     model = passthrough_sensing(np.array([[k11]]), np.array([[k12]]))
     states = np.array([[[1.0], [2.0], [-1.0]]])
     actions = np.array([[[0.5], [-0.4], [0.2]]])
-    sched = koopman.WeightSchedule("special", 2)
     loss = koopman.loss_latent_evolution(
-        model, states, actions, sched, koopman.encode_windows(model, states))
+        model, actions, "special", koopman.encode_windows(model, states))
     roll = k11 * (k11 * 1.0 + k12 * 0.5) + k12 * (-0.4)
     expect = 0.5 * ((2.0 - roll) ** 2 + (-1.0 - roll) ** 2)
     assert np.isclose(float(loss.value), expect, atol=1e-12)
@@ -308,9 +306,8 @@ def test_latent_evolution_loss_general_schedule_hand_computed():
     model = passthrough_sensing(np.array([[k11]]), np.array([[k12]]))
     states = np.array([[[1.0], [2.0], [-1.0]]])
     actions = np.array([[[0.5], [-0.4], [0.2]]])
-    sched = koopman.WeightSchedule("general", 2)
     loss = koopman.loss_latent_evolution(
-        model, states, actions, sched, koopman.encode_windows(model, states))
+        model, actions, "general", koopman.encode_windows(model, states))
     roll0 = k11 * (k11 * 1.0 + k12 * 0.5) + k12 * (-0.4)
     roll1 = k11 * 2.0 + k12 * (-0.4)
     pred = 0.5 * roll0 + 0.5 * roll1
@@ -341,9 +338,8 @@ def test_total_sensing_loss_is_weighted_sum_of_terms():
     model = micro_model(seed=5)
     states, actions = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=6,
                                       depth=2, seed=11)
-    sched = koopman.WeightSchedule("general", 2)
-    total, terms = koopman.total_sensing_loss(model, states, actions, sched,
-                                              return_terms=True)
+    total, terms = koopman.total_sensing_loss(model, states, actions,
+                                              "general", return_terms=True)
     expect = (0.5 * float(terms["l1"].value) + float(terms["l2"].value)
               + 0.5 * float(terms["l3"].value) + float(terms["l4"].value))
     assert np.isclose(float(total.value), expect, rtol=1e-12)
@@ -358,22 +354,11 @@ def test_total_controlling_loss_is_weighted_sum_of_terms():
     model = koopman.ControllingModel.build(sens, rng)
     states, actions = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=5,
                                       depth=2, seed=13)
-    sched = koopman.WeightSchedule("special", 2)
     total, terms = koopman.total_controlling_loss(model, states, actions,
-                                                  sched, return_terms=True)
+                                                  "special", return_terms=True)
     expect = (0.5 * float(terms["l1"].value) + float(terms["l2"].value)
               + 0.5 * float(terms["l3"].value))
     assert np.isclose(float(total.value), expect, rtol=1e-12)
-
-
-def test_loss_depth_mismatch_raises():
-    model = micro_model()
-    states, actions = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=3,
-                                      depth=2)
-    with pytest.raises(ValueError):
-        koopman.loss_latent_evolution(model, states, actions,
-                                      koopman.WeightSchedule("special", 3),
-                                      koopman.encode_windows(model, states))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +378,7 @@ def gradcheck_sensing_case(depth, mode):
     windows = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)) * 0.5, n=4,
                               depth=depth, seed=GRADCHECK_SENSING_SEED + 1000,
                               scale=0.6)
-    sched = koopman.WeightSchedule(mode, depth)
-    return model, windows, sched
+    return model, windows
 
 
 def gradcheck_controlling_case(depth, mode):
@@ -404,26 +388,25 @@ def gradcheck_controlling_case(depth, mode):
                                            np.random.default_rng(seed + 500))
     windows = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)) * 0.5, n=4,
                               depth=depth, seed=seed + 2000, scale=0.6)
-    sched = koopman.WeightSchedule(mode, depth)
-    return model, windows, sched
+    return model, windows
 
 
 @pytest.mark.parametrize("depth,mode", [(1, "special"), (3, "general")])
 def test_sensing_loss_gradients_match_finite_differences(depth, mode):
-    model, (states, actions), sched = gradcheck_sensing_case(depth, mode)
+    model, (states, actions) = gradcheck_sensing_case(depth, mode)
 
     def loss():
-        return koopman.total_sensing_loss(model, states, actions, sched)
+        return koopman.total_sensing_loss(model, states, actions, mode)
 
     check_params(loss, model.parameters())
 
 
 @pytest.mark.parametrize("depth,mode", [(1, "special"), (3, "general")])
 def test_controlling_loss_gradients_match_finite_differences(depth, mode):
-    model, (states, actions), sched = gradcheck_controlling_case(depth, mode)
+    model, (states, actions) = gradcheck_controlling_case(depth, mode)
 
     def loss():
-        return koopman.total_controlling_loss(model, states, actions, sched)
+        return koopman.total_controlling_loss(model, states, actions, mode)
 
     check_params(loss, model.parameters())
 
@@ -486,15 +469,35 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     model = koopman.SensingModel.build(p=4, d=2, q=1,
                                        rng=np.random.default_rng(10),
                                        encoder_hidden=(8, 8))
-    sched = koopman.WeightSchedule("general", 3)
     path = tmp_path / "sensing.json"
-    koopman.save_checkpoint(model, path, sched)
-    loaded, sched2 = koopman.load_checkpoint(path)
-    assert (sched2.mode, sched2.depth) == ("general", 3)
+    koopman.save_checkpoint(model, path)
+    loaded = koopman.load_checkpoint(path)
     for a, b in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(a.value, b.value)
     x = np.random.default_rng(11).normal(size=4)
     assert np.array_equal(model.encode(x), loaded.encode(x))
+    # the training schedule lives in the run's config, not the checkpoint
+    with open(path) as fh:
+        assert not {"depth", "schedule_mode"} & set(json.load(fh))
+
+
+@pytest.mark.parametrize("depth,mode", [(3, "general"), (None, None)])
+def test_checkpoint_with_schedule_keys_loads_bitwise(tmp_path, depth, mode):
+    # files written before the schedule left the checkpoint carry `depth`
+    # and `schedule_mode` (null when saved without a schedule)
+    sens = koopman.SensingModel.build(p=4, d=2, q=1,
+                                      rng=np.random.default_rng(14),
+                                      encoder_hidden=(8, 8))
+    ctrl = koopman.ControllingModel.build(sens, np.random.default_rng(15))
+    for model in (sens, ctrl):
+        data = koopman.checkpoint_to_dict(model)
+        data.update(depth=depth, schedule_mode=mode)
+        path = tmp_path / f"{data['kind']}.json"
+        path.write_text(json.dumps(data))
+        loaded = koopman.load_checkpoint(path)
+        assert type(loaded) is type(model)
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert a.value.tobytes() == b.value.tobytes()
 
 
 def test_controlling_checkpoint_reshares_encoder(tmp_path):
@@ -504,11 +507,11 @@ def test_controlling_checkpoint_reshares_encoder(tmp_path):
     ctrl = koopman.ControllingModel.build(sens, np.random.default_rng(13))
     path = tmp_path / "controlling.json"
     koopman.save_checkpoint(ctrl, path)
-    loaded, _ = koopman.load_checkpoint(path, encoder=sens.encoder)
+    loaded = koopman.load_checkpoint(path, encoder=sens.encoder)
     assert loaded.encoder is sens.encoder
     assert np.array_equal(loaded.koopman.value, ctrl.koopman.value)
     # without re-sharing, the stored encoder copy is used and equal in value
-    fresh, _ = koopman.load_checkpoint(path)
+    fresh = koopman.load_checkpoint(path)
     assert fresh.encoder is not sens.encoder
     for a, b in zip(fresh.encoder.parameters(), sens.encoder.parameters()):
         assert np.array_equal(a.value, b.value)

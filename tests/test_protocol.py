@@ -81,9 +81,8 @@ def _micro_windows(n=24, depth=1, seed=0):
 
 
 def _trainer(model, uplink, depth=1, seed=0, max_epochs=100, **kw):
-    sched = koopman.WeightSchedule("special", depth)
     return protocol.SensingTrainer(
-        model, sched, _micro_windows(n=24, depth=depth, seed=seed),
+        model, "special", _micro_windows(n=24, depth=depth, seed=seed),
         _micro_windows(n=8, depth=depth, seed=seed + 1),
         protocol.TrainSettings(lr=1e-3, batch_size=8, max_epochs=max_epochs),
         42, uplink=uplink, **kw)
@@ -135,9 +134,8 @@ def test_transport_fills_interior_losses_with_rollout():
     b = np.ones((2, 1)) * 0.25
     model = passthrough_sensing(a, b)
     states, actions = windows = _linear_windows(a, b, n=1, depth=2, seed=3)
-    sched = koopman.WeightSchedule("special", 2)
     link = scripted([1])   # lose the middle packet of the only window
-    trainer = protocol.SensingTrainer(model, sched, windows, windows,
+    trainer = protocol.SensingTrainer(model, "special", windows, windows,
                                       protocol.TrainSettings(), 0, uplink=link)
     lat_vals = np.stack([model.encode(states[:, j, :])
                          for j in range(3)], axis=1)
@@ -164,8 +162,7 @@ def test_transport_fill_matches_matrix_power_oracle():
     b = rng.normal(size=(3, 1))
     model = passthrough_sensing(a, b)
     states, actions = windows = _linear_windows(a, b, n=2, depth=3, seed=4)
-    sched = koopman.WeightSchedule("special", 3)
-    trainer = protocol.SensingTrainer(model, sched, windows, windows,
+    trainer = protocol.SensingTrainer(model, "special", windows, windows,
                                       protocol.TrainSettings(), 0,
                                       uplink=scripted([1, 2, 6, 7]))
     lat_vals = np.stack([model.encode(states[:, j, :])
@@ -250,10 +247,9 @@ def test_transport_matches_per_packet_reference_bit_for_bit():
     states, actions = windows = _micro_windows(n=40, depth=3, seed=6)
     lat_vals = np.stack([model.encode(states[:, j, :])
                          for j in range(4)], axis=1)
-    sched = koopman.WeightSchedule("special", 3)
     for seed in (1, 2, 3):
         link = channel.FadingLink(cfg, seed)
-        trainer = protocol.SensingTrainer(model, sched, windows, windows,
+        trainer = protocol.SensingTrainer(model, "special", windows, windows,
                                           protocol.TrainSettings(), 0,
                                           uplink=link)
         got = trainer._transport(lat_vals, states, actions)
@@ -400,9 +396,8 @@ def test_controlling_trainer_moves_only_local_params():
     sens = micro_model(seed=10)
     model = koopman.ControllingModel.build(sens, np.random.default_rng(11))
     windows = _micro_windows(n=16)
-    sched = koopman.WeightSchedule("special", 1)
     trainer = protocol.ControllingTrainer(
-        model, sched, windows, windows,
+        model, "special", windows, windows,
         protocol.TrainSettings(lr=1e-3, batch_size=8), 0)
     enc_before = [p.value.copy() for p in sens.encoder.parameters()]
     sens_koop_before = sens.koopman.value.copy()
@@ -430,14 +425,13 @@ def test_training_builds_no_gradient_it_drops(monkeypatch):
     sens = micro_model(seed=10)
     model = koopman.ControllingModel.build(sens, np.random.default_rng(11))
     states, actions = _micro_windows(n=16, depth=2)
-    sched = koopman.WeightSchedule("general", 2)
     latents = [model.encode(states[:, j, :]) for j in range(3)]
 
     def grads(requires_grad):
         leaves = [autodiff.Tensor(z, requires_grad=requires_grad)
                   for z in latents]
         autodiff.backward(koopman.total_controlling_loss(
-            model, states, actions, sched, latents=leaves))
+            model, states, actions, "general", latents=leaves))
         out = [p.grad.copy() for p in model.local_parameters()]
         for p in model.local_parameters():
             p.grad = None
@@ -451,9 +445,8 @@ def test_controlling_trainer_loss_decreases():
     sens = micro_model(seed=12)
     model = koopman.ControllingModel.build(sens, np.random.default_rng(13))
     windows = _micro_windows(n=32, seed=5)
-    sched = koopman.WeightSchedule("special", 1)
     trainer = protocol.ControllingTrainer(
-        model, sched, windows, windows,
+        model, "special", windows, windows,
         protocol.TrainSettings(lr=1e-2, batch_size=8), 0)
     first = trainer.run_epoch().val_loss
     for _ in range(4):
@@ -472,7 +465,7 @@ def _system(sens, gain, ctrl=None):
     return protocol.ControlSystem(
         params=dynamics.CartPoleParams(),
         integrator=dynamics.IntegratorConfig(),
-        noise=dynamics.NoiseSpec(0.0),
+        noise_var=0.0,
         sensing=sens, gain=gain, controlling=ctrl)
 
 
