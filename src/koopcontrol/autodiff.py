@@ -2,10 +2,11 @@
 
 A dynamic tape: every op builds a Tensor node holding its value, its parent
 nodes and a closure that routes an upstream gradient to the parents. The op
-set is deliberately small (affine maps, relu, concatenation, a few reduction
-ops) because that is all the model compositions here need. Everything is
-double precision and the graph walk is deterministic, so repeated runs with
-the same seeds reproduce results bit for bit.
+set is what the model compositions here need: add, scale, add_scalars,
+dense_stack (a chain of dense layers as one node), block_affine, concat_cols
+and the mse_rows/quad_rows reductions; inside `no_grad` none records a
+graph. Everything is double precision and the graph walk is deterministic,
+so repeated runs with the same seeds reproduce results bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ __all__ = [
     "add",
     "scale",
     "add_scalars",
-    "affine",
-    "relu",
+    "no_grad",
+    "dense_stack",
     "block_affine",
     "concat_cols",
     "mse_rows",
@@ -95,8 +96,22 @@ def _unbroadcast(g, shape):
     return g
 
 
+class no_grad:
+    """Scope in which ops record no graph (no parents, no closure), so
+    intermediates are freed once consumed. Scopes nest, and leaving one
+    restores the state it found, also on an exception."""
+
+    active = False
+
+    def __enter__(self):
+        self._outer, no_grad.active = no_grad.active, True
+
+    def __exit__(self, *exc):
+        no_grad.active = self._outer
+
+
 def _node(value, parents, grad_fn):
-    req = any(p.requires_grad for p in parents)
+    req = not no_grad.active and any(p.requires_grad for p in parents)
     return Tensor(value, requires_grad=req, parents=parents if req else (),
                   grad_fn=grad_fn if req else None)
 
@@ -174,31 +189,36 @@ def add_scalars(terms):
     return out
 
 
-def affine(x, w, b):
-    """x @ w.T + b for x (n, d_in), w (d_out, d_in), b (d_out,)."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    out_val = x.value @ w.value.T + b.value
-
-    def grad_fn(g):
-        if x.requires_grad:
-            _accumulate(x, g @ w.value)
-        if w.requires_grad:
-            _accumulate(w, g.T @ x.value)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
-
-    return _node(out_val, (x, w, b), grad_fn)
-
-
-def relu(x):
+def dense_stack(x, weights, biases, relu_flags):
+    """A chain of dense layers as one node: layer i maps h to
+    h @ weights[i].T + biases[i], then relu where relu_flags[i]. Only each
+    layer's input and relu mask are kept for backward, which does the
+    arithmetic of one affine and one relu node per layer, in their order."""
     x = _as_tensor(x)
-    mask = x.value > 0.0
-    out_val = np.where(mask, x.value, 0.0)
+    inputs, masks = [], []
+    out = x.value
+    for w, b, relu in zip(weights, biases, relu_flags):
+        inputs.append(out)
+        out = out @ w.value.T + b.value
+        masks.append(out > 0.0 if relu else None)
+        if relu:
+            out = np.where(masks[-1], out, 0.0)
 
     def grad_fn(g):
-        _accumulate(x, g * mask)
+        for i in reversed(range(len(inputs))):
+            w, b = weights[i], biases[i]
+            if masks[i] is not None:
+                g = g * masks[i] + 0.0
+            if w.requires_grad:
+                _accumulate(w, g.T @ inputs[i])
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
+            if i:
+                g = g @ w.value + 0.0
+            elif x.requires_grad:
+                _accumulate(x, g @ w.value)
 
-    return _node(out_val, (x,), grad_fn)
+    return _node(out, (x, *weights, *biases), grad_fn)
 
 
 def block_affine(a, b, k, split):

@@ -167,21 +167,25 @@ def _expected(kind):
     return _KINDS[kind]
 
 
+def _check_field(cls, name, value):
+    """Raise ConfigError unless `value` fits the annotation of field `name`
+    of the section `cls`; an optional ("X | None") field also takes null."""
+    annotation = {f.name: f.type for f in dataclasses.fields(cls)}[name]
+    kind, _, optional = annotation.partition(" | ")
+    what, check = _expected(kind)
+    if not (check(value) or optional and value is None):
+        raise ConfigError(f"bad {cls.__name__}: {name} must be {what}"
+                          f"{' or null' if optional else ''}, not {value!r}")
+
+
 def _build_section(cls, payload):
     if not isinstance(payload, dict):
         raise ConfigError(f"{cls.__name__} must be a mapping")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(payload) - set(fields)
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     for name, value in payload.items():
-        # an optional ("X | None") field also takes null
-        kind, _, optional = fields[name].type.partition(" | ")
-        what, check = _expected(kind)
-        if not (check(value) or optional and value is None):
-            raise ConfigError(f"bad {cls.__name__}: {name} must be {what}"
-                              f"{' or null' if optional else ''}, not "
-                              f"{value!r}")
+        _check_field(cls, name, value)
     try:
         return cls(**payload)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -252,14 +256,17 @@ PRESETS = {"desk": desk_preset, "paper": paper_preset}
 
 
 def apply_overrides(cfg, seed=None, snr_db=None, latent_dim=None, name=None):
-    """CLI-style point overrides; returns a modified copy. Every section is
-    rebuilt through its constructor, so overridden values are validated
+    """CLI-style point overrides; returns a modified copy. Each value is
+    checked against its field's annotation and every section is rebuilt
+    through its constructor, so overridden values are validated
     (ConfigError) as a loaded config would be."""
     changes = {section: {} for section in _SECTIONS}
     if snr_db is not None:
+        _check_field(LinkSettings, "snr_db", snr_db)
         changes["link"] = {"snr_db": float(snr_db), "ideal": False}
     if latent_dim is not None:
-        changes["model"] = {"latent_dim": int(latent_dim)}
+        _check_field(ModelSettings, "latent_dim", latent_dim)
+        changes["model"] = {"latent_dim": latent_dim}
     try:
         top = {section: dataclasses.replace(getattr(cfg, section), **fields)
                for section, fields in changes.items()}

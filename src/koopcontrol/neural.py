@@ -1,16 +1,17 @@
 """Dense network stack: layers, He-style init, Adam, JSON serialization.
 
 Networks are plain lists of fully connected layers with relu or linear
-activations. Forward passes come in two flavors: `forward` builds tape
-nodes for training, `predict` is a numpy-only fast path for inference
-(plant loops, packet fills) where no gradients are wanted.
+activations. Forward passes come in two flavors: `forward` builds one tape
+node for the whole stack (autodiff.dense_stack) for training, `predict` is
+a numpy-only fast path for inference (plant loops, packet fills) where no
+gradients are wanted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, affine, relu
+from .autodiff import Parameter, dense_stack
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -74,13 +75,11 @@ class Network:
         return params
 
     def forward(self, x):
-        """Tape forward for an (n, d_in) Tensor or array."""
-        out = x if isinstance(x, Tensor) else Tensor(x)
-        for layer in self.layers:
-            out = affine(out, layer.w, layer.b)
-            if layer.activation == "relu":
-                out = relu(out)
-        return out
+        """Tape forward for an (n, d_in) Tensor or array: one tape node."""
+        return dense_stack(x, [layer.w for layer in self.layers],
+                           [layer.b for layer in self.layers],
+                           [layer.activation == "relu"
+                            for layer in self.layers])
 
     def predict(self, x):
         """Inference path, no graph. Accepts (n, d_in) or (d_in,)."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import channel, dynamics, koopman
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, no_grad
 from .datasets import InsufficientDataError, window_index
 from .neural import Adam
 
@@ -174,20 +174,24 @@ def _train_epoch(trainer, batch_step):
     return stats
 
 
-VALIDATION_CHUNK = 1024   # validation windows scored per loss graph
+# windows per validation loss call. Scoring builds no graph, so this bounds
+# no tape; it stays because BLAS row bits can depend on the row count (with
+# OpenBLAS, rows of a (n, 32) @ (32, 4) product differ at n = 64 and 1000).
+VALIDATION_CHUNK = 1024
 
 
 def _validation_loss(loss_fn, states, actions):
     """Mean of `loss_fn(states, actions)` over chunks of at most
-    VALIDATION_CHUNK windows, weighted by chunk size; NaN when there are no
-    windows."""
+    VALIDATION_CHUNK windows, weighted by chunk size, each scored without a
+    graph; NaN when there are no windows."""
     n = states.shape[0]
     if n == 0:
         return float("nan")
     chunk = VALIDATION_CHUNK
     total = 0.0
     for s in range(0, n, chunk):
-        loss = loss_fn(states[s:s + chunk], actions[s:s + chunk])
+        with no_grad():
+            loss = loss_fn(states[s:s + chunk], actions[s:s + chunk])
         total += float(loss.value) * min(chunk, n - s)
     return total / n
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from koopcontrol import autodiff as ad
+from koopcontrol import neural
 from gradcheck import check_params, fd_gradient, max_rel_error
 
 RNG = np.random.default_rng(1234)
@@ -37,13 +38,24 @@ def test_scale_and_add_scalars():
     check_params(loss, [a, b])
 
 
+def _affine(x, w, b):
+    return ad.dense_stack(x, [w], [b], [False])
+
+
+def _relu(x):
+    """relu alone: one identity layer, whose matmul reproduces x exactly."""
+    d = x.shape[1]
+    return ad.dense_stack(x, [ad.constant(np.eye(d))],
+                          [ad.constant(np.zeros(d))], [True])
+
+
 def test_affine_gradients():
     x = _param(6, 3)
     w = _param(4, 3)
     b = _param(4)
 
     def loss():
-        return ad.mse_rows(ad.affine(x, w, b), ad.constant(np.zeros((6, 4))))
+        return ad.mse_rows(_affine(x, w, b), ad.constant(np.zeros((6, 4))))
 
     check_params(loss, [x, w, b])
 
@@ -54,18 +66,154 @@ def test_relu_gradients_away_from_kink():
     x.value[np.abs(x.value) < 1e-2] = 0.1
 
     def loss():
-        return ad.mse_rows(ad.relu(x), ad.constant(np.zeros((5, 4))))
+        return ad.mse_rows(_relu(x), ad.constant(np.zeros((5, 4))))
 
     check_params(loss, [x])
 
 
 def test_relu_zero_subgradient():
     x = ad.Parameter(np.array([[-1.0, 0.0, 2.0]]))
-    out = ad.relu(x)
+    out = _relu(x)
     ad.backward(ad.mse_rows(out, ad.constant(np.zeros((1, 3)))))
     assert x.grad[0, 0] == 0.0
     assert x.grad[0, 1] == 0.0      # subgradient at 0 taken as 0
     assert x.grad[0, 2] != 0.0
+
+
+# ---------------------------------------------------------------------------
+# dense_stack against the tape it replaced: one affine and one relu node per
+# layer, kept here as the oracle
+# ---------------------------------------------------------------------------
+
+def _tape_affine(x, w, b):
+    x, w, b = ad._as_tensor(x), ad._as_tensor(w), ad._as_tensor(b)
+
+    def grad_fn(g):
+        if x.requires_grad:
+            ad._accumulate(x, g @ w.value)
+        if w.requires_grad:
+            ad._accumulate(w, g.T @ x.value)
+        if b.requires_grad:
+            ad._accumulate(b, g.sum(axis=0))
+
+    return ad._node(x.value @ w.value.T + b.value, (x, w, b), grad_fn)
+
+
+def _tape_relu(x):
+    x = ad._as_tensor(x)
+    mask = x.value > 0.0
+
+    def grad_fn(g):
+        ad._accumulate(x, g * mask)
+
+    return ad._node(np.where(mask, x.value, 0.0), (x,), grad_fn)
+
+
+def _tape_forward(net, x):
+    out = x
+    for layer in net.layers:
+        out = _tape_affine(out, layer.w, layer.b)
+        if layer.activation == "relu":
+            out = _tape_relu(out)
+    return out
+
+
+def _graph_bits(forward, uses, trained_input, last_relu, seed):
+    """Value and every gradient of a graph in which one network is applied
+    `uses` times, as the decoder is in "general" mode, all as bytes. Each
+    use takes its own constant input, or its own node on one shared trained
+    input, whose gradient then sums the uses in the tape's order."""
+    rng = np.random.default_rng(7)
+    net = neural.make_mlp([5, 16, 8, 3], rng)
+    if last_relu:
+        net.layers[-1].activation = "relu"
+    if trained_input:
+        inputs = [ad.Parameter(rng.normal(size=(7, 5)))]
+        fed = [ad.scale(inputs[0], 1.0 + 0.5 * k) for k in range(uses)]
+    else:
+        inputs = []
+        fed = [ad.constant(rng.normal(size=(7, 5))) for _ in range(uses)]
+    outs = [forward(net, x) for x in fed]
+    if seed is not None:
+        root = outs[0] if uses == 1 else ad.concat_cols(outs)
+        ad.backward(root, seed=seed(root.shape))
+    else:
+        terms = [ad.scale(ad.mse_rows(out, ad.constant(np.ones((7, 3)))),
+                          0.5 + k) for k, out in enumerate(outs)]
+        root = ad.add_scalars(terms)
+        ad.backward(root)
+    leaves = net.parameters() + inputs
+    return ([o.value.tobytes() for o in outs] + [root.value.tobytes()]
+            + [p.grad.tobytes() for p in leaves])
+
+
+@pytest.mark.parametrize("uses", [1, 2, 4])
+@pytest.mark.parametrize("trained_input", [False, True])
+def test_dense_stack_matches_per_layer_tape_bitwise(uses, trained_input):
+    expected = _graph_bits(_tape_forward, uses, trained_input, False, None)
+    assert _graph_bits(neural.Network.forward, uses, trained_input, False,
+                       None) == expected
+
+
+@pytest.mark.parametrize("uses", [1, 2])
+def test_dense_stack_negative_zero_upstream_gradient_bitwise(uses):
+    # -0.0 entries in the backward seed, and the -0.0 that a relu mask
+    # makes of a negative gradient, end in the old tape's bits
+    def seed(shape):
+        g = np.random.default_rng(8).normal(size=shape)
+        g[:, ::2] = -0.0
+        return g
+
+    for last_relu in (False, True):
+        expected = _graph_bits(_tape_forward, uses, True, last_relu, seed)
+        assert _graph_bits(neural.Network.forward, uses, True, last_relu,
+                           seed) == expected
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+
+def _small_graph():
+    net = neural.make_mlp([3, 4, 2], np.random.default_rng(3))
+    x = ad.Parameter(np.random.default_rng(4).normal(size=(5, 3)))
+    k = ad.Parameter(np.random.default_rng(5).normal(size=(2, 5)))
+    hidden = net.forward(x)
+    stepped = ad.block_affine(hidden, x, k, 2)
+    cols = ad.concat_cols([stepped, hidden])
+    loss = ad.add_scalars([
+        ad.scale(ad.mse_rows(cols, ad.constant(np.ones((5, 4)))), 0.5),
+        ad.mse_rows(ad.quad_rows(hidden, ad.constant(np.eye(2))),
+                    ad.constant(np.zeros(5))),
+        ad.mse_rows(ad.add(hidden, k.value[:, 0]), hidden)])
+    return [hidden, stepped, cols, loss]
+
+
+def test_no_grad_builds_no_graph_with_the_same_values():
+    with_graph = _small_graph()
+    assert all(n.requires_grad and n._parents for n in with_graph)
+    with ad.no_grad():
+        without = _small_graph()
+    for node, ref in zip(without, with_graph):
+        assert node.requires_grad is False
+        assert node._parents == () and node._grad_fn is None
+        assert node.value.tobytes() == ref.value.tobytes()
+
+
+def test_no_grad_scopes_nest_and_restore_on_exception():
+    def graph_built():
+        return ad.scale(ad.Parameter(np.ones(2)), 2.0).requires_grad
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not graph_built()
+        assert not graph_built()
+    assert graph_built()
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                raise RuntimeError("boom")
+    assert graph_built()
 
 
 def test_block_affine_matches_explicit_blocks():
@@ -150,7 +298,7 @@ def test_backward_explicit_seed_is_boundary_gradient():
     a = _param(3, 2)
     w = _param(4, 2)
     b = _param(4)
-    hidden = ad.affine(a, w, b)
+    hidden = _affine(a, w, b)
     seed = RNG.normal(size=(3, 4))
     ad.backward(hidden, seed=seed)
     assert np.allclose(a.grad, seed @ w.value, atol=1e-12)
@@ -208,10 +356,13 @@ def checked_accumulate(monkeypatch):
 
 MULTI_PARENT_OPS = {
     "add": (ad.add, [(6, 3), (3,)]),
-    "affine": (ad.affine, [(6, 3), (4, 3), (4,)]),
+    "affine": (_affine, [(6, 3), (4, 3), (4,)]),
     "block_affine": (lambda a, b, k: ad.block_affine(a, b, k, 3),
                      [(6, 3), (6, 2), (4, 5)]),
     "concat_cols": (lambda a, b: ad.concat_cols([a, b]), [(6, 3), (6, 2)]),
+    "dense_stack": (lambda x, w1, b1, w2, b2: ad.dense_stack(
+        x, [w1, w2], [b1, b2], [True, False]),
+        [(6, 3), (5, 3), (5,), (4, 5), (4,)]),
     "mse_rows": (ad.mse_rows, [(6, 3), (6, 3)]),
     "quad_rows": (ad.quad_rows, [(6, 3), (3, 3)]),
 }

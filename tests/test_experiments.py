@@ -165,9 +165,16 @@ def test_apply_overrides_copies():
     # overridden values are checked as a loaded config's are
     for overrides in ({"snr_db": 1e5}, {"latent_dim": 0}, {"seed": -1},
                       {"seed": "x"}, {"snr_db": float("nan")},
-                      {"snr_db": float("inf")}, {"snr_db": float("-inf")}):
+                      {"snr_db": float("inf")}, {"snr_db": float("-inf")},
+                      {"latent_dim": 1.5}, {"latent_dim": True},
+                      {"latent_dim": "4"}, {"snr_db": True},
+                      {"snr_db": "3"}):
         with pytest.raises(experiments.ConfigError):
             experiments.apply_overrides(cfg, **overrides)
+    # an integer SNR is a number, stored as a float as before
+    assert experiments.apply_overrides(cfg, snr_db=-10).link.snr_db == -10.0
+    assert isinstance(
+        experiments.apply_overrides(cfg, snr_db=-10).link.snr_db, float)
 
 
 def test_parent_saved_control_section_loads():

@@ -52,8 +52,12 @@ def test_predict_handles_single_sample_vector():
 def test_forward_tape_matches_predict():
     net = neural.make_mlp([4, 8, 3], np.random.default_rng(3))
     x = np.random.default_rng(4).normal(size=(6, 4))
-    out = net.forward(ad.constant(x))
+    inp = ad.constant(x)
+    out = net.forward(inp)
     assert np.allclose(out.value, net.predict(x), atol=1e-14)
+    # the whole stack is one tape node on the input and the parameters
+    assert out._parents == (inp, *[l.w for l in net.layers],
+                            *[l.b for l in net.layers])
 
 
 def test_make_mlp_shapes_and_activations():

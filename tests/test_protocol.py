@@ -2,6 +2,7 @@
 closed-loop routing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,6 +453,62 @@ def test_controlling_trainer_loss_decreases():
     for _ in range(4):
         last = trainer.run_epoch().val_loss
     assert last < first
+
+
+# ---------------------------------------------------------------------------
+# validation scoring
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", [protocol.SensingTrainer,
+                                 protocol.ControllingTrainer])
+def test_validation_scores_without_a_graph_bitwise(monkeypatch, cls):
+    # three chunks of at most 16 windows; each is scored with no graph
+    # behind its loss, and the mean has the bits of graph-built scores
+    monkeypatch.setattr(protocol, "VALIDATION_CHUNK", 16)
+    model = micro_model(seed=14)
+    if cls is protocol.ControllingTrainer:
+        model = koopman.ControllingModel.build(model,
+                                               np.random.default_rng(15))
+    trainer = cls(model, "general", _micro_windows(n=8, depth=2),
+                  _micro_windows(n=40, depth=2, seed=16),
+                  protocol.TrainSettings(lr=1e-3, batch_size=8), 0)
+    loss_fn, roots = trainer._loss, []
+
+    def recording(states, actions):
+        roots.append(loss_fn(states, actions))
+        return roots[-1]
+
+    monkeypatch.setattr(trainer, "_loss", recording)
+    got = trainer.validation_loss()
+    assert len(roots) == 3
+    assert all(r._parents == () and not r.requires_grad for r in roots)
+
+    states, actions = trainer.val_states, trainer.val_actions
+    graphs = [loss_fn(states[s:s + 16], actions[s:s + 16])
+              for s in range(0, 40, 16)]
+    assert all(g._parents for g in graphs)
+    want = sum(float(g.value) * min(16, 40 - s)
+               for g, s in zip(graphs, range(0, 40, 16))) / 40
+    assert got == want
+
+
+def test_sensing_validation_peak_memory():
+    # about 1,000 windows at the benchmark's model size (latent 4, encoder
+    # 128-64-32, depth 1): with a loss graph kept per chunk the scoring
+    # peaks near 15 MB, without one near 3 MB
+    rng = np.random.default_rng(17)
+    model = koopman.SensingModel.build(p=4, d=4, q=1, rng=rng)
+    windows = (rng.normal(size=(1000, 2, 4)), rng.normal(size=(1000, 2, 1)))
+    trainer = protocol.SensingTrainer(model, "special", windows, windows,
+                                      protocol.TrainSettings(), 0)
+    trainer.validation_loss()
+    tracemalloc.start()
+    try:
+        trainer.validation_loss()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, f"validation scoring peaked at {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
