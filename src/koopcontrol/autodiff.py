@@ -193,7 +193,10 @@ def dense_stack(x, weights, biases, relu_flags):
     """A chain of dense layers as one node: layer i maps h to
     h @ weights[i].T + biases[i], then relu where relu_flags[i]. Only each
     layer's input and relu mask are kept for backward, which does the
-    arithmetic of one affine and one relu node per layer, in their order."""
+    arithmetic of one affine and one relu node per layer, in their order.
+    It skips those nodes' `+ 0.0` after each product: that only turned a
+    -0.0 into +0.0, and no kept bit depends on a zero's sign, which only a
+    sum of zeros passes on and `_accumulate`'s `g + 0.0` clears."""
     x = _as_tensor(x)
     inputs, masks = [], []
     out = x.value
@@ -208,13 +211,13 @@ def dense_stack(x, weights, biases, relu_flags):
         for i in reversed(range(len(inputs))):
             w, b = weights[i], biases[i]
             if masks[i] is not None:
-                g = g * masks[i] + 0.0
+                g = g * masks[i]
             if w.requires_grad:
                 _accumulate(w, g.T @ inputs[i])
             if b.requires_grad:
                 _accumulate(b, g.sum(axis=0))
             if i:
-                g = g @ w.value + 0.0
+                g = g @ w.value
             elif x.requires_grad:
                 _accumulate(x, g @ w.value)
 

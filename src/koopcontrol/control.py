@@ -9,6 +9,17 @@ at the square of the closed-loop spectral radius, which is plenty for the
 small systems here, and it keeps the solver i.e. the thing the controller
 actually trusts, easy to audit. Success requires both the fixed point and a
 strictly stable closed loop.
+
+With one input, (B^T P B + R) is 1x1 and the gain is taken as
+(B^T P A) * (1.0 / (B^T P B + R)), which skips np.linalg.solve's wrapper,
+a third of a sweep's cost at this size. That product is what getrf and
+getrs compute for a 1x1 system in OpenBLAS, the LAPACK numpy's wheels ship:
+its triangular solve multiplies by the reciprocal of the pivot instead of
+dividing by it. So the gain keeps the bits solve gives, and a zero pivot
+raises LinAlgError as solve does. tests/test_control.py pins both the identity
+across magnitudes and the whole iteration against a loop that calls solve,
+so a LAPACK that divides fails the suite instead of moving bits. Wider R
+goes through solve.
 """
 
 from __future__ import annotations
@@ -110,7 +121,15 @@ def _as_system(a, b, *mats):
 def _gain(p, a, b, r):
     """`lqr_gain` on arrays `_as_system` already converted."""
     btp = b.T @ p
-    return np.linalg.solve(btp @ b + r, btp @ a)
+    s = btp @ b + r
+    if s.shape != (1, 1):
+        return np.linalg.solve(s, btp @ a)
+    # one input: the reciprocal product LAPACK's getrf/getrs form for a
+    # 1x1 system, bit for bit, without solve's wrapper (module docstring)
+    pivot = s.item()
+    if pivot == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return (btp @ a) * (1.0 / pivot)
 
 
 def _riccati_map(p, a, b, q, r):

@@ -98,7 +98,7 @@ def _one_trajectory(params, integrator, controller, cfg, rng):
         actions = np.empty((n_steps, 1))
         ok = True
         for m in range(n_steps):
-            u = float(np.atleast_1d(controller.action(x))[0])
+            u = controller.action(x).item()
             if cfg.explore_std > 0.0:
                 u += rng.normal(0.0, cfg.explore_std)
             states[m] = x

@@ -17,12 +17,22 @@ math.sin/math.cos agree with np.sin/np.cos on float64; the plant tests
 check all of this against a numpy-scalar copy of the field. Where numpy would
 return inf, a float power or division raises instead, and step_plant maps
 that to IntegrationDivergedError as it does a non-finite stage.
+
+The parameter products of the field (m_p ell^2, -m_p^2 ell^2 nu, m_p ell and
+m_pm m_p nu ell) are formed once per CartPoleParams, which is frozen, and
+the term m_p ell omega^2 s - delta v that both rates share once per field
+evaluation. Each product is the left-most factors of its expression,
+multiplied left to right as the expression reads, so every later product
+and sum sees the same operands in the same order, and the bits stay those
+of the expression written out in full. cartpole_derivative evaluates the
+same field, so the numeric Jacobian and the baseline gain keep theirs too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +51,7 @@ class IntegrationDivergedError(RuntimeError):
     """Integration produced a non-finite or absurdly large state."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CartPoleParams:
     m_p: float = 1.0    # pole mass
     m_c: float = 5.0    # cart mass
@@ -54,6 +64,19 @@ class CartPoleParams:
         # combined mass term in the angular equation; the second summand is
         # the cart mass under this model's convention
         return self.m_p + self.m_c
+
+    # derived once per plant; the parameters are frozen, so it cannot go
+    # stale
+
+    @cached_property
+    def field_constants(self):
+        """(m_p, m_c, delta, m_p ell^2, -m_p^2 ell^2 nu, m_p ell,
+        m_pm m_p nu ell): the parameter products of the vector field, each
+        formed left to right as its expression in the field reads."""
+        m_p, ell, nu = self.m_p, self.length, self.nu
+        return (m_p, self.m_c, self.delta, m_p * ell**2,
+                -m_p**2 * ell**2 * nu, m_p * ell,
+                self.m_pm * m_p * nu * ell)
 
 
 @dataclass
@@ -73,6 +96,18 @@ class IntegratorConfig:
         return int(round(self.tau_o / self.h))
 
 
+def _action_value(action):
+    """The force as a Python float. An action of any size but ACTION_DIM
+    raises ValueError."""
+    if isinstance(action, float):
+        return float(action)   # a numpy float64 is a float, too
+    action = np.asarray(action, dtype=np.float64)
+    if action.size != ACTION_DIM:
+        raise ValueError(
+            f"action must have {ACTION_DIM} entry, got {action.size}")
+    return action.item()
+
+
 def _state_values(state, u):
     """The four state entries as Python floats, after the shape and
     finiteness checks every entry point applies."""
@@ -80,9 +115,8 @@ def _state_values(state, u):
     if state.shape != (STATE_DIM,):
         raise ValueError(f"state must have shape ({STATE_DIM},)")
     values = state.tolist()
-    if not math.isfinite(u):
+    if not (math.isfinite(u) and _finite(*values)):
         raise InvalidStateError("non-finite state or action")
-    _require_finite(*values)
     return values
 
 
@@ -91,31 +125,25 @@ def _finite(x, v, theta, omega):
             and math.isfinite(omega))
 
 
-def _require_finite(x, v, theta, omega):
-    if not _finite(x, v, theta, omega):
-        raise InvalidStateError("non-finite state or action")
-
-
-def _field(v, theta, omega, u, params):
-    """(dv/dt, domega/dt) at one finite state, on Python floats."""
-    m_p, m_c, ell = params.m_p, params.m_c, params.length
-    nu, delta, m_pm = params.nu, params.delta, params.m_pm
+def _field(v, theta, omega, u, constants):
+    """(dv/dt, domega/dt) at one finite state, on Python floats, with the
+    parameter products of CartPoleParams.field_constants."""
+    m_p, m_c, delta, mpl2, grav, mpl, ang = constants
     s, c = math.sin(theta), math.cos(theta)
-
-    den = m_p * ell**2 * (m_c + m_p * (1.0 - c**2))
-    dv = (-m_p**2 * ell**2 * nu * c * s
-          + m_p * ell**2 * (m_p * ell * omega**2 * s - delta * v)
-          + m_p * ell**2 * u) / den
-    domega = (m_pm * m_p * nu * ell * s
-              - m_p * ell * c * (m_p * ell * omega**2 * s - delta * v)
-              + m_p * ell * c * u) / den
+    # m_p ell omega^2 s - delta v, shared by both rates
+    shared = mpl * omega**2 * s - delta * v
+    mplc = mpl * c
+    den = mpl2 * (m_c + m_p * (1.0 - c**2))
+    dv = (grav * c * s + mpl2 * shared + mpl2 * u) / den
+    domega = (ang * s - mplc * shared + mplc * u) / den
     return dv, domega
 
 
 def cartpole_derivative(state, u, params):
     """Continuous-time vector field f(x, u)."""
+    u = _action_value(u)
     _, v, theta, omega = _state_values(state, u)
-    dv, domega = _field(v, theta, omega, u, params)
+    dv, domega = _field(v, theta, omega, u, params.field_constants)
     return np.array([v, dv, omega, domega])
 
 
@@ -132,43 +160,55 @@ def step_plant(state, action, params, integrator, noise_var=0.0, rng=None):
     """Advance the plant one control period: substeps of RK4 under a held
     action, then, when `noise_var` is positive, one additive Gaussian draw
     of that variance per state entry from `rng`, which is then required. A
-    negative or NaN `noise_var` raises ValueError.
+    negative or NaN `noise_var` raises ValueError, and so does an action
+    whose size is not ACTION_DIM.
 
     The substeps run rk4_step's arithmetic on four Python floats, in its
     order, and check every stage input as cartpole_derivative does."""
-    u = float(np.asarray(action).reshape(-1)[0]) if np.ndim(action) else float(action)
+    u = _action_value(action)
     x, v, theta, omega = _state_values(state, u)
+    constants = params.field_constants
+    isfinite = math.isfinite
     h = integrator.h
     half, sixth = 0.5 * h, h / 6.0
     try:
         for _ in range(integrator.substeps):
-            _require_finite(x, v, theta, omega)
-            dv1, dw1 = _field(v, theta, omega, u, params)
+            if not (isfinite(x) and isfinite(v) and isfinite(theta)
+                    and isfinite(omega)):
+                raise IntegrationDivergedError("non-finite RK4 stage")
+            dv1, dw1 = _field(v, theta, omega, u, constants)
             x2, v2 = x + half * v, v + half * dv1
             th2, w2 = theta + half * omega, omega + half * dw1
-            _require_finite(x2, v2, th2, w2)
-            dv2, dw2 = _field(v2, th2, w2, u, params)
+            if not (isfinite(x2) and isfinite(v2) and isfinite(th2)
+                    and isfinite(w2)):
+                raise IntegrationDivergedError("non-finite RK4 stage")
+            dv2, dw2 = _field(v2, th2, w2, u, constants)
             x3, v3 = x + half * v2, v + half * dv2
             th3, w3 = theta + half * w2, omega + half * dw2
-            _require_finite(x3, v3, th3, w3)
-            dv3, dw3 = _field(v3, th3, w3, u, params)
+            if not (isfinite(x3) and isfinite(v3) and isfinite(th3)
+                    and isfinite(w3)):
+                raise IntegrationDivergedError("non-finite RK4 stage")
+            dv3, dw3 = _field(v3, th3, w3, u, constants)
             x4, v4 = x + h * v3, v + h * dv3
             th4, w4 = theta + h * w3, omega + h * dw3
-            _require_finite(x4, v4, th4, w4)
-            dv4, dw4 = _field(v4, th4, w4, u, params)
+            if not (isfinite(x4) and isfinite(v4) and isfinite(th4)
+                    and isfinite(w4)):
+                raise IntegrationDivergedError("non-finite RK4 stage")
+            dv4, dw4 = _field(v4, th4, w4, u, constants)
             x, v, theta, omega = (
                 x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
                 v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
                 theta + sixth * (omega + 2.0 * w2 + 2.0 * w3 + w4),
                 omega + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4))
-    except (InvalidStateError, ArithmeticError) as exc:
-        # the input was finite, so a non-finite stage, or a float power or
-        # division that raises where numpy gives inf or nan, means the
-        # integration blew up mid-period
+    except ArithmeticError as exc:
+        # a float power or division that raises where numpy gives inf or
+        # nan: the input was finite, so the integration blew up mid-period
         raise IntegrationDivergedError(str(exc)) from exc
     nxt = np.array([x, v, theta, omega])
-    if not _finite(x, v, theta, omega) \
-            or max(abs(x), abs(v), abs(theta), abs(omega)) > DIVERGENCE_BOUND:
+    # a NaN fails every comparison, so this also rejects NaN and inf
+    bound = DIVERGENCE_BOUND
+    if not (abs(x) <= bound and abs(v) <= bound and abs(theta) <= bound
+            and abs(omega) <= bound):
         raise IntegrationDivergedError(
             f"state left the finite range after one control period: {nxt}")
     if noise_var != 0.0:

@@ -85,23 +85,57 @@ def test_dare_unstabilizable_system_raises():
         control.solve_dare(a, b, np.eye(2), np.eye(1))
 
 
+def _textbook_dare(a, b, q, r, tol=1e-10, max_iter=10000):
+    """The fixed-point DARE iteration written out as in a textbook, with
+    np.linalg.solve for the gain and the map A^T P A - A^T P B K + Q.
+    Returns ("converged", P, K, sweeps), ("diverged", sweep) at the first
+    non-finite iterate, or ("budget", max_iter, last update)."""
+    p = q.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, max_iter + 1):
+            k = np.linalg.solve(b.T @ p @ b + r, b.T @ p @ a)
+            p_next = a.T @ p @ a - a.T @ p @ b @ k + q
+            p_next = 0.5 * (p_next + p_next.T)
+            if not np.isfinite(p_next).all():
+                return "diverged", sweep
+            update = float(np.abs(p_next - p).max())
+            if update < tol:
+                return "converged", p, k, sweep
+            p = p_next
+    return "budget", max_iter, update
+
+
+def _jacobian_system():
+    ctl = control.build_jacobian_controller(
+        dynamics.CartPoleParams(), dynamics.IntegratorConfig(), np.eye(4),
+        np.eye(1))
+    return ctl.a_d, ctl.b_d
+
+
+def test_dare_matches_the_textbook_iteration_bit_for_bit():
+    rng = np.random.default_rng(15)
+    systems = [(*_random_stabilizable(rng, n=n), np.eye(n), np.eye(1) * r)
+               for n in (3, 4) for r in (0.1, 1.0, 10.0)]
+    systems.append((*_jacobian_system(), np.eye(4), np.eye(1)))
+    for a, b, q, r in systems:
+        outcome, p, k, sweeps = _textbook_dare(a, b, q, r)
+        assert outcome == "converged"
+        sol = control.solve_dare(a, b, q, r)
+        assert sol.iterations == sweeps
+        assert sol.p.tobytes() == p.tobytes()
+        assert sol.gain.tobytes() == k.tobytes()
+
+
 @pytest.mark.parametrize("a, b", [
     (np.diag([2.0, 0.5]), np.array([[0.0], [1.0]])),
     (np.array([[3.0]]), np.array([[0.0]])),
 ])
 def test_dare_divergence_raises_at_the_first_non_finite_sweep(a, b):
-    # the sweep that first makes a non-finite iterate, found by checking
-    # every iterate for finiteness, is where the solver raises
+    # the sweep at which the textbook iteration first makes a non-finite
+    # iterate is where the solver raises
     q, r = np.eye(a.shape[0]), np.eye(1)
-    p = q.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sweep in range(1, 10001):
-            p_next, _ = control._riccati_map(p, a, b, q, r)
-            p_next = 0.5 * (p_next + p_next.T)
-            if not np.isfinite(p_next).all():
-                break
-            p = p_next
-    assert sweep < 10000
+    outcome, sweep = _textbook_dare(a, b, q, r)
+    assert outcome == "diverged" and sweep < 10000
     with pytest.raises(control.DareSolverError, match="diverged") as err:
         control.solve_dare(a, b, q, r)
     assert err.value.iterations == sweep
@@ -109,10 +143,45 @@ def test_dare_divergence_raises_at_the_first_non_finite_sweep(a, b):
 
 
 def test_dare_iteration_budget_respected():
-    with pytest.raises(control.DareSolverError) as err:
-        control.solve_dare(np.diag([2.0, 0.5]), np.array([[0.0], [1.0]]),
-                           np.eye(2), np.eye(1), max_iter=50)
-    assert err.value.iterations <= 50
+    for a, b, q, r, budget in (
+            (np.diag([2.0, 0.5]), np.array([[0.0], [1.0]]), np.eye(2),
+             np.eye(1), 50),
+            (*_jacobian_system(), np.eye(4), np.eye(1), 500)):
+        outcome, sweeps, update = _textbook_dare(a, b, q, r,
+                                                 max_iter=budget)
+        assert outcome == "budget"
+        with pytest.raises(control.DareSolverError, match="no convergence") \
+                as err:
+            control.solve_dare(a, b, q, r, max_iter=budget)
+        assert err.value.iterations == sweeps == budget
+        assert err.value.residual == update
+
+
+def test_one_input_reciprocal_gain_is_what_solve_computes():
+    # the 1x1 identity the solver relies on, across +-20 decades of both
+    # the pivot and the right-hand side; a LAPACK that divides fails here
+    rng = np.random.default_rng(2209)
+    decades = np.repeat(np.arange(-20, 21), 200)
+    n = decades.size
+    s = (rng.choice([-1.0, 1.0], size=n) * rng.uniform(1.0, 10.0, size=n)
+         * 10.0 ** decades).reshape(n, 1, 1)
+    rhs = rng.normal(size=(n, 1, 4)) \
+        * 10.0 ** rng.integers(-20, 21, size=(n, 1, 4))
+    assert (rhs * (1.0 / s)).tobytes() == np.linalg.solve(s, rhs).tobytes()
+    # and lqr_gain, which takes that path for one input, gives solve's bits
+    for r in 10.0 ** np.arange(-20, 21):
+        a = rng.normal(size=(3, 3))
+        b = rng.normal(size=(3, 1))
+        p = np.eye(3) + 0.1 * np.ones((3, 3))
+        r = np.array([[r]])
+        assert control.lqr_gain(p, a, b, r).tobytes() \
+            == np.linalg.solve(b.T @ p @ b + r, b.T @ p @ a).tobytes()
+
+
+def test_one_input_zero_pivot_raises_as_solve_does():
+    with pytest.raises(np.linalg.LinAlgError):
+        control.lqr_gain(np.eye(2), np.eye(2), np.zeros((2, 1)),
+                         np.zeros((1, 1)))
 
 
 def test_optimal_action_sign_and_shape():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from koopcontrol import control, datasets, dynamics
+from test_dynamics import _array_field
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,47 @@ def test_exploration_dither_recorded_in_actions(plant, baseline):
              - float(np.atleast_1d(baseline.action(tn.states[m]))[0])
              for m in range(len(tn))]
     assert np.std(resid) > 0.01
+
+
+def _oracle_dataset(params, integrator, baseline, cfg, seed):
+    """generate_dataset's draws and steps written out on numpy arrays:
+    rk4_step over the array field, the baseline command through
+    np.atleast_1d, no retries (the oracle's trajectories stay bounded)."""
+    field = _array_field(params)
+    rng = np.random.default_rng(seed)
+    n = int(round(cfg.duration_s / integrator.tau_o))
+    out = []
+    for _ in range(sum(cfg.counts().values())):
+        x = rng.uniform(cfg.ic_low, cfg.ic_high, size=4)
+        states, actions = [], []
+        for m in range(n):
+            u = float(np.atleast_1d(baseline.action(x))[0])
+            if cfg.explore_std > 0.0:
+                u += rng.normal(0.0, cfg.explore_std)
+            states.append(x)
+            actions.append([u])
+            if m == n - 1:
+                break
+            for _ in range(integrator.substeps):
+                x = dynamics.rk4_step(field, x, u, integrator.h)
+            if cfg.noise_var > 0.0:
+                x = x + rng.normal(0.0, np.sqrt(cfg.noise_var), size=4)
+        out.append((np.array(states), np.array(actions)))
+    return out
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 1e-4])
+def test_generation_matches_an_array_oracle_bit_for_bit(plant, baseline,
+                                                        noise_var):
+    params, integrator = plant
+    cfg = small_cfg(n_train=1, duration_s=0.3, noise_var=noise_var)
+    ds = datasets.generate_dataset(params, integrator, baseline, cfg, 17)
+    trajs = ds.train + ds.val + ds.test
+    oracle = _oracle_dataset(params, integrator, baseline, cfg, 17)
+    assert len(trajs) == len(oracle) == 3
+    for traj, (states, actions) in zip(trajs, oracle):
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.actions.tobytes() == actions.tobytes()
 
 
 def test_closed_loop_data_stays_bounded(plant, baseline):

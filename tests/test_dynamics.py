@@ -198,6 +198,30 @@ def test_step_plant_divergence_guard():
             dynamics.step_plant(np.array(state), 0.0, params, integ)
 
 
+@pytest.mark.parametrize("action", [np.array([0.3, 5.0]), np.zeros(0),
+                                    [0.3, 5.0]])
+def test_action_of_the_wrong_size_raises(action):
+    params = dynamics.CartPoleParams()
+    with pytest.raises(ValueError, match="action must have 1 entry"):
+        dynamics.step_plant(np.zeros(4), action, params,
+                            dynamics.IntegratorConfig())
+    with pytest.raises(ValueError, match="action must have 1 entry"):
+        dynamics.cartpole_derivative(np.zeros(4), action, params)
+
+
+def test_every_one_entry_action_form_steps_alike():
+    params = dynamics.CartPoleParams()
+    integ = dynamics.IntegratorConfig()
+    x = np.array([0.1, -0.2, 0.3, 0.1])
+    expect = dynamics.step_plant(x, 2.0, params, integ).tobytes()
+    for action in (2, np.float64(2.0), np.array(2.0), np.array([2.0]),
+                   np.array([[2.0]]), [2.0], np.array([2.0], np.float32)):
+        assert dynamics.step_plant(x, action, params, integ).tobytes() \
+            == expect
+        assert dynamics.cartpole_derivative(x, action, params).tobytes() \
+            == dynamics.cartpole_derivative(x, 2.0, params).tobytes()
+
+
 def test_derivative_rejects_non_finite_state():
     with pytest.raises(dynamics.InvalidStateError):
         dynamics.cartpole_derivative(np.array([0.0, np.nan, 0.0, 0.0]), 0.0,
@@ -212,6 +236,13 @@ def test_integrator_config_requires_integer_substeps():
 
 def test_combined_mass_term():
     assert dynamics.CartPoleParams().m_pm == 6.0
+
+
+def test_params_are_frozen_under_their_cached_products():
+    params = dynamics.CartPoleParams()
+    assert params.field_constants[3] == params.m_p * params.length**2
+    with pytest.raises(AttributeError):
+        params.m_p = 2.0
 
 
 def test_numeric_jacobian_matches_symbolic_linearization():
