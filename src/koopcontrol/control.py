@@ -153,9 +153,13 @@ class JacobianController:
     a_d: np.ndarray = field(repr=False)
     b_d: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        # -K, negated once: the product (-K) x is what -K @ x computes
+        self._neg_gain = -self.gain
+
     def action(self, state):
         """u = -K x."""
-        return -self.gain @ np.asarray(state, dtype=np.float64)
+        return self._neg_gain @ np.asarray(state, dtype=np.float64)
 
 
 def build_jacobian_controller(params, integrator, q_x, r):

@@ -221,7 +221,8 @@ def step_plant(state, action, params, integrator, noise_var=0.0, rng=None):
 
 
 def numeric_jacobian(f, state, action, eps=1e-6):
-    """Central-difference linearization of f(x, u) at (state, action).
+    """Central-difference linearization of f(x, u) at (state, action); f
+    takes u as a (q,) array, as cartpole_derivative does.
 
     Returns (A, B) with A = df/dx and B = df/du, B shaped (n, 1) for the
     scalar-force plant."""
@@ -234,18 +235,13 @@ def numeric_jacobian(f, state, action, eps=1e-6):
     for j in range(n):
         dx = np.zeros(n)
         dx[j] = eps
-        a[:, j] = (np.asarray(f(state + dx, _as_u(action)))
-                   - np.asarray(f(state - dx, _as_u(action)))) / (2.0 * eps)
+        a[:, j] = (np.asarray(f(state + dx, action))
+                   - np.asarray(f(state - dx, action))) / (2.0 * eps)
 
     b = np.zeros((n, q))
     for j in range(q):
         du = np.zeros(q)
         du[j] = eps
-        b[:, j] = (np.asarray(f(state, _as_u(action + du)))
-                   - np.asarray(f(state, _as_u(action - du)))) / (2.0 * eps)
+        b[:, j] = (np.asarray(f(state, action + du))
+                   - np.asarray(f(state, action - du))) / (2.0 * eps)
     return a, b
-
-
-def _as_u(action):
-    action = np.atleast_1d(action)
-    return float(action[0]) if action.shape[0] == 1 else action

@@ -40,8 +40,8 @@ STREAM_NAMES = ("data", "sensing_init", "controlling_init", "uplink",
 
 class ConfigError(ValueError):
     """Malformed or unrecognized experiment configuration. The config
-    sections raise ValueError; the two entry points for outside values,
-    _build_section and apply_overrides, turn it into ConfigError."""
+    sections raise ValueError; config_from_dict, which apply_overrides goes
+    through too, turns it into ConfigError."""
 
 
 class PipelineError(RuntimeError):
@@ -168,14 +168,16 @@ def _expected(kind):
 
 
 def _check_field(cls, name, value):
-    """Raise ConfigError unless `value` fits the annotation of field `name`
-    of the section `cls`; an optional ("X | None") field also takes null."""
+    """`value` as field `name` of the section `cls` stores it, a whole
+    number in a float field as a float. Raises ConfigError unless it fits
+    the field's annotation; an optional ("X | None") field takes null."""
     annotation = {f.name: f.type for f in dataclasses.fields(cls)}[name]
     kind, _, optional = annotation.partition(" | ")
     what, check = _expected(kind)
     if not (check(value) or optional and value is None):
         raise ConfigError(f"bad {cls.__name__}: {name} must be {what}"
                           f"{' or null' if optional else ''}, not {value!r}")
+    return float(value) if kind == "float" and value is not None else value
 
 
 def _build_section(cls, payload):
@@ -184,8 +186,8 @@ def _build_section(cls, payload):
     unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    for name, value in payload.items():
-        _check_field(cls, name, value)
+    payload = {name: _check_field(cls, name, value)
+               for name, value in payload.items()}
     try:
         return cls(**payload)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -256,27 +258,20 @@ PRESETS = {"desk": desk_preset, "paper": paper_preset}
 
 
 def apply_overrides(cfg, seed=None, snr_db=None, latent_dim=None, name=None):
-    """CLI-style point overrides; returns a modified copy. Each value is
-    checked against its field's annotation and every section is rebuilt
-    through its constructor, so overridden values are validated
-    (ConfigError) as a loaded config would be."""
-    changes = {section: {} for section in _SECTIONS}
-    if snr_db is not None:
-        _check_field(LinkSettings, "snr_db", snr_db)
-        changes["link"] = {"snr_db": float(snr_db), "ideal": False}
-    if latent_dim is not None:
-        _check_field(ModelSettings, "latent_dim", latent_dim)
-        changes["model"] = {"latent_dim": latent_dim}
-    try:
-        top = {section: dataclasses.replace(getattr(cfg, section), **fields)
-               for section, fields in changes.items()}
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """CLI-style point overrides; returns a modified copy. The overrides
+    are applied to the config's dict and the copy is loaded from it, so an
+    overridden value, and every value of `cfg`, is checked and stored as a
+    config file's would be (ConfigError)."""
+    data = config_to_dict(cfg)
     if seed is not None:
-        top["seed"] = _seed(seed)
+        data["seed"] = seed
     if name is not None:
-        top["name"] = name
-    return dataclasses.replace(cfg, **top)
+        data["name"] = name
+    if snr_db is not None:
+        data["link"].update(snr_db=snr_db, ideal=False)
+    if latent_dim is not None:
+        data["model"]["latent_dim"] = latent_dim
+    return config_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -398,34 +393,51 @@ def evaluate_prediction(cfg, sensing, controlling, trajectories):
     Anchors are spaced `cfg.eval.anchor_stride` samples apart along each
     trajectory. From each anchor y_m the state path is predicted
     `cfg.eval.depth` steps with the recorded controls, and the action path
-    with the recorded latents; predictions are pooled across anchors and
-    trajectories before the NRMSE normalization. Evaluation sees clean
-    signals; the channel degrades training, not scoring."""
+    with the recorded latents; predictions are pooled, anchor by anchor and
+    step by step, across trajectories before the NRMSE normalization.
+    Evaluation sees clean signals; the channel degrades training, not
+    scoring. `anchors` counts the anchors scored."""
     depth, stride = cfg.eval.depth, cfg.eval.anchor_stride
     pred_s, obs_s, pred_a, obs_a = [], [], [], []
     for traj in trajectories:
-        n = len(traj)
-        for m in range(0, n - depth, stride):
-            # one encode of the window serves both paths
-            lats = sensing.encode(traj.states[m:m + depth])
-            controls = traj.actions[m + 1:m + depth + 1]
-            pred_s.append(koopman.predict_states(
-                sensing, lats[0], traj.actions[m], controls))
-            obs_s.append(traj.states[m + 1:m + depth + 1])
+        idx = datasets.window_index(len(traj), depth)[::stride]
+        if not len(idx):
+            continue
+        states, actions = traj.states[idx], traj.actions[idx]
+        # a trajectory's anchors as one stack with the bits of one anchor at
+        # a time: each window encoded as its own (depth, p) product, which
+        # serves both paths, and each step and decode its own row product
+        lats = sensing.encode(states[:, :depth])
+        lat, u = lats[:, 0], actions[:, 0]
+        s_steps, a_steps = [], []
+        for j in range(depth):
+            lat = koopman.latent_step(sensing, lat, actions[:, j])
+            y = np.concatenate([lat, actions[:, j + 1]], axis=1)
+            s_steps.append(sensing.decode(y[:, None, :])[:, 0, :])
             if controlling is not None:
-                pred_a.append(koopman.predict_actions(
-                    controlling, traj.actions[m], lats))
-                obs_a.append(traj.actions[m + 1:m + depth + 1])
+                u = koopman.action_step(controlling, lats[:, j], u)
+                a_steps.append(u)
+        pred_s.append(np.stack(s_steps, axis=1))
+        obs_s.append(states[:, 1:])
+        if controlling is not None:
+            pred_a.append(np.stack(a_steps, axis=1))
+            obs_a.append(actions[:, 1:])
     if not pred_s:
         raise datasets.InsufficientDataError(
             "no anchor fits the requested depth")
-    pred_s, obs_s = np.concatenate(pred_s), np.concatenate(obs_s)
-    out = {"state_nrmse": metrics.nrmse(pred_s, obs_s, len(pred_s)),
-           "action_nrmse": None, "depth": depth, "anchors": len(pred_s)}
+    out = {"state_nrmse": _pooled_nrmse(pred_s, obs_s), "action_nrmse": None,
+           "depth": depth, "anchors": sum(map(len, pred_s))}
     if controlling is not None:
-        pred_a, obs_a = np.concatenate(pred_a), np.concatenate(obs_a)
-        out["action_nrmse"] = metrics.nrmse(pred_a, obs_a, len(pred_a))
+        out["action_nrmse"] = _pooled_nrmse(pred_a, obs_a)
     return out
+
+
+def _pooled_nrmse(pred, obs):
+    """NRMSE over every row of a list of (anchors, depth, n) blocks, taken
+    block by block, anchor by anchor and step by step."""
+    pred, obs = np.concatenate(pred), np.concatenate(obs)
+    pred, obs = pred.reshape(-1, pred.shape[2]), obs.reshape(-1, obs.shape[2])
+    return metrics.nrmse(pred, obs, len(pred))
 
 
 def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,

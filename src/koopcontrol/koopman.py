@@ -174,7 +174,8 @@ class ControllingModel(_KoopmanAutoencoder):
 
 
 # ---------------------------------------------------------------------------
-# single-sample evolution and prediction (numpy, inference path)
+# linear evolution and action prediction (numpy, inference path, one sample
+# or a stack of rows)
 # ---------------------------------------------------------------------------
 
 def latent_step(model, latent, u):
@@ -185,31 +186,13 @@ def latent_step(model, latent, u):
     stack gives the bits of k single steps."""
     k, d = model.koopman.value, model.d
     latent = np.asarray(latent, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if latent.ndim == 1:
-        return k[:, :d] @ latent + k[:, d:] @ u.ravel()
-    u = u.reshape(latent.shape[:-1] + (-1, 1))
+    u = np.asarray(u, dtype=np.float64).reshape(latent.shape[:-1] + (-1, 1))
     return (k[:, :d] @ latent[..., None] + k[:, d:] @ u)[..., 0]
 
 
 # the controlling model's step, under its own name: wrapping `latent_step`
 # to count latent steps leaves the action steps out
 action_step = latent_step
-
-
-def predict_states(model, latent, u, controls):
-    """State prediction from g(x_m) = `latent` with u_m = `u` in force.
-
-    Each step advances the latent with the control in force, then decodes
-    [latent; next control], the next control taken from the recorded
-    sequence `controls`, one row per step, for times m+1..m+k. Returns
-    (k, p) predicted states for times m+1..m+k."""
-    states = []
-    for c in controls:
-        latent = latent_step(model, latent, u)
-        u = c
-        states.append(model.decode(np.concatenate([latent, u])))
-    return np.array(states)
 
 
 def predict_actions(model, u, latents):

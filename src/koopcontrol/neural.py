@@ -3,8 +3,8 @@
 Networks are plain lists of fully connected layers with relu or linear
 activations. Forward passes come in two flavors: `forward` builds one tape
 node for the whole stack (autodiff.dense_stack) for training, `predict` is
-a numpy-only fast path for inference (plant loops, packet fills) where no
-gradients are wanted.
+a numpy-only fast path for inference (plant loops, packet fills, scoring)
+where no gradients are wanted.
 """
 
 from __future__ import annotations
@@ -82,15 +82,15 @@ class Network:
                             for layer in self.layers])
 
     def predict(self, x):
-        """Inference path, no graph. Accepts (n, d_in) or (d_in,)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        out = x[None, :] if single else x
+        """Inference path, no graph, for a sample (d_in,), rows (n, d_in)
+        or a stack (k, n, d_in). A sample gets the bits of the row
+        (1, d_in), and each (n, d_in) matrix of a stack those of its own."""
+        out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             out = out @ layer.w.value.T + layer.b.value
             if layer.activation == "relu":
                 out = np.maximum(out, 0.0)
-        return out[0] if single else out
+        return out
 
 
 def make_mlp(dims, rng):

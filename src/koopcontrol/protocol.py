@@ -42,8 +42,8 @@ class LoopRecord:
     index: int
     uplink_delivered: bool | None      # None when no uplink was attempted
     downlink_delivered: bool
-    state_source: str                  # received | predicted | cold
-    state_depth: int
+    state_source: str                  # received | predicted | held | cold
+    state_depth: int                   # loops since the last uplink delivery
     action_source: str                 # received | predicted | held | cold
     action_depth: int
     tau_comm_up: float
@@ -513,8 +513,9 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
 
     Per loop: uplink the fresh latent (unless in pure-prediction mode),
     compute u = -K g, downlink it, let the actuator apply the received or
-    predicted command, then step the plant. Exactly one of received or
-    predicted is used on each side each loop, which the records reflect."""
+    predicted command, then step the plant. The records say which source
+    each side used each loop: received, predicted, held (the last latent or
+    applied command, kept with no prediction) or cold (nothing yet)."""
     model = system.sensing
     ctrl = system.controlling
     x = np.array(config.x0, dtype=np.float64)
@@ -548,16 +549,17 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             ctrl_depth = 0
             state_source = "received"
         elif ctrl_lat is not None:
+            state_source = "held"
             if config.latent_fallback == "predict":
                 ctrl_lat = koopman.latent_step(model, ctrl_lat, last_cmd)
+                state_source = "predicted"
             ctrl_depth += 1
-            state_source = "predicted"
         else:
             state_source = "cold"
 
         # --- controller command ----------------------------------------
         if ctrl_lat is not None:
-            u_cmd = np.atleast_1d(-system.gain @ ctrl_lat)
+            u_cmd = -system.gain @ ctrl_lat
         else:
             u_cmd = np.zeros(q)   # cold start: hold zero
         last_cmd = u_cmd
@@ -566,7 +568,7 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
         # --- downlink ---------------------------------------------------
         down_out = downlink.transmit(u_cmd, down_bits)
         if down_out.delivered:
-            u_app = np.atleast_1d(down_out.payload)
+            u_app = down_out.payload
             down_losses = 0
             action_source = "received"
             act_lat, act_u = g, u_app

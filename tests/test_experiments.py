@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from koopcontrol import (channel, control, datasets, experiments, koopman,
-                         neural, protocol)
+                         metrics, neural, protocol)
+from test_koopman import predict_states
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,35 @@ def test_apply_overrides_copies():
     assert experiments.apply_overrides(cfg, snr_db=-10).link.snr_db == -10.0
     assert isinstance(
         experiments.apply_overrides(cfg, snr_db=-10).link.snr_db, float)
+
+
+def test_config_file_and_override_store_the_same_types():
+    # a whole number in a float field is stored as a float, from a file as
+    # from an override; an int field keeps its int
+    d = experiments.config_to_dict(experiments.desk_preset())
+    d["link"]["snr_db"] = -10
+    d["data"]["duration_s"] = 25
+    d["control"]["x0"] = [0, 0, 0, 1]
+    cfg = experiments.config_from_dict(d)
+    assert type(cfg.link.snr_db) is float and cfg.link.snr_db == -10.0
+    assert type(cfg.data.duration_s) is float
+    assert all(type(v) is float for v in cfg.control.x0)
+    assert type(cfg.data.n_train) is int
+    over = experiments.apply_overrides(experiments.desk_preset(), snr_db=-10)
+    assert over.link == cfg.link and type(over.link.snr_db) is float
+
+
+def test_apply_overrides_rejects_a_base_config_no_file_could_hold():
+    # the base config is checked as a file is: a value set past the loader
+    # that a file could not hold raises, whatever is overridden
+    for section, field, value in (("data", "n_train", 3.0),
+                                  ("control", "r", True),
+                                  ("link", "snr_db", "3"),
+                                  ("model", "latent_dim", 0)):
+        cfg = experiments.desk_preset()
+        setattr(getattr(cfg, section), field, value)
+        with pytest.raises(experiments.ConfigError):
+            experiments.apply_overrides(cfg, seed=1)
 
 
 def test_parent_saved_control_section_loads():
@@ -401,14 +431,85 @@ def test_evaluate_prediction_encodes_each_anchor_once():
 
     sensing.encoder.predict = counted
     scores = experiments.evaluate_prediction(cfg, sensing, controlling, trajs)
-    assert len(calls) == scores["anchors"] == 12
+    # one stack per trajectory of one (depth, p) window per anchor
+    assert calls == [(6, 1, 4)] * 2
+    assert sum(shape[0] for shape in calls) == scores["anchors"] == 12
     # at depth 1 the shared (1, p) encode is the state path's own encode
     alone = experiments.evaluate_prediction(cfg, sensing, None, trajs)
     assert alone["state_nrmse"] == scores["state_nrmse"]
     calls.clear()
     cfg.eval = experiments.EvalSettings(depth=3, anchor_stride=4)
     scores = experiments.evaluate_prediction(cfg, sensing, controlling, trajs)
-    assert calls == [(3, 4)] * 12 and scores["anchors"] == 36
+    assert calls == [(6, 3, 4)] * 2
+    assert sum(shape[0] for shape in calls) == scores["anchors"] == 12
+
+
+def per_anchor_rows(cfg, sensing, controlling, trajectories):
+    """Oracle of the rows evaluate_prediction scores, one anchor at a
+    time: (predicted, observed) states and actions pooled anchor by anchor
+    and step by step, the actions None without a controlling model."""
+    depth, stride = cfg.eval.depth, cfg.eval.anchor_stride
+    pred_s, obs_s, pred_a, obs_a = [], [], [], []
+    for traj in trajectories:
+        for m in range(0, len(traj) - depth, stride):
+            lats = sensing.encode(traj.states[m:m + depth])
+            pred_s.append(predict_states(sensing, lats[0], traj.actions[m],
+                                         traj.actions[m + 1:m + depth + 1]))
+            obs_s.append(traj.states[m + 1:m + depth + 1])
+            if controlling is not None:
+                pred_a.append(koopman.predict_actions(
+                    controlling, traj.actions[m], lats))
+                obs_a.append(traj.actions[m + 1:m + depth + 1])
+    return [np.concatenate(rows) if rows else None
+            for rows in (pred_s, obs_s, pred_a, obs_a)]
+
+
+def test_stacked_evaluation_matches_per_anchor_oracle_bit_for_bit(
+        monkeypatch):
+    # the rows handed to NRMSE, and the scores, have the bits of one
+    # anchor at a time: depths 1-3, strides 1, 3 and 10, with and without
+    # the action model, trajectories too short for any anchor or for one
+    # more, at a toy width and the default encoder and decoder
+    scored = []
+    nrmse = metrics.nrmse
+
+    def spy(pred, obs, m_p):
+        scored.append((pred, obs))
+        return nrmse(pred, obs, m_p)
+
+    monkeypatch.setattr(metrics, "nrmse", spy)
+    rng = np.random.default_rng(23)
+    cases = 0
+    for hidden in ((8, 8), koopman.DEFAULT_ENCODER_HIDDEN):
+        for _ in range(3):
+            sensing = koopman.SensingModel.build(p=4, d=4, q=1, rng=rng,
+                                                 encoder_hidden=hidden)
+            controlling = koopman.ControllingModel.build(sensing, rng)
+            for depth in (1, 2, 3):
+                lengths = (depth, depth + 1, depth + 2,
+                           int(rng.integers(depth + 3, 60)))
+                trajs = [datasets.Trajectory(rng.normal(size=(n, 4)),
+                                             rng.normal(size=(n, 1)))
+                         for n in lengths]
+                for stride in (1, 3, 10):
+                    cfg = experiments.ExperimentConfig()
+                    cfg.eval = experiments.EvalSettings(depth=depth,
+                                                        anchor_stride=stride)
+                    for ctrl in (controlling, None):
+                        scored.clear()
+                        scores = experiments.evaluate_prediction(
+                            cfg, sensing, ctrl, trajs)
+                        want = per_anchor_rows(cfg, sensing, ctrl, trajs)
+                        got = [a for pair in scored for a in pair]
+                        assert len(got) == (4 if ctrl is not None else 2)
+                        for g, w in zip(got, want):
+                            assert g.shape == w.shape
+                            assert g.tobytes() == w.tobytes()
+                        assert scores["anchors"] * depth == len(want[0])
+                        assert scores["state_nrmse"] == nrmse(
+                            want[0], want[1], len(want[0]))
+                        cases += 1
+    assert cases == 2 * 3 * 3 * 3 * 2
 
 
 def test_state_prediction_ignores_the_controlling_model():

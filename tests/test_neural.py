@@ -42,11 +42,19 @@ def test_relu_layer_clips_negative():
 
 
 def test_predict_handles_single_sample_vector():
-    net = neural.make_mlp([3, 5, 2], np.random.default_rng(0))
-    flat = net.predict(np.array([1.0, 2.0, 3.0]))
-    batched = net.predict(np.array([[1.0, 2.0, 3.0]]))
-    assert flat.shape == (2,)
-    assert np.allclose(flat, batched[0])
+    # a sample runs the loop a row (1, d_in) runs, and one window of a
+    # (k, 1, d_in) stack, with the same bits; at the widths of a toy net
+    # and of the default encoder and decoder
+    rng = np.random.default_rng(0)
+    for dims in ([3, 5, 2], [4, 128, 64, 32, 4], [5, 5, 5, 32, 64, 128, 4]):
+        net = neural.make_mlp(dims, rng)
+        xs = rng.normal(size=(9, dims[0]))
+        stack = net.predict(xs[:, None, :])
+        for i, x in enumerate(xs):
+            flat = net.predict(x)
+            assert flat.shape == (dims[-1],)
+            assert flat.tobytes() == net.predict(x[None, :])[0].tobytes()
+            assert flat.tobytes() == stack[i, 0].tobytes()
 
 
 def test_forward_tape_matches_predict():

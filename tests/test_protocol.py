@@ -703,10 +703,14 @@ def test_phase2_latent_hold_fallback():
     res = protocol.run_phase2_loop(
         system, up, ideal(),
         protocol.Phase2Config(n_loops=4, latent_fallback="hold", x0=X0))
-    # commands repeat while the latent is held
+    # commands repeat while the latent is held, and the records say held:
+    # no prediction ran
     assert np.array_equal(res.commands[1], res.commands[0])
     assert np.array_equal(res.commands[2], res.commands[0])
     assert not np.array_equal(res.commands[3], res.commands[0])
+    assert [r.state_source for r in res.records] == \
+        ["received", "held", "held", "received"]
+    assert [r.state_depth for r in res.records] == [0, 1, 2, 0]
 
 
 def test_phase2_config_validation():
