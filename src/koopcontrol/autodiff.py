@@ -86,6 +86,15 @@ def _accumulate(node, g):
         node.grad += g
 
 
+def _store(node, g):
+    """`_accumulate` for a `g` the caller built fresh and holds nowhere
+    else: a first gradient is stored as it is, without the copy."""
+    if node.grad is None:
+        node.grad = g
+    else:
+        node.grad += g
+
+
 def _unbroadcast(g, shape):
     """Sum `g` down to `shape`, undoing numpy broadcasting."""
     while g.ndim > len(shape):
@@ -110,8 +119,13 @@ class no_grad:
         no_grad.active = self._outer
 
 
+def _recording(parents):
+    """Whether an op on `parents` records a graph."""
+    return not no_grad.active and any(p.requires_grad for p in parents)
+
+
 def _node(value, parents, grad_fn):
-    req = not no_grad.active and any(p.requires_grad for p in parents)
+    req = _recording(parents)
     return Tensor(value, requires_grad=req, parents=parents if req else (),
                   grad_fn=grad_fn if req else None)
 
@@ -191,21 +205,37 @@ def add_scalars(terms):
 
 def dense_stack(x, weights, biases, relu_flags):
     """A chain of dense layers as one node: layer i maps h to
-    h @ weights[i].T + biases[i], then relu where relu_flags[i]. Only each
-    layer's input and relu mask are kept for backward, which does the
-    arithmetic of one affine and one relu node per layer, in their order.
-    It skips those nodes' `+ 0.0` after each product: that only turned a
-    -0.0 into +0.0, and no kept bit depends on a zero's sign, which only a
-    sum of zeros passes on and `_accumulate`'s `g + 0.0` clears."""
+    h @ weights[i].T + biases[i], then relu where relu_flags[i]. Each layer
+    is built in place on its product, with `Network.predict`'s relu
+    `np.maximum(out, 0.0, out=out)`, so a NaN pre-activation stays NaN and
+    reaches the loss check. Under `no_grad` nothing is kept; when recording,
+    each layer's input and relu mask are, and backward does the arithmetic
+    of one affine and one relu node per layer, in their order.
+
+    Backward stores the weight, bias and input gradients it builds fresh
+    without `_accumulate`'s `+ 0.0` copy, and skips the old nodes' `+ 0.0`
+    after each product. Those only turned a -0.0 into +0.0, and no kept
+    bit depends on a zero's sign: a parameter's Adam moments start at +0.0,
+    and an input gradient passes through the copying ops upstream. A
+    pre-activation is never -0.0 (a bias starts at +0.0, and `p -= step`
+    cannot make -0.0), so `maximum` agrees with the old tape's
+    `where(h > 0, h, 0)` on every non-NaN one."""
     x = _as_tensor(x)
+    parents = (x, *weights, *biases)
+    record = _recording(parents)
     inputs, masks = [], []
     out = x.value
     for w, b, relu in zip(weights, biases, relu_flags):
-        inputs.append(out)
-        out = out @ w.value.T + b.value
-        masks.append(out > 0.0 if relu else None)
+        if record:
+            inputs.append(out)
+        out = out @ w.value.T
+        out += b.value
         if relu:
-            out = np.where(masks[-1], out, 0.0)
+            np.maximum(out, 0.0, out=out)
+        if record:
+            masks.append(out > 0.0 if relu else None)
+    if not record:
+        return Tensor(out)
 
     def grad_fn(g):
         for i in reversed(range(len(inputs))):
@@ -213,15 +243,15 @@ def dense_stack(x, weights, biases, relu_flags):
             if masks[i] is not None:
                 g = g * masks[i]
             if w.requires_grad:
-                _accumulate(w, g.T @ inputs[i])
+                _store(w, g.T @ inputs[i])
             if b.requires_grad:
-                _accumulate(b, g.sum(axis=0))
+                _store(b, g.sum(axis=0))
             if i:
                 g = g @ w.value
             elif x.requires_grad:
-                _accumulate(x, g @ w.value)
+                _store(x, g @ w.value)
 
-    return _node(out, (x, *weights, *biases), grad_fn)
+    return Tensor(out, requires_grad=True, parents=parents, grad_fn=grad_fn)
 
 
 def block_affine(a, b, k, split):

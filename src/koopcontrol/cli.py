@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, experiments, koopman, protocol
+from . import datasets, dynamics, experiments, koopman, protocol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,10 +78,24 @@ def _out_dir(args):
 
 
 def _dataset(cfg, args):
+    """`dataset.npz` in the output directory, or a fresh dataset when there
+    is none. A file generated for other data settings or another seed is a
+    config error, not a dataset to train on."""
     path = args.out_dir / "dataset.npz"
-    if path.exists():
-        return datasets.load_dataset(path)
-    return experiments.make_dataset(cfg)
+    if not path.exists():
+        return experiments.make_dataset(cfg)
+    ds = datasets.load_dataset(path)
+    want = datasets.dataset_meta(cfg.data,
+                                 experiments.seed_streams(cfg.seed)["data"],
+                                 dynamics.IntegratorConfig().tau_o)
+    # older files do not record noise_var; they pass on the other keys
+    have = {"noise_var": cfg.data.noise_var, **ds.meta}
+    stale = [key for key, value in want.items() if have.get(key) != value]
+    if stale:
+        raise experiments.ConfigError(
+            f"{path} was generated for another config ({', '.join(stale)} "
+            f"differ); run gen-data again or use another --out-dir")
+    return ds
 
 
 def _write_history(path, result, cfg):

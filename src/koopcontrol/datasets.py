@@ -117,20 +117,28 @@ def _one_trajectory(params, integrator, controller, cfg, rng):
         f"trajectory kept diverging after {cfg.max_retries} retries")
 
 
-def generate_dataset(params, integrator, controller, cfg, seed):
-    """Closed-loop dataset under `controller` plus exploration dither, with
-    the process noise of `cfg.noise_var`."""
-    rng = np.random.default_rng(seed)
-    ds = TrajectoryDataset(meta={
+def dataset_meta(cfg, seed, tau_o):
+    """The meta of a dataset generated from the settings `cfg` with `seed`
+    at sampling period `tau_o`, as JSON gives it back. Files written before
+    `noise_var` was recorded lack that key."""
+    return {
         "format": DATASET_FORMAT,
         "seed": int(seed),
         "duration_s": cfg.duration_s,
         "ic_low": cfg.ic_low,
         "ic_high": cfg.ic_high,
         "explore_std": cfg.explore_std,
+        "noise_var": cfg.noise_var,
         "counts": cfg.counts(),
-        "tau_o": integrator.tau_o,
-    })
+        "tau_o": tau_o,
+    }
+
+
+def generate_dataset(params, integrator, controller, cfg, seed):
+    """Closed-loop dataset under `controller` plus exploration dither, with
+    the process noise of `cfg.noise_var`."""
+    rng = np.random.default_rng(seed)
+    ds = TrajectoryDataset(meta=dataset_meta(cfg, seed, integrator.tau_o))
     for name in SPLITS:
         for _ in range(cfg.counts()[name]):
             ds.split(name).append(

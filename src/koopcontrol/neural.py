@@ -4,7 +4,10 @@ Networks are plain lists of fully connected layers with relu or linear
 activations. Forward passes come in two flavors: `forward` builds one tape
 node for the whole stack (autodiff.dense_stack) for training, `predict` is
 a numpy-only fast path for inference (plant loops, packet fills, scoring)
-where no gradients are wanted.
+where no gradients are wanted. Both build each layer in place on its
+product with the same relu, so they give the same bits. Adam keeps its
+moments in two flat buffers and updates every parameter with a gradient in
+one elementwise pass.
 """
 
 from __future__ import annotations
@@ -87,9 +90,10 @@ class Network:
         (1, d_in), and each (n, d_in) matrix of a stack those of its own."""
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            out = out @ layer.w.value.T + layer.b.value
+            out = out @ layer.w.value.T
+            out += layer.b.value
             if layer.activation == "relu":
-                out = np.maximum(out, 0.0)
+                np.maximum(out, 0.0, out=out)
         return out
 
 
@@ -109,9 +113,20 @@ def make_mlp(dims, rng):
     return Network(layers)
 
 
+def _slot_views(flat, params):
+    """Views of the flat array `flat`, one per parameter in order, each
+    shaped like its parameter."""
+    views, start = [], 0
+    for p in params:
+        views.append(flat[start:start + p.value.size].reshape(p.value.shape))
+        start += p.value.size
+    return views
+
+
 class Adam:
-    """Standard Adam with bias correction. One shared step counter; moments
-    are kept per parameter slot and shape-audited against incoming grads."""
+    """Standard Adam with bias correction and one shared step counter. The
+    moments live in two flat buffers, one entry per parameter scalar, and
+    `m[i]`, `v[i]` are the views of slot i, shaped like its parameter."""
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -120,8 +135,10 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self._m = np.zeros(sum(p.value.size for p in self.params))
+        self._v = np.zeros_like(self._m)
+        self.m = _slot_views(self._m, self.params)
+        self.v = _slot_views(self._v, self.params)
 
     def zero_grad(self):
         for p in self.params:
@@ -129,36 +146,47 @@ class Adam:
 
     def step(self):
         """Apply one update from each param's accumulated .grad; a param
-        with no gradient this round is left untouched. A wrong-shape
-        gradient rejects the whole step before any state changes."""
-        for p in self.params:
-            if p.grad is not None and np.shape(p.grad) != p.value.shape:
+        with no gradient this round is left untouched, moments included. A
+        wrong-shape gradient rejects the whole step before any state
+        changes. The params with a gradient are updated in one elementwise
+        pass over their concatenated gradients and moments; each op rounds
+        per element, so every scalar gets the bits of a per-slot update."""
+        has_grad = [p.grad is not None for p in self.params]
+        live = [p for p, h in zip(self.params, has_grad) if h]
+        for p in live:
+            if np.shape(p.grad) != p.value.shape:
                 raise ValueError(f"grad shape {np.shape(p.grad)} does not "
                                  f"match param {p.value.shape}")
         self.t += 1
+        if not live:
+            return
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            g = np.asarray(g, dtype=np.float64)
-            # m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2 and
-            # p <- p - lr m_hat / (sqrt(v_hat) + eps), op for op in place
-            m, v = self.m[i], self.v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            gg = g * g
-            gg *= 1.0 - self.beta2
-            v *= self.beta2
-            v += gg
-            denom = v / b2t
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step = m / b1t
-            step *= self.lr
-            step /= denom
-            p.value -= step
+        g = np.concatenate([np.ravel(p.grad) for p in live], dtype=np.float64)
+        # the moment entries of those params: the buffers themselves when
+        # every param has a gradient, else a gathered copy written back
+        whole = len(live) == len(self.params)
+        rows = slice(None) if whole else np.repeat(
+            has_grad, [p.value.size for p in self.params])
+        m, v = self._m[rows], self._v[rows]
+        # m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2 and
+        # p <- p - lr m_hat / (sqrt(v_hat) + eps), op for op in place
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        gg = g * g
+        gg *= 1.0 - self.beta2
+        v *= self.beta2
+        v += gg
+        denom = v / b2t
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step = m / b1t
+        step *= self.lr
+        step /= denom
+        if not whole:
+            self._m[rows], self._v[rows] = m, v
+        for p, delta in zip(live, _slot_views(step, live)):
+            p.value -= delta
 
 
 # ---------------------------------------------------------------------------

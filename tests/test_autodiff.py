@@ -343,15 +343,14 @@ def test_fd_helper_agrees_with_hand_derivative():
 
 
 def checked_accumulate(monkeypatch):
-    """Wrap `_accumulate` so that a gradient handed over for a node that
-    needs none fails the test."""
-    accumulate = ad._accumulate
+    """Wrap `_accumulate` and `_store` so that a gradient handed over for a
+    node that needs none fails the test."""
+    for name in ("_accumulate", "_store"):
+        def checked(node, g, add=getattr(ad, name)):
+            assert node.requires_grad, f"gradient built for {node!r}"
+            add(node, g)
 
-    def checked(node, g):
-        assert node.requires_grad, f"gradient built for {node!r}"
-        accumulate(node, g)
-
-    monkeypatch.setattr(ad, "_accumulate", checked)
+        monkeypatch.setattr(ad, name, checked)
 
 
 MULTI_PARENT_OPS = {

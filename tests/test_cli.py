@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from koopcontrol import cli, experiments, koopman
+from koopcontrol import cli, datasets, experiments, koopman
 
 
 def micro_config(tmp, **overrides):
@@ -198,6 +198,40 @@ def test_exit_config_on_invalid_latent_dim_override(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "latent_dim" in capsys.readouterr().err
     assert not (tmp_path / "sensing.json").exists()
+
+
+def test_exit_config_on_a_dataset_generated_for_another_config(tmp_path,
+                                                             capsys):
+    # a dataset.npz left by another seed or other data settings is refused,
+    # not trained on
+    cfg_path = micro_config(tmp_path)
+    base = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+    assert cli.main(["gen-data"] + base) == cli.EXIT_OK
+    assert cli.main(["train-sensing", "--seed", "7"] + base) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "dataset.npz" in err and "seed" in err
+    cfg = experiments.load_config(cfg_path)
+    noisy = tmp_path / "noisy.json"
+    experiments.save_config(dataclasses.replace(
+        cfg, data=dataclasses.replace(cfg.data, noise_var=1e-4)), noisy)
+    assert cli.main(["train-sensing", "--config", str(noisy),
+                     "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "noise_var" in capsys.readouterr().err
+    assert not (tmp_path / "sensing.json").exists()
+
+
+def test_dataset_without_noise_var_in_its_meta_is_reused(tmp_path):
+    # files written before the meta recorded noise_var still load
+    cfg = experiments.load_config(micro_config(tmp_path))
+    ds = experiments.make_dataset(cfg)
+    del ds.meta["noise_var"]
+    datasets.save_dataset(ds, tmp_path / "dataset.npz")
+    args = cli.build_parser().parse_args(
+        ["train-sensing", "--out-dir", str(tmp_path)])
+    loaded = cli._dataset(cfg, args)
+    assert loaded.meta == ds.meta
+    assert loaded.train[0].states.tobytes() == ds.train[0].states.tobytes()
 
 
 def _unstabilizable_checkpoint(tmp_path):

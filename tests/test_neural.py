@@ -58,14 +58,37 @@ def test_predict_handles_single_sample_vector():
 
 
 def test_forward_tape_matches_predict():
-    net = neural.make_mlp([4, 8, 3], np.random.default_rng(3))
-    x = np.random.default_rng(4).normal(size=(6, 4))
-    inp = ad.constant(x)
-    out = net.forward(inp)
-    assert np.allclose(out.value, net.predict(x), atol=1e-14)
-    # the whole stack is one tape node on the input and the parameters
-    assert out._parents == (inp, *[l.w for l in net.layers],
-                            *[l.b for l in net.layers])
+    # recorded or under no_grad, the tape forward has the bits of predict
+    # on (n, d_in) rows, at the widths of a toy net and of the default
+    # encoder; under no_grad it keeps nothing
+    rng = np.random.default_rng(3)
+    for dims in ([4, 8, 3], [4, 128, 64, 32, 4]):
+        net = neural.make_mlp(dims, rng)
+        for n in (1, 6, 64):
+            x = rng.normal(size=(n, dims[0]))
+            inp = ad.constant(x)
+            out = net.forward(inp)
+            assert out.value.tobytes() == net.predict(x).tobytes()
+            # the whole stack is one tape node on the input and the
+            # parameters
+            assert out._parents == (inp, *[l.w for l in net.layers],
+                                    *[l.b for l in net.layers])
+            with ad.no_grad():
+                free = net.forward(inp)
+            assert free.value.tobytes() == out.value.tobytes()
+            assert not free.requires_grad
+            assert free._parents == () and free._grad_fn is None
+
+
+def test_nan_weight_reaches_the_output_on_both_paths():
+    # a relu passes a NaN pre-activation on, on the tape as in predict, so
+    # a non-finite weight row reaches the loss check
+    net = neural.make_mlp([2, 3, 1], np.random.default_rng(0))
+    net.layers[0].w.value[1, 0] = np.nan
+    x = np.random.default_rng(1).normal(size=(4, 2))
+    out = net.forward(x).value
+    assert np.isnan(out).all()
+    assert out.tobytes() == net.predict(x).tobytes()
 
 
 def test_make_mlp_shapes_and_activations():
@@ -187,6 +210,69 @@ def test_adam_matches_reference_trajectory():
         ref -= 3e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert np.array_equal(p.value, ref)
     assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)
+
+
+def _per_slot_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
+                        eps=1e-8):
+    """One step of the per-slot loop Adam.step ran before its flat pass,
+    op for op, kept as the oracle; `m` and `v` are per-slot arrays."""
+    b1t = 1.0 - beta1 ** t
+    b2t = 1.0 - beta2 ** t
+    for i, p in enumerate(params):
+        g = p.grad
+        if g is None:
+            continue
+        g = np.asarray(g, dtype=np.float64)
+        mi, vi = m[i], v[i]
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        gg = g * g
+        gg *= 1.0 - beta2
+        vi *= beta2
+        vi += gg
+        denom = vi / b2t
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step = mi / b1t
+        step *= lr
+        step /= denom
+        p.value -= step
+
+
+def test_adam_flat_pass_matches_per_slot_oracle_bitwise():
+    # slots of different shapes and gradient scales, with steps in which
+    # one slot, or every slot, has no gradient: parameters and moments
+    # keep the per-slot loop's bits, and a slot without a gradient keeps
+    # its moments
+    rng = np.random.default_rng(21)
+    shapes = [(5,), (3, 4), (2, 3, 2), (1,), (4, 1)]
+    init = [rng.normal(size=s) for s in shapes]
+    params = [ad.Parameter(w.copy()) for w in init]
+    opt = neural.Adam(params, lr=3e-3)
+    ref = [ad.Parameter(w.copy()) for w in init]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    absent = [None, 2, None, 0, 4, "all", None, 1]
+    for t, skip in enumerate(absent, start=1):
+        for i, (p, r) in enumerate(zip(params, ref)):
+            g = None
+            if skip != "all" and skip != i:
+                g = rng.normal(size=shapes[i]) * 10.0 ** rng.integers(-6, 4)
+                g.flat[0] = 0.0
+            p.grad = None if g is None else g.copy()
+            r.grad = g
+        before = [(a.copy(), b.copy()) for a, b in zip(opt.m, opt.v)]
+        opt.step()
+        _per_slot_adam_step(ref, m, v, t, lr=3e-3)
+        assert opt.t == t
+        for i, (p, r) in enumerate(zip(params, ref)):
+            assert p.value.tobytes() == r.value.tobytes(), (t, i)
+            assert opt.m[i].shape == opt.v[i].shape == shapes[i]
+            assert opt.m[i].tobytes() == m[i].tobytes(), (t, i)
+            assert opt.v[i].tobytes() == v[i].tobytes(), (t, i)
+            if p.grad is None:
+                assert opt.m[i].tobytes() == before[i][0].tobytes()
+                assert opt.v[i].tobytes() == before[i][1].tobytes()
 
 
 def test_serialization_bitwise_roundtrip():

@@ -105,6 +105,15 @@ def test_split_ideal_link_matches_centralized_bitwise():
     assert t_split.epoch == 3
 
 
+def test_nan_encoder_weight_stops_sensing_training():
+    # one non-finite hidden weight makes the batch loss NaN, which raises
+    # instead of training on a relu that swallowed it
+    model = micro_model(seed=3)
+    model.encoder.layers[0].w.value[2, 1] = np.nan
+    with pytest.raises(FloatingPointError):
+        _trainer(model, None).run_epoch()
+
+
 def test_split_epoch_packet_accounting():
     model = micro_model(seed=4)
     trainer = _trainer(model, ideal())
