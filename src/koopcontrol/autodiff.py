@@ -2,11 +2,12 @@
 
 A dynamic tape: every op builds a Tensor node holding its value, its parent
 nodes and a closure that routes an upstream gradient to the parents. The op
-set is what the model compositions here need: add, scale, add_scalars,
-dense_stack (a chain of dense layers as one node), block_affine, concat_cols
-and the mse_rows/quad_rows reductions; inside `no_grad` none records a
-graph. Everything is double precision and the graph walk is deterministic,
-so repeated runs with the same seeds reproduce results bit for bit.
+set is what the model compositions here need, six ops: weighted_sum (a
+weighted sum of same-shape tensors as one node), dense_stack (a chain of
+dense layers as one node), block_affine, concat_cols and the
+mse_rows/quad_rows reductions; inside `no_grad` none records a graph.
+Everything is double precision and the graph walk is deterministic, so
+repeated runs with the same seeds reproduce results bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ __all__ = [
     "Parameter",
     "constant",
     "backward",
-    "add",
-    "scale",
-    "add_scalars",
+    "weighted_sum",
     "no_grad",
     "dense_stack",
     "block_affine",
@@ -95,16 +94,6 @@ def _store(node, g):
         node.grad += g
 
 
-def _unbroadcast(g, shape):
-    """Sum `g` down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 class no_grad:
     """Scope in which ops record no graph (no parents, no closure), so
     intermediates are freed once consumed. Scopes nest, and leaving one
@@ -172,35 +161,31 @@ def backward(root, seed=None):
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
-def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_val = a.value + b.value
+def weighted_sum(terms, weights, scale=1.0):
+    """scale * (terms[0] w0 + terms[1] w1 + ...) over same-shape tensors, as
+    one node: the forward forms terms[0] * w0, adds each later term * w left
+    to right and then multiplies by `scale`; backward hands each trained
+    term (g * scale) * w. Terms of unequal shape, or a weight count that
+    differs from the term count, raise ValueError."""
+    terms = [_as_tensor(t) for t in terms]
+    weights = [float(w) for w in weights]
+    scale = float(scale)
+    if not terms or len(weights) != len(terms):
+        raise ValueError(f"{len(weights)} weights for {len(terms)} terms")
+    shapes = {t.value.shape for t in terms}
+    if len(shapes) > 1:
+        raise ValueError(f"terms of unequal shapes {sorted(shapes)}")
+    out_val = terms[0].value * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        out_val = out_val + t.value * w
 
     def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.value.shape))
+        g = g * scale
+        for t, w in zip(terms, weights):
+            if t.requires_grad:
+                _accumulate(t, g * w)
 
-    return _node(out_val, (a, b), grad_fn)
-
-
-def scale(a, s):
-    a = _as_tensor(a)
-    s = float(s)
-
-    def grad_fn(g):
-        _accumulate(a, g * s)
-
-    return _node(a.value * s, (a,), grad_fn)
-
-
-def add_scalars(terms):
-    """Sum of scalar tensors. Used to combine weighted loss terms."""
-    out = terms[0]
-    for t in terms[1:]:
-        out = add(out, t)
-    return out
+    return _node(out_val * scale, tuple(terms), grad_fn)
 
 
 def dense_stack(x, weights, biases, relu_flags):
@@ -213,13 +198,12 @@ def dense_stack(x, weights, biases, relu_flags):
     of one affine and one relu node per layer, in their order.
 
     Backward stores the weight, bias and input gradients it builds fresh
-    without `_accumulate`'s `+ 0.0` copy, and skips the old nodes' `+ 0.0`
-    after each product. Those only turned a -0.0 into +0.0, and no kept
-    bit depends on a zero's sign: a parameter's Adam moments start at +0.0,
-    and an input gradient passes through the copying ops upstream. A
+    without `_accumulate`'s `+ 0.0` copy, so a stored zero may be -0.0. No
+    kept bit depends on a zero's sign: a parameter's Adam moments start at
+    +0.0, and an input gradient passes through the copying ops upstream. A
     pre-activation is never -0.0 (a bias starts at +0.0, and `p -= step`
-    cannot make -0.0), so `maximum` agrees with the old tape's
-    `where(h > 0, h, 0)` on every non-NaN one."""
+    cannot make -0.0), so the relu gives +0.0 for every non-positive,
+    non-NaN one."""
     x = _as_tensor(x)
     parents = (x, *weights, *biases)
     record = _recording(parents)

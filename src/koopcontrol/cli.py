@@ -31,7 +31,6 @@ def _add_common(parser):
     parser.add_argument("--preset", choices=sorted(experiments.PRESETS),
                         default="desk")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out-dir", type=Path, default=Path("."))
     parser.add_argument("--snr-db", type=str, default=None,
                         help="target mean SNR in dB (comma list for sweep)")
     parser.add_argument("--latent-dim", type=str, default=None,
@@ -79,17 +78,21 @@ def _out_dir(args):
 
 def _dataset(cfg, args):
     """`dataset.npz` in the output directory, or a fresh dataset when there
-    is none. A file generated for other data settings or another seed is a
-    config error, not a dataset to train on."""
+    is none. A file generated for other data settings, another seed or
+    another baseline controller is a config error, not a dataset to train
+    on."""
     path = args.out_dir / "dataset.npz"
     if not path.exists():
         return experiments.make_dataset(cfg)
     ds = datasets.load_dataset(path)
     want = datasets.dataset_meta(cfg.data,
                                  experiments.seed_streams(cfg.seed)["data"],
-                                 dynamics.IntegratorConfig().tau_o)
-    # older files do not record noise_var; they pass on the other keys
-    have = {"noise_var": cfg.data.noise_var, **ds.meta}
+                                 dynamics.IntegratorConfig().tau_o,
+                                 experiments.build_baseline(cfg).gain)
+    # older files do not record noise_var or baseline_gain; they pass on
+    # the other keys
+    have = {"noise_var": want["noise_var"],
+            "baseline_gain": want["baseline_gain"], **ds.meta}
     stale = [key for key, value in want.items() if have.get(key) != value]
     if stale:
         raise experiments.ConfigError(
@@ -254,7 +257,9 @@ def build_parser():
     ]
     for name, fn, help_text in specs:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        if name != "report":
+            _add_common(p)
+        p.add_argument("--out-dir", type=Path, default=Path("."))
         p.set_defaults(fn=fn)
         if name == "sweep":
             p.add_argument("--seeds", type=int, default=1,

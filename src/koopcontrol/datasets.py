@@ -117,10 +117,11 @@ def _one_trajectory(params, integrator, controller, cfg, rng):
         f"trajectory kept diverging after {cfg.max_retries} retries")
 
 
-def dataset_meta(cfg, seed, tau_o):
+def dataset_meta(cfg, seed, tau_o, gain):
     """The meta of a dataset generated from the settings `cfg` with `seed`
-    at sampling period `tau_o`, as JSON gives it back. Files written before
-    `noise_var` was recorded lack that key."""
+    at sampling period `tau_o` under a baseline controller of gain `gain`,
+    as JSON gives it back. Files written before `noise_var` or
+    `baseline_gain` was recorded lack that key."""
     return {
         "format": DATASET_FORMAT,
         "seed": int(seed),
@@ -131,19 +132,19 @@ def dataset_meta(cfg, seed, tau_o):
         "noise_var": cfg.noise_var,
         "counts": cfg.counts(),
         "tau_o": tau_o,
+        "baseline_gain": np.asarray(gain).tolist(),
     }
 
 
 def generate_dataset(params, integrator, controller, cfg, seed):
-    """Closed-loop dataset under `controller` plus exploration dither, with
-    the process noise of `cfg.noise_var`."""
+    """Closed-loop dataset under `controller` (a linear state feedback with
+    a `gain`) plus exploration dither, with the process noise of
+    `cfg.noise_var`."""
     rng = np.random.default_rng(seed)
-    ds = TrajectoryDataset(meta=dataset_meta(cfg, seed, integrator.tau_o))
-    for name in SPLITS:
-        for _ in range(cfg.counts()[name]):
-            ds.split(name).append(
-                _one_trajectory(params, integrator, controller, cfg, rng))
-    return ds
+    splits = {name: [_one_trajectory(params, integrator, controller, cfg, rng)
+                     for _ in range(cfg.counts()[name])] for name in SPLITS}
+    return TrajectoryDataset(**splits, meta=dataset_meta(
+        cfg, seed, integrator.tau_o, controller.gain))
 
 
 def window_index(n, depth):

@@ -31,8 +31,8 @@ import json
 
 import numpy as np
 
-from .autodiff import (Parameter, add_scalars, block_affine, concat_cols,
-                       constant, mse_rows, quad_rows, scale)
+from .autodiff import (Parameter, block_affine, concat_cols, constant,
+                       mse_rows, quad_rows, weighted_sum)
 from .neural import make_mlp, network_from_dict, network_to_dict
 
 CHECKPOINT_FORMAT = "koopcontrol-checkpoint-v1"
@@ -218,42 +218,39 @@ def encode_windows(model, states):
 
 
 def _rollout_tensors(model, latents, actions, mode):
-    """(final-time latent tensor, weight) of each scheduled rollout: start
+    """(final-time latent tensors, weights) of the scheduled rollouts: start
     at offset l, iterate to the window end feeding recorded controls."""
     depth = actions.shape[1] - 1
-    finals = []
+    finals, weights = [], []
     for l, w in rollout_offsets(mode, depth):
         lat = latents[l]
         for j in range(l, depth):
             lat = block_affine(lat, constant(actions[:, j, :]),
                                model.koopman, model.d)
-        finals.append((lat, w))
-    return finals
+        finals.append(lat)
+        weights.append(w)
+    return finals, weights
 
 
 def _action_rollout_tensors(model, latents, actions, mode):
     """Controlling analog of _rollout_tensors: evolve the action estimate,
     feeding the recorded latent at every intermediate step."""
     depth = actions.shape[1] - 1
-    finals = []
+    finals, weights = [], []
     for l, w in rollout_offsets(mode, depth):
         act = constant(actions[:, l, :])
         for j in range(l, depth):
             act = block_affine(latents[j], act, model.koopman, model.d)
-        finals.append((act, w))
-    return finals
-
-
-def _weighted_sum(parts):
-    terms = [scale(t, w) for t, w in parts]
-    return add_scalars(terms) if len(terms) > 1 else terms[0]
+        finals.append(act)
+        weights.append(w)
+    return finals, weights
 
 
 def _depth_mean(targets, pred):
     """Mean over the target offsets m' = 1..M_d of mse_rows(target, pred),
-    one target tensor per offset."""
+    one target tensor per offset: their sum, then scaled by 1/M_d."""
     terms = [mse_rows(t, pred) for t in targets]
-    return scale(add_scalars(terms), 1.0 / len(terms))
+    return weighted_sum(terms, [1.0] * len(terms), scale=1.0 / len(terms))
 
 
 def _targets(windows):
@@ -271,17 +268,17 @@ def loss_reconstruction(model, states, actions, latents):
 def loss_latent_evolution(model, actions, mode, latents):
     """L2: latent targets vs the schedule-weighted rollout endpoint, averaged
     over the target offsets m' = 1..M_d."""
-    pred = _weighted_sum(_rollout_tensors(model, latents, actions, mode))
+    pred = weighted_sum(*_rollout_tensors(model, latents, actions, mode))
     return _depth_mean(latents[1:], pred)
 
 
 def loss_state_prediction(model, states, actions, mode, latents):
     """L3: state targets vs the weighted sum of decoded rollout endpoints,
     each decoded with the control recorded at the window end."""
-    finals = _rollout_tensors(model, latents, actions, mode)
+    finals, weights = _rollout_tensors(model, latents, actions, mode)
     u_end = constant(actions[:, -1, :])
-    pred = _weighted_sum([(model.decoder.forward(concat_cols([f, u_end])), w)
-                          for f, w in finals])
+    pred = weighted_sum([model.decoder.forward(concat_cols([f, u_end]))
+                         for f in finals], weights)
     return _depth_mean(_targets(states), pred)
 
 
@@ -297,25 +294,25 @@ def loss_cost_consistency(model, states, q_x, latents):
 
 def loss_action_evolution(model, actions, mode, latents):
     """L2': action targets vs the weighted action-rollout endpoint."""
-    pred = _weighted_sum(
-        _action_rollout_tensors(model, latents, actions, mode))
+    pred = weighted_sum(
+        *_action_rollout_tensors(model, latents, actions, mode))
     return _depth_mean(_targets(actions), pred)
 
 
 def loss_action_state_prediction(model, states, actions, mode, latents):
     """L3': state targets vs the actuator decode of [end latent; predicted
     action]."""
-    finals = _action_rollout_tensors(model, latents, actions, mode)
+    finals, weights = _action_rollout_tensors(model, latents, actions, mode)
     lat_end = latents[-1]
-    pred = _weighted_sum([(model.decoder.forward(concat_cols([lat_end, a])), w)
-                          for a, w in finals])
+    pred = weighted_sum([model.decoder.forward(concat_cols([lat_end, a]))
+                         for a in finals], weights)
     return _depth_mean(_targets(states), pred)
 
 
 def _total(terms, weights, return_terms):
     """sum_i weights[i] terms[i], and the terms by name l1, l2, ... when
     asked for."""
-    total = _weighted_sum(zip(terms, weights))
+    total = weighted_sum(terms, weights)
     if return_terms:
         return total, {f"l{i}": t for i, t in enumerate(terms, 1)}
     return total

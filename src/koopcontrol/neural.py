@@ -6,8 +6,8 @@ node for the whole stack (autodiff.dense_stack) for training, `predict` is
 a numpy-only fast path for inference (plant loops, packet fills, scoring)
 where no gradients are wanted. Both build each layer in place on its
 product with the same relu, so they give the same bits. Adam keeps its
-moments in two flat buffers and updates every parameter with a gradient in
-one elementwise pass.
+moments in two flat buffers and steps every parameter in one elementwise
+pass; a parameter without a gradient makes the step raise.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def _slot_views(flat, params):
 class Adam:
     """Standard Adam with bias correction and one shared step counter. The
     moments live in two flat buffers, one entry per parameter scalar, and
-    `m[i]`, `v[i]` are the views of slot i, shaped like its parameter."""
+    `m[i]`, `v[i]` are the views of slot i, shaped like its parameter.
+    Every step updates every slot, so each needs a gradient."""
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -145,30 +146,23 @@ class Adam:
             p.grad = None
 
     def step(self):
-        """Apply one update from each param's accumulated .grad; a param
-        with no gradient this round is left untouched, moments included. A
-        wrong-shape gradient rejects the whole step before any state
-        changes. The params with a gradient are updated in one elementwise
-        pass over their concatenated gradients and moments; each op rounds
+        """Apply one update to every param from its accumulated .grad. A
+        missing or wrong-shape gradient rejects the whole step before any
+        state changes. The update is one elementwise pass over the
+        concatenated gradients and the two moment buffers; each op rounds
         per element, so every scalar gets the bits of a per-slot update."""
-        has_grad = [p.grad is not None for p in self.params]
-        live = [p for p, h in zip(self.params, has_grad) if h]
-        for p in live:
+        for p in self.params:
+            if p.grad is None:
+                raise ValueError(f"{p!r} has no gradient")
             if np.shape(p.grad) != p.value.shape:
                 raise ValueError(f"grad shape {np.shape(p.grad)} does not "
                                  f"match param {p.value.shape}")
         self.t += 1
-        if not live:
-            return
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        g = np.concatenate([np.ravel(p.grad) for p in live], dtype=np.float64)
-        # the moment entries of those params: the buffers themselves when
-        # every param has a gradient, else a gathered copy written back
-        whole = len(live) == len(self.params)
-        rows = slice(None) if whole else np.repeat(
-            has_grad, [p.value.size for p in self.params])
-        m, v = self._m[rows], self._v[rows]
+        g = np.concatenate([np.ravel(p.grad) for p in self.params],
+                           dtype=np.float64)
+        m, v = self._m, self._v
         # m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2 and
         # p <- p - lr m_hat / (sqrt(v_hat) + eps), op for op in place
         m *= self.beta1
@@ -183,9 +177,7 @@ class Adam:
         step = m / b1t
         step *= self.lr
         step /= denom
-        if not whole:
-            self._m[rows], self._v[rows] = m, v
-        for p, delta in zip(live, _slot_views(step, live)):
+        for p, delta in zip(self.params, _slot_views(step, self.params)):
             p.value -= delta
 
 

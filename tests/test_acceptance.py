@@ -1,11 +1,13 @@
 """Acceptance gate: one test per numbered criterion, at stated tolerances.
 
 Criteria 1-4 and 8 are exact-oracle checks (gradients, DARE, dynamics,
-channel statistics, protocol equivalence) and run in seconds. Criteria 5-7
-re-run the paper-style closed-loop experiments at reduced scale and train
-real models inside the test, so this module is the slow part of the suite;
-`pytest tests/test_acceptance.py -v` prints one pass/fail line per
-criterion.
+channel statistics, protocol equivalence). Criterion 7 runs the predictive
+closed loop under scripted downlink losses on the exact linear model of
+the plant, so it trains nothing. All run in seconds. Criteria 5 (prediction
+NRMSE against SNR) and 6 (latent-LQR regulation) need trained models that
+regulate and have no test yet, and criterion 7 is still to be repeated on
+a trained model. `pytest tests/test_acceptance.py -v` prints one pass/fail
+line per criterion.
 """
 import dataclasses
 import math
@@ -149,6 +151,50 @@ def test_criterion_4_channel_oracle():
     assert channel.shannon_rate(3.0, 2e6) == 4e6
     elapsed = time.monotonic() - t0
     assert elapsed < 20.0, f"channel oracle took {elapsed:.1f} s"
+
+
+# ---------------------------------------------------------------------------
+# criterion 7: predicting through downlink outages beats holding
+# ---------------------------------------------------------------------------
+
+def test_criterion_7_prediction_beats_hold_under_downlink_bursts():
+    """The actuator rides out downlink outages better by predicting its
+    commands than by holding the last one.
+
+    The model is the exact linear plant: `passthrough_sensing(A_d, B_d)`
+    and `passthrough_controlling(sens, -K A_d, -K B_d)`, with (K, A_d, B_d)
+    the desk baseline's LQR gain and Euler discretization, so the action
+    model is the one the loop obeys. 1000 loops from x0 = 0.05 * 1 at
+    noise_var = 0; the uplink is ideal and the downlink loses loops 30-49
+    of every 50 (a burst that starts at loop 0 would leave the actuator
+    cold, with nothing to predict from). The runs are deterministic; the
+    MSCEs measured are 0.0102154 with no loss, 0.0102182 for `predict`
+    with `advance`, 0.0115245 for `predict` with `hold` and 0.0116354 for
+    the `hold` fallback. So advance/hold reads 0.878 against the bound
+    0.95, and advance/no-loss 1.0003 against the bound 1.01."""
+    base = experiments.build_baseline(experiments.desk_preset())
+    k, a_d, b_d = base.gain, base.a_d, base.b_d
+    sens = passthrough_sensing(a_d, b_d)
+    system = protocol.ControlSystem(
+        params=dynamics.CartPoleParams(),
+        integrator=dynamics.IntegratorConfig(), noise_var=0.0,
+        sensing=sens, gain=k,
+        controlling=passthrough_controlling(sens, -k @ a_d, -k @ b_d))
+    bursts = [m for m in range(1000) if m % 50 >= 30]
+
+    def msce(lost, fallback="predict", mode="advance"):
+        res = protocol.run_phase2_loop(
+            system, channel.IdealLink(),
+            channel.ScriptedLossLink(channel.IdealLink(), lost),
+            protocol.Phase2Config(n_loops=1000, action_fallback=fallback,
+                                  action_predict_mode=mode,
+                                  x0=(0.05,) * 4))
+        return metrics.msce(res.states[1:], np.zeros(dynamics.STATE_DIM))
+
+    advance, hold = msce(bursts), msce(bursts, fallback="hold")
+    no_loss = msce([])
+    assert advance / hold <= 0.95, (advance, hold)
+    assert advance / no_loss <= 1.01, (advance, no_loss)
 
 
 # ---------------------------------------------------------------------------

@@ -16,26 +16,40 @@ def _param(*shape):
     return ad.Parameter(RNG.normal(size=shape))
 
 
-def test_add_broadcast_gradients():
-    a = _param(3, 4)
-    b = _param(4)          # broadcasts across rows
-
-    def loss():
-        return ad.mse_rows(ad.add(a, b), ad.constant(np.zeros((3, 4))))
-
-    check_params(loss, [a, b])
-
-
-def test_scale_and_add_scalars():
+def test_weighted_sum_gradients():
     a = _param(2, 2)
     b = _param(2, 2)
 
     def loss():
         t1 = ad.mse_rows(a, ad.constant(np.zeros((2, 2))))
         t2 = ad.mse_rows(b, ad.constant(np.ones((2, 2))))
-        return ad.add_scalars([ad.scale(t1, 0.5), ad.scale(t2, 2.0)])
+        return ad.weighted_sum([t1, t2], [0.5, 2.0])
 
     check_params(loss, [a, b])
+
+
+def test_weighted_sum_is_the_left_fold_then_the_scale_bitwise():
+    a, b, c = _param(3, 2), _param(3, 2), _param(3, 2)
+    out = ad.weighted_sum([a, b, c], [0.3, -1.7, 2.9], scale=0.7)
+    expected = (a.value * 0.3 + b.value * -1.7 + c.value * 2.9) * 0.7
+    assert out.value.tobytes() == expected.tobytes()
+    seed = RNG.normal(size=(3, 2))
+    ad.backward(out, seed=seed)
+    for p, w in ((a, 0.3), (b, -1.7), (c, 2.9)):
+        assert p.grad.tobytes() == ((seed * 0.7) * w).tobytes()
+
+
+def test_weighted_sum_rejects_unequal_shapes_and_weight_counts():
+    # no broadcasting: numpy would broadcast the forward and hand back a
+    # gradient of the wrong shape
+    for shapes in ([(3, 4), (4,)], [(3, 4), (1, 4)], [(), (1,)]):
+        with pytest.raises(ValueError, match="shape"):
+            ad.weighted_sum([_param(*s) for s in shapes], [1.0, 1.0])
+    for weights in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="weights"):
+            ad.weighted_sum([_param(2), _param(2)], weights)
+    with pytest.raises(ValueError, match="weights"):
+        ad.weighted_sum([], [])
 
 
 def _affine(x, w, b):
@@ -129,7 +143,7 @@ def _graph_bits(forward, uses, trained_input, last_relu, seed):
         net.layers[-1].activation = "relu"
     if trained_input:
         inputs = [ad.Parameter(rng.normal(size=(7, 5)))]
-        fed = [ad.scale(inputs[0], 1.0 + 0.5 * k) for k in range(uses)]
+        fed = [ad.weighted_sum(inputs, [1.0 + 0.5 * k]) for k in range(uses)]
     else:
         inputs = []
         fed = [ad.constant(rng.normal(size=(7, 5))) for _ in range(uses)]
@@ -138,9 +152,9 @@ def _graph_bits(forward, uses, trained_input, last_relu, seed):
         root = outs[0] if uses == 1 else ad.concat_cols(outs)
         ad.backward(root, seed=seed(root.shape))
     else:
-        terms = [ad.scale(ad.mse_rows(out, ad.constant(np.ones((7, 3)))),
-                          0.5 + k) for k, out in enumerate(outs)]
-        root = ad.add_scalars(terms)
+        terms = [ad.mse_rows(out, ad.constant(np.ones((7, 3))))
+                 for out in outs]
+        root = ad.weighted_sum(terms, [0.5 + k for k in range(uses)])
         ad.backward(root)
     leaves = net.parameters() + inputs
     return ([o.value.tobytes() for o in outs] + [root.value.tobytes()]
@@ -181,11 +195,12 @@ def _small_graph():
     hidden = net.forward(x)
     stepped = ad.block_affine(hidden, x, k, 2)
     cols = ad.concat_cols([stepped, hidden])
-    loss = ad.add_scalars([
-        ad.scale(ad.mse_rows(cols, ad.constant(np.ones((5, 4)))), 0.5),
+    loss = ad.weighted_sum([
+        ad.mse_rows(cols, ad.constant(np.ones((5, 4)))),
         ad.mse_rows(ad.quad_rows(hidden, ad.constant(np.eye(2))),
                     ad.constant(np.zeros(5))),
-        ad.mse_rows(ad.add(hidden, k.value[:, 0]), hidden)])
+        ad.mse_rows(ad.weighted_sum([hidden, k.value.T[:, :2]], [1.0, 1.0]),
+                    hidden)], [0.5, 1.0, 1.0])
     return [hidden, stepped, cols, loss]
 
 
@@ -202,7 +217,8 @@ def test_no_grad_builds_no_graph_with_the_same_values():
 
 def test_no_grad_scopes_nest_and_restore_on_exception():
     def graph_built():
-        return ad.scale(ad.Parameter(np.ones(2)), 2.0).requires_grad
+        return ad.weighted_sum([ad.Parameter(np.ones(2))],
+                               [2.0]).requires_grad
 
     with ad.no_grad():
         with ad.no_grad():
@@ -271,25 +287,25 @@ def test_quad_rows_value_and_gradients():
 
 def test_gradient_accumulates_across_reuse():
     a = ad.Parameter(np.array([[2.0]]))
-    out = ad.add(a, a)     # d(out)/da = 2
+    out = ad.weighted_sum([a, a], [1.0, 1.0])     # d(out)/da = 2
     ad.backward(ad.mse_rows(out, ad.constant(np.zeros((1, 1)))))
     # loss = (2a)^2, d/da = 8a = 16
     assert np.isclose(a.grad[0, 0], 16.0)
 
 
 def test_first_gradient_is_a_fresh_positive_zero_copy():
-    # add(x, x) routes the same upstream array to x twice: the first
-    # gradient stored on x must not alias it, or the second += would write
-    # into the upstream node's gradient
+    # a sum of x and x hands x two gradients: the first one stored on x
+    # must be an array of its own, or the second += would write into the
+    # array it was handed
     x = ad.Parameter(np.zeros((1, 3)))
-    out = ad.add(x, x)
+    out = ad.weighted_sum([x, x], [1.0, 1.0])
     ad.backward(out, seed=np.array([[0.5, 1.5, -2.0]]))
     assert out.grad.tolist() == [[0.5, 1.5, -2.0]]
     assert x.grad.tolist() == [[1.0, 3.0, -4.0]]
     assert x.grad is not out.grad
     # a -0.0 gradient is stored as +0.0, as adding it to zeros does
     y = ad.Parameter(np.ones(2))
-    ad.backward(ad.scale(y, -1.0), seed=np.array([0.0, 2.0]))
+    ad.backward(ad.weighted_sum([y], [-1.0]), seed=np.array([0.0, 2.0]))
     assert y.grad.tolist() == [0.0, -2.0]
     assert not np.signbit(y.grad[0])
 
@@ -309,13 +325,14 @@ def test_backward_explicit_seed_is_boundary_gradient():
 def test_backward_seed_shape_mismatch_raises():
     a = _param(3, 2)
     with pytest.raises(ValueError):
-        ad.backward(ad.scale(a, 2.0), seed=np.ones((2, 3)))
+        ad.backward(ad.weighted_sum([a], [2.0]), seed=np.ones((2, 3)))
 
 
 def test_constants_collect_no_gradient():
     a = _param(2, 2)
     c = ad.constant(np.ones((2, 2)))
-    ad.backward(ad.mse_rows(ad.add(a, c), ad.constant(np.zeros((2, 2)))))
+    ad.backward(ad.mse_rows(ad.weighted_sum([a, c], [1.0, 1.0]),
+                            ad.constant(np.zeros((2, 2)))))
     assert c.grad is None
     assert a.grad is not None
 
@@ -324,16 +341,9 @@ def test_long_chain_does_not_overflow_stack():
     x = ad.Parameter(np.array([[1.0]]))
     node = x
     for _ in range(5000):
-        node = ad.scale(node, 1.0001)
+        node = ad.weighted_sum([node], [1.0001])
     ad.backward(ad.mse_rows(node, ad.constant(np.zeros((1, 1)))))
     assert np.isfinite(x.grad[0, 0])
-
-
-def test_unbroadcast_sums_over_expanded_axes():
-    g = np.ones((4, 3))
-    assert ad._unbroadcast(g, (3,)).shape == (3,)
-    assert np.allclose(ad._unbroadcast(g, (3,)), 4.0)
-    assert ad._unbroadcast(g, (1, 3)).shape == (1, 3)
 
 
 def test_fd_helper_agrees_with_hand_derivative():
@@ -354,7 +364,6 @@ def checked_accumulate(monkeypatch):
 
 
 MULTI_PARENT_OPS = {
-    "add": (ad.add, [(6, 3), (3,)]),
     "affine": (_affine, [(6, 3), (4, 3), (4,)]),
     "block_affine": (lambda a, b, k: ad.block_affine(a, b, k, 3),
                      [(6, 3), (6, 2), (4, 5)]),
@@ -364,6 +373,8 @@ MULTI_PARENT_OPS = {
         [(6, 3), (5, 3), (5,), (4, 5), (4,)]),
     "mse_rows": (ad.mse_rows, [(6, 3), (6, 3)]),
     "quad_rows": (ad.quad_rows, [(6, 3), (3, 3)]),
+    "weighted_sum": (lambda a, b, c: ad.weighted_sum(
+        [a, b, c], [0.5, -2.0, 1.5], scale=0.25), [(6, 3), (6, 3), (6, 3)]),
 }
 
 

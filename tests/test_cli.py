@@ -121,6 +121,18 @@ def test_exit_config_on_missing_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_report_takes_only_its_csv_and_out_dir(tmp_path, capsys):
+    # report reads no config, so a config flag is an argparse error, not
+    # a silently ignored one
+    for flag in (["--seed", "3"], ["--preset", "desk"], ["--snr-db", "0"],
+                 ["--latent-dim", "4"], ["--config", "c.json"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", str(tmp_path / "sweep.csv"), *flag])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+
 def test_exit_config_on_unknown_key(tmp_path):
     cfg_path = micro_config(tmp_path)
     raw = json.loads(cfg_path.read_text())
@@ -232,6 +244,31 @@ def test_dataset_without_noise_var_in_its_meta_is_reused(tmp_path):
     loaded = cli._dataset(cfg, args)
     assert loaded.meta == ds.meta
     assert loaded.train[0].states.tobytes() == ds.train[0].states.tobytes()
+
+
+def test_exit_config_on_a_dataset_generated_under_another_baseline(
+        tmp_path, capsys):
+    # the data's actions depend on the baseline LQR weights, so a dataset
+    # made at r = 1 is not reused at r = 2; one whose meta predates the
+    # baseline_gain key still is
+    cfg = experiments.load_config(micro_config(tmp_path))
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data,
+                                                            n_train=1))
+    ds = experiments.make_dataset(cfg)
+    datasets.save_dataset(ds, tmp_path / "dataset.npz")
+    other = dataclasses.replace(cfg, control=dataclasses.replace(cfg.control,
+                                                                 r=2.0))
+    experiments.save_config(other, tmp_path / "r2.json")
+    assert cli.main(["train-sensing", "--config", str(tmp_path / "r2.json"),
+                     "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "baseline_gain" in capsys.readouterr().err
+    assert not (tmp_path / "sensing.json").exists()
+    args = cli.build_parser().parse_args(
+        ["train-sensing", "--out-dir", str(tmp_path)])
+    assert cli._dataset(cfg, args).meta == ds.meta
+    del ds.meta["baseline_gain"]
+    datasets.save_dataset(ds, tmp_path / "dataset.npz")
+    assert cli._dataset(other, args).meta == ds.meta
 
 
 def _unstabilizable_checkpoint(tmp_path):

@@ -429,6 +429,35 @@ def test_controlling_loss_gradients_match_finite_differences(depth, mode):
     check_params(loss, model.parameters())
 
 
+def _recorded_nodes(root):
+    """Number of op nodes (nodes with a backward closure) in root's graph."""
+    seen, stack, ops = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += node._grad_fn is not None
+            stack.extend(node._parents)
+    return ops
+
+
+@pytest.mark.parametrize("depth,mode,sensing,controlling",
+                         [(1, "special", 18, 13), (3, "general", 38, 31)])
+def test_loss_graphs_record_one_node_per_weighted_sum(depth, mode, sensing,
+                                                      controlling):
+    # each weighted sum of the losses (rollout weighting, depth mean, total)
+    # is one node: the sensing loss encodes its latents in-graph, the
+    # controlling loss takes them as constants, as its trainer feeds them
+    model, (states, actions) = gradcheck_sensing_case(depth, mode)
+    assert _recorded_nodes(koopman.total_sensing_loss(
+        model, states, actions, mode)) == sensing
+    cmodel, (states, actions) = gradcheck_controlling_case(depth, mode)
+    latents = [ad.constant(cmodel.encode(states[:, t, :]))
+               for t in range(states.shape[1])]
+    assert _recorded_nodes(koopman.total_controlling_loss(
+        cmodel, states, actions, mode, latents=latents)) == controlling
+
+
 def test_reconstruction_leaves_koopman_and_cost_grad_unset():
     model = micro_model(seed=45)
     states, actions = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)), n=3,
