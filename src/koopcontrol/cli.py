@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -78,13 +79,18 @@ def _out_dir(args):
 
 def _dataset(cfg, args):
     """`dataset.npz` in the output directory, or a fresh dataset when there
-    is none. A file generated for other data settings, another seed or
-    another baseline controller is a config error, not a dataset to train
-    on."""
+    is none. A file that is not a dataset, or one generated for other data
+    settings, another seed or another baseline controller, is a config
+    error, not a dataset to train on."""
     path = args.out_dir / "dataset.npz"
     if not path.exists():
         return experiments.make_dataset(cfg)
-    ds = datasets.load_dataset(path)
+    try:
+        ds = datasets.load_dataset(path)
+    except (ValueError, KeyError, TypeError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise experiments.ConfigError(
+            f"{path} is not a dataset: {exc}") from exc
     want = datasets.dataset_meta(cfg.data,
                                  experiments.seed_streams(cfg.seed)["data"],
                                  dynamics.IntegratorConfig().tau_o,
@@ -112,14 +118,38 @@ def _write_history(path, result, cfg):
                   fh, indent=2)
 
 
-def _load_models(out):
+def _checkpoint(path, cls, cfg, encoder=None):
+    """The `cls` model in the checkpoint `path`, built around `encoder` when
+    given. A file that does not load as one, or a model whose sizes are not
+    the plant's and `cfg.model`'s, is a config error naming the file."""
+    try:
+        model = koopman.load_checkpoint(path, encoder=encoder)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise experiments.ConfigError(
+            f"{path} is not a {cls.__name__} checkpoint: {exc}") from exc
+    if not isinstance(model, cls):
+        raise experiments.ConfigError(
+            f"{path} holds a {type(model).__name__}, not a {cls.__name__}")
+    have = (model.p, model.d, model.q,
+            tuple(layer.d_out for layer in model.encoder.layers[:-1]))
+    want = (dynamics.STATE_DIM, cfg.model.latent_dim, dynamics.ACTION_DIM,
+            cfg.model.encoder_hidden)
+    if have != want:
+        raise experiments.ConfigError(
+            f"{path} holds a model with (p, d, q, encoder widths) {have}, "
+            f"not the {want} of the plant and the config")
+    return model
+
+
+def _load_models(cfg, out):
     """The sensing checkpoint in `out`, and the controlling one sharing its
-    encoder, or None when there is none."""
-    sensing = koopman.load_checkpoint(out / "sensing.json")
+    encoder, or None when there is none, each checked by _checkpoint."""
+    sensing = _checkpoint(out / "sensing.json", koopman.SensingModel, cfg)
     path = out / "controlling.json"
     if not path.exists():
         return sensing, None
-    return sensing, koopman.load_checkpoint(path, encoder=sensing.encoder)
+    return sensing, _checkpoint(path, koopman.ControllingModel, cfg,
+                                encoder=sensing.encoder)
 
 
 def cmd_gen_data(args):
@@ -155,7 +185,7 @@ def cmd_train_controlling(args):
     if not sensing_path.exists():
         raise experiments.ConfigError(
             f"{sensing_path} not found; run train-sensing first")
-    sensing = koopman.load_checkpoint(sensing_path)
+    sensing = _checkpoint(sensing_path, koopman.SensingModel, cfg)
     model, result = experiments.train_controlling(cfg, sensing, ds)
     koopman.save_checkpoint(model, out / "controlling.json")
     _write_history(out / "controlling_history.json", result, cfg)
@@ -168,7 +198,7 @@ def cmd_eval_predict(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
     ds = _dataset(cfg, args)
-    sensing, controlling = _load_models(out)
+    sensing, controlling = _load_models(cfg, out)
     scores = experiments.evaluate_prediction(cfg, sensing, controlling,
                                              ds.test)
     with open(out / "prediction.json", "w") as fh:
@@ -183,15 +213,23 @@ def cmd_eval_predict(args):
 def cmd_run_control(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    sensing, controlling = _load_models(out)
+    sensing, controlling = _load_models(cfg, out)
     gain_path = out / "gain.txt"
     if gain_path.exists():
-        gain = np.atleast_2d(np.loadtxt(gain_path))
+        try:
+            gain = np.loadtxt(gain_path, ndmin=2)
+        except ValueError as exc:
+            raise experiments.ConfigError(
+                f"{gain_path} is not a gain matrix: {exc}") from exc
+        if gain.shape != (sensing.q, sensing.d):
+            raise experiments.ConfigError(
+                f"{gain_path} holds a {gain.shape} gain, not the "
+                f"{(sensing.q, sensing.d)} of the sensing model")
     else:
         gain = experiments.refresh_gain(sensing, cfg.control.r)
     result, summary = experiments.control_rollout(cfg, sensing, gain,
                                                   controlling)
-    protocol.write_records(result.records, out / "loops.ndjson")
+    protocol.write_records(result, out / "loops.ndjson")
     with open(out / "control_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     print(f"MSCE {summary['msce']:.6g}, M_lost {summary['m_lost']}, "

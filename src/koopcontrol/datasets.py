@@ -184,10 +184,12 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    with np.load(path) as data:
+    # the file is opened here, so it is closed also when numpy fails on it
+    with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("format") != DATASET_FORMAT:
-            raise ValueError(f"unknown dataset format {meta.get('format')!r}")
+        fmt = meta.get("format") if isinstance(meta, dict) else None
+        if fmt != DATASET_FORMAT:
+            raise ValueError(f"unknown dataset format {fmt!r}")
         ds = TrajectoryDataset(meta=meta)
         for name in SPLITS:
             key = f"{name}_states"

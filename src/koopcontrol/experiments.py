@@ -559,27 +559,25 @@ def run_sweep(base_cfg, snr_values, seeds, latent_dims=None, out_csv=None,
               with_control=False, on_cell=None):
     """Train+evaluate over the (snr, latent_dim, seed) grid.
 
-    Cells that fail on their data or their numerics go to a
-    `<out_csv>.errors.csv` sidecar and the sweep keeps going; any other
-    error, a programming error among them, propagates. Returns the
-    completed ResultRows."""
+    Every cell's config is built first, so a grid value the config refuses
+    raises ConfigError before any cell runs. Cells that fail on their data
+    or their numerics go to a `<out_csv>.errors.csv` sidecar and the sweep
+    keeps going; any other error, a programming error among them,
+    propagates. Returns the completed ResultRows."""
     latent_dims = latent_dims or [base_cfg.model.latent_dim]
+    cells = [(f"snr={snr} d={d} seed={seed}",
+              apply_overrides(base_cfg, seed=seed, snr_db=snr, latent_dim=d))
+             for snr in snr_values for d in latent_dims for seed in seeds]
     rows, errors = [], []
-    for snr in snr_values:
-        for d in latent_dims:
-            for seed in seeds:
-                cell = f"snr={snr} d={d} seed={seed}"
-                cfg = apply_overrides(base_cfg, seed=seed, snr_db=snr,
-                                      latent_dim=d)
-                try:
-                    summary = run_experiment(cfg, with_control=with_control)
-                except (ConfigError, *RUN_ERRORS) as exc:
-                    errors.append((cell, f"{type(exc).__name__}: {exc}"))
-                    continue
-                rows.append(ResultRow(**{k: summary.get(k)
-                                         for k in SWEEP_COLUMNS}))
-                if on_cell is not None:
-                    on_cell(rows[-1])
+    for cell, cfg in cells:
+        try:
+            summary = run_experiment(cfg, with_control=with_control)
+        except RUN_ERRORS as exc:
+            errors.append((cell, f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.append(ResultRow(**{k: summary.get(k) for k in SWEEP_COLUMNS}))
+        if on_cell is not None:
+            on_cell(rows[-1])
     if out_csv is not None:
         write_rows(rows, out_csv)
         if errors:

@@ -195,16 +195,12 @@ def latent_step(model, latent, u):
 action_step = latent_step
 
 
-def predict_actions(model, u, latents):
-    """Action prediction from u_m = `u`, one action step per row of
-    `latents` (g(x_m), g(x_{m+1}), ...; a single latent gives one step).
-    Returns (k, q) predicted actions for times m+1..m+k."""
-    latents = np.asarray(latents, dtype=np.float64).reshape(-1, model.d)
-    actions = []
-    for lat in latents:
-        u = action_step(model, lat, u)
-        actions.append(u)
-    return np.array(actions)
+def predict_actions(model, u, latent):
+    """The actuator's action step through a downlink outage: K21' `latent`
+    + K22' `u`, the (q,) command one loop past the command `u` in force,
+    from the (d,) latent the actuator holds. A burst of losses chains one
+    call per lost loop."""
+    return action_step(model, latent, u)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +369,9 @@ def checkpoint_from_dict(data, encoder=None):
     controlling model normally shares the sensing encoder). Keys the model
     does not use, such as the `depth` and `schedule_mode` of older files,
     are ignored."""
-    if data.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unknown checkpoint format {data.get('format')!r}")
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"unknown checkpoint format {fmt!r}")
     enc = encoder if encoder is not None else network_from_dict(data["encoder"])
     dec = network_from_dict(data["decoder"])
     k = Parameter(np.array(data["koopman"], dtype=np.float64))

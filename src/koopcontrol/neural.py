@@ -201,8 +201,9 @@ def network_to_dict(net):
 
 
 def network_from_dict(data):
-    if data.get("format") != SERIAL_FORMAT:
-        raise ValueError(f"unknown network format {data.get('format')!r}")
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != SERIAL_FORMAT:
+        raise ValueError(f"unknown network format {fmt!r}")
     layers = [
         DenseLayer(np.array(entry["weights"], dtype=np.float64),
                    np.array(entry["biases"], dtype=np.float64),

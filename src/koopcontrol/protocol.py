@@ -23,7 +23,7 @@ ideal link the two produce bit-identical parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .neural import Adam
 
 @dataclass
 class LoopRecord:
+    """What one phase-2 loop decided. The values it issued, applied and
+    started from live once, in the Phase2Result's arrays."""
     index: int
     uplink_delivered: bool | None      # None when no uplink was attempted
     downlink_delivered: bool
@@ -49,21 +51,17 @@ class LoopRecord:
     tau_comm_up: float
     tau_comm_down: float
     tau_comp: float
-    command: float
-    applied: float
-    state: np.ndarray = field(repr=False)
-
-    def to_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["state"] = np.asarray(self.state).tolist()
-        return out
 
 
-def write_records(records, path):
-    """Newline-delimited JSON, one loop per line."""
+def write_records(result, path):
+    """A Phase2Result as newline-delimited JSON, one loop per line: the
+    loop's record, then its command, applied command and starting state."""
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict()))
+        for m, rec in enumerate(result.records):
+            fh.write(json.dumps({**asdict(rec),
+                                 "command": float(result.commands[m, 0]),
+                                 "applied": float(result.applied[m, 0]),
+                                 "state": result.states[m].tolist()}))
             fh.write("\n")
 
 
@@ -501,10 +499,13 @@ class Phase2Config:
 
 @dataclass
 class Phase2Result:
+    """A phase-2 run. Loop m starts from states[m], issues commands[m],
+    applies applied[m] and decides as records[m] says; the arrays are also
+    the loop's memory of what it issued and applied before."""
     states: np.ndarray      # (n_loops+1, p), row 0 is x0
     commands: np.ndarray    # (n_loops, q) controller-issued
     applied: np.ndarray     # (n_loops, q) actuator-applied
-    records: list
+    records: list           # one LoopRecord per loop
 
 
 def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
@@ -532,9 +533,7 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
 
     ctrl_lat = None           # controller's latent estimate
     ctrl_depth = 0
-    last_cmd = np.zeros(q)
-    act_lat = None            # actuator's latent and command, set on each
-    act_u = None              # downlink delivery and carried through losses
+    act_lat = None            # actuator's latent, from its last delivery
     down_losses = 0
 
     for m in range(n):
@@ -550,8 +549,10 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             state_source = "received"
         elif ctrl_lat is not None:
             state_source = "held"
+            # a latent exists only after a delivery, so m >= 1
             if config.latent_fallback == "predict":
-                ctrl_lat = koopman.latent_step(model, ctrl_lat, last_cmd)
+                ctrl_lat = koopman.latent_step(model, ctrl_lat,
+                                               commands[m - 1])
                 state_source = "predicted"
             ctrl_depth += 1
         else:
@@ -562,7 +563,6 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             u_cmd = -system.gain @ ctrl_lat
         else:
             u_cmd = np.zeros(q)   # cold start: hold zero
-        last_cmd = u_cmd
         commands[m] = u_cmd
 
         # --- downlink ---------------------------------------------------
@@ -571,15 +571,16 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             u_app = down_out.payload
             down_losses = 0
             action_source = "received"
-            act_lat, act_u = g, u_app
+            act_lat = g
         else:
             down_losses += 1
+            # after a delivery every loss predicts, so applied[m - 1] is
+            # the last delivered or predicted command
             if config.action_fallback == "predict" and ctrl is not None \
                     and act_lat is not None:
-                u_app = koopman.predict_actions(ctrl, act_u, act_lat)[0]
+                u_app = koopman.predict_actions(ctrl, applied[m - 1], act_lat)
                 if config.action_predict_mode == "advance":
                     act_lat = koopman.latent_step(model, act_lat, u_app)
-                act_u = u_app
                 action_source = "predicted"
             elif m > 0:
                 u_app = applied[m - 1]
@@ -600,9 +601,6 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             tau_comm_up=up_out.tau_comm if up_out is not None else float("nan"),
             tau_comm_down=down_out.tau_comm,
             tau_comp=system.tau_comp,
-            command=float(u_cmd[0]),
-            applied=float(u_app[0]),
-            state=x.copy(),
         ))
 
         x = dynamics.step_plant(x, u_app, system.params, system.integrator,

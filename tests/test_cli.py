@@ -1,7 +1,9 @@
 """End-to-end CLI tests, in process through main(argv)."""
 
 import dataclasses
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -271,12 +273,98 @@ def test_exit_config_on_a_dataset_generated_under_another_baseline(
     assert cli._dataset(other, args).meta == ds.meta
 
 
+def _copy_artifacts(src, dst, *names):
+    for name in names:
+        shutil.copy(src / name, dst / name)
+
+
+def test_exit_config_on_a_checkpoint_that_does_not_load_or_fit(
+        pipeline, tmp_path, capsys):
+    # a sensing.json that is not JSON, not a checkpoint or not a sensing
+    # model, a checkpoint whose sizes are not the config's, and a
+    # controlling checkpoint that does not fit its sensing model
+    src, cfg_path = pipeline
+
+    def refused(name, *flags, config=cfg_path,
+                commands=("train-controlling", "eval-predict",
+                          "run-control")):
+        for cmd in commands:
+            code = cli.main([cmd, "--config", str(config),
+                             "--out-dir", str(tmp_path), *flags])
+            assert code == cli.EXIT_CONFIG, (cmd, flags)
+            assert name in capsys.readouterr().err
+
+    _copy_artifacts(src, tmp_path, "dataset.npz", "controlling.json")
+    broken = json.loads((src / "sensing.json").read_text())
+    broken["encoder"] = []
+    for text in ("{not json", json.dumps({"format": "other"}), "[]",
+                 json.dumps(broken), (src / "controlling.json").read_text()):
+        (tmp_path / "sensing.json").write_text(text)
+        refused("sensing.json")
+    _copy_artifacts(src, tmp_path, "sensing.json")
+    refused("sensing.json", "--latent-dim", "2")
+    cfg = experiments.load_config(cfg_path)
+    narrow = tmp_path / "narrow.json"
+    experiments.save_config(dataclasses.replace(
+        cfg, model=dataclasses.replace(cfg.model, encoder_hidden=(64, 32))),
+        narrow)
+    refused("sensing.json", config=narrow)
+    sens_d2 = koopman.SensingModel.build(p=4, d=2, q=1,
+                                         rng=np.random.default_rng(0))
+    koopman.save_checkpoint(koopman.ControllingModel.build(
+        sens_d2, np.random.default_rng(1)), tmp_path / "controlling.json")
+    refused("controlling.json", commands=("eval-predict", "run-control"))
+    assert not (tmp_path / "prediction.json").exists()
+    assert not (tmp_path / "loops.ndjson").exists()
+
+
+def test_exit_config_on_a_dataset_file_that_is_not_a_dataset(tmp_path,
+                                                              capsys):
+    # bytes that are not an archive, an empty file, a truncated archive,
+    # archives without a readable meta, and a single array saved under the
+    # dataset's name
+    cfg_path = micro_config(tmp_path)
+    path = tmp_path / "dataset.npz"
+    archive = io.BytesIO()
+    np.savez(archive, meta=np.zeros(3), train_states=np.zeros(100))
+    writers = (lambda fh: fh.write(b"not a dataset"),
+               lambda fh: fh.write(b""),
+               lambda fh: fh.write(archive.getvalue()[:-30]),
+               lambda fh: np.savez(fh, meta=np.zeros(3)),
+               lambda fh: np.savez(fh, meta=np.frombuffer(b"[]", np.uint8)),
+               lambda fh: np.savez(fh, train_states=np.zeros(3)),
+               lambda fh: np.save(fh, np.zeros(3)))
+    for write in writers:
+        with open(path, "wb") as fh:
+            write(fh)
+        code = cli.main(["train-sensing", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "dataset.npz" in capsys.readouterr().err
+    assert not (tmp_path / "sensing.json").exists()
+
+
+def test_exit_config_on_a_gain_file_that_is_not_the_model_gain(
+        pipeline, tmp_path, capsys):
+    src, cfg_path = pipeline
+    base = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+    _copy_artifacts(src, tmp_path, "sensing.json", "controlling.json")
+    for text in ("a b c d\n", "0.1 0.2 0.3\n", "0.1 0.2 0.3 0.4\n" * 2,
+                 "0.1 0.2\n0.3 0.4\n"):
+        (tmp_path / "gain.txt").write_text(text)
+        assert cli.main(["run-control"] + base) == cli.EXIT_CONFIG, text
+        assert "gain.txt" in capsys.readouterr().err
+    assert not (tmp_path / "loops.ndjson").exists()
+    # the gain train-sensing wrote is the (q, d) one
+    _copy_artifacts(src, tmp_path, "gain.txt")
+    assert cli.main(["run-control"] + base) == cli.EXIT_OK
+
+
 def _unstabilizable_checkpoint(tmp_path):
-    # handcraft a sensing checkpoint whose latent dynamics are an
-    # uncontrollable unstable pair: K11 = 2I, K12 = 0
+    # handcraft a sensing checkpoint of the micro config's sizes whose
+    # latent dynamics are an uncontrollable unstable pair: K11 = 2I, K12 = 0
     model = koopman.SensingModel.build(p=4, d=4, q=1,
-                                       rng=np.random.default_rng(0),
-                                       encoder_hidden=(8, 8))
+                                       rng=np.random.default_rng(0))
     model.koopman.value[:, :4] = 2.0 * np.eye(4)
     model.koopman.value[:, 4:] = 0.0
     model.cost.value[:] = np.eye(4)

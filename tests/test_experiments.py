@@ -457,8 +457,11 @@ def per_anchor_rows(cfg, sensing, controlling, trajectories):
                                          traj.actions[m + 1:m + depth + 1]))
             obs_s.append(traj.states[m + 1:m + depth + 1])
             if controlling is not None:
-                pred_a.append(koopman.predict_actions(
-                    controlling, traj.actions[m], lats))
+                u, steps = traj.actions[m], []
+                for lat in lats:
+                    u = koopman.predict_actions(controlling, u, lat)
+                    steps.append(u)
+                pred_a.append(np.array(steps))
                 obs_a.append(traj.actions[m + 1:m + depth + 1])
     return [np.concatenate(rows) if rows else None
             for rows in (pred_s, obs_s, pred_a, obs_a)]
@@ -583,6 +586,33 @@ def test_sweep_records_a_cell_whose_downlink_loses_every_action(
     errors = (tmp_path / "sweep.csv.errors.csv").read_text()
     assert "InsufficientDataError: every window lost at least one action " \
         "packet" in errors
+
+
+def test_sweep_checks_the_whole_grid_before_the_first_cell(tmp_path,
+                                                           monkeypatch):
+    # d = 0 is refused before the d = 4 cells train, and no table is
+    # written; a valid grid runs every cell in (snr, d, seed) order
+    ran = []
+
+    def stub(cfg, with_control=True):
+        ran.append((cfg.link.snr_db, cfg.model.latent_dim, cfg.seed))
+        return {"experiment": cfg.name, "seed": cfg.seed,
+                "snr_db": cfg.link.snr_db,
+                "latent_dim": cfg.model.latent_dim}
+
+    monkeypatch.setattr(experiments, "run_experiment", stub)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(experiments.ConfigError, match="latent_dim"):
+        experiments.run_sweep(micro_cfg(ideal=False), snr_values=[0.0, 10.0],
+                              seeds=[0, 1], latent_dims=[4, 0], out_csv=out)
+    assert ran == []
+    assert not out.exists()
+    rows = experiments.run_sweep(micro_cfg(ideal=False),
+                                 snr_values=[0.0, 10.0], seeds=[0, 1],
+                                 latent_dims=[4, 2])
+    assert ran == [(snr, d, seed) for snr in (0.0, 10.0) for d in (4, 2)
+                   for seed in (0, 1)]
+    assert len(rows) == 8
 
 
 def test_sweep_propagates_a_plain_value_error(tmp_path, monkeypatch):

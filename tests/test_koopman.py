@@ -215,15 +215,15 @@ def test_action_step_and_predict_actions_depth_one():
     u = np.array([0.4])
     stepped = koopman.action_step(model_c, lat, u)
     assert np.isclose(stepped[0], 2.0 - 1.0 + 0.2)
-    # a single latent row is one step
-    pred = koopman.predict_actions(model_c, u, lat)
+    # one call is one step
+    pred = [koopman.predict_actions(model_c, u, lat)]
     assert np.array_equal(pred, [stepped])
 
 
 def test_predict_actions_hold_vs_advance_vs_recorded():
-    # one action step per latent row: "hold" repeats the anchor latent,
-    # "recorded" feeds a given sequence, and "advance" chains one-row calls
-    # with a latent step on each predicted action, as the actuator does
+    # one action step per call: "hold" repeats the anchor latent,
+    # "recorded" feeds a given sequence, and "advance" takes a latent step
+    # on each predicted action, as the actuator does
     rng = np.random.default_rng(4)
     a = rng.normal(scale=0.5, size=(2, 2))
     b = rng.normal(size=(2, 1))
@@ -233,7 +233,11 @@ def test_predict_actions_hold_vs_advance_vs_recorded():
     lat0 = rng.normal(size=2)
     u0 = rng.normal(size=1)
 
-    hold = koopman.predict_actions(ctrl, u0, np.tile(lat0, (3, 1)))
+    hold, u = [], u0
+    for _ in range(3):
+        u = koopman.predict_actions(ctrl, u, lat0)
+        hold.append(u)
+    hold = np.array(hold)
     u = u0
     expect_hold = []
     for _ in range(3):
@@ -245,7 +249,7 @@ def test_predict_actions_hold_vs_advance_vs_recorded():
     lat, u = lat0, u0
     adv = []
     for _ in range(3):
-        u = koopman.predict_actions(ctrl, u, lat)[0]
+        u = koopman.predict_actions(ctrl, u, lat)
         adv.append(u)
         lat = koopman.latent_step(sens, lat, u)
     lat, u = lat0, u0
@@ -257,7 +261,10 @@ def test_predict_actions_hold_vs_advance_vs_recorded():
     assert np.allclose(adv, expect_adv, atol=1e-12)
 
     lats = rng.normal(size=(3, 2))
-    rec = koopman.predict_actions(ctrl, u0, lats)
+    rec, u = [], u0
+    for lat in lats:
+        u = koopman.predict_actions(ctrl, u, lat)
+        rec.append(u)
     u = u0
     expect_rec = []
     for k in range(3):

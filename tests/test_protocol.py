@@ -700,9 +700,27 @@ def test_phase2_pure_prediction_mode():
     # commands; commands therefore follow the model, not the plant
     lat = sens4.encode(res.states[0])
     for m in range(5):
-        assert np.allclose(res.commands[m],
-                           -system.gain @ lat, atol=1e-12)
+        assert np.array_equal(res.commands[m], -system.gain @ lat)
         lat = koopman.latent_step(sens4, lat, res.commands[m])
+    # uplink bursts of 1..5 losses with refresh on: every predicted command
+    # is, bit for bit, a replay from the latent of the last delivery
+    lost, m = [], 1
+    for burst in range(1, 6):
+        lost += range(m, m + burst)
+        m += burst + 1
+    res = protocol.run_phase2_loop(system, scripted(lost), ideal(),
+                                   protocol.Phase2Config(n_loops=m, x0=X0))
+    for rec in res.records:
+        if rec.uplink_delivered:
+            anchor = rec.index
+            continue
+        assert rec.state_source == "predicted"
+        assert rec.state_depth == rec.index - anchor
+        lat = sens4.encode(res.states[anchor])
+        for k in range(anchor, rec.index):
+            lat = koopman.latent_step(sens4, lat, res.commands[k])
+        assert np.array_equal(res.commands[rec.index], -system.gain @ lat)
+    assert max(r.state_depth for r in res.records) == 5
 
 
 def test_phase2_latent_hold_fallback():
@@ -765,7 +783,7 @@ def test_write_records_roundtrip(tmp_path):
     res = protocol.run_phase2_loop(system, ideal(), scripted([1]),
                                    protocol.Phase2Config(n_loops=3, x0=X0))
     path = tmp_path / "loops.ndjson"
-    protocol.write_records(res.records, path)
+    protocol.write_records(res, path)
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert len(lines) == 3
     assert lines[0]["index"] == 0
