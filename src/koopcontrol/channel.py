@@ -6,7 +6,8 @@ turning into an instantaneous SNR
     snr = 10^(-PL_dB(D0)/10) * (P_t / N_c) * (D0/D)^eta * |h|^2
 
 and a Shannon rate R = W log2(1 + snr). A packet of L bits is lost when its
-airtime L/R does not fit into the loop budget tau_o - tau_comp; a delivered
+airtime L/R does not fit into the loop budget tau_o - tau_comp, where
+tau_o is the plant's control period `dynamics.TAU_O`; a delivered
 payload picks up additive white Gaussian noise scaled to the realized SNR,
 unless the link is configured noiseless.
 
@@ -31,6 +32,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+
+from . import dynamics
 
 NOISE_MODELS = ("noiseless", "snr_scaled")
 
@@ -59,14 +62,13 @@ class ChannelConfig:
     d0: float = 1.0                   # reference distance [m]
     eta: float = 3.0                  # path loss exponent
     bandwidth: float = 1e6            # [Hz]
-    tau_o: float = 0.01               # control period [s]
     tau_comp: float = 0.001           # compute budget taken off the period [s]
     noise_model: str = "snr_scaled"
 
     def __post_init__(self):
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"unknown noise model {self.noise_model!r}")
-        for name in ("p_t", "n_c", "d", "d0", "eta", "bandwidth", "tau_o"):
+        for name in ("p_t", "n_c", "d", "d0", "eta", "bandwidth"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if not self.tau_comp >= 0.0:
@@ -84,8 +86,9 @@ class ChannelConfig:
 
     @cached_property
     def airtime_budget(self):
-        """Time left in a control period for the packet, tau_o - tau_comp."""
-        return self.tau_o - self.tau_comp
+        """Time left in a control period for the packet, tau_o - tau_comp,
+        with tau_o the plant's control period `dynamics.TAU_O`."""
+        return dynamics.TAU_O - self.tau_comp
 
 
 @dataclass

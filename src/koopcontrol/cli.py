@@ -3,9 +3,11 @@
 Thin wrappers over the experiments pipeline so every stage can run from a
 shell: dataset generation, the two training phases, prediction scoring, the
 predictive closed loop, sweeps, and report generation. Exit codes: 0 on
-success, 2 on configuration problems, 3 when a run fails on its data or its
-numerics (`experiments.RUN_ERRORS`: diverged integration, unsolvable Riccati
-iteration, non-finite loss, data too short or too lossy for a stage).
+success, 2 on configuration problems (among them a path that is missing,
+or a file where a directory must be, or the other way round), 3 when a run
+fails on its data or its numerics (`experiments.RUN_ERRORS`: diverged
+integration, unsolvable Riccati iteration, non-finite loss, data too short
+or too lossy for a stage).
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from . import datasets, dynamics, experiments, koopman, protocol
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# the command that writes each checkpoint
+_WRITERS = {koopman.SensingModel: "train-sensing",
+            koopman.ControllingModel: "train-controlling"}
 
 
 def _add_common(parser):
@@ -93,7 +99,6 @@ def _dataset(cfg, args):
             f"{path} is not a dataset: {exc}") from exc
     want = datasets.dataset_meta(cfg.data,
                                  experiments.seed_streams(cfg.seed)["data"],
-                                 dynamics.IntegratorConfig().tau_o,
                                  experiments.build_baseline(cfg).gain)
     # older files do not record noise_var or baseline_gain; they pass on
     # the other keys
@@ -120,8 +125,12 @@ def _write_history(path, result, cfg):
 
 def _checkpoint(path, cls, cfg, encoder=None):
     """The `cls` model in the checkpoint `path`, built around `encoder` when
-    given. A file that does not load as one, or a model whose sizes are not
-    the plant's and `cfg.model`'s, is a config error naming the file."""
+    given. A missing file, a file that does not load as one, or a model
+    whose sizes are not the plant's and `cfg.model`'s, is a config error
+    naming the file; a missing one names the command that writes it."""
+    if not path.exists():
+        raise experiments.ConfigError(
+            f"{path} not found; run {_WRITERS[cls]} first")
     try:
         model = koopman.load_checkpoint(path, encoder=encoder)
     except (ValueError, KeyError, TypeError) as exc:
@@ -180,12 +189,8 @@ def cmd_train_sensing(args):
 def cmd_train_controlling(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
+    sensing = _checkpoint(out / "sensing.json", koopman.SensingModel, cfg)
     ds = _dataset(cfg, args)
-    sensing_path = out / "sensing.json"
-    if not sensing_path.exists():
-        raise experiments.ConfigError(
-            f"{sensing_path} not found; run train-sensing first")
-    sensing = _checkpoint(sensing_path, koopman.SensingModel, cfg)
     model, result = experiments.train_controlling(cfg, sensing, ds)
     koopman.save_checkpoint(model, out / "controlling.json")
     _write_history(out / "controlling_history.json", result, cfg)
@@ -197,8 +202,8 @@ def cmd_train_controlling(args):
 def cmd_eval_predict(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    ds = _dataset(cfg, args)
     sensing, controlling = _load_models(cfg, out)
+    ds = _dataset(cfg, args)
     scores = experiments.evaluate_prediction(cfg, sensing, controlling,
                                              ds.test)
     with open(out / "prediction.json", "w") as fh:
@@ -312,10 +317,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except experiments.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (experiments.ConfigError, FileNotFoundError, FileExistsError,
+            NotADirectoryError, IsADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except experiments.RUN_ERRORS as exc:

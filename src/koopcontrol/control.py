@@ -162,16 +162,14 @@ class JacobianController:
         return self._neg_gain @ np.asarray(state, dtype=np.float64)
 
 
-def build_jacobian_controller(params, integrator, q_x, r):
+def build_jacobian_controller(q_x, r):
     """Linearize the cart-pole at the origin, discretize with forward Euler
-    (A_d = I + tau_o A_c, B_d = tau_o B_c), and solve the DARE on (q_x, r)."""
-
-    def f(x, u):
-        return dynamics.cartpole_derivative(x, u, params)
-
+    at the control period (A_d = I + TAU_O A_c, B_d = TAU_O B_c), and solve
+    the DARE on (q_x, r)."""
     a_c, b_c = dynamics.numeric_jacobian(
-        f, np.zeros(dynamics.STATE_DIM), np.zeros(dynamics.ACTION_DIM))
-    a_d = np.eye(dynamics.STATE_DIM) + integrator.tau_o * a_c
-    b_d = integrator.tau_o * b_c
+        dynamics.cartpole_derivative, np.zeros(dynamics.STATE_DIM),
+        np.zeros(dynamics.ACTION_DIM))
+    a_d = np.eye(dynamics.STATE_DIM) + dynamics.TAU_O * a_c
+    b_d = dynamics.TAU_O * b_c
     sol = solve_dare(a_d, b_d, q_x, r)
     return JacobianController(gain=sol.gain, a_d=a_d, b_d=b_d)

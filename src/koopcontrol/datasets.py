@@ -90,8 +90,8 @@ class TrajectoryDataset:
         return getattr(self, name)
 
 
-def _one_trajectory(params, integrator, controller, cfg, rng):
-    n_steps = int(round(cfg.duration_s / integrator.tau_o))
+def _one_trajectory(controller, cfg, rng):
+    n_steps = int(round(cfg.duration_s / dynamics.TAU_O))
     for _ in range(cfg.max_retries + 1):
         x = rng.uniform(cfg.ic_low, cfg.ic_high, size=dynamics.STATE_DIM)
         states = np.empty((n_steps, dynamics.STATE_DIM))
@@ -106,8 +106,8 @@ def _one_trajectory(params, integrator, controller, cfg, rng):
             if m == n_steps - 1:
                 break
             try:
-                x = dynamics.step_plant(x, u, params, integrator,
-                                        noise_var=cfg.noise_var, rng=rng)
+                x = dynamics.step_plant(x, u, noise_var=cfg.noise_var,
+                                        rng=rng)
             except dynamics.IntegrationDivergedError:
                 ok = False
                 break
@@ -117,11 +117,12 @@ def _one_trajectory(params, integrator, controller, cfg, rng):
         f"trajectory kept diverging after {cfg.max_retries} retries")
 
 
-def dataset_meta(cfg, seed, tau_o, gain):
+def dataset_meta(cfg, seed, gain):
     """The meta of a dataset generated from the settings `cfg` with `seed`
-    at sampling period `tau_o` under a baseline controller of gain `gain`,
-    as JSON gives it back. Files written before `noise_var` or
-    `baseline_gain` was recorded lack that key."""
+    under a baseline controller of gain `gain`, as JSON gives it back. It
+    records the sampling period, the plant's fixed `dynamics.TAU_O`, as
+    "tau_o". Files written before `noise_var` or `baseline_gain` was
+    recorded lack that key."""
     return {
         "format": DATASET_FORMAT,
         "seed": int(seed),
@@ -131,20 +132,20 @@ def dataset_meta(cfg, seed, tau_o, gain):
         "explore_std": cfg.explore_std,
         "noise_var": cfg.noise_var,
         "counts": cfg.counts(),
-        "tau_o": tau_o,
+        "tau_o": dynamics.TAU_O,
         "baseline_gain": np.asarray(gain).tolist(),
     }
 
 
-def generate_dataset(params, integrator, controller, cfg, seed):
+def generate_dataset(controller, cfg, seed):
     """Closed-loop dataset under `controller` (a linear state feedback with
     a `gain`) plus exploration dither, with the process noise of
     `cfg.noise_var`."""
     rng = np.random.default_rng(seed)
-    splits = {name: [_one_trajectory(params, integrator, controller, cfg, rng)
+    splits = {name: [_one_trajectory(controller, cfg, rng)
                      for _ in range(cfg.counts()[name])] for name in SPLITS}
     return TrajectoryDataset(**splits, meta=dataset_meta(
-        cfg, seed, integrator.tau_o, controller.gain))
+        cfg, seed, controller.gain))
 
 
 def window_index(n, depth):

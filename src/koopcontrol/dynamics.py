@@ -2,12 +2,13 @@
 
 State layout is [x, v, theta, omega]: cart position and velocity, pole angle
 and angular rate. The force u on the cart is the single control input and is
-held constant over each control period (zero-order hold). With the default
-parameters the open-loop origin is a saddle-like operating point: the cart
-velocity mode is unstable (dv/dt picks up +0.4 v) while the pole angle sees
-a restoring torque, which is what makes the regulation task nontrivial.
+held constant over each control period (zero-order hold). The plant is fixed:
+its parameters and the control period TAU_O are module constants. With them
+the open-loop origin is a saddle-like operating point: the cart velocity mode
+is unstable (dv/dt picks up +0.4 v) while the pole angle sees a restoring
+torque, which is what makes the regulation task nontrivial.
 
-step_plant runs its RK4 substeps on four Python floats rather than on
+step_plant takes one RK4 step of TAU_O on four Python floats rather than on
 4-element arrays: at this size numpy's per-call overhead is most of the cost
 of a step, and the closed loop pays it on every control period. The float
 arithmetic reproduces rk4_step over cartpole_derivative bit for bit: the
@@ -19,8 +20,8 @@ return inf, a float power or division raises instead, and step_plant maps
 that to IntegrationDivergedError as it does a non-finite stage.
 
 The parameter products of the field (m_p ell^2, -m_p^2 ell^2 nu, m_p ell and
-m_pm m_p nu ell) are formed once per CartPoleParams, which is frozen, and
-the term m_p ell omega^2 s - delta v that both rates share once per field
+m_pm m_p nu ell) are formed once, at import, and the term
+m_p ell omega^2 s - delta v that both rates share once per field
 evaluation. Each product is the left-most factors of its expression,
 multiplied left to right as the expression reads, so every later product
 and sum sees the same operands in the same order, and the bits stay those
@@ -31,8 +32,6 @@ same field, so the numeric Jacobian and the baseline gain keep theirs too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +41,24 @@ ACTION_DIM = 1
 # step_plant treats anything past this as a blow-up rather than a state.
 DIVERGENCE_BOUND = 1e9
 
+# the plant, in this model's sign convention
+M_P = 1.0      # pole mass
+M_C = 5.0      # cart mass
+LENGTH = 0.2
+NU = -10.0     # gravity-like constant
+DELTA = -2.0   # velocity coupling; negative value feeds energy in
+# combined mass term in the angular equation; the second summand is the
+# cart mass under this model's convention
+M_PM = M_P + M_C
+TAU_O = 0.01   # control period, and the RK4 step [s]
+
+# the parameter products of the vector field, each formed left to right as
+# its expression in the field reads
+MPL2 = M_P * LENGTH**2
+GRAV = -M_P**2 * LENGTH**2 * NU
+MPL = M_P * LENGTH
+ANG = M_PM * M_P * NU * LENGTH
+
 
 class InvalidStateError(ValueError):
     """Non-finite state or action handed to the plant."""
@@ -49,51 +66,6 @@ class InvalidStateError(ValueError):
 
 class IntegrationDivergedError(RuntimeError):
     """Integration produced a non-finite or absurdly large state."""
-
-
-@dataclass(frozen=True)
-class CartPoleParams:
-    m_p: float = 1.0    # pole mass
-    m_c: float = 5.0    # cart mass
-    length: float = 0.2
-    nu: float = -10.0   # gravity-like constant, sign convention of the model
-    delta: float = -2.0  # velocity coupling; negative value feeds energy in
-
-    @property
-    def m_pm(self):
-        # combined mass term in the angular equation; the second summand is
-        # the cart mass under this model's convention
-        return self.m_p + self.m_c
-
-    # derived once per plant; the parameters are frozen, so it cannot go
-    # stale
-
-    @cached_property
-    def field_constants(self):
-        """(m_p, m_c, delta, m_p ell^2, -m_p^2 ell^2 nu, m_p ell,
-        m_pm m_p nu ell): the parameter products of the vector field, each
-        formed left to right as its expression in the field reads."""
-        m_p, ell, nu = self.m_p, self.length, self.nu
-        return (m_p, self.m_c, self.delta, m_p * ell**2,
-                -m_p**2 * ell**2 * nu, m_p * ell,
-                self.m_pm * m_p * nu * ell)
-
-
-@dataclass
-class IntegratorConfig:
-    h: float = 0.01       # RK4 step [s]
-    tau_o: float = 0.01   # control period [s]
-
-    def __post_init__(self):
-        if self.h <= 0.0 or self.tau_o <= 0.0:
-            raise ValueError("h and tau_o must be positive")
-        ratio = self.tau_o / self.h
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("tau_o must be an integer multiple of h")
-
-    @property
-    def substeps(self):
-        return int(round(self.tau_o / self.h))
 
 
 def _action_value(action):
@@ -125,25 +97,24 @@ def _finite(x, v, theta, omega):
             and math.isfinite(omega))
 
 
-def _field(v, theta, omega, u, constants):
+def _field(v, theta, omega, u):
     """(dv/dt, domega/dt) at one finite state, on Python floats, with the
-    parameter products of CartPoleParams.field_constants."""
-    m_p, m_c, delta, mpl2, grav, mpl, ang = constants
+    module's parameter products."""
     s, c = math.sin(theta), math.cos(theta)
     # m_p ell omega^2 s - delta v, shared by both rates
-    shared = mpl * omega**2 * s - delta * v
-    mplc = mpl * c
-    den = mpl2 * (m_c + m_p * (1.0 - c**2))
-    dv = (grav * c * s + mpl2 * shared + mpl2 * u) / den
-    domega = (ang * s - mplc * shared + mplc * u) / den
+    shared = MPL * omega**2 * s - DELTA * v
+    mplc = MPL * c
+    den = MPL2 * (M_C + M_P * (1.0 - c**2))
+    dv = (GRAV * c * s + MPL2 * shared + MPL2 * u) / den
+    domega = (ANG * s - mplc * shared + mplc * u) / den
     return dv, domega
 
 
-def cartpole_derivative(state, u, params):
+def cartpole_derivative(state, u):
     """Continuous-time vector field f(x, u)."""
     u = _action_value(u)
     _, v, theta, omega = _state_values(state, u)
-    dv, domega = _field(v, theta, omega, u, params.field_constants)
+    dv, domega = _field(v, theta, omega, u)
     return np.array([v, dv, omega, domega])
 
 
@@ -156,50 +127,45 @@ def rk4_step(f, state, u, h):
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_plant(state, action, params, integrator, noise_var=0.0, rng=None):
-    """Advance the plant one control period: substeps of RK4 under a held
-    action, then, when `noise_var` is positive, one additive Gaussian draw
-    of that variance per state entry from `rng`, which is then required. A
-    negative or NaN `noise_var` raises ValueError, and so does an action
-    whose size is not ACTION_DIM.
+def step_plant(state, action, noise_var=0.0, rng=None):
+    """Advance the plant one control period: one RK4 step of TAU_O under a
+    held action, then, when `noise_var` is positive, one additive Gaussian
+    draw of that variance per state entry from `rng`, which is then
+    required. A negative or NaN `noise_var` raises ValueError, and so does
+    an action whose size is not ACTION_DIM.
 
-    The substeps run rk4_step's arithmetic on four Python floats, in its
-    order, and check every stage input as cartpole_derivative does."""
+    The step runs rk4_step's arithmetic on four Python floats, in its
+    order, and checks every stage input as cartpole_derivative does."""
     u = _action_value(action)
     x, v, theta, omega = _state_values(state, u)
-    constants = params.field_constants
     isfinite = math.isfinite
-    h = integrator.h
+    h = TAU_O
     half, sixth = 0.5 * h, h / 6.0
     try:
-        for _ in range(integrator.substeps):
-            if not (isfinite(x) and isfinite(v) and isfinite(theta)
-                    and isfinite(omega)):
-                raise IntegrationDivergedError("non-finite RK4 stage")
-            dv1, dw1 = _field(v, theta, omega, u, constants)
-            x2, v2 = x + half * v, v + half * dv1
-            th2, w2 = theta + half * omega, omega + half * dw1
-            if not (isfinite(x2) and isfinite(v2) and isfinite(th2)
-                    and isfinite(w2)):
-                raise IntegrationDivergedError("non-finite RK4 stage")
-            dv2, dw2 = _field(v2, th2, w2, u, constants)
-            x3, v3 = x + half * v2, v + half * dv2
-            th3, w3 = theta + half * w2, omega + half * dw2
-            if not (isfinite(x3) and isfinite(v3) and isfinite(th3)
-                    and isfinite(w3)):
-                raise IntegrationDivergedError("non-finite RK4 stage")
-            dv3, dw3 = _field(v3, th3, w3, u, constants)
-            x4, v4 = x + h * v3, v + h * dv3
-            th4, w4 = theta + h * w3, omega + h * dw3
-            if not (isfinite(x4) and isfinite(v4) and isfinite(th4)
-                    and isfinite(w4)):
-                raise IntegrationDivergedError("non-finite RK4 stage")
-            dv4, dw4 = _field(v4, th4, w4, u, constants)
-            x, v, theta, omega = (
-                x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
-                v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
-                theta + sixth * (omega + 2.0 * w2 + 2.0 * w3 + w4),
-                omega + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4))
+        dv1, dw1 = _field(v, theta, omega, u)
+        x2, v2 = x + half * v, v + half * dv1
+        th2, w2 = theta + half * omega, omega + half * dw1
+        if not (isfinite(x2) and isfinite(v2) and isfinite(th2)
+                and isfinite(w2)):
+            raise IntegrationDivergedError("non-finite RK4 stage")
+        dv2, dw2 = _field(v2, th2, w2, u)
+        x3, v3 = x + half * v2, v + half * dv2
+        th3, w3 = theta + half * w2, omega + half * dw2
+        if not (isfinite(x3) and isfinite(v3) and isfinite(th3)
+                and isfinite(w3)):
+            raise IntegrationDivergedError("non-finite RK4 stage")
+        dv3, dw3 = _field(v3, th3, w3, u)
+        x4, v4 = x + h * v3, v + h * dv3
+        th4, w4 = theta + h * w3, omega + h * dw3
+        if not (isfinite(x4) and isfinite(v4) and isfinite(th4)
+                and isfinite(w4)):
+            raise IntegrationDivergedError("non-finite RK4 stage")
+        dv4, dw4 = _field(v4, th4, w4, u)
+        x, v, theta, omega = (
+            x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
+            v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
+            theta + sixth * (omega + 2.0 * w2 + 2.0 * w3 + w4),
+            omega + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4))
     except ArithmeticError as exc:
         # a float power or division that raises where numpy gives inf or
         # nan: the input was finite, so the integration blew up mid-period

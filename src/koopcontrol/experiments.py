@@ -196,9 +196,9 @@ def _build_section(cls, payload):
 
 def _seed(value):
     """A master seed: a non-negative int, as numpy's SeedSequence needs."""
-    if not (_is_int(value) and value >= 0):
-        raise ConfigError(f"seed must be a non-negative integer, not "
-                          f"{value!r}")
+    value = _check_field(ExperimentConfig, "seed", value)
+    if value < 0:
+        raise ConfigError(f"seed must be non-negative, not {value!r}")
     return value
 
 
@@ -212,8 +212,10 @@ def config_from_dict(data):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = ExperimentConfig(name=str(data.get("name", "default")),
-                           seed=_seed(data.get("seed", 0)))
+    cfg = ExperimentConfig(
+        name=_check_field(ExperimentConfig, "name",
+                          data.get("name", "default")),
+        seed=_seed(data.get("seed", 0)))
     for name, cls in _SECTIONS.items():
         if name in data:
             setattr(cfg, name, _build_section(cls, data[name]))
@@ -295,7 +297,6 @@ def build_baseline(cfg):
     """Controller linearized at the upright equilibrium, with the `control`
     section's LQR weights; it excites the plant during data generation."""
     return control.build_jacobian_controller(
-        dynamics.CartPoleParams(), dynamics.IntegratorConfig(),
         cfg.control.q_x(), np.eye(dynamics.ACTION_DIM) * cfg.control.r)
 
 
@@ -303,9 +304,8 @@ def make_dataset(cfg, streams=None):
     """The config's dataset; `streams` maps "data" to the generation seed
     and defaults to the config's seed streams."""
     streams = streams or seed_streams(cfg.seed)
-    return datasets.generate_dataset(
-        dynamics.CartPoleParams(), dynamics.IntegratorConfig(),
-        build_baseline(cfg), cfg.data, streams["data"])
+    return datasets.generate_dataset(build_baseline(cfg), cfg.data,
+                                     streams["data"])
 
 
 def link_config(cfg):
@@ -445,10 +445,8 @@ def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,
     """Phase-2 closed loop; returns (Phase2Result, summary dict)."""
     streams = seed_streams(cfg.seed)
     system = protocol.ControlSystem(
-        params=dynamics.CartPoleParams(),
-        integrator=dynamics.IntegratorConfig(), noise_var=cfg.data.noise_var,
-        sensing=sensing, gain=gain, controlling=controlling,
-        tau_comp=cfg.link.tau_comp)
+        noise_var=cfg.data.noise_var, sensing=sensing, gain=gain,
+        controlling=controlling, tau_comp=cfg.link.tau_comp)
     if uplink is None:
         uplink = build_link(cfg, streams["eval_uplink"])
     if downlink is None:

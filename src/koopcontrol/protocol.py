@@ -448,9 +448,8 @@ PHASE2_PREDICT_MODES = ("hold", "advance")
 
 @dataclass
 class ControlSystem:
-    """Everything the closed loop needs in one place."""
-    params: dynamics.CartPoleParams
-    integrator: dynamics.IntegratorConfig
+    """Everything the closed loop needs in one place, besides the plant,
+    which is fixed: `dynamics` holds its parameters and control period."""
     noise_var: float                      # plant process noise variance
     sensing: koopman.SensingModel
     gain: np.ndarray                      # latent LQR gain (q, d)
@@ -603,8 +602,8 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             tau_comp=system.tau_comp,
         ))
 
-        x = dynamics.step_plant(x, u_app, system.params, system.integrator,
-                                noise_var=system.noise_var, rng=plant_rng)
+        x = dynamics.step_plant(x, u_app, noise_var=system.noise_var,
+                                rng=plant_rng)
         states[m + 1] = x
 
     return Phase2Result(states=states, commands=commands, applied=applied,

@@ -88,12 +88,10 @@ B_C_ORIGIN = np.array([[0.0], [0.2], [0.0], [1.0]])
 
 
 def test_criterion_3_dynamics_oracles():
-    params = dynamics.CartPoleParams()
     # equilibrium is a fixed point of the continuous field
     assert np.max(np.abs(dynamics.cartpole_derivative(
-        np.zeros(4), 0.0, params))) < 1e-12
-    x_eq = dynamics.step_plant(np.zeros(4), 0.0, params,
-                               dynamics.IntegratorConfig())
+        np.zeros(4), 0.0))) < 1e-12
+    x_eq = dynamics.step_plant(np.zeros(4), 0.0)
     assert np.max(np.abs(x_eq)) < 1e-12
 
     # observed convergence order of the integrator on the real field
@@ -102,9 +100,7 @@ def test_criterion_3_dynamics_oracles():
     def integrate(h, t_end=0.32):
         x = x0.copy()
         for _ in range(int(round(t_end / h))):
-            x = dynamics.rk4_step(
-                lambda s, u: dynamics.cartpole_derivative(s, u, params),
-                x, 0.5, h)
+            x = dynamics.rk4_step(dynamics.cartpole_derivative, x, 0.5, h)
         return x
 
     ref = integrate(0.0005)
@@ -115,8 +111,7 @@ def test_criterion_3_dynamics_oracles():
 
     # numeric Jacobian against the frozen symbolic linearization
     a_num, b_num = dynamics.numeric_jacobian(
-        lambda s, uu: dynamics.cartpole_derivative(s, uu, params),
-        np.zeros(4), np.zeros(1))
+        dynamics.cartpole_derivative, np.zeros(4), np.zeros(1))
     assert np.allclose(a_num, A_C_ORIGIN, atol=1e-6)
     assert np.allclose(b_num, B_C_ORIGIN, atol=1e-6)
     assert abs(a_num[1, 1] - 0.4) < 1e-6      # dvdot/dv at defaults
@@ -176,9 +171,7 @@ def test_criterion_7_prediction_beats_hold_under_downlink_bursts():
     k, a_d, b_d = base.gain, base.a_d, base.b_d
     sens = passthrough_sensing(a_d, b_d)
     system = protocol.ControlSystem(
-        params=dynamics.CartPoleParams(),
-        integrator=dynamics.IntegratorConfig(), noise_var=0.0,
-        sensing=sens, gain=k,
+        noise_var=0.0, sensing=sens, gain=k,
         controlling=passthrough_controlling(sens, -k @ a_d, -k @ b_d))
     bursts = [m for m in range(1000) if m % 50 >= 30]
 
@@ -244,8 +237,6 @@ def test_criterion_8_protocol_equivalence():
                                    np.array([[0.6]]))
     gain = np.array([[0.05, 0.05, 0.05, 0.05]])
     system = protocol.ControlSystem(
-        params=dynamics.CartPoleParams(),
-        integrator=dynamics.IntegratorConfig(),
         noise_var=0.0, sensing=sens, gain=gain,
         controlling=ctrl)
     n_loops = 40

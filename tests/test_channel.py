@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from koopcontrol import channel
+from koopcontrol import channel, dynamics
 
 
 def test_payload_bits_layout():
@@ -50,12 +50,12 @@ def test_shannon_rate_identities():
 
 
 def test_min_decodable_snr_budget():
-    cfg = channel.ChannelConfig(bandwidth=1e6, tau_o=0.01, tau_comp=0.001)
+    cfg = channel.ChannelConfig(bandwidth=1e6, tau_comp=0.001)
     bits = channel.payload_bits(4)    # 192 bits in 9 ms at 1 MHz
     s = channel.min_decodable_snr(cfg, bits)
     assert np.isclose(s, 2.0 ** (bits / 9000.0) - 1.0, rtol=1e-12)
     # no time budget left -> nothing is decodable
-    cfg_zero = channel.ChannelConfig(tau_o=0.01, tau_comp=0.01)
+    cfg_zero = channel.ChannelConfig(tau_comp=0.01)
     assert math.isinf(channel.min_decodable_snr(cfg_zero, bits))
     assert channel.outage_probability(cfg_zero, bits) == 1.0
 
@@ -115,12 +115,12 @@ def test_transmit_delivery_and_erasure_paths():
         if out.delivered:
             saw_delivery = True
             assert np.array_equal(out.payload, payload)
-            assert out.tau_comm <= cfg.tau_o - cfg.tau_comp
+            assert out.tau_comm <= dynamics.TAU_O - cfg.tau_comp
             assert out.tau_comm == bits / out.rate
         else:
             saw_loss = True
             assert out.payload is None
-            assert out.tau_comm > cfg.tau_o - cfg.tau_comp
+            assert out.tau_comm > dynamics.TAU_O - cfg.tau_comp
     assert saw_delivery and saw_loss
 
 
@@ -193,7 +193,7 @@ def _transmit_reference(config, payload, bits, rng):
     snr = mean * rng.exponential(1.0)
     rate = config.bandwidth * math.log2(1.0 + snr)
     tau_comm = bits / rate if rate > 0.0 else math.inf
-    if tau_comm > config.tau_o - config.tau_comp:
+    if tau_comm > dynamics.TAU_O - config.tau_comp:
         return False, None, snr, rate, tau_comm, 0.0
     if config.noise_model == "noiseless":
         std = 0.0

@@ -273,6 +273,58 @@ def test_exit_config_on_a_dataset_generated_under_another_baseline(
     assert cli._dataset(other, args).meta == ds.meta
 
 
+def test_dataset_meta_records_the_10_ms_period(tmp_path):
+    # the meta keeps "tau_o" at the plant's 0.01 s, as files written by
+    # earlier versions hold it, so those files still load; a file sampled
+    # at another period is refused
+    cfg = experiments.load_config(micro_config(tmp_path))
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data,
+                                                            n_train=1))
+    ds = experiments.make_dataset(cfg)
+    assert ds.meta["tau_o"] == 0.01
+    datasets.save_dataset(ds, tmp_path / "dataset.npz")
+    args = cli.build_parser().parse_args(
+        ["train-sensing", "--out-dir", str(tmp_path)])
+    assert cli._dataset(cfg, args).meta == ds.meta
+    ds.meta["tau_o"] = 0.02
+    datasets.save_dataset(ds, tmp_path / "dataset.npz")
+    with pytest.raises(experiments.ConfigError, match="tau_o"):
+        cli._dataset(cfg, args)
+
+
+def test_a_missing_checkpoint_is_refused_before_the_dataset_is_made(
+        tmp_path, monkeypatch, capsys):
+    # train-controlling and eval-predict load their checkpoints first, so
+    # an empty --out-dir is refused at once, naming the command to run
+    def make_dataset(cfg, streams=None):
+        raise AssertionError("dataset made before the checkpoints loaded")
+
+    monkeypatch.setattr(experiments, "make_dataset", make_dataset)
+    for cmd in ("train-controlling", "eval-predict"):
+        assert cli.main([cmd, "--out-dir", str(tmp_path)]) \
+            == cli.EXIT_CONFIG, cmd
+        assert "run train-sensing first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["out_dir_is_a_file",
+                                  "out_dir_under_a_file",
+                                  "config_is_a_directory",
+                                  "report_csv_is_a_directory"])
+def test_exit_config_on_a_path_of_the_wrong_kind(tmp_path, capsys, kind):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = ["--out-dir", str(tmp_path / "out")]
+    argv = {"out_dir_is_a_file": ["gen-data", "--out-dir", str(afile)],
+            "out_dir_under_a_file": ["gen-data",
+                                     "--out-dir", str(afile / "sub")],
+            "config_is_a_directory": ["gen-data", "--config", str(tmp_path),
+                                      *out],
+            "report_csv_is_a_directory": ["report", str(tmp_path), *out],
+            }[kind]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def _copy_artifacts(src, dst, *names):
     for name in names:
         shutil.copy(src / name, dst / name)

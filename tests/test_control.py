@@ -106,9 +106,7 @@ def _textbook_dare(a, b, q, r, tol=1e-10, max_iter=10000):
 
 
 def _jacobian_system():
-    ctl = control.build_jacobian_controller(
-        dynamics.CartPoleParams(), dynamics.IntegratorConfig(), np.eye(4),
-        np.eye(1))
+    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
     return ctl.a_d, ctl.b_d
 
 
@@ -193,10 +191,7 @@ def test_optimal_action_sign_and_shape():
 
 
 def test_jacobian_controller_discretization():
-    params = dynamics.CartPoleParams()
-    integ = dynamics.IntegratorConfig()
-    ctl = control.build_jacobian_controller(params, integ, np.eye(4),
-                                            np.eye(1))
+    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
     # forward Euler: A_d = I + tau_o * A_c, so A_d[0,1] = tau_o = 0.01
     assert np.isclose(ctl.a_d[0, 1], 0.01, atol=1e-9)
     assert np.isclose(ctl.a_d[1, 1], 1.004, atol=1e-7)
@@ -205,12 +200,9 @@ def test_jacobian_controller_discretization():
 
 
 def test_jacobian_controller_stabilizes_near_equilibrium():
-    params = dynamics.CartPoleParams()
-    integ = dynamics.IntegratorConfig()
-    ctl = control.build_jacobian_controller(params, integ, np.eye(4),
-                                            np.eye(1))
+    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
     x = np.full(4, 0.05)
     for _ in range(1000):    # 10 s of control
         u = ctl.action(x)
-        x = dynamics.step_plant(x, u, params, integ)
+        x = dynamics.step_plant(x, u)
     assert np.linalg.norm(x) < 1e-2

@@ -8,17 +8,8 @@ from test_dynamics import _array_field
 
 
 @pytest.fixture(scope="module")
-def plant():
-    params = dynamics.CartPoleParams()
-    integrator = dynamics.IntegratorConfig()
-    return params, integrator
-
-
-@pytest.fixture(scope="module")
-def baseline(plant):
-    params, integrator = plant
-    return control.build_jacobian_controller(params, integrator, np.eye(4),
-                                             np.eye(1))
+def baseline():
+    return control.build_jacobian_controller(np.eye(4), np.eye(1))
 
 
 def small_cfg(**kw):
@@ -27,46 +18,39 @@ def small_cfg(**kw):
     return datasets.DataSettings(**base)
 
 
-def test_counts_and_shapes(plant, baseline):
-    params, integrator = plant
+def test_counts_and_shapes(baseline):
     cfg = small_cfg()
-    ds = datasets.generate_dataset(params, integrator, baseline,
-                                   cfg, seed=0)
+    ds = datasets.generate_dataset(baseline, cfg, seed=0)
     assert len(ds.train) == 2 and len(ds.val) == 1 and len(ds.test) == 1
-    n = int(round(0.5 / integrator.tau_o))
+    n = int(round(0.5 / dynamics.TAU_O))
     for traj in ds.train + ds.val + ds.test:
         assert traj.states.shape == (n, 4)
         assert traj.actions.shape == (n, 1)
         assert len(traj) == n
 
 
-def test_initial_conditions_inside_box(plant, baseline):
-    params, integrator = plant
+def test_initial_conditions_inside_box(baseline):
     cfg = small_cfg(n_train=6, ic_low=-0.2, ic_high=0.2)
-    ds = datasets.generate_dataset(params, integrator, baseline,
-                                   cfg, seed=3)
+    ds = datasets.generate_dataset(baseline, cfg, seed=3)
     for traj in ds.train:
         assert np.all(traj.states[0] >= -0.2)
         assert np.all(traj.states[0] <= 0.2)
 
 
-def test_same_seed_identical_bytes(plant, baseline):
-    params, integrator = plant
+def test_same_seed_identical_bytes(baseline):
     cfg = small_cfg()
-    a = datasets.generate_dataset(params, integrator, baseline, cfg, 7)
-    b = datasets.generate_dataset(params, integrator, baseline, cfg, 7)
-    c = datasets.generate_dataset(params, integrator, baseline, cfg, 8)
+    a = datasets.generate_dataset(baseline, cfg, 7)
+    b = datasets.generate_dataset(baseline, cfg, 7)
+    c = datasets.generate_dataset(baseline, cfg, 8)
     for ta, tb in zip(a.train + a.val + a.test, b.train + b.val + b.test):
         assert np.array_equal(ta.states, tb.states)
         assert np.array_equal(ta.actions, tb.actions)
     assert not np.array_equal(a.train[0].states, c.train[0].states)
 
 
-def test_process_noise_read_from_settings(plant, baseline):
-    params, integrator = plant
-    quiet = datasets.generate_dataset(params, integrator, baseline,
-                                      small_cfg(explore_std=0.0), 4)
-    noisy = [datasets.generate_dataset(params, integrator, baseline,
+def test_process_noise_read_from_settings(baseline):
+    quiet = datasets.generate_dataset(baseline, small_cfg(explore_std=0.0), 4)
+    noisy = [datasets.generate_dataset(baseline,
                                        small_cfg(explore_std=0.0,
                                                  noise_var=0.01), 4)
              for _ in range(2)]
@@ -77,17 +61,15 @@ def test_process_noise_read_from_settings(plant, baseline):
     assert np.array_equal(n0, n1)
 
 
-def test_exploration_dither_recorded_in_actions(plant, baseline):
-    params, integrator = plant
+def test_exploration_dither_recorded_in_actions(baseline):
     cfg = small_cfg(explore_std=0.0)
-    quiet = datasets.generate_dataset(params, integrator, baseline,
-                                      cfg, seed=5)
+    quiet = datasets.generate_dataset(baseline, cfg, seed=5)
     # without dither the recorded action is exactly the policy output
     traj = quiet.train[0]
     for m in (0, 3, 10):
         expect = float(np.atleast_1d(baseline.action(traj.states[m]))[0])
         assert traj.actions[m, 0] == pytest.approx(expect, abs=1e-12)
-    noisy = datasets.generate_dataset(params, integrator, baseline,
+    noisy = datasets.generate_dataset(baseline,
                                       small_cfg(explore_std=0.1), seed=5)
     tn = noisy.train[0]
     resid = [tn.actions[m, 0]
@@ -96,13 +78,13 @@ def test_exploration_dither_recorded_in_actions(plant, baseline):
     assert np.std(resid) > 0.01
 
 
-def _oracle_dataset(params, integrator, baseline, cfg, seed):
+def _oracle_dataset(baseline, cfg, seed):
     """generate_dataset's draws and steps written out on numpy arrays:
     rk4_step over the array field, the baseline command through
     np.atleast_1d, no retries (the oracle's trajectories stay bounded)."""
-    field = _array_field(params)
+    field = _array_field()
     rng = np.random.default_rng(seed)
-    n = int(round(cfg.duration_s / integrator.tau_o))
+    n = int(round(cfg.duration_s / dynamics.TAU_O))
     out = []
     for _ in range(sum(cfg.counts().values())):
         x = rng.uniform(cfg.ic_low, cfg.ic_high, size=4)
@@ -115,8 +97,7 @@ def _oracle_dataset(params, integrator, baseline, cfg, seed):
             actions.append([u])
             if m == n - 1:
                 break
-            for _ in range(integrator.substeps):
-                x = dynamics.rk4_step(field, x, u, integrator.h)
+            x = dynamics.rk4_step(field, x, u, dynamics.TAU_O)
             if cfg.noise_var > 0.0:
                 x = x + rng.normal(0.0, np.sqrt(cfg.noise_var), size=4)
         out.append((np.array(states), np.array(actions)))
@@ -124,24 +105,20 @@ def _oracle_dataset(params, integrator, baseline, cfg, seed):
 
 
 @pytest.mark.parametrize("noise_var", [0.0, 1e-4])
-def test_generation_matches_an_array_oracle_bit_for_bit(plant, baseline,
-                                                        noise_var):
-    params, integrator = plant
+def test_generation_matches_an_array_oracle_bit_for_bit(baseline, noise_var):
     cfg = small_cfg(n_train=1, duration_s=0.3, noise_var=noise_var)
-    ds = datasets.generate_dataset(params, integrator, baseline, cfg, 17)
+    ds = datasets.generate_dataset(baseline, cfg, 17)
     trajs = ds.train + ds.val + ds.test
-    oracle = _oracle_dataset(params, integrator, baseline, cfg, 17)
+    oracle = _oracle_dataset(baseline, cfg, 17)
     assert len(trajs) == len(oracle) == 3
     for traj, (states, actions) in zip(trajs, oracle):
         assert traj.states.tobytes() == states.tobytes()
         assert traj.actions.tobytes() == actions.tobytes()
 
 
-def test_closed_loop_data_stays_bounded(plant, baseline):
-    params, integrator = plant
+def test_closed_loop_data_stays_bounded(baseline):
     cfg = small_cfg(n_train=3, duration_s=5.0)
-    ds = datasets.generate_dataset(params, integrator, baseline,
-                                   cfg, seed=11)
+    ds = datasets.generate_dataset(baseline, cfg, seed=11)
     for traj in ds.train:
         assert np.max(np.abs(traj.states)) < 5.0
         # regulation brings the tail near the origin
@@ -155,12 +132,10 @@ class _Destabilizer:
         return np.array([1e155])
 
 
-def test_divergence_exhausts_retries(plant):
-    params, integrator = plant
+def test_divergence_exhausts_retries():
     cfg = small_cfg(max_retries=2)
     with pytest.raises(datasets.DataGenerationError):
-        datasets.generate_dataset(params, integrator, _Destabilizer(),
-                                  cfg, seed=0)
+        datasets.generate_dataset(_Destabilizer(), cfg, seed=0)
 
 
 def test_split_lookup_validation():
@@ -212,10 +187,8 @@ def test_extract_windows_skips_short_trajectories():
 # npz round-trip
 # ---------------------------------------------------------------------------
 
-def test_save_load_lossless(tmp_path, plant, baseline):
-    params, integrator = plant
-    ds = datasets.generate_dataset(params, integrator, baseline,
-                                   small_cfg(), seed=2)
+def test_save_load_lossless(tmp_path, baseline):
+    ds = datasets.generate_dataset(baseline, small_cfg(), seed=2)
     path = tmp_path / "ds.npz"
     datasets.save_dataset(ds, path)
     back = datasets.load_dataset(path)

@@ -141,6 +141,15 @@ def test_config_rejects_bad_link_and_control_values():
             experiments.config_from_dict(d)
 
 
+def test_config_name_is_type_checked():
+    # a name that is not a string is refused, not stored as its str()
+    for name in (None, {"run": 1}, 3, True):
+        d = experiments.config_to_dict(experiments.desk_preset())
+        d["name"] = name
+        with pytest.raises(experiments.ConfigError, match="name"):
+            experiments.config_from_dict(d)
+
+
 def test_presets_differ_where_expected():
     desk = experiments.desk_preset()
     paper = experiments.paper_preset()

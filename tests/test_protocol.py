@@ -529,8 +529,6 @@ X0 = (0.02,) * 4   # the plant state most phase-2 tests start from
 
 def _system(sens, gain, ctrl=None):
     return protocol.ControlSystem(
-        params=dynamics.CartPoleParams(),
-        integrator=dynamics.IntegratorConfig(),
         noise_var=0.0,
         sensing=sens, gain=gain, controlling=ctrl)
 
@@ -557,7 +555,7 @@ def test_phase2_ideal_links_match_offline_rollout():
         u = np.atleast_1d(-gain @ sens.encode(x))
         assert np.array_equal(res.commands[m], u)
         assert np.array_equal(res.applied[m], u)
-        x = dynamics.step_plant(x, u, system.params, system.integrator)
+        x = dynamics.step_plant(x, u)
         assert np.array_equal(res.states[m + 1], x)
     for rec in res.records:
         assert rec.uplink_delivered is True
