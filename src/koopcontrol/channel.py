@@ -67,7 +67,8 @@ class ChannelConfig:
 
     def __post_init__(self):
         if self.noise_model not in NOISE_MODELS:
-            raise ValueError(f"unknown noise model {self.noise_model!r}")
+            raise ValueError(f"noise_model must be one of {NOISE_MODELS}, "
+                             f"not {self.noise_model!r}")
         for name in ("p_t", "n_c", "d", "d0", "eta", "bandwidth"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -181,11 +182,16 @@ def transmit_rows(config, payloads, bits, rng):
         # each row's pairwise sum, as `transmit` takes it
         sq = payloads * payloads
         mean_sq = (np.add.reduce(sq, axis=1) / k).tolist()
+    # `_fade`'s arithmetic inline, on names bound once per block
+    mean_snr, bandwidth = config.mean_snr, config.bandwidth
     budget = config.airtime_budget
+    exponential, log2 = rng.exponential, math.log2
     delivered = np.zeros(n, dtype=bool)
     noise_rows, noise = [], []
     for i in range(n):
-        snr, _, tau_comm = _fade(config, bits, rng)
+        snr = mean_snr * exponential(1.0)
+        rate = bandwidth * log2(1.0 + snr)
+        tau_comm = bits / rate if rate > 0.0 else math.inf
         if tau_comm > budget:
             continue
         delivered[i] = True

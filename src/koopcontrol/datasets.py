@@ -5,11 +5,27 @@ the plant from random initial conditions while a small exploration dither on
 the force keeps the data persistently exciting. Recorded actions are the
 applied ones, dither included. A trajectory that blows up is resampled with
 a fresh initial condition a bounded number of times.
+
+The draw order is part of the reproducibility contract. Each attempt at a
+trajectory takes one uniform block of STATE_DIM entries for its initial
+condition, then per step one dither normal (when explore_std > 0) and,
+after each plant step that did not diverge (every step but the last takes
+one), STATE_DIM process-noise normals (when noise_var > 0). An attempt draws all its normals as one
+standard_normal block in that order and scales each as rng.normal(0.0, s)
+does, to 0.0 + s z. When the attempt diverges, the generator is rewound to
+the start of the block and redraws exactly the normals the steps before the
+blow-up used, so the next initial condition comes from the same generator
+state as when every normal was drawn on its own, and the data keep their
+bits.
+
+The state is carried as four floats and stepped with dynamics.rk4_values,
+so a step costs its arithmetic and not the array wrapping of step_plant.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +64,12 @@ class DataSettings:
     def __post_init__(self):
         if min(self.counts().values()) < 1:
             raise ValueError("n_train, n_val and n_test must be >= 1")
-        if not self.duration_s > 0.0:
-            raise ValueError("duration_s must be positive")
+        # the step count is round(duration_s / TAU_O), at least one
+        if not self.duration_s / dynamics.TAU_O > 0.5:
+            raise ValueError(
+                f"duration_s must exceed half the control period "
+                f"({dynamics.TAU_O / 2} s), or a trajectory has no sample; "
+                f"got {self.duration_s!r}")
         for name in ("explore_std", "noise_var", "max_retries"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -92,27 +112,44 @@ class TrajectoryDataset:
 
 def _one_trajectory(controller, cfg, rng):
     n_steps = int(round(cfg.duration_s / dynamics.TAU_O))
+    dither = cfg.explore_std > 0.0
+    noise_std = math.sqrt(cfg.noise_var)
+    noisy = cfg.noise_var != 0.0
+    # an attempt's normals, in draw order (module docstring)
+    n_draws = dither * n_steps + noisy * dynamics.STATE_DIM * (n_steps - 1)
+    states = np.empty((n_steps, dynamics.STATE_DIM))
+    actions = np.empty((n_steps, 1))
     for _ in range(cfg.max_retries + 1):
-        x = rng.uniform(cfg.ic_low, cfg.ic_high, size=dynamics.STATE_DIM)
-        states = np.empty((n_steps, dynamics.STATE_DIM))
-        actions = np.empty((n_steps, 1))
-        ok = True
+        x, v, theta, omega = rng.uniform(
+            cfg.ic_low, cfg.ic_high, size=dynamics.STATE_DIM).tolist()
+        start = rng.bit_generator.state
+        z = rng.standard_normal(n_draws).tolist()
+        k = 0   # normals used so far
         for m in range(n_steps):
-            u = controller.action(x).item()
-            if cfg.explore_std > 0.0:
-                u += rng.normal(0.0, cfg.explore_std)
-            states[m] = x
+            states[m] = x, v, theta, omega
+            u = controller.action(states[m]).item()
+            if dither:
+                u += 0.0 + cfg.explore_std * z[k]
+                k += 1
             actions[m, 0] = u
             if m == n_steps - 1:
-                break
+                return Trajectory(states, actions)
+            if not math.isfinite(u):
+                raise dynamics.InvalidStateError("non-finite state or action")
             try:
-                x = dynamics.step_plant(x, u, noise_var=cfg.noise_var,
-                                        rng=rng)
+                x, v, theta, omega = dynamics.rk4_values(x, v, theta, omega,
+                                                         u)
             except dynamics.IntegrationDivergedError:
-                ok = False
+                # leave the generator where per-step draws would have
+                rng.bit_generator.state = start
+                rng.standard_normal(k)
                 break
-        if ok:
-            return Trajectory(states, actions)
+            if noisy:
+                x += 0.0 + noise_std * z[k]
+                v += 0.0 + noise_std * z[k + 1]
+                theta += 0.0 + noise_std * z[k + 2]
+                omega += 0.0 + noise_std * z[k + 3]
+                k += 4
     raise DataGenerationError(
         f"trajectory kept diverging after {cfg.max_retries} retries")
 

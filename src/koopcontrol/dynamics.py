@@ -8,15 +8,17 @@ the open-loop origin is a saddle-like operating point: the cart velocity mode
 is unstable (dv/dt picks up +0.4 v) while the pole angle sees a restoring
 torque, which is what makes the regulation task nontrivial.
 
-step_plant takes one RK4 step of TAU_O on four Python floats rather than on
+rk4_values takes one RK4 step of TAU_O on four Python floats rather than on
 4-element arrays: at this size numpy's per-call overhead is most of the cost
-of a step, and the closed loop pays it on every control period. The float
+of a step, and the closed loop pays it on every control period. step_plant
+wraps it for a state array (input checks, noise draw, array result), and
+data generation calls it directly on the four floats it carries. The float
 arithmetic reproduces rk4_step over cartpole_derivative bit for bit: the
 expression order is the same, squares stay ``** 2`` (libm pow, as numpy's
 scalar power; ``x * x`` would reassociate the products it sits in), and
 math.sin/math.cos agree with np.sin/np.cos on float64; the plant tests
 check all of this against a numpy-scalar copy of the field. Where numpy would
-return inf, a float power or division raises instead, and step_plant maps
+return inf, a float power or division raises instead, and rk4_values maps
 that to IntegrationDivergedError as it does a non-finite stage.
 
 The parameter products of the field (m_p ell^2, -m_p^2 ell^2 nu, m_p ell and
@@ -127,17 +129,16 @@ def rk4_step(f, state, u, h):
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_plant(state, action, noise_var=0.0, rng=None):
-    """Advance the plant one control period: one RK4 step of TAU_O under a
-    held action, then, when `noise_var` is positive, one additive Gaussian
-    draw of that variance per state entry from `rng`, which is then
-    required. A negative or NaN `noise_var` raises ValueError, and so does
-    an action whose size is not ACTION_DIM.
+def rk4_values(x, v, theta, omega, u):
+    """One RK4 step of TAU_O from the finite state (x, v, theta, omega)
+    under the finite force u, all Python floats; returns the next state as
+    four floats. Raises IntegrationDivergedError when a stage turns
+    non-finite or the result leaves DIVERGENCE_BOUND.
 
-    The step runs rk4_step's arithmetic on four Python floats, in its
-    order, and checks every stage input as cartpole_derivative does."""
-    u = _action_value(action)
-    x, v, theta, omega = _state_values(state, u)
+    This is rk4_step's arithmetic in its order, with every stage input
+    checked as cartpole_derivative checks its state. Inputs are not
+    checked: step_plant does that, and a caller that steps its own floats
+    (data generation) keeps them finite itself."""
     isfinite = math.isfinite
     h = TAU_O
     half, sixth = 0.5 * h, h / 6.0
@@ -170,13 +171,27 @@ def step_plant(state, action, noise_var=0.0, rng=None):
         # a float power or division that raises where numpy gives inf or
         # nan: the input was finite, so the integration blew up mid-period
         raise IntegrationDivergedError(str(exc)) from exc
-    nxt = np.array([x, v, theta, omega])
     # a NaN fails every comparison, so this also rejects NaN and inf
     bound = DIVERGENCE_BOUND
     if not (abs(x) <= bound and abs(v) <= bound and abs(theta) <= bound
             and abs(omega) <= bound):
         raise IntegrationDivergedError(
-            f"state left the finite range after one control period: {nxt}")
+            "state left the finite range after one control period: "
+            f"{np.array([x, v, theta, omega])}")
+    return x, v, theta, omega
+
+
+def step_plant(state, action, noise_var=0.0, rng=None):
+    """Advance the plant one control period: one RK4 step of TAU_O under a
+    held action, then, when `noise_var` is positive, one additive Gaussian
+    draw of that variance per state entry from `rng`, which is then
+    required. A negative or NaN `noise_var` raises ValueError, and so does
+    an action whose size is not ACTION_DIM.
+
+    The step checks the state and action (InvalidStateError when either is
+    not finite) and runs rk4_values on their floats."""
+    u = _action_value(action)
+    nxt = np.array(rk4_values(*_state_values(state, u), u))
     if noise_var != 0.0:
         if not noise_var > 0.0:
             raise ValueError("noise variance must be >= 0")

@@ -89,7 +89,11 @@ class LinkSettings:
     noise_model: str = "snr_scaled"
 
     def __post_init__(self):
-        # checked even on an ideal link: a sweep may switch it to fading
+        # checked even on an ideal link: a sweep may switch it to fading;
+        # the channel calls the distance `d`, so it is checked here first,
+        # under the name a config gives it
+        if not self.distance > 0.0:
+            raise ValueError("distance must be positive")
         self.channel_config()
 
     def channel_config(self):
@@ -111,7 +115,7 @@ class EvalSettings:
     def __post_init__(self):
         for name in ("depth", "anchor_stride"):
             if getattr(self, name) < 1:
-                raise ValueError(f"eval {name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -167,31 +171,41 @@ def _expected(kind):
     return _KINDS[kind]
 
 
-def _check_field(cls, name, value):
+def _check_field(cls, name, value, section=None):
     """`value` as field `name` of the section `cls` stores it, a whole
-    number in a float field as a float. Raises ConfigError unless it fits
+    number in a float field as a float. Raises ConfigError, naming the
+    config key ("section.name", or "name" at the top level), unless it fits
     the field's annotation; an optional ("X | None") field takes null."""
     annotation = {f.name: f.type for f in dataclasses.fields(cls)}[name]
     kind, _, optional = annotation.partition(" | ")
     what, check = _expected(kind)
     if not (check(value) or optional and value is None):
-        raise ConfigError(f"bad {cls.__name__}: {name} must be {what}"
+        key = name if section is None else f"{section}.{name}"
+        raise ConfigError(f"bad {key}: must be {what}"
                           f"{' or null' if optional else ''}, not {value!r}")
     return float(value) if kind == "float" and value is not None else value
 
 
-def _build_section(cls, payload):
+def _build_section(section, payload):
+    """The config section named `section` from its JSON mapping; errors
+    name the section or the key within it."""
+    cls = _SECTIONS[section]
     if not isinstance(payload, dict):
-        raise ConfigError(f"{cls.__name__} must be a mapping")
-    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
+        raise ConfigError(f"config section {section} must be a mapping")
+    fields = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(payload) - fields
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    payload = {name: _check_field(cls, name, value)
+        raise ConfigError("unknown config keys: "
+                          f"{sorted(f'{section}.{k}' for k in unknown)}")
+    payload = {name: _check_field(cls, name, value, section)
                for name, value in payload.items()}
     try:
         return cls(**payload)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
+        # a section's own check names the field it refuses first
+        first = str(exc).partition(" ")[0]
+        key = f"{section}.{first}" if first in fields else section
+        raise ConfigError(f"bad {key}: {exc}") from exc
 
 
 def _seed(value):
@@ -216,9 +230,9 @@ def config_from_dict(data):
         name=_check_field(ExperimentConfig, "name",
                           data.get("name", "default")),
         seed=_seed(data.get("seed", 0)))
-    for name, cls in _SECTIONS.items():
+    for name in _SECTIONS:
         if name in data:
-            setattr(cfg, name, _build_section(cls, data[name]))
+            setattr(cfg, name, _build_section(name, data[name]))
     return cfg
 
 

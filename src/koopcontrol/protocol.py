@@ -178,19 +178,26 @@ def _train_epoch(trainer, batch_step):
 VALIDATION_CHUNK = 1024
 
 
-def _validation_loss(loss_fn, states, actions):
-    """Mean of `loss_fn(states, actions)` over chunks of at most
-    VALIDATION_CHUNK windows, weighted by chunk size, each scored without a
-    graph; NaN when there are no windows."""
-    n = states.shape[0]
+def _chunks(states, actions):
+    """The (states, actions) windows split, in order, into chunks of at
+    most VALIDATION_CHUNK windows."""
+    chunk = VALIDATION_CHUNK
+    return [(states[s:s + chunk], actions[s:s + chunk])
+            for s in range(0, states.shape[0], chunk)]
+
+
+def _validation_loss(loss_fn, chunks):
+    """Mean of `loss_fn(*chunk)` over `chunks`, each a (states, actions,
+    ...) tuple, weighted by its window count and scored without a graph;
+    NaN when there are no windows."""
+    n = sum(c[0].shape[0] for c in chunks)
     if n == 0:
         return float("nan")
-    chunk = VALIDATION_CHUNK
     total = 0.0
-    for s in range(0, n, chunk):
+    for c in chunks:
         with no_grad():
-            loss = loss_fn(states[s:s + chunk], actions[s:s + chunk])
-        total += float(loss.value) * min(chunk, n - s)
+            loss = loss_fn(*c)
+        total += float(loss.value) * c[0].shape[0]
     return total / n
 
 
@@ -335,7 +342,8 @@ class SensingTrainer(_Trainer):
 
     def validation_loss(self):
         """Total sensing loss on clean validation windows (no channel)."""
-        return _validation_loss(self._loss, self.val_states, self.val_actions)
+        return _validation_loss(self._loss,
+                                _chunks(self.val_states, self.val_actions))
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +390,23 @@ class ControllingTrainer(_Trainer):
         super().__init__(model, mode, train_windows, val_windows,
                          settings, shuffle_seed)
         self.opt = Adam(model.local_parameters(), lr=settings.lr)
+        # the encoder is not trained here and the validation chunks are
+        # fixed, so each chunk's latents are encoded once, here
+        self._val_chunks = [(states, actions, self._latents(states))
+                            for states, actions in _chunks(self.val_states,
+                                                           self.val_actions)]
 
-    def _latent_leaves(self, states):
-        t = states.shape[1]
-        return [Tensor(self.model.encode(states[:, j, :])) for j in range(t)]
+    def _latents(self, states):
+        """The per-step (b, d) latents of (b, t, p) windows."""
+        return [self.model.encode(states[:, j, :])
+                for j in range(states.shape[1])]
 
-    def _loss(self, states, actions):
+    def _loss(self, states, actions, latents=None):
+        if latents is None:
+            latents = self._latents(states)
         return koopman.total_controlling_loss(
             self.model, states, actions, self.mode,
-            latents=self._latent_leaves(states))
+            latents=[Tensor(lat) for lat in latents])
 
     def _batch_step(self, states, actions, stats):
         loss = self._loss(states, actions)
@@ -408,8 +424,9 @@ class ControllingTrainer(_Trainer):
         return _train_epoch(self, self._batch_step)
 
     def validation_loss(self):
-        """Total controlling loss on the validation windows."""
-        return _validation_loss(self._loss, self.val_states, self.val_actions)
+        """Total controlling loss on the validation windows, from the
+        latents encoded when the trainer was built."""
+        return _validation_loss(self._loss, self._val_chunks)
 
 
 def fit_with_early_stopping(trainer, on_epoch=None):

@@ -170,6 +170,18 @@ def test_exit_config_on_invalid_link_distance(tmp_path, capsys):
         assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_exit_config_on_a_duration_of_no_sample(tmp_path, capsys):
+    cfg_path = micro_config(tmp_path)
+    raw = json.loads(cfg_path.read_text())
+    raw["data"]["duration_s"] = 0.004
+    cfg_path.write_text(json.dumps(raw))
+    code = cli.main(["gen-data", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "data.duration_s" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.npz").exists()
+
+
 def test_exit_config_on_missing_sensing_checkpoint(tmp_path):
     cfg_path = micro_config(tmp_path)
     code = cli.main(["train-controlling", "--config", str(cfg_path),

@@ -206,3 +206,50 @@ def test_jacobian_controller_stabilizes_near_equilibrium():
         u = ctl.action(x)
         x = dynamics.step_plant(x, u)
     assert np.linalg.norm(x) < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the baseline memo
+# ---------------------------------------------------------------------------
+
+def test_equal_baseline_weights_share_one_controller():
+    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
+    # equal float64 bytes and shapes, whatever form they are passed in
+    assert control.build_jacobian_controller(np.eye(4, dtype=int),
+                                             [[1.0]]) is ctl
+    assert control.build_jacobian_controller(np.diag([1.0, 1.0, 1.0, 2.0]),
+                                             np.eye(1)) is not ctl
+
+
+def test_negative_zero_baseline_weight_gets_its_own_entry():
+    zero = control.build_jacobian_controller(np.diag([1.0, 1.0, 1.0, 0.0]),
+                                             np.eye(1))
+    neg = control.build_jacobian_controller(np.diag([1.0, 1.0, 1.0, -0.0]),
+                                            np.eye(1))
+    assert neg is not zero
+    assert neg is control.build_jacobian_controller(
+        np.diag([1.0, 1.0, 1.0, -0.0]), np.eye(1))
+
+
+def test_shared_baseline_arrays_are_read_only():
+    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
+    for arr in (ctl.gain, ctl.a_d, ctl.b_d, ctl._neg_gain):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
+
+
+def test_baseline_solver_error_is_raised_on_every_call(monkeypatch):
+    # at r = 100 the fixed-point sweep runs out of iterations; the failure
+    # is not kept, so every call solves and raises again
+    calls = []
+    solve = control.solve_dare
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_dare", counting)
+    for _ in range(2):
+        with pytest.raises(control.DareSolverError, match="no convergence"):
+            control.build_jacobian_controller(np.eye(4), np.eye(1) * 100.0)
+    assert len(calls) == 2

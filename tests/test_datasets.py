@@ -116,6 +116,84 @@ def test_generation_matches_an_array_oracle_bit_for_bit(baseline, noise_var):
         assert traj.actions.tobytes() == actions.tobytes()
 
 
+class _BlowsUpOffCenter:
+    """The baseline, except that it commands 1e155 N while x > 0.3 and
+    |theta| < 0.2, so the step from such a state overflows."""
+
+    def __init__(self, baseline):
+        self.baseline = baseline
+        self.gain = baseline.gain
+
+    def action(self, x):
+        if x[0] > 0.3 and abs(x[2]) < 0.2:
+            return np.array([1e155])
+        return self.baseline.action(x)
+
+
+def _per_step_oracle(controller, cfg, seed):
+    """generate_dataset by the per-step rule: one scalar dither draw per
+    step, the noise drawn by step_plant after each step, and a fresh initial
+    condition after a divergence. Also returns the steps that diverged."""
+    rng = np.random.default_rng(seed)
+    n = int(round(cfg.duration_s / dynamics.TAU_O))
+    out, diverged = [], []
+    for _ in range(sum(cfg.counts().values())):
+        for _ in range(cfg.max_retries + 1):
+            x = rng.uniform(cfg.ic_low, cfg.ic_high, size=4)
+            states, actions = [], []
+            for m in range(n):
+                u = controller.action(x).item()
+                if cfg.explore_std > 0.0:
+                    u += rng.normal(0.0, cfg.explore_std)
+                states.append(x)
+                actions.append([u])
+                if m == n - 1:
+                    break
+                try:
+                    x = dynamics.step_plant(x, u, noise_var=cfg.noise_var,
+                                            rng=rng)
+                except dynamics.IntegrationDivergedError:
+                    diverged.append(m)
+                    break
+            if len(states) == n:
+                out.append((np.array(states), np.array(actions)))
+                break
+    return out, diverged
+
+
+@pytest.mark.parametrize("explore_std", [0.0, 0.1])
+@pytest.mark.parametrize("noise_var", [0.0, 1e-4])
+def test_generation_with_retries_matches_per_step_draws_bit_for_bit(
+        baseline, explore_std, noise_var):
+    controller = _BlowsUpOffCenter(baseline)
+    cfg = small_cfg(n_train=4, explore_std=explore_std, noise_var=noise_var)
+    diverged = []
+    for seed in (0, 2):
+        ds = datasets.generate_dataset(controller, cfg, seed)
+        trajs = ds.train + ds.val + ds.test
+        oracle, steps = _per_step_oracle(controller, cfg, seed)
+        diverged += steps
+        assert len(trajs) == len(oracle) == 6
+        for traj, (states, actions) in zip(trajs, oracle):
+            assert traj.states.tobytes() == states.tobytes()
+            assert traj.actions.tobytes() == actions.tobytes()
+    # retries happened, some of them after the first step
+    assert diverged and max(diverged) > 0
+
+
+@pytest.mark.parametrize("duration_s", [0.004, dynamics.TAU_O / 2])
+def test_a_duration_of_no_sample_is_refused(duration_s):
+    # round(duration_s / TAU_O) would be zero steps: empty trajectories
+    with pytest.raises(ValueError, match="duration_s"):
+        small_cfg(duration_s=duration_s)
+
+
+def test_the_shortest_duration_gives_one_sample(baseline):
+    ds = datasets.generate_dataset(baseline, small_cfg(duration_s=0.006), 0)
+    for traj in ds.train + ds.val + ds.test:
+        assert traj.states.shape == (1, 4) and traj.actions.shape == (1, 1)
+
+
 def test_closed_loop_data_stays_bounded(baseline):
     cfg = small_cfg(n_train=3, duration_s=5.0)
     ds = datasets.generate_dataset(baseline, cfg, seed=11)

@@ -150,6 +150,30 @@ def test_config_name_is_type_checked():
             experiments.config_from_dict(d)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(name=None), r"^bad name: must be a string"),
+    (lambda d: d["link"].update(snr_db="10"), r"^bad link\.snr_db: "),
+    (lambda d: d["control"].update(r=-1.0), r"^bad control\.r: "),
+    (lambda d: d["link"].update(distance=0.0), r"^bad link\.distance: "),
+    (lambda d: d["link"].update(noise_model="x"),
+     r"^bad link\.noise_model: "),
+    (lambda d: d["data"].update(duration_s=0.004),
+     r"^bad data\.duration_s: "),
+    (lambda d: d["eval"].update(depth=0), r"^bad eval\.depth: "),
+    (lambda d: d["model"].update(latent_dim=0), r"^bad model: "),
+    (lambda d: d["data"].update(warmup=1),
+     r"^unknown config keys: \['data\.warmup'\]$"),
+    (lambda d: d.update(link=5), r"^config section link must be"),
+], ids=["name", "link.snr_db", "control.r", "link.distance",
+        "link.noise_model", "data.duration_s", "eval.depth", "model",
+        "unknown-key", "section"])
+def test_config_errors_name_the_key_as_written(edit, message):
+    d = experiments.config_to_dict(experiments.desk_preset())
+    edit(d)
+    with pytest.raises(experiments.ConfigError, match=message):
+        experiments.config_from_dict(d)
+
+
 def test_presets_differ_where_expected():
     desk = experiments.desk_preset()
     paper = experiments.paper_preset()

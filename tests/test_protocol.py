@@ -483,8 +483,8 @@ def test_validation_scores_without_a_graph_bitwise(monkeypatch, cls):
                   protocol.TrainSettings(lr=1e-3, batch_size=8), 0)
     loss_fn, roots = trainer._loss, []
 
-    def recording(states, actions):
-        roots.append(loss_fn(states, actions))
+    def recording(states, actions, *latents):
+        roots.append(loss_fn(states, actions, *latents))
         return roots[-1]
 
     monkeypatch.setattr(trainer, "_loss", recording)
@@ -499,6 +499,28 @@ def test_validation_scores_without_a_graph_bitwise(monkeypatch, cls):
     want = sum(float(g.value) * min(16, 40 - s)
                for g, s in zip(graphs, range(0, 40, 16))) / 40
     assert got == want
+
+
+def test_controlling_validation_latents_cached_at_build_stay_exact(
+        monkeypatch):
+    # the trainer encodes its validation chunks once; after an epoch has
+    # stepped the model, scoring from those latents gives the bits of
+    # scoring that encodes every chunk again
+    monkeypatch.setattr(protocol, "VALIDATION_CHUNK", 16)
+    model = koopman.ControllingModel.build(micro_model(seed=14),
+                                           np.random.default_rng(15))
+    trainer = protocol.ControllingTrainer(
+        model, "general", _micro_windows(n=24, depth=2),
+        _micro_windows(n=40, depth=2, seed=16),
+        protocol.TrainSettings(lr=1e-3, batch_size=8), 0)
+    before = model.koopman.value.copy()
+    stats = trainer.run_epoch()
+    assert not np.array_equal(model.koopman.value, before)
+    fresh = protocol._validation_loss(
+        lambda s, a: trainer._loss(s, a),
+        protocol._chunks(trainer.val_states, trainer.val_actions))
+    assert len(trainer._val_chunks) == 3
+    assert trainer.validation_loss() == stats.val_loss == fresh
 
 
 def test_sensing_validation_peak_memory():
