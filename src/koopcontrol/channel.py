@@ -1,19 +1,25 @@
 """Rayleigh block-fading link with latency-based packet erasure.
 
-Per control loop the link draws one exponential fading realization |h|^2,
-turning into an instantaneous SNR
+The radio is fixed, as the plant is: its transmit power P_T (the 20 dBm
+cap), receiver noise power N_C, reference path loss PL0_DB at D0, link
+DISTANCE, path loss exponent ETA, BANDWIDTH and compute budget TAU_COMP are
+module constants. A link varies only its mean SNR and its payload noise
+model (ChannelConfig). Per control loop the link draws one exponential
+fading realization |h|^2, turning into an instantaneous SNR
 
-    snr = 10^(-PL_dB(D0)/10) * (P_t / N_c) * (D0/D)^eta * |h|^2
+    snr = 10^(-PL0_DB/10) * (P_T / N_C) * (D0/DISTANCE)^ETA * |h|^2
 
-and a Shannon rate R = W log2(1 + snr). A packet of L bits is lost when its
-airtime L/R does not fit into the loop budget tau_o - tau_comp, where
-tau_o is the plant's control period `dynamics.TAU_O`; a delivered
-payload picks up additive white Gaussian noise scaled to the realized SNR,
-unless the link is configured noiseless.
+(about 34 dB mean on the stock link) and a Shannon rate R = BANDWIDTH
+log2(1 + snr). A packet of L bits is lost when its airtime L/R does not fit
+into AIRTIME_BUDGET = tau_o - TAU_COMP, where tau_o is the plant's control
+period `dynamics.TAU_O`; a delivered payload picks up additive white
+Gaussian noise scaled to the realized SNR, unless the link is configured
+noiseless. A config given a target mean SNR back-solves the noise power
+that puts the mean there and keeps the transmit power at its cap.
 
 The closed-form outage probability below is the CDF of the exponential SNR
 at the minimum decodable SNR, so Monte-Carlo outage rates of `transmit`
-match it for any reference distance.
+match it.
 
 The per-packet draw order is part of the reproducibility contract: every
 `transmit` call takes exactly one `exponential(1.0)` from the link's RNG,
@@ -28,7 +34,7 @@ every lossy result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,43 +59,56 @@ def dbm_to_watts(dbm):
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
+# the radio
+P_T = dbm_to_watts(20.0)   # transmit power [W], 20 dBm cap
+N_C = 4e-14                # receiver noise power [W] of the stock link
+PL0_DB = 30.0              # reference path loss at D0 [dB]
+DISTANCE = 100.0           # link distance [m]
+D0 = 1.0                   # reference distance [m]
+ETA = 3.0                  # path loss exponent
+BANDWIDTH = 1e6            # [Hz]
+TAU_COMP = 0.001           # compute budget taken off the period [s]
+# time left in a control period for the packet
+AIRTIME_BUDGET = dynamics.TAU_O - TAU_COMP
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
-    p_t: float = dbm_to_watts(20.0)   # transmit power [W], 20 dBm cap
-    n_c: float = 4e-14                # receiver noise power [W]
-    pl0_db: float = 30.0              # reference path loss at d0 [dB]
-    d: float = 100.0                  # link distance [m]
-    d0: float = 1.0                   # reference distance [m]
-    eta: float = 3.0                  # path loss exponent
-    bandwidth: float = 1e6            # [Hz]
-    tau_comp: float = 0.001           # compute budget taken off the period [s]
+    """A link of the fixed radio: the stock link (noise power N_C) when
+    `snr_db` is None, else the link whose mean SNR is `snr_db` dB."""
+    snr_db: float | None = None
     noise_model: str = "snr_scaled"
 
     def __post_init__(self):
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, "
                              f"not {self.noise_model!r}")
-        for name in ("p_t", "n_c", "d", "d0", "eta", "bandwidth"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not self.tau_comp >= 0.0:
-            raise ValueError("tau_comp must be >= 0")
+        try:
+            ok = math.isfinite(self.mean_snr) and self.mean_snr > 0.0
+        except ArithmeticError:
+            ok = False
+        if not ok:
+            raise ValueError(f"snr_db {self.snr_db!r} gives no finite, "
+                             f"positive mean SNR")
 
-    # derived once per config; the config is frozen, so they cannot go stale
+    # derived once per config; the config is frozen, so it cannot go stale
 
     @cached_property
     def mean_snr(self):
         """Mean received SNR (the |h|^2 = 1 point of the fading
-        distribution)."""
-        return (10.0 ** (-self.pl0_db / 10.0)
-                * (self.p_t / self.n_c)
-                * (self.d0 / self.d) ** self.eta)
-
-    @cached_property
-    def airtime_budget(self):
-        """Time left in a control period for the packet, tau_o - tau_comp,
-        with tau_o the plant's control period `dynamics.TAU_O`."""
-        return dynamics.TAU_O - self.tau_comp
+        distribution). A target is reached through the noise power, not
+        taken as the mean: every lossy result's bits rest on these products
+        in this order."""
+        n_c = N_C
+        if self.snr_db is not None:
+            # the noise power that puts the mean at the target
+            target = 10.0 ** (self.snr_db / 10.0)
+            n_c = (10.0 ** (-PL0_DB / 10.0)
+                   * P_T
+                   * (D0 / DISTANCE) ** ETA) / target
+        return (10.0 ** (-PL0_DB / 10.0)
+                * (P_T / n_c)
+                * (D0 / DISTANCE) ** ETA)
 
 
 @dataclass
@@ -100,11 +119,6 @@ class LinkOutcome:
     rate: float
     tau_comm: float
     noise_std: float = 0.0
-
-
-def path_loss_db(config):
-    """PL_dB(D) = PL_dB(D0) + 10 eta log10(D/D0)."""
-    return config.pl0_db + 10.0 * config.eta * math.log10(config.d / config.d0)
 
 
 def sample_snr(config, rng):
@@ -119,27 +133,21 @@ def shannon_rate(snr, bandwidth):
     return bandwidth * math.log2(1.0 + snr)
 
 
-def min_decodable_snr(config, bits):
-    """SNR below which `bits` cannot be pushed through in tau_o - tau_comp."""
-    budget = config.airtime_budget
-    if budget <= 0.0:
-        return math.inf
-    return 2.0 ** (bits / (config.bandwidth * budget)) - 1.0
+def min_decodable_snr(bits):
+    """SNR below which `bits` cannot be pushed through in AIRTIME_BUDGET."""
+    return 2.0 ** (bits / (BANDWIDTH * AIRTIME_BUDGET)) - 1.0
 
 
 def outage_probability(config, bits):
     """Closed-form loss probability for a packet of `bits` bits."""
-    s_min = min_decodable_snr(config, bits)
-    if math.isinf(s_min):
-        return 1.0
-    return 1.0 - math.exp(-s_min / config.mean_snr)
+    return 1.0 - math.exp(-min_decodable_snr(bits) / config.mean_snr)
 
 
 def _fade(config, bits, rng):
     """One fading draw for a packet of `bits` bits: (snr, rate, tau_comm).
     The packet is lost when tau_comm exceeds the airtime budget."""
     snr = sample_snr(config, rng)
-    rate = shannon_rate(snr, config.bandwidth)
+    rate = shannon_rate(snr, BANDWIDTH)
     return snr, rate, bits / rate if rate > 0.0 else math.inf
 
 
@@ -156,7 +164,7 @@ def transmit(config, payload, bits, rng):
     payloads are corrupted per the configured noise model."""
     payload = np.asarray(payload, dtype=np.float64)
     snr, rate, tau_comm = _fade(config, bits, rng)
-    if tau_comm > config.airtime_budget:
+    if tau_comm > AIRTIME_BUDGET:
         return LinkOutcome(False, None, snr, rate, tau_comm)
 
     if config.noise_model == "noiseless":
@@ -183,8 +191,7 @@ def transmit_rows(config, payloads, bits, rng):
         sq = payloads * payloads
         mean_sq = (np.add.reduce(sq, axis=1) / k).tolist()
     # `_fade`'s arithmetic inline, on names bound once per block
-    mean_snr, bandwidth = config.mean_snr, config.bandwidth
-    budget = config.airtime_budget
+    mean_snr, bandwidth, budget = config.mean_snr, BANDWIDTH, AIRTIME_BUDGET
     exponential, log2 = rng.exponential, math.log2
     delivered = np.zeros(n, dtype=bool)
     noise_rows, noise = [], []
@@ -205,20 +212,6 @@ def transmit_rows(config, payloads, bits, rng):
     if noise_rows:
         received[noise_rows] += noise
     return delivered, received
-
-
-def channel_config_for_target_snr(config, target_snr_db):
-    """Back-solve the noise power so the mean SNR hits `target_snr_db` (dB)
-    with the transmit power left at its configured cap. The experiment
-    presets quote operating points as mean-SNR targets; this maps them onto
-    a concrete link."""
-    if not math.isfinite(target_snr_db):
-        raise ValueError(f"target SNR must be finite, not {target_snr_db!r}")
-    target = 10.0 ** (target_snr_db / 10.0)
-    n_c = (10.0 ** (-config.pl0_db / 10.0)
-           * config.p_t
-           * (config.d0 / config.d) ** config.eta) / target
-    return replace(config, n_c=n_c)
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,15 @@ def _add_common(parser):
 
 
 def _numbers(text, kind):
-    """A comma list of `kind` (float or int) values."""
+    """A comma list of `kind` (float or int) values, at least one."""
     try:
-        return [kind(v) for v in text.split(",") if v.strip() != ""]
+        values = [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise experiments.ConfigError(f"bad number list {text!r}: {exc}") \
             from exc
+    if not values:
+        raise experiments.ConfigError(f"bad number list {text!r}: no number")
+    return values
 
 
 def _load_cfg(args, scalar_overrides=True):
@@ -60,22 +63,18 @@ def _load_cfg(args, scalar_overrides=True):
         cfg = experiments.PRESETS[args.preset]()
     if not scalar_overrides:
         return experiments.apply_overrides(cfg, seed=args.seed)
-    snr = None
-    if args.snr_db is not None:
-        vals = _numbers(args.snr_db, float)
-        if len(vals) != 1:
+    single = {}
+    for name, kind in (("snr_db", float), ("latent_dim", int)):
+        text = getattr(args, name)
+        if text is None:
+            continue
+        values = _numbers(text, kind)
+        if len(values) != 1:
+            flag = "--" + name.replace("_", "-")
             raise experiments.ConfigError(
-                "this subcommand takes a single --snr-db value")
-        snr = vals[0]
-    d = None
-    if args.latent_dim is not None:
-        vals = _numbers(args.latent_dim, int)
-        if len(vals) != 1:
-            raise experiments.ConfigError(
-                "this subcommand takes a single --latent-dim value")
-        d = vals[0]
-    return experiments.apply_overrides(cfg, seed=args.seed, snr_db=snr,
-                                       latent_dim=d)
+                f"this subcommand takes a single {flag} value")
+        single[name] = values[0]
+    return experiments.apply_overrides(cfg, seed=args.seed, **single)
 
 
 def _out_dir(args):
@@ -230,6 +229,9 @@ def cmd_run_control(args):
             raise experiments.ConfigError(
                 f"{gain_path} holds a {gain.shape} gain, not the "
                 f"{(sensing.q, sensing.d)} of the sensing model")
+        if not np.all(np.isfinite(gain)):
+            raise experiments.ConfigError(
+                f"{gain_path} holds a non-finite gain entry")
     else:
         gain = experiments.refresh_gain(sensing, cfg.control.r)
     result, summary = experiments.control_rollout(cfg, sensing, gain,
@@ -247,9 +249,10 @@ def cmd_sweep(args):
         raise experiments.ConfigError("--seeds must be >= 1")
     cfg = _load_cfg(args, scalar_overrides=False)
     out = _out_dir(args)
-    snrs = _numbers(args.snr_db, float) if args.snr_db \
+    snrs = _numbers(args.snr_db, float) if args.snr_db is not None \
         else [-10.0, 0.0, 10.0, 20.0]
-    dims = _numbers(args.latent_dim, int) if args.latent_dim else None
+    dims = _numbers(args.latent_dim, int) if args.latent_dim is not None \
+        else None
     seeds = [cfg.seed + k for k in range(args.seeds)]
     csv_path = out / "sweep.csv"
     rows = experiments.run_sweep(

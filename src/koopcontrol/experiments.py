@@ -81,30 +81,17 @@ class ModelSettings:
 @dataclass
 class LinkSettings:
     ideal: bool = False
-    snr_db: float | None = None        # None keeps the stock channel config
-    distance: float = 100.0
-    eta: float = 3.0
-    bandwidth: float = 1e6
-    tau_comp: float = 0.001
+    snr_db: float | None = None        # None keeps the stock link
     noise_model: str = "snr_scaled"
 
     def __post_init__(self):
-        # checked even on an ideal link: a sweep may switch it to fading;
-        # the channel calls the distance `d`, so it is checked here first,
-        # under the name a config gives it
-        if not self.distance > 0.0:
-            raise ValueError("distance must be positive")
+        # checked even on an ideal link: a sweep may switch it to fading
         self.channel_config()
 
     def channel_config(self):
         """The fading-link configuration these settings describe."""
-        base = channel.ChannelConfig(d=self.distance, eta=self.eta,
-                                     bandwidth=self.bandwidth,
-                                     tau_comp=self.tau_comp,
+        return channel.ChannelConfig(snr_db=self.snr_db,
                                      noise_model=self.noise_model)
-        if self.snr_db is None:
-            return base
-        return channel.channel_config_for_target_snr(base, self.snr_db)
 
 
 @dataclass
@@ -186,12 +173,25 @@ def _check_field(cls, name, value, section=None):
     return float(value) if kind == "float" and value is not None else value
 
 
+# keys of the fixed radio that configs saved while it was settable carry
+# (config_to_dict writes every field); they load at the fixed value only
+_FIXED_KEYS = {"link": {"distance": channel.DISTANCE, "eta": channel.ETA,
+                        "bandwidth": channel.BANDWIDTH,
+                        "tau_comp": channel.TAU_COMP}}
+
+
 def _build_section(section, payload):
     """The config section named `section` from its JSON mapping; errors
     name the section or the key within it."""
     cls = _SECTIONS[section]
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {section} must be a mapping")
+    fixed = _FIXED_KEYS.get(section, {})
+    for name, value in payload.items():
+        if name in fixed and not (_is_float(value) and value == fixed[name]):
+            raise ConfigError(f"bad {section}.{name}: fixed at "
+                              f"{fixed[name]!r}, not {value!r}")
+    payload = {k: v for k, v in payload.items() if k not in fixed}
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - fields
     if unknown:
@@ -460,7 +460,7 @@ def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,
     streams = seed_streams(cfg.seed)
     system = protocol.ControlSystem(
         noise_var=cfg.data.noise_var, sensing=sensing, gain=gain,
-        controlling=controlling, tau_comp=cfg.link.tau_comp)
+        controlling=controlling)
     if uplink is None:
         uplink = build_link(cfg, streams["eval_uplink"])
     if downlink is None:

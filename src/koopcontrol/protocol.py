@@ -465,13 +465,13 @@ PHASE2_PREDICT_MODES = ("hold", "advance")
 
 @dataclass
 class ControlSystem:
-    """Everything the closed loop needs in one place, besides the plant,
-    which is fixed: `dynamics` holds its parameters and control period."""
+    """Everything the closed loop needs in one place, besides the plant
+    and the radio, which are fixed: `dynamics` holds the plant's parameters
+    and control period, and `channel` the radio's compute budget."""
     noise_var: float                      # plant process noise variance
     sensing: koopman.SensingModel
     gain: np.ndarray                      # latent LQR gain (q, d)
     controlling: koopman.ControllingModel | None = None
-    tau_comp: float = 0.001
 
 
 @dataclass
@@ -616,7 +616,7 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             action_depth=down_losses,
             tau_comm_up=up_out.tau_comm if up_out is not None else float("nan"),
             tau_comm_down=down_out.tau_comm,
-            tau_comp=system.tau_comp,
+            tau_comp=channel.TAU_COMP,
         ))
 
         x = dynamics.step_plant(x, u_app, noise_var=system.noise_var,

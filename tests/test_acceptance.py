@@ -128,12 +128,11 @@ def test_criterion_4_channel_oracle():
     n = 200_000
     rng = np.random.default_rng(11)
     for target_db, n_scalars in param_sets:
-        cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(),
-                                                    target_db)
+        cfg = channel.ChannelConfig(snr_db=target_db)
         bits = channel.payload_bits(n_scalars)
         p = channel.outage_probability(cfg, bits)
         assert 1e-4 < p < 1.0 - 1e-4   # non-degenerate comparison
-        s_min = channel.min_decodable_snr(cfg, bits)
+        s_min = channel.min_decodable_snr(bits)
         draws = np.array([channel.sample_snr(cfg, rng) for _ in range(n)])
         p_hat = float(np.mean(draws < s_min))
         sigma = math.sqrt(p * (1.0 - p) / n)

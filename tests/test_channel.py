@@ -24,21 +24,27 @@ def test_dbm_conversion():
     assert np.isclose(channel.dbm_to_watts(0.0), 1e-3)
 
 
+def _path_loss_db():
+    return channel.PL0_DB + 10.0 * channel.ETA * math.log10(
+        channel.DISTANCE / channel.D0)
+
+
 def test_path_loss_hand_value():
     # eta=3, D=100, D0=1, PL(D0)=30 dB -> 30 + 10*3*log10(100) = 90 dB
-    cfg = channel.ChannelConfig(pl0_db=30.0, d=100.0, d0=1.0, eta=3.0)
-    assert np.isclose(channel.path_loss_db(cfg), 90.0, atol=1e-12)
-    # D = D0 leaves only the reference loss
-    cfg0 = channel.ChannelConfig(d=1.0, d0=1.0)
-    assert np.isclose(channel.path_loss_db(cfg0), cfg0.pl0_db)
+    assert (channel.PL0_DB, channel.DISTANCE, channel.D0, channel.ETA) == \
+        (30.0, 100.0, 1.0, 3.0)
+    assert np.isclose(_path_loss_db(), 90.0, atol=1e-12)
+    # 90 dB of loss: the mean SNR is the power ratio scaled by 1e-9
+    assert np.isclose(channel.ChannelConfig().mean_snr,
+                      1e-9 * channel.P_T / channel.N_C, rtol=1e-12)
 
 
 def test_mean_snr_consistent_with_path_loss():
-    cfg = channel.ChannelConfig()
+    pl_db = _path_loss_db()
     # mean snr = P_t / (N_c * PL_linear)
-    pl_lin = 10.0 ** (channel.path_loss_db(cfg) / 10.0)
-    assert np.isclose(cfg.mean_snr, cfg.p_t / (cfg.n_c * pl_lin),
-                      rtol=1e-12)
+    pl_lin = 10.0 ** (pl_db / 10.0)
+    assert np.isclose(channel.ChannelConfig().mean_snr,
+                      channel.P_T / (channel.N_C * pl_lin), rtol=1e-12)
 
 
 def test_shannon_rate_identities():
@@ -50,28 +56,58 @@ def test_shannon_rate_identities():
 
 
 def test_min_decodable_snr_budget():
-    cfg = channel.ChannelConfig(bandwidth=1e6, tau_comp=0.001)
     bits = channel.payload_bits(4)    # 192 bits in 9 ms at 1 MHz
-    s = channel.min_decodable_snr(cfg, bits)
+    s = channel.min_decodable_snr(bits)
     assert np.isclose(s, 2.0 ** (bits / 9000.0) - 1.0, rtol=1e-12)
-    # no time budget left -> nothing is decodable
-    cfg_zero = channel.ChannelConfig(tau_comp=0.01)
-    assert math.isinf(channel.min_decodable_snr(cfg_zero, bits))
-    assert channel.outage_probability(cfg_zero, bits) == 1.0
+
+
+def _written_out_mean_snr(snr_db):
+    """The mean SNR as the radio's formulas were first written, with the
+    radio's values written out: 20 dBm, 4e-14 W of noise, 30 dB at 1 m,
+    100 m, exponent 3; a target first back-solves the noise power."""
+    p_t, n_c = 10.0 ** (20.0 / 10.0) * 1e-3, 4e-14
+    pl0_db, d, d0, eta = 30.0, 100.0, 1.0, 3.0
+    if snr_db is not None:
+        target = 10.0 ** (snr_db / 10.0)
+        n_c = (10.0 ** (-pl0_db / 10.0)
+               * p_t
+               * (d0 / d) ** eta) / target
+    return (10.0 ** (-pl0_db / 10.0)
+            * (p_t / n_c)
+            * (d0 / d) ** eta)
+
+
+def _written_out_min_decodable_snr(bits):
+    """2^(bits / (W (tau_o - tau_comp))) - 1 at 1 MHz, 10 ms and 1 ms."""
+    budget = 0.01 - 0.001
+    return 2.0 ** (bits / (1e6 * budget)) - 1.0
+
+
+@pytest.mark.parametrize("snr_db", [None, -10.0, -3.0, 0.0, 10.0, 20.0, 60.0])
+def test_channel_numbers_match_the_written_out_formulas_bit_for_bit(snr_db):
+    cfg = channel.ChannelConfig(snr_db=snr_db)
+    mean = _written_out_mean_snr(snr_db)
+    assert cfg.mean_snr == mean
+    for n_scalars in (1, 4, 8, 12):
+        bits = channel.payload_bits(n_scalars)
+        s_min = _written_out_min_decodable_snr(bits)
+        assert channel.min_decodable_snr(bits) == s_min
+        assert channel.outage_probability(cfg, bits) == \
+            1.0 - math.exp(-s_min / mean)
 
 
 def test_outage_closed_form_is_exponential_cdf():
-    cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(), 0.0)
+    cfg = channel.ChannelConfig(snr_db=0.0)
     bits = channel.payload_bits(5)
-    s_min = channel.min_decodable_snr(cfg, bits)
+    s_min = channel.min_decodable_snr(bits)
     expected = 1.0 - math.exp(-s_min / cfg.mean_snr)
     assert np.isclose(channel.outage_probability(cfg, bits), expected,
                       rtol=1e-12)
 
 
 def test_outage_monotone_in_packet_size_and_snr():
-    cfg10 = channel.channel_config_for_target_snr(channel.ChannelConfig(), 10.0)
-    cfg20 = channel.channel_config_for_target_snr(channel.ChannelConfig(), 20.0)
+    cfg10 = channel.ChannelConfig(snr_db=10.0)
+    cfg20 = channel.ChannelConfig(snr_db=20.0)
     small = channel.payload_bits(2)
     large = channel.payload_bits(50)
     assert (channel.outage_probability(cfg10, small)
@@ -81,7 +117,7 @@ def test_outage_monotone_in_packet_size_and_snr():
 
 
 def test_outage_matches_monte_carlo():
-    cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(), 0.0)
+    cfg = channel.ChannelConfig(snr_db=0.0)
     bits = channel.payload_bits(8)
     p = channel.outage_probability(cfg, bits)
     rng = np.random.default_rng(5150)
@@ -95,17 +131,23 @@ def test_outage_matches_monte_carlo():
 
 def test_target_snr_backsolve_round_trip():
     for target in (-10.0, 0.0, 10.0, 20.0):
-        cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(),
-                                                    target)
+        cfg = channel.ChannelConfig(snr_db=target)
         got_db = 10.0 * math.log10(cfg.mean_snr)
         assert np.isclose(got_db, target, atol=1e-9)
-        assert cfg.p_t == channel.ChannelConfig().p_t    # power cap untouched
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, 3090.0, 1e5, float("nan"),
+                                    float("inf"), float("-inf")])
+def test_snr_target_outside_the_float_range_is_refused(snr_db):
+    # no finite, positive mean SNR: a ValueError naming the field, not an
+    # ArithmeticError from the back-solve
+    with pytest.raises(ValueError, match=r"^snr_db "):
+        channel.ChannelConfig(snr_db=snr_db)
 
 
 def test_transmit_delivery_and_erasure_paths():
     # -10 dB target: outage ~9%, so 2000 draws see both outcomes
-    cfg = channel.channel_config_for_target_snr(
-        channel.ChannelConfig(noise_model="noiseless"), -10.0)
+    cfg = channel.ChannelConfig(snr_db=-10.0, noise_model="noiseless")
     rng = np.random.default_rng(8)
     payload = np.array([1.0, -2.0, 3.0])
     bits = channel.payload_bits(3)
@@ -115,18 +157,17 @@ def test_transmit_delivery_and_erasure_paths():
         if out.delivered:
             saw_delivery = True
             assert np.array_equal(out.payload, payload)
-            assert out.tau_comm <= dynamics.TAU_O - cfg.tau_comp
+            assert out.tau_comm <= dynamics.TAU_O - channel.TAU_COMP
             assert out.tau_comm == bits / out.rate
         else:
             saw_loss = True
             assert out.payload is None
-            assert out.tau_comm > dynamics.TAU_O - cfg.tau_comp
+            assert out.tau_comm > dynamics.TAU_O - channel.TAU_COMP
     assert saw_delivery and saw_loss
 
 
 def test_transmit_does_not_alias_payload():
-    cfg = channel.channel_config_for_target_snr(
-        channel.ChannelConfig(noise_model="noiseless"), 60.0)
+    cfg = channel.ChannelConfig(snr_db=60.0, noise_model="noiseless")
     payload = np.zeros(2)
     out = channel.transmit(cfg, payload, 96, np.random.default_rng(0))
     assert out.delivered
@@ -137,7 +178,7 @@ def test_transmit_does_not_alias_payload():
 def test_snr_scaled_noise_variance():
     # with a huge mean SNR every packet lands; per-packet noise variance is
     # mean_square(payload)/snr_draw, checked against the recorded draw
-    cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(), 60.0)
+    cfg = channel.ChannelConfig(snr_db=60.0)
     rng = np.random.default_rng(31)
     payload = np.full(100_000, 2.0)    # mean square 4
     out = channel.transmit(cfg, payload, 96, rng)
@@ -154,7 +195,7 @@ def test_unknown_noise_model_rejected():
 
 
 def test_fading_link_stream_independent_and_reproducible():
-    cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(), 0.0)
+    cfg = channel.ChannelConfig(snr_db=0.0)
     a = channel.FadingLink(cfg, seed=404)
     b = channel.FadingLink(cfg, seed=404)
     seq_a = [a.transmit(np.ones(2), 128).snr for _ in range(64)]
@@ -188,12 +229,11 @@ def _transmit_reference(config, payload, bits, rng):
     """The per-packet link as first written: np.mean for the mean square
     and the mean SNR and airtime budget recomputed on every call."""
     payload = np.asarray(payload, dtype=np.float64)
-    mean = (10.0 ** (-config.pl0_db / 10.0) * (config.p_t / config.n_c)
-            * (config.d0 / config.d) ** config.eta)
+    mean = _written_out_mean_snr(config.snr_db)
     snr = mean * rng.exponential(1.0)
-    rate = config.bandwidth * math.log2(1.0 + snr)
+    rate = 1e6 * math.log2(1.0 + snr)
     tau_comm = bits / rate if rate > 0.0 else math.inf
-    if tau_comm > dynamics.TAU_O - config.tau_comp:
+    if tau_comm > 0.01 - 0.001:
         return False, None, snr, rate, tau_comm, 0.0
     if config.noise_model == "noiseless":
         std = 0.0
@@ -211,8 +251,7 @@ def test_transmit_matches_reference_bit_for_bit(noise_model):
     # the final generator state agree with the reference over mixed losses,
     # for single scalars, packets and a 3-D gradient block (with zeros, so
     # the zero-noise branch is hit too)
-    cfg = channel.channel_config_for_target_snr(
-        channel.ChannelConfig(noise_model=noise_model), -3.0)
+    cfg = channel.ChannelConfig(snr_db=-3.0, noise_model=noise_model)
     shapes = [(8,), (1,), (17,), (4, 2, 3)]
     for seed in (0, 7, 2024):
         data = np.random.default_rng(seed + 1)
@@ -255,8 +294,7 @@ def test_transmit_rows_matches_a_loop_of_transmit_bit_for_bit(noise_model):
     # zeros of all-zero rows included) and the final generator state agree
     # with one `transmit` call per row, over mixed losses, an all-lost block
     # (oversized packets) and an empty block
-    cfg = channel.channel_config_for_target_snr(
-        channel.ChannelConfig(noise_model=noise_model), -10.0)
+    cfg = channel.ChannelConfig(snr_db=-10.0, noise_model=noise_model)
     for seed in (0, 7, 2024):
         data = np.random.default_rng(seed + 1)
         link, ref = channel.FadingLink(cfg, seed), channel.FadingLink(cfg, seed)
@@ -285,7 +323,7 @@ def test_scripted_loss_link_counts_packets_across_both_calls():
     # forced indices count packets over `transmit` and `transmit_rows`
     # alike, and the inner link sees exactly the packets that are not
     # forced lost, in order: the same draws as per-packet sending
-    cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(), 0.0)
+    cfg = channel.ChannelConfig(snr_db=0.0)
     lost = [1, 3, 4, 9, 11, 12, 13]
     link = channel.ScriptedLossLink(channel.FadingLink(cfg, 5), lost)
     ref = channel.ScriptedLossLink(channel.FadingLink(cfg, 5), lost)
@@ -316,10 +354,9 @@ def test_scripted_loss_link_counts_packets_across_both_calls():
 
 def test_channel_config_is_frozen_and_replace_recomputes():
     cfg = channel.ChannelConfig()
-    budget, mean = cfg.airtime_budget, cfg.mean_snr
+    mean = cfg.mean_snr
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.n_c = 1e-12
-    farther = dataclasses.replace(cfg, d=2.0 * cfg.d, tau_comp=0.002)
-    assert cfg.mean_snr == mean and cfg.airtime_budget == budget
-    assert np.isclose(farther.mean_snr, mean / 8.0, rtol=1e-12)  # eta = 3
-    assert farther.airtime_budget == 0.01 - 0.002
+        cfg.snr_db = 0.0
+    lower = dataclasses.replace(cfg, snr_db=0.0)
+    assert cfg.mean_snr == mean
+    assert np.isclose(lower.mean_snr, 1.0, rtol=1e-12)

@@ -147,7 +147,8 @@ def test_exit_config_on_unknown_key(tmp_path):
 
 def test_exit_config_on_invalid_link_distance(tmp_path, capsys):
     # also a bad train value: every section is checked before data exists
-    for section, key, message in (("link", "distance", "must be positive"),
+    for section, key, message in (("link", "distance",
+                                   "fixed at 100.0, not 0"),
                                   ("train", "patience",
                                    "patience must be >= 1"),
                                   ("data", "n_train", "must be >= 1")):
@@ -215,6 +216,34 @@ def test_exit_config_on_multivalued_scalar_flag(tmp_path, capsys):
                          "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.npz").exists()
+
+
+def test_exit_config_on_an_snr_target_outside_the_float_range(tmp_path,
+                                                             capsys):
+    # 10^(-400) underflows to 0 and 10^309 overflows: no link has that mean
+    cfg_path = micro_config(tmp_path)
+    for snr in ("-4000", "3090"):
+        code = cli.main(["gen-data", "--config", str(cfg_path), "--out-dir",
+                         str(tmp_path), f"--snr-db={snr}"])
+        assert code == cli.EXIT_CONFIG
+        assert "bad link.snr_db: " in capsys.readouterr().err
+    assert not (tmp_path / "dataset.npz").exists()
+
+
+def test_exit_config_on_a_number_list_of_no_number(tmp_path, capsys):
+    # a given list must hold a number; it is not an empty grid or the
+    # config's value
+    cfg_path = micro_config(tmp_path)
+    base = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+    for cmd, flags in (("sweep", ["--snr-db", ","]),
+                       ("sweep", ["--snr-db", ""]),
+                       ("sweep", ["--snr-db", "0", "--latent-dim", ","]),
+                       ("gen-data", ["--snr-db", " , "]),
+                       ("gen-data", ["--latent-dim", ""])):
+        assert cli.main([cmd] + base + flags) == cli.EXIT_CONFIG, flags
+        assert "no number" in capsys.readouterr().err, flags
+    assert not (tmp_path / "sweep.csv").exists()
     assert not (tmp_path / "dataset.npz").exists()
 
 
@@ -414,7 +443,8 @@ def test_exit_config_on_a_gain_file_that_is_not_the_model_gain(
     base = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
     _copy_artifacts(src, tmp_path, "sensing.json", "controlling.json")
     for text in ("a b c d\n", "0.1 0.2 0.3\n", "0.1 0.2 0.3 0.4\n" * 2,
-                 "0.1 0.2\n0.3 0.4\n"):
+                 "0.1 0.2\n0.3 0.4\n", "0.1 nan 0.3 0.4\n",
+                 "0.1 0.2 0.3 -inf\n"):
         (tmp_path / "gain.txt").write_text(text)
         assert cli.main(["run-control"] + base) == cli.EXIT_CONFIG, text
         assert "gain.txt" in capsys.readouterr().err

@@ -32,6 +32,51 @@ def test_config_dict_roundtrip_all_fields():
     assert back == cfg
 
 
+# the desk preset as a config file saved while the radio was settable
+# holds it, every link field included
+SAVED_DESK_CONFIG = """{
+  "format": "koopcontrol-config-v1",
+  "name": "desk",
+  "seed": 0,
+  "data": {"n_train": 20, "n_val": 5, "n_test": 5, "duration_s": 25.0,
+           "ic_low": -0.5, "ic_high": 0.5, "explore_std": 0.1,
+           "noise_var": 0.0, "max_retries": 25},
+  "model": {"latent_dim": 4, "depth": 1, "schedule_mode": "special",
+            "encoder_hidden": [128, 64, 32]},
+  "train": {"lr": 0.001, "batch_size": 64, "max_epochs": 40, "patience": 8,
+            "min_delta": 0.0001, "max_batches_per_epoch": 150,
+            "impair_gradients": false},
+  "link": {"ideal": false, "snr_db": null, "distance": 100.0, "eta": 3.0,
+           "bandwidth": 1000000.0, "tau_comp": 0.001,
+           "noise_model": "snr_scaled"},
+  "control": {"n_loops": 1000, "uplink_refresh": true,
+              "action_fallback": "predict", "action_predict_mode": "hold",
+              "latent_fallback": "predict", "r": 1.0,
+              "q_x_diag": [1.0, 1.0, 1.0, 1.0],
+              "x0": [0.05, 0.05, 0.05, 0.05]},
+  "eval": {"depth": 1, "anchor_stride": 10}
+}"""
+
+
+def test_a_config_saved_with_the_settable_radio_loads_unchanged():
+    saved = json.loads(SAVED_DESK_CONFIG)
+    assert experiments.config_from_dict(saved) == experiments.desk_preset()
+    # the radio's keys load at their fixed values only, each named
+    for key, value in (("distance", 50.0), ("eta", 2.0),
+                       ("bandwidth", 2e6), ("tau_comp", 0.002),
+                       ("distance", "100.0"), ("eta", True)):
+        edited = json.loads(SAVED_DESK_CONFIG)
+        edited["link"][key] = value
+        with pytest.raises(experiments.ConfigError,
+                           match=rf"^bad link\.{key}: fixed at "):
+            experiments.config_from_dict(edited)
+    saved["link"]["distance"] = 50.0
+    with pytest.raises(experiments.ConfigError,
+                       match=r"^bad link\.distance: fixed at 100\.0, "
+                             r"not 50\.0$"):
+        experiments.config_from_dict(saved)
+
+
 def test_config_rejects_unknown_keys():
     d = experiments.config_to_dict(experiments.desk_preset())
     d["data"]["n_trajectories"] = 3
@@ -153,6 +198,8 @@ def test_config_name_is_type_checked():
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d.update(name=None), r"^bad name: must be a string"),
     (lambda d: d["link"].update(snr_db="10"), r"^bad link\.snr_db: "),
+    (lambda d: d["link"].update(snr_db=-4000.0), r"^bad link\.snr_db: "),
+    (lambda d: d["link"].update(snr_db=3090.0), r"^bad link\.snr_db: "),
     (lambda d: d["control"].update(r=-1.0), r"^bad control\.r: "),
     (lambda d: d["link"].update(distance=0.0), r"^bad link\.distance: "),
     (lambda d: d["link"].update(noise_model="x"),
@@ -164,7 +211,8 @@ def test_config_name_is_type_checked():
     (lambda d: d["data"].update(warmup=1),
      r"^unknown config keys: \['data\.warmup'\]$"),
     (lambda d: d.update(link=5), r"^config section link must be"),
-], ids=["name", "link.snr_db", "control.r", "link.distance",
+], ids=["name", "link.snr_db", "link.snr_db-underflow",
+        "link.snr_db-overflow", "control.r", "link.distance",
         "link.noise_model", "data.duration_s", "eval.depth", "model",
         "unknown-key", "section"])
 def test_config_errors_name_the_key_as_written(edit, message):
@@ -197,7 +245,8 @@ def test_apply_overrides_copies():
     assert cfg.seed != 9 or cfg.model.latent_dim == 4
     assert cfg.link.snr_db is None
     # overridden values are checked as a loaded config's are
-    for overrides in ({"snr_db": 1e5}, {"latent_dim": 0}, {"seed": -1},
+    for overrides in ({"snr_db": 1e5}, {"snr_db": -4000.0},
+                      {"snr_db": 3090.0}, {"latent_dim": 0}, {"seed": -1},
                       {"seed": "x"}, {"snr_db": float("nan")},
                       {"snr_db": float("inf")}, {"snr_db": float("-inf")},
                       {"latent_dim": 1.5}, {"latent_dim": True},

@@ -251,8 +251,7 @@ def test_transport_matches_per_packet_reference_bit_for_bit():
     # -10 dB: about a fifth of the packets are lost, so windows are dropped
     # and interior samples filled; the noisy payloads, the fills and the
     # link's generator state must all match the per-packet loop
-    cfg = channel.channel_config_for_target_snr(channel.ChannelConfig(),
-                                                -10.0)
+    cfg = channel.ChannelConfig(snr_db=-10.0)
     model = micro_model(seed=6)
     states, actions = windows = _micro_windows(n=40, depth=3, seed=6)
     lat_vals = np.stack([model.encode(states[:, j, :])
@@ -372,8 +371,7 @@ def _action_stream_reference(trajectories, link, q=1):
 
 @pytest.mark.parametrize("noise_model", channel.NOISE_MODELS)
 def test_receive_action_stream_matches_per_packet_reference(noise_model):
-    cfg = channel.channel_config_for_target_snr(
-        channel.ChannelConfig(noise_model=noise_model), -10.0)
+    cfg = channel.ChannelConfig(snr_db=-10.0, noise_model=noise_model)
     trajs = _tiny_trajectories(n=3, length=200, seed=4)
     trajs[1].actions[50:60] = 0.0
     for seed in (0, 7, 2024):
