@@ -125,8 +125,8 @@ def _write_history(path, result, cfg):
 def _checkpoint(path, cls, cfg, encoder=None):
     """The `cls` model in the checkpoint `path`, built around `encoder` when
     given. A missing file, a file that does not load as one, or a model
-    whose sizes are not the plant's and `cfg.model`'s, is a config error
-    naming the file; a missing one names the command that writes it."""
+    whose sizes are not the plant's and `cfg.model`'s or that is not finite
+    is a config error naming the file, a missing one naming its writer."""
     if not path.exists():
         raise experiments.ConfigError(
             f"{path} not found; run {_WRITERS[cls]} first")
@@ -146,6 +146,8 @@ def _checkpoint(path, cls, cfg, encoder=None):
         raise experiments.ConfigError(
             f"{path} holds a model with (p, d, q, encoder widths) {have}, "
             f"not the {want} of the plant and the config")
+    if not all(np.isfinite(p.value).all() for p in model.parameters()):
+        raise experiments.ConfigError(f"{path} holds a non-finite parameter")
     return model
 
 

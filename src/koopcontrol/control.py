@@ -21,14 +21,14 @@ across magnitudes and the whole iteration against a loop that calls solve,
 so a LAPACK that divides fails the suite instead of moving bits. Wider R
 goes through solve.
 
-The plant is fixed, so the local-linearization baseline depends on its LQR
-weights alone. build_jacobian_controller keeps the last
-BASELINE_CACHE_SIZE controllers it built, keyed by the exact float64 bytes
-and shapes of the weights (a -0.0 weight is a key of its own), and hands
-every caller with equal weights the same JacobianController, whose arrays
-are read-only. A process therefore runs the Riccati sweeps of a weight
-pair once; a solve that raises DareSolverError is not kept and runs again
-on the next call.
+The plant and the LQR state weight Q_X (the read-only identity, which the
+sensing loss weighs states by too) are fixed, so the local-linearization
+baseline depends on its action weight r alone. build_jacobian_controller
+keeps the last BASELINE_CACHE_SIZE controllers it built, keyed by r, and
+hands every caller with an equal r the same JacobianController, whose
+arrays are read-only. A process therefore runs the Riccati sweeps of a
+weight once; a solve that raises DareSolverError is not kept and runs
+again on the next call.
 """
 
 from __future__ import annotations
@@ -174,35 +174,28 @@ class JacobianController:
 
 # baselines kept per process; the least recently used one goes first
 BASELINE_CACHE_SIZE = 8
-
-
-def build_jacobian_controller(q_x, r):
-    """Linearize the cart-pole at the origin, discretize with forward Euler
-    at the control period (A_d = I + TAU_O A_c, B_d = TAU_O B_c), and solve
-    the DARE on (q_x, r).
-
-    Equal weights (the same float64 bytes and shapes) return the same
-    controller, solved once per process while it stays among the last
-    BASELINE_CACHE_SIZE built (module docstring); its `gain`, `a_d` and
-    `b_d` are read-only. A DareSolverError is raised again on every call."""
-    q_x, r = (np.asarray(m, dtype=np.float64) for m in (q_x, r))
-    return _baseline(q_x.shape, q_x.tobytes(), r.shape, r.tobytes())
+Q_X = np.eye(dynamics.STATE_DIM)   # the LQR state weight, shared read-only
+Q_X.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=BASELINE_CACHE_SIZE)
-def _baseline(q_shape, q_bytes, r_shape, r_bytes):
-    """build_jacobian_controller's solve, on weights rebuilt from their
-    key."""
-    q_x = np.frombuffer(q_bytes).reshape(q_shape)
-    r = np.frombuffer(r_bytes).reshape(r_shape)
+def build_jacobian_controller(r):
+    """Linearize the cart-pole at the origin, discretize with forward Euler
+    at the control period (A_d = I + TAU_O A_c, B_d = TAU_O B_c), and solve
+    the DARE on the state weight Q_X and the action weight r I.
+
+    An equal `r` returns the same controller, solved once per process while
+    it stays among the last BASELINE_CACHE_SIZE built (module docstring);
+    its `gain`, `a_d` and `b_d` are read-only. A DareSolverError is raised
+    again on every call."""
     a_c, b_c = dynamics.numeric_jacobian(
         dynamics.cartpole_derivative, np.zeros(dynamics.STATE_DIM),
         np.zeros(dynamics.ACTION_DIM))
     a_d = np.eye(dynamics.STATE_DIM) + dynamics.TAU_O * a_c
     b_d = dynamics.TAU_O * b_c
-    sol = solve_dare(a_d, b_d, q_x, r)
+    sol = solve_dare(a_d, b_d, Q_X, np.eye(dynamics.ACTION_DIM) * r)
     ctl = JacobianController(gain=sol.gain, a_d=a_d, b_d=b_d)
-    # shared by every caller with these weights
+    # shared by every caller with this r
     for m in (ctl.gain, ctl.a_d, ctl.b_d, ctl._neg_gain):
         m.setflags(write=False)
     return ctl

@@ -4,19 +4,19 @@ Training data is collected in closed loop: a baseline controller regulates
 the plant from random initial conditions while a small exploration dither on
 the force keeps the data persistently exciting. Recorded actions are the
 applied ones, dither included. A trajectory that blows up is resampled with
-a fresh initial condition a bounded number of times.
+a fresh initial condition at most MAX_RETRIES times.
 
 The draw order is part of the reproducibility contract. Each attempt at a
 trajectory takes one uniform block of STATE_DIM entries for its initial
-condition, then per step one dither normal (when explore_std > 0) and,
-after each plant step that did not diverge (every step but the last takes
-one), STATE_DIM process-noise normals (when noise_var > 0). An attempt draws all its normals as one
-standard_normal block in that order and scales each as rng.normal(0.0, s)
-does, to 0.0 + s z. When the attempt diverges, the generator is rewound to
-the start of the block and redraws exactly the normals the steps before the
-blow-up used, so the next initial condition comes from the same generator
-state as when every normal was drawn on its own, and the data keep their
-bits.
+condition, then per step one dither normal and, after each plant step that
+did not diverge (every step but the last takes one), STATE_DIM
+process-noise normals (when noise_var > 0). An attempt draws all its
+normals as one standard_normal block in that order and scales each as
+rng.normal(0.0, s) does, to 0.0 + s z. When the attempt diverges, the
+generator is rewound to the start of the block and redraws exactly the
+normals the steps before the blow-up used, so the next initial condition
+comes from the same generator state as when every normal was drawn on its
+own, and the data keep their bits.
 
 The state is carried as four floats and stepped with dynamics.rk4_values,
 so a step costs its arithmetic and not the array wrapping of step_plant.
@@ -35,6 +35,8 @@ from . import dynamics
 DATASET_FORMAT = "koopcontrol-dataset-v1"
 
 SPLITS = ("train", "val", "test")
+EXPLORE_STD = 0.1   # [N] exploration dither on the applied force
+MAX_RETRIES = 25    # fresh initial conditions a diverging slot may take
 
 
 class DataGenerationError(RuntimeError):
@@ -57,9 +59,7 @@ class DataSettings:
     duration_s: float = 25.0
     ic_low: float = -0.5
     ic_high: float = 0.5
-    explore_std: float = 0.1   # [N] dither on the applied force
     noise_var: float = 0.0     # plant process noise variance, every step
-    max_retries: int = 25
 
     def __post_init__(self):
         if min(self.counts().values()) < 1:
@@ -70,9 +70,8 @@ class DataSettings:
                 f"duration_s must exceed half the control period "
                 f"({dynamics.TAU_O / 2} s), or a trajectory has no sample; "
                 f"got {self.duration_s!r}")
-        for name in ("explore_std", "noise_var", "max_retries"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+        if not self.noise_var >= 0:
+            raise ValueError("noise_var must be >= 0")
         if not self.ic_low <= self.ic_high:
             raise ValueError("ic_low must be <= ic_high")
 
@@ -112,14 +111,13 @@ class TrajectoryDataset:
 
 def _one_trajectory(controller, cfg, rng):
     n_steps = int(round(cfg.duration_s / dynamics.TAU_O))
-    dither = cfg.explore_std > 0.0
     noise_std = math.sqrt(cfg.noise_var)
     noisy = cfg.noise_var != 0.0
     # an attempt's normals, in draw order (module docstring)
-    n_draws = dither * n_steps + noisy * dynamics.STATE_DIM * (n_steps - 1)
+    n_draws = n_steps + noisy * dynamics.STATE_DIM * (n_steps - 1)
     states = np.empty((n_steps, dynamics.STATE_DIM))
     actions = np.empty((n_steps, 1))
-    for _ in range(cfg.max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         x, v, theta, omega = rng.uniform(
             cfg.ic_low, cfg.ic_high, size=dynamics.STATE_DIM).tolist()
         start = rng.bit_generator.state
@@ -128,9 +126,8 @@ def _one_trajectory(controller, cfg, rng):
         for m in range(n_steps):
             states[m] = x, v, theta, omega
             u = controller.action(states[m]).item()
-            if dither:
-                u += 0.0 + cfg.explore_std * z[k]
-                k += 1
+            u += 0.0 + EXPLORE_STD * z[k]
+            k += 1
             actions[m, 0] = u
             if m == n_steps - 1:
                 return Trajectory(states, actions)
@@ -151,22 +148,21 @@ def _one_trajectory(controller, cfg, rng):
                 omega += 0.0 + noise_std * z[k + 3]
                 k += 4
     raise DataGenerationError(
-        f"trajectory kept diverging after {cfg.max_retries} retries")
+        f"trajectory kept diverging after {MAX_RETRIES} retries")
 
 
 def dataset_meta(cfg, seed, gain):
     """The meta of a dataset generated from the settings `cfg` with `seed`
-    under a baseline controller of gain `gain`, as JSON gives it back. It
-    records the sampling period, the plant's fixed `dynamics.TAU_O`, as
-    "tau_o". Files written before `noise_var` or `baseline_gain` was
-    recorded lack that key."""
+    under a baseline controller of gain `gain`, as JSON gives it back; the
+    fixed TAU_O and EXPLORE_STD are kept as when they were settable. Files
+    written before `noise_var` or `baseline_gain` was recorded lack it."""
     return {
         "format": DATASET_FORMAT,
         "seed": int(seed),
         "duration_s": cfg.duration_s,
         "ic_low": cfg.ic_low,
         "ic_high": cfg.ic_high,
-        "explore_std": cfg.explore_std,
+        "explore_std": EXPLORE_STD,
         "noise_var": cfg.noise_var,
         "counts": cfg.counts(),
         "tau_o": dynamics.TAU_O,
@@ -222,6 +218,8 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
+    """The dataset at `path`; ValueError when it is not one or a trajectory
+    does not hold finite (n, p) states and (n, q) actions."""
     # the file is opened here, so it is closed also when numpy fails on it
     with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
@@ -229,9 +227,16 @@ def load_dataset(path):
         if fmt != DATASET_FORMAT:
             raise ValueError(f"unknown dataset format {fmt!r}")
         ds = TrajectoryDataset(meta=meta)
-        for name in SPLITS:
-            key = f"{name}_states"
-            if key in data:
-                for s, a in zip(data[key], data[f"{name}_actions"]):
-                    ds.split(name).append(Trajectory(s, a))
+        p, q = dynamics.STATE_DIM, dynamics.ACTION_DIM
+        for name in (n for n in SPLITS if f"{n}_states" in data):
+            pairs = zip(data[f"{name}_states"], data[f"{name}_actions"],
+                        strict=True)
+            for i, (s, a) in enumerate(pairs):
+                if (s.shape[1:], a.shape[1:]) != ((p,), (q,)) \
+                        or not np.isfinite(np.hstack([s, a])).all():
+                    raise ValueError(
+                        f"{name} trajectory {i} holds {s.shape} states and "
+                        f"{a.shape} actions, not finite (n, {p}) and (n, {q}) "
+                        "ones")
+                ds.split(name).append(Trajectory(s, a))
     return ds

@@ -53,6 +53,7 @@ DELTA = -2.0   # velocity coupling; negative value feeds energy in
 # cart mass under this model's convention
 M_PM = M_P + M_C
 TAU_O = 0.01   # control period, and the RK4 step [s]
+JACOBIAN_EPS = 1e-6   # numeric_jacobian's central-difference step
 
 # the parameter products of the vector field, each formed left to right as
 # its expression in the field reads
@@ -177,7 +178,7 @@ def rk4_values(x, v, theta, omega, u):
             and abs(omega) <= bound):
         raise IntegrationDivergedError(
             "state left the finite range after one control period: "
-            f"{np.array([x, v, theta, omega])}")
+            f"[{x!r}, {v!r}, {theta!r}, {omega!r}]")
     return x, v, theta, omega
 
 
@@ -201,7 +202,7 @@ def step_plant(state, action, noise_var=0.0, rng=None):
     return nxt
 
 
-def numeric_jacobian(f, state, action, eps=1e-6):
+def numeric_jacobian(f, state, action):
     """Central-difference linearization of f(x, u) at (state, action); f
     takes u as a (q,) array, as cartpole_derivative does.
 
@@ -215,14 +216,14 @@ def numeric_jacobian(f, state, action, eps=1e-6):
     a = np.zeros((n, n))
     for j in range(n):
         dx = np.zeros(n)
-        dx[j] = eps
+        dx[j] = JACOBIAN_EPS
         a[:, j] = (np.asarray(f(state + dx, action))
-                   - np.asarray(f(state - dx, action))) / (2.0 * eps)
+                   - np.asarray(f(state - dx, action))) / (2.0 * JACOBIAN_EPS)
 
     b = np.zeros((n, q))
     for j in range(q):
         du = np.zeros(q)
-        du[j] = eps
+        du[j] = JACOBIAN_EPS
         b[:, j] = (np.asarray(f(state, action + du))
-                   - np.asarray(f(state, action - du))) / (2.0 * eps)
+                   - np.asarray(f(state, action - du))) / (2.0 * JACOBIAN_EPS)
     return a, b

@@ -173,11 +173,23 @@ def _check_field(cls, name, value, section=None):
     return float(value) if kind == "float" and value is not None else value
 
 
-# keys of the fixed radio that configs saved while it was settable carry
-# (config_to_dict writes every field); they load at the fixed value only
-_FIXED_KEYS = {"link": {"distance": channel.DISTANCE, "eta": channel.ETA,
+# keys of the fixed radio and recipe, which configs saved while they were
+# settable carry; they load at the fixed value only
+_FIXED_KEYS = {"data": {"explore_std": datasets.EXPLORE_STD,
+                        "max_retries": datasets.MAX_RETRIES},
+               "train": {"min_delta": protocol.MIN_DELTA},
+               "link": {"distance": channel.DISTANCE, "eta": channel.ETA,
                         "bandwidth": channel.BANDWIDTH,
-                        "tau_comp": channel.TAU_COMP}}
+                        "tau_comp": channel.TAU_COMP},
+               "control": {"q_x_diag": np.diag(control.Q_X).tolist()}}
+
+
+def _is_fixed(value, fixed):
+    """Whether `value` is `fixed` and of its kind (a list may be a tuple)."""
+    if isinstance(fixed, list):
+        return (isinstance(value, (list, tuple)) and len(value) == len(fixed)
+                and all(map(_is_fixed, value, fixed)))
+    return _KINDS[type(fixed).__name__][1](value) and value == fixed
 
 
 def _build_section(section, payload):
@@ -188,7 +200,7 @@ def _build_section(section, payload):
         raise ConfigError(f"config section {section} must be a mapping")
     fixed = _FIXED_KEYS.get(section, {})
     for name, value in payload.items():
-        if name in fixed and not (_is_float(value) and value == fixed[name]):
+        if name in fixed and not _is_fixed(value, fixed[name]):
             raise ConfigError(f"bad {section}.{name}: fixed at "
                               f"{fixed[name]!r}, not {value!r}")
     payload = {k: v for k, v in payload.items() if k not in fixed}
@@ -308,10 +320,9 @@ def seed_streams(seed):
 # ---------------------------------------------------------------------------
 
 def build_baseline(cfg):
-    """Controller linearized at the upright equilibrium, with the `control`
-    section's LQR weights; it excites the plant during data generation."""
-    return control.build_jacobian_controller(
-        cfg.control.q_x(), np.eye(dynamics.ACTION_DIM) * cfg.control.r)
+    """Controller linearized at the upright equilibrium, with the LQR
+    action weight `control.r`; it excites the plant in data generation."""
+    return control.build_jacobian_controller(cfg.control.r)
 
 
 def make_dataset(cfg, streams=None):
@@ -364,8 +375,7 @@ def train_sensing(cfg, dataset):
         gradient_link = build_link(cfg, streams["gradient"])
     trainer = protocol.SensingTrainer(
         model, cfg.model.schedule_mode, train_w, val_w, cfg.train,
-        streams["shuffle"], uplink=uplink, q_x=cfg.control.q_x(),
-        gradient_link=gradient_link)
+        streams["shuffle"], uplink=uplink, gradient_link=gradient_link)
 
     gains = []
 
@@ -457,7 +467,8 @@ def _pooled_nrmse(pred, obs):
 def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,
                     downlink=None):
     """Phase-2 closed loop; returns (Phase2Result, summary dict)."""
-    streams = seed_streams(cfg.seed)
+    builds = uplink is None or downlink is None or cfg.data.noise_var > 0.0
+    streams = seed_streams(cfg.seed) if builds else None
     system = protocol.ControlSystem(
         noise_var=cfg.data.noise_var, sensing=sensing, gain=gain,
         controlling=controlling)

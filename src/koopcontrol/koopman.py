@@ -33,6 +33,7 @@ import numpy as np
 
 from .autodiff import (Parameter, block_affine, concat_cols, constant,
                        mse_rows, quad_rows, weighted_sum)
+from .control import Q_X
 from .neural import make_mlp, network_from_dict, network_to_dict
 
 CHECKPOINT_FORMAT = "koopcontrol-checkpoint-v1"
@@ -314,12 +315,11 @@ def _total(terms, weights, return_terms):
     return total
 
 
-def total_sensing_loss(model, states, actions, mode, q_x=None,
+def total_sensing_loss(model, states, actions, mode, q_x=Q_X,
                        latents=None, return_terms=False):
     """Weighted sensing loss c1 L1 + c2 L2 + c3 L3 + c4 L4 on one graph, the
-    weights SENSING_WEIGHTS."""
-    if q_x is None:
-        q_x = np.eye(model.p)
+    weights SENSING_WEIGHTS; L4 weighs the state by `q_x`, by default the
+    fixed LQR state weight `control.Q_X`."""
     if latents is None:
         latents = encode_windows(model, states)
     terms = [loss_reconstruction(model, states, actions, latents),

@@ -19,6 +19,7 @@ from .autodiff import Parameter, dense_stack
 ACTIVATIONS = ("relu", "linear")
 
 SERIAL_FORMAT = "koopcontrol-network-v1"
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and guard
 
 
 def init_weights(d_out, d_in, rng):
@@ -124,17 +125,15 @@ def _slot_views(flat, params):
 
 
 class Adam:
-    """Standard Adam with bias correction and one shared step counter. The
-    moments live in two flat buffers, one entry per parameter scalar, and
-    `m[i]`, `v[i]` are the views of slot i, shaped like its parameter.
-    Every step updates every slot, so each needs a gradient."""
+    """Adam at step size `lr` and the fixed BETA1, BETA2 and EPS, with bias
+    correction and one shared step counter. The moments live in two flat
+    buffers, one entry per parameter scalar, and `m[i]`, `v[i]` are the
+    views of slot i, shaped like its parameter. Every step updates every
+    slot, so each needs a gradient."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m = np.zeros(sum(p.value.size for p in self.params))
         self._v = np.zeros_like(self._m)
@@ -158,22 +157,22 @@ class Adam:
                 raise ValueError(f"grad shape {np.shape(p.grad)} does not "
                                  f"match param {p.value.shape}")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         g = np.concatenate([np.ravel(p.grad) for p in self.params],
                            dtype=np.float64)
         m, v = self._m, self._v
         # m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2 and
         # p <- p - lr m_hat / (sqrt(v_hat) + eps), op for op in place
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
         gg = g * g
-        gg *= 1.0 - self.beta2
-        v *= self.beta2
+        gg *= 1.0 - BETA2
+        v *= BETA2
         v += gg
         denom = v / b2t
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += EPS
         step = m / b1t
         step *= self.lr
         step /= denom

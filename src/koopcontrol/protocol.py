@@ -89,12 +89,11 @@ class TrainSettings:
     """Phase-1 settings of both trainers, and the `train` section of an
     experiment config: Adam's step size, mini-batch epochs (optionally
     capped), and a stop once the validation loss has not improved by
-    `min_delta` for `patience` epochs in a row."""
+    MIN_DELTA for `patience` epochs in a row."""
     lr: float = 1e-4
     batch_size: int = 64
     max_epochs: int = 100
     patience: int = 10
-    min_delta: float = 1e-4
     max_batches_per_epoch: int | None = None
     # boundary gradients cross a fading downlink (ignored on an ideal link)
     impair_gradients: bool = False
@@ -109,8 +108,6 @@ class TrainSettings:
             raise ValueError("max_batches_per_epoch must be >= 1 or null")
         if not self.lr > 0.0:
             raise ValueError("lr must be positive")
-        if not (np.isfinite(self.min_delta) and self.min_delta >= 0.0):
-            raise ValueError("min_delta must be finite and >= 0")
 
 
 @dataclass
@@ -176,6 +173,7 @@ def _train_epoch(trainer, batch_step):
 # no tape; it stays because BLAS row bits can depend on the row count (with
 # OpenBLAS, rows of a (n, 32) @ (32, 4) product differ at n = 64 and 1000).
 VALIDATION_CHUNK = 1024
+MIN_DELTA = 1e-4   # the validation loss improvement early stopping counts
 
 
 def _chunks(states, actions):
@@ -232,10 +230,9 @@ class SensingTrainer(_Trainer):
     a loss skips that batch's encoder update."""
 
     def __init__(self, model, mode, train_windows, val_windows, settings,
-                 shuffle_seed, uplink=None, q_x=None, gradient_link=None):
+                 shuffle_seed, uplink=None, gradient_link=None):
         super().__init__(model, mode, train_windows, val_windows,
                          settings, shuffle_seed)
-        self.q_x = np.eye(model.p) if q_x is None else np.asarray(q_x, float)
         self.uplink = uplink
         self.gradient_link = gradient_link
         self.opt_server = Adam(model.server_parameters(), lr=settings.lr)
@@ -278,9 +275,8 @@ class SensingTrainer(_Trainer):
     # -- one mini-batch ----------------------------------------------------
 
     def _loss(self, states, actions, latents=None):
-        return koopman.total_sensing_loss(
-            self.model, states, actions, self.mode, self.q_x,
-            latents=latents)
+        return koopman.total_sensing_loss(self.model, states, actions,
+                                          self.mode, latents=latents)
 
     def _batch_step(self, states, actions, stats):
         b, t = states.shape[0], states.shape[1]
@@ -432,7 +428,7 @@ class ControllingTrainer(_Trainer):
 def fit_with_early_stopping(trainer, on_epoch=None):
     """Run up to `max_epochs` epochs of `trainer`, stopping once `patience`
     epochs in a row have not improved on the best validation loss by
-    `min_delta` (all three from `trainer.settings`). The first epoch sets
+    MIN_DELTA (the first two from `trainer.settings`). The first epoch sets
     the best, and a NaN loss never improves on it. The last epoch of the
     returned TrainingResult is the switch to phase 2."""
     settings = trainer.settings
@@ -443,7 +439,7 @@ def fit_with_early_stopping(trainer, on_epoch=None):
         history.append(stats)
         if on_epoch is not None:
             on_epoch(stats)
-        if best is None or best - stats.val_loss >= settings.min_delta:
+        if best is None or best - stats.val_loss >= MIN_DELTA:
             best, stale = stats.val_loss, 0
             continue
         stale += 1
@@ -477,18 +473,16 @@ class ControlSystem:
 @dataclass
 class Phase2Config:
     """Phase-2 loop settings, and the `control` section of an experiment
-    config: the LQR weights `r` and `q_x_diag` also shape training."""
+    config: the LQR action weight `r` also shapes training; Q_X is fixed."""
     n_loops: int = 1000
     uplink_refresh: bool = True      # False = pure prediction after loop 0
     action_fallback: str = "predict"  # one of FALLBACKS
     action_predict_mode: str = "hold"  # one of PHASE2_PREDICT_MODES
     latent_fallback: str = "predict"   # controller side: one of FALLBACKS
     r: float = 1.0                     # LQR action weight
-    q_x_diag: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)   # LQR state weights
     x0: tuple[float, ...] = (0.05, 0.05, 0.05, 0.05)     # initial plant state
 
     def __post_init__(self):
-        self.q_x_diag = tuple(float(v) for v in self.q_x_diag)
         self.x0 = tuple(float(v) for v in self.x0)
         for name, allowed in (("action_fallback", FALLBACKS),
                               ("action_predict_mode", PHASE2_PREDICT_MODES),
@@ -498,19 +492,11 @@ class Phase2Config:
                                  f"not {getattr(self, name)!r}")
         if self.n_loops < 1:
             raise ValueError("n_loops must be >= 1")
-        for name in ("q_x_diag", "x0"):
-            values = getattr(self, name)
-            if len(values) != dynamics.STATE_DIM \
-                    or not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} must be {dynamics.STATE_DIM} "
-                                 f"finite values")
-        if min(self.q_x_diag) < 0.0:
-            raise ValueError("q_x_diag must be >= 0")
+        if len(self.x0) != dynamics.STATE_DIM \
+                or not np.all(np.isfinite(self.x0)):
+            raise ValueError(f"x0 must be {dynamics.STATE_DIM} finite values")
         if not (np.isfinite(self.r) and self.r > 0.0):
             raise ValueError("r must be finite and positive")
-
-    def q_x(self):
-        return np.diag(self.q_x_diag)
 
 
 @dataclass

@@ -437,6 +437,75 @@ def test_exit_config_on_a_dataset_file_that_is_not_a_dataset(tmp_path,
     assert not (tmp_path / "sensing.json").exists()
 
 
+def test_exit_config_on_a_dataset_whose_trajectories_do_not_fit_the_plant(
+        tmp_path, capsys):
+    # the meta fits the config, the arrays do not: states of three columns,
+    # actions of two, a NaN state and an infinite action
+    cfg_path = micro_config(tmp_path)
+    ds = experiments.make_dataset(experiments.load_config(cfg_path))
+    first = ds.train[0]
+    for states, actions in ((first.states[:, :3], first.actions),
+                            (first.states, np.hstack([first.actions] * 2)),
+                            (np.where(first.states == first.states[5, 1],
+                                      np.nan, first.states), first.actions),
+                            (first.states,
+                             np.where(first.actions == first.actions[9, 0],
+                                      np.inf, first.actions))):
+        ds.train[:] = [datasets.Trajectory(states, actions)]
+        datasets.save_dataset(ds, tmp_path / "dataset.npz")
+        code = cli.main(["train-sensing", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "dataset.npz is not a dataset: train trajectory 0" in err
+    assert not (tmp_path / "sensing.json").exists()
+
+
+def test_exit_config_on_a_dataset_generated_with_another_dither(tmp_path):
+    # the meta keeps recording the dither, so a file written while it was
+    # settable is reused at the fixed 0.1 and refused at any other value
+    cfg = experiments.load_config(micro_config(tmp_path))
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data,
+                                                            n_train=1))
+    ds = experiments.make_dataset(cfg)
+    assert ds.meta["explore_std"] == datasets.EXPLORE_STD == 0.1
+    datasets.save_dataset(ds, tmp_path / "dataset.npz")
+    args = cli.build_parser().parse_args(
+        ["train-sensing", "--out-dir", str(tmp_path)])
+    assert cli._dataset(cfg, args).meta == ds.meta
+    ds.meta["explore_std"] = 0.0
+    datasets.save_dataset(ds, tmp_path / "dataset.npz")
+    with pytest.raises(experiments.ConfigError, match="explore_std"):
+        cli._dataset(cfg, args)
+
+
+def test_exit_config_on_a_checkpoint_with_a_non_finite_parameter(
+        pipeline, tmp_path, capsys):
+    # one NaN encoder weight, with no gain.txt to fall back on, and one
+    # infinite weight of the controlling decoder
+    src, cfg_path = pipeline
+    base = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+    _copy_artifacts(src, tmp_path, "sensing.json", "controlling.json")
+    good = (tmp_path / "sensing.json").read_text()
+    broken = json.loads(good)
+    broken["encoder"]["layers"][0]["weights"][0][0] = float("nan")
+    (tmp_path / "sensing.json").write_text(json.dumps(broken))
+    for cmd in ("run-control", "eval-predict", "train-controlling"):
+        assert cli.main([cmd] + base) == cli.EXIT_CONFIG, cmd
+        err = capsys.readouterr().err
+        assert "sensing.json holds a non-finite parameter" in err
+    (tmp_path / "sensing.json").write_text(good)
+    broken = json.loads((src / "controlling.json").read_text())
+    broken["decoder"]["layers"][-1]["biases"][0] = float("inf")
+    (tmp_path / "controlling.json").write_text(json.dumps(broken))
+    for cmd in ("run-control", "eval-predict"):
+        assert cli.main([cmd] + base) == cli.EXIT_CONFIG, cmd
+        err = capsys.readouterr().err
+        assert "controlling.json holds a non-finite parameter" in err
+    assert not (tmp_path / "loops.ndjson").exists()
+    assert not (tmp_path / "prediction.json").exists()
+
+
 def test_exit_config_on_a_gain_file_that_is_not_the_model_gain(
         pipeline, tmp_path, capsys):
     src, cfg_path = pipeline

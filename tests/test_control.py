@@ -106,7 +106,7 @@ def _textbook_dare(a, b, q, r, tol=1e-10, max_iter=10000):
 
 
 def _jacobian_system():
-    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
+    ctl = control.build_jacobian_controller(1.0)
     return ctl.a_d, ctl.b_d
 
 
@@ -191,7 +191,7 @@ def test_optimal_action_sign_and_shape():
 
 
 def test_jacobian_controller_discretization():
-    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
+    ctl = control.build_jacobian_controller(1.0)
     # forward Euler: A_d = I + tau_o * A_c, so A_d[0,1] = tau_o = 0.01
     assert np.isclose(ctl.a_d[0, 1], 0.01, atol=1e-9)
     assert np.isclose(ctl.a_d[1, 1], 1.004, atol=1e-7)
@@ -200,7 +200,7 @@ def test_jacobian_controller_discretization():
 
 
 def test_jacobian_controller_stabilizes_near_equilibrium():
-    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
+    ctl = control.build_jacobian_controller(1.0)
     x = np.full(4, 0.05)
     for _ in range(1000):    # 10 s of control
         u = ctl.action(x)
@@ -213,26 +213,22 @@ def test_jacobian_controller_stabilizes_near_equilibrium():
 # ---------------------------------------------------------------------------
 
 def test_equal_baseline_weights_share_one_controller():
-    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
-    # equal float64 bytes and shapes, whatever form they are passed in
-    assert control.build_jacobian_controller(np.eye(4, dtype=int),
-                                             [[1.0]]) is ctl
-    assert control.build_jacobian_controller(np.diag([1.0, 1.0, 1.0, 2.0]),
-                                             np.eye(1)) is not ctl
+    ctl = control.build_jacobian_controller(1.0)
+    # an equal float action weight, a numpy one too
+    assert control.build_jacobian_controller(np.float64(1.0)) is ctl
+    assert control.build_jacobian_controller(2.0) is not ctl
 
 
-def test_negative_zero_baseline_weight_gets_its_own_entry():
-    zero = control.build_jacobian_controller(np.diag([1.0, 1.0, 1.0, 0.0]),
-                                             np.eye(1))
-    neg = control.build_jacobian_controller(np.diag([1.0, 1.0, 1.0, -0.0]),
-                                            np.eye(1))
-    assert neg is not zero
-    assert neg is control.build_jacobian_controller(
-        np.diag([1.0, 1.0, 1.0, -0.0]), np.eye(1))
+def test_baseline_matches_a_solve_on_the_written_out_weights():
+    # the DARE on the identity state weight and r I, bit for bit
+    for r in (1.0, 2.0, 0.5):
+        ctl = control.build_jacobian_controller(r)
+        sol = control.solve_dare(ctl.a_d, ctl.b_d, np.eye(4), np.eye(1) * r)
+        assert ctl.gain.tobytes() == sol.gain.tobytes()
 
 
 def test_shared_baseline_arrays_are_read_only():
-    ctl = control.build_jacobian_controller(np.eye(4), np.eye(1))
+    ctl = control.build_jacobian_controller(1.0)
     for arr in (ctl.gain, ctl.a_d, ctl.b_d, ctl._neg_gain):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0.0
@@ -251,5 +247,5 @@ def test_baseline_solver_error_is_raised_on_every_call(monkeypatch):
     monkeypatch.setattr(control, "solve_dare", counting)
     for _ in range(2):
         with pytest.raises(control.DareSolverError, match="no convergence"):
-            control.build_jacobian_controller(np.eye(4), np.eye(1) * 100.0)
+            control.build_jacobian_controller(100.0)
     assert len(calls) == 2

@@ -9,7 +9,7 @@ from test_dynamics import _array_field
 
 @pytest.fixture(scope="module")
 def baseline():
-    return control.build_jacobian_controller(np.eye(4), np.eye(1))
+    return control.build_jacobian_controller(1.0)
 
 
 def small_cfg(**kw):
@@ -49,10 +49,8 @@ def test_same_seed_identical_bytes(baseline):
 
 
 def test_process_noise_read_from_settings(baseline):
-    quiet = datasets.generate_dataset(baseline, small_cfg(explore_std=0.0), 4)
-    noisy = [datasets.generate_dataset(baseline,
-                                       small_cfg(explore_std=0.0,
-                                                 noise_var=0.01), 4)
+    quiet = datasets.generate_dataset(baseline, small_cfg(), 4)
+    noisy = [datasets.generate_dataset(baseline, small_cfg(noise_var=0.01), 4)
              for _ in range(2)]
     # the first state is the drawn initial condition, the noise enters after
     q, n0, n1 = (ds.train[0].states for ds in (quiet, *noisy))
@@ -62,15 +60,7 @@ def test_process_noise_read_from_settings(baseline):
 
 
 def test_exploration_dither_recorded_in_actions(baseline):
-    cfg = small_cfg(explore_std=0.0)
-    quiet = datasets.generate_dataset(baseline, cfg, seed=5)
-    # without dither the recorded action is exactly the policy output
-    traj = quiet.train[0]
-    for m in (0, 3, 10):
-        expect = float(np.atleast_1d(baseline.action(traj.states[m]))[0])
-        assert traj.actions[m, 0] == pytest.approx(expect, abs=1e-12)
-    noisy = datasets.generate_dataset(baseline,
-                                      small_cfg(explore_std=0.1), seed=5)
+    noisy = datasets.generate_dataset(baseline, small_cfg(), seed=5)
     tn = noisy.train[0]
     resid = [tn.actions[m, 0]
              - float(np.atleast_1d(baseline.action(tn.states[m]))[0])
@@ -91,8 +81,7 @@ def _oracle_dataset(baseline, cfg, seed):
         states, actions = [], []
         for m in range(n):
             u = float(np.atleast_1d(baseline.action(x))[0])
-            if cfg.explore_std > 0.0:
-                u += rng.normal(0.0, cfg.explore_std)
+            u += rng.normal(0.0, datasets.EXPLORE_STD)
             states.append(x)
             actions.append([u])
             if m == n - 1:
@@ -138,13 +127,12 @@ def _per_step_oracle(controller, cfg, seed):
     n = int(round(cfg.duration_s / dynamics.TAU_O))
     out, diverged = [], []
     for _ in range(sum(cfg.counts().values())):
-        for _ in range(cfg.max_retries + 1):
+        for _ in range(datasets.MAX_RETRIES + 1):
             x = rng.uniform(cfg.ic_low, cfg.ic_high, size=4)
             states, actions = [], []
             for m in range(n):
                 u = controller.action(x).item()
-                if cfg.explore_std > 0.0:
-                    u += rng.normal(0.0, cfg.explore_std)
+                u += rng.normal(0.0, datasets.EXPLORE_STD)
                 states.append(x)
                 actions.append([u])
                 if m == n - 1:
@@ -161,12 +149,11 @@ def _per_step_oracle(controller, cfg, seed):
     return out, diverged
 
 
-@pytest.mark.parametrize("explore_std", [0.0, 0.1])
 @pytest.mark.parametrize("noise_var", [0.0, 1e-4])
 def test_generation_with_retries_matches_per_step_draws_bit_for_bit(
-        baseline, explore_std, noise_var):
+        baseline, noise_var):
     controller = _BlowsUpOffCenter(baseline)
-    cfg = small_cfg(n_train=4, explore_std=explore_std, noise_var=noise_var)
+    cfg = small_cfg(n_train=4, noise_var=noise_var)
     diverged = []
     for seed in (0, 2):
         ds = datasets.generate_dataset(controller, cfg, seed)
@@ -210,10 +197,18 @@ class _Destabilizer:
         return np.array([1e155])
 
 
-def test_divergence_exhausts_retries():
-    cfg = small_cfg(max_retries=2)
-    with pytest.raises(datasets.DataGenerationError):
-        datasets.generate_dataset(_Destabilizer(), cfg, seed=0)
+def test_divergence_exhausts_retries(monkeypatch):
+    monkeypatch.setattr(datasets, "MAX_RETRIES", 2)
+    starts = []
+
+    class Counted(_Destabilizer):
+        def action(self, x):
+            starts.append(x.copy())   # each attempt diverges on its 1st step
+            return super().action(x)
+
+    with pytest.raises(datasets.DataGenerationError, match="after 2 retries"):
+        datasets.generate_dataset(Counted(), small_cfg(), seed=0)
+    assert len(starts) == 3
 
 
 def test_split_lookup_validation():
@@ -295,3 +290,32 @@ def test_save_load_empty_split(tmp_path):
     datasets.save_dataset(ds, path)
     back = datasets.load_dataset(path)
     assert len(back.train) == 1 and len(back.val) == 0 and len(back.test) == 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s, a: (s[:, :, :3], a),
+     r"train trajectory 0 holds \(50, 3\) states and \(50, 1\) actions, "
+     r"not finite \(n, 4\) and \(n, 1\) ones"),
+    (lambda s, a: (s[:, :, :, None], a), r"\(50, 4, 1\) states"),
+    (lambda s, a: (s, np.concatenate([a, a], axis=2)), r"\(50, 2\) actions"),
+    (lambda s, a: (np.where(s == s[1, 3, 2], np.nan, s), a),
+     r"train trajectory 1 holds \(50, 4\) states and \(50, 1\) actions, "
+     r"not finite"),
+    (lambda s, a: (s, np.where(a == a[0, 7, 0], np.inf, a)), "not finite"),
+    (lambda s, a: (s, a[:, :, 0]), r"\(50,\) actions"),
+    (lambda s, a: (s[:, 0, 0], a[:, 0, 0]), r"\(\) states and \(\) actions"),
+    (lambda s, a: (s, a[:1]), "zip"),
+], ids=["3_state_columns", "3d_states", "2_action_columns", "nan_state",
+        "inf_action", "1d_actions", "scalar_rows", "fewer_actions"])
+def test_load_refuses_trajectories_that_do_not_fit_the_plant(
+        tmp_path, baseline, edit, message):
+    ds = datasets.generate_dataset(baseline, small_cfg(), seed=2)
+    path = tmp_path / "ds.npz"
+    datasets.save_dataset(ds, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["train_states"], arrays["train_actions"] = edit(
+        arrays["train_states"], arrays["train_actions"])
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message):
+        datasets.load_dataset(path)

@@ -170,6 +170,19 @@ def test_step_plant_divergence_guard():
             dynamics.step_plant(np.array(state), 0.0)
 
 
+def test_a_state_past_the_bound_is_named_in_the_error(monkeypatch):
+    # the message lists the four values the step reached, each as repr
+    # gives it
+    state = (2e9, 0.5, 0.1, -0.2)
+    with pytest.raises(dynamics.IntegrationDivergedError) as err:
+        dynamics.rk4_values(*state, 0.3)
+    monkeypatch.setattr(dynamics, "DIVERGENCE_BOUND", float("inf"))
+    reached = dynamics.rk4_values(*state, 0.3)
+    assert str(err.value) == (
+        "state left the finite range after one control period: ["
+        + ", ".join(map(repr, reached)) + "]")
+
+
 @pytest.mark.parametrize("action", [np.array([0.3, 5.0]), np.zeros(0),
                                     [0.3, 5.0]])
 def test_action_of_the_wrong_size_raises(action):

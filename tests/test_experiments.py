@@ -77,6 +77,54 @@ def test_a_config_saved_with_the_settable_radio_loads_unchanged():
         experiments.config_from_dict(saved)
 
 
+# each key of the fixed training recipe, at values it could take while it
+# was settable and at values it was refused at
+FIXED_RECIPE_EDITS = (
+    ("data", "explore_std", 0.0), ("data", "explore_std", 0.2),
+    ("data", "explore_std", -0.1), ("data", "explore_std", "0.1"),
+    ("data", "max_retries", 2), ("data", "max_retries", -1),
+    ("data", "max_retries", 25.0), ("data", "max_retries", True),
+    ("train", "min_delta", 0.0), ("train", "min_delta", -1e-4),
+    ("train", "min_delta", float("nan")), ("train", "min_delta", None),
+    ("control", "q_x_diag", [1.0, 2.0, 3.0, 4.0]),
+    ("control", "q_x_diag", [1.0, 1.0]),
+    ("control", "q_x_diag", [1.0, 1.0, 1.0, 1.0, 1.0]),
+    ("control", "q_x_diag", [1.0, 1.0, 1.0, float("inf")]),
+    ("control", "q_x_diag", [1.0, 1.0, 1.0, True]),
+    ("control", "q_x_diag", "1111"), ("control", "q_x_diag", 1.0))
+
+
+def test_a_config_saved_with_the_settable_recipe_loads_unchanged():
+    # the saved desk config holds the recipe's fixed values, in the forms a
+    # file holds them: an int, floats and a list, and a tuple from Python
+    saved = json.loads(SAVED_DESK_CONFIG)
+    saved["control"]["q_x_diag"] = (1, 1.0, 1, 1.0)
+    saved["train"]["min_delta"] = 1e-4
+    assert experiments.config_from_dict(saved) == experiments.desk_preset()
+    for section, key, value in FIXED_RECIPE_EDITS:
+        edited = json.loads(SAVED_DESK_CONFIG)
+        edited[section][key] = value
+        with pytest.raises(experiments.ConfigError,
+                           match=rf"^bad {section}\.{key}: fixed at "):
+            experiments.config_from_dict(edited)
+    for section, key, value, message in (
+            ("data", "explore_std", 0.0, "fixed at 0.1, not 0.0"),
+            ("data", "max_retries", 2, "fixed at 25, not 2"),
+            ("train", "min_delta", 0.0, "fixed at 0.0001, not 0.0"),
+            ("control", "q_x_diag", [1.0, 2.0, 3.0, 4.0],
+             "fixed at [1.0, 1.0, 1.0, 1.0], not [1.0, 2.0, 3.0, 4.0]")):
+        edited = json.loads(SAVED_DESK_CONFIG)
+        edited[section][key] = value
+        with pytest.raises(experiments.ConfigError) as err:
+            experiments.config_from_dict(edited)
+        assert str(err.value) == f"bad {section}.{key}: {message}"
+    # the removed keys are not written any more
+    d = experiments.config_to_dict(experiments.desk_preset())
+    assert not {"explore_std", "max_retries"} & set(d["data"])
+    assert "min_delta" not in d["train"]
+    assert "q_x_diag" not in d["control"]
+
+
 def test_config_rejects_unknown_keys():
     d = experiments.config_to_dict(experiments.desk_preset())
     d["data"]["n_trajectories"] = 3
@@ -113,8 +161,6 @@ def test_config_rejects_bad_link_and_control_values():
                                   ("data", "n_val", 0),
                                   ("data", "n_test", -1),
                                   ("data", "duration_s", 0.0),
-                                  ("data", "max_retries", -1),
-                                  ("data", "explore_std", -0.1),
                                   ("data", "noise_var", -1.0),
                                   ("data", "ic_low", 0.6),
                                   ("control", "n_loops", 0),
@@ -122,11 +168,6 @@ def test_config_rejects_bad_link_and_control_values():
                                   ("control", "x0", [0.05]),
                                   ("control", "x0", [0.05, 0.05, float("nan"),
                                                      0.05]),
-                                  ("control", "q_x_diag", [1.0, 1.0]),
-                                  ("control", "q_x_diag", [1.0, -1.0, 1.0,
-                                                           1.0]),
-                                  ("control", "q_x_diag", [1.0, 1.0, 1.0,
-                                                           float("inf")]),
                                   ("control", "r", -1.0),
                                   ("control", "r", 0.0),
                                   ("control", "r", float("inf")),
@@ -135,7 +176,6 @@ def test_config_rejects_bad_link_and_control_values():
                                   ("model", "encoder_hidden", [8, 0, 8]),
                                   # integer fields take integers only
                                   ("data", "n_train", 1.5),
-                                  ("data", "max_retries", 2.0),
                                   ("model", "latent_dim", 4.0),
                                   ("model", "depth", True),
                                   ("train", "max_epochs", 2.0),
@@ -144,9 +184,6 @@ def test_config_rejects_bad_link_and_control_values():
                                   ("train", "max_batches_per_epoch", 2.5),
                                   ("control", "n_loops", 10.0),
                                   ("eval", "anchor_stride", 2.0),
-                                  ("train", "min_delta", float("nan")),
-                                  ("train", "min_delta", float("inf")),
-                                  ("train", "min_delta", -1e-4),
                                   # a mean SNR must be finite
                                   ("link", "snr_db", float("nan")),
                                   ("link", "snr_db", float("inf")),
@@ -169,7 +206,6 @@ def test_config_rejects_bad_link_and_control_values():
                                   ("model", "encoder_hidden", [8.7, True]),
                                   ("model", "encoder_hidden", [8.7]),
                                   ("model", "encoder_hidden", 8),
-                                  ("control", "q_x_diag", "1234"),
                                   ("control", "x0", [0.05, 0.05, 0.05,
                                                      True])):
         d = experiments.config_to_dict(experiments.desk_preset())
@@ -292,7 +328,7 @@ def test_apply_overrides_rejects_a_base_config_no_file_could_hold():
 def test_parent_saved_control_section_loads():
     # a control section saved with the keys in their earlier order
     d = experiments.config_to_dict(experiments.desk_preset())
-    d["control"] = {"r": 2.0, "q_x_diag": [1.0, 2.0, 3.0, 4.0],
+    d["control"] = {"r": 2.0, "q_x_diag": [1.0, 1.0, 1.0, 1.0],
                     "n_loops": 50, "x0": [0.01, 0.02, 0.03, 0.04],
                     "uplink_refresh": True, "action_fallback": "hold",
                     "action_predict_mode": "advance",
@@ -300,16 +336,20 @@ def test_parent_saved_control_section_loads():
     cfg = experiments.config_from_dict(d)
     assert cfg.control == protocol.Phase2Config(
         n_loops=50, action_fallback="hold", action_predict_mode="advance",
-        r=2.0, q_x_diag=(1.0, 2.0, 3.0, 4.0), x0=(0.01, 0.02, 0.03, 0.04))
+        r=2.0, x0=(0.01, 0.02, 0.03, 0.04))
     assert experiments.config_from_dict(
         experiments.config_to_dict(cfg)) == cfg
 
 
 def test_control_settings_q_x():
+    # the LQR state weight is the fixed, read-only identity, and the
+    # baseline is the one solved on it and the config's action weight
+    assert np.array_equal(control.Q_X, np.eye(4))
+    assert not control.Q_X.flags.writeable
     cfg = experiments.desk_preset()
-    q = cfg.control.q_x()
-    assert q.shape == (4, 4)
-    assert np.array_equal(q, np.diag(cfg.control.q_x_diag))
+    cfg.control.r = 2.0
+    assert experiments.build_baseline(cfg) is \
+        control.build_jacobian_controller(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +672,35 @@ def test_impaired_gradients_on_ideal_link_train_losslessly():
     assert result.history == plain.history
     assert result.history[0].encoder_updates_skipped == 0
     assert np.array_equal(gain_i, gain)
+
+
+def test_a_rollout_on_given_links_derives_no_seed_stream(monkeypatch):
+    cfg = micro_cfg()
+    sensing = koopman.SensingModel.build(p=4, d=4, q=1,
+                                         rng=np.random.default_rng(0))
+    gain = np.full((1, 4), 0.1)
+
+    def links():
+        return {"uplink": channel.IdealLink(),
+                "downlink": channel.IdealLink()}
+
+    want, _ = experiments.control_rollout(cfg, sensing, gain, **links())
+
+    def no_streams(seed):
+        raise AssertionError("seed streams derived")
+
+    monkeypatch.setattr(experiments, "seed_streams", no_streams)
+    got, summary = experiments.control_rollout(cfg, sensing, gain, **links())
+    assert got.states.tobytes() == want.states.tobytes()
+    assert np.isfinite(summary["msce"])
+    # a link or a plant noise generator built here still takes its stream
+    noisy = dataclasses.replace(cfg, data=dataclasses.replace(
+        cfg.data, noise_var=1e-6))
+    for c, kwargs in ((cfg, {"uplink": channel.IdealLink()}),
+                      (cfg, {"downlink": channel.IdealLink()}),
+                      (noisy, links())):
+        with pytest.raises(AssertionError, match="seed streams"):
+            experiments.control_rollout(c, sensing, gain, **kwargs)
 
 
 def test_sweep_writes_table_and_errors_sidecar(tmp_path):
