@@ -24,8 +24,8 @@ goes through solve.
 The plant and the LQR state weight Q_X (the read-only identity, which the
 sensing loss weighs states by too) are fixed, so the local-linearization
 baseline depends on its action weight r alone. build_jacobian_controller
-keeps the last BASELINE_CACHE_SIZE controllers it built, keyed by r, and
-hands every caller with an equal r the same JacobianController, whose
+keeps the last BASELINE_CACHE_SIZE controllers it built, keyed by float(r),
+and hands every caller with an equal r the same JacobianController, whose
 arrays are read-only. A process therefore runs the Riccati sweeps of a
 weight once; a solve that raises DareSolverError is not kept and runs
 again on the next call.
@@ -178,16 +178,20 @@ Q_X = np.eye(dynamics.STATE_DIM)   # the LQR state weight, shared read-only
 Q_X.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=BASELINE_CACHE_SIZE)
 def build_jacobian_controller(r):
     """Linearize the cart-pole at the origin, discretize with forward Euler
     at the control period (A_d = I + TAU_O A_c, B_d = TAU_O B_c), and solve
     the DARE on the state weight Q_X and the action weight r I.
 
-    An equal `r` returns the same controller, solved once per process while
-    it stays among the last BASELINE_CACHE_SIZE built (module docstring);
-    its `gain`, `a_d` and `b_d` are read-only. A DareSolverError is raised
-    again on every call."""
+    An equal `r`, an int or a numpy scalar too, returns the same
+    controller, solved once per process while it stays among the last
+    BASELINE_CACHE_SIZE built (module docstring); its `gain`, `a_d` and
+    `b_d` are read-only. A DareSolverError is raised again on every call."""
+    return _build_jacobian_controller(float(r))
+
+
+@functools.lru_cache(maxsize=BASELINE_CACHE_SIZE)
+def _build_jacobian_controller(r):
     a_c, b_c = dynamics.numeric_jacobian(
         dynamics.cartpole_derivative, np.zeros(dynamics.STATE_DIM),
         np.zeros(dynamics.ACTION_DIM))

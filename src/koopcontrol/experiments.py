@@ -22,6 +22,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +34,7 @@ CONFIG_FORMAT = "koopcontrol-config-v1"
 
 REPORT_FORMAT = "koopcontrol-report-v1"
 
+# "gradient" seeds nothing; dropping it would shift every later stream
 STREAM_NAMES = ("data", "sensing_init", "controlling_init", "uplink",
                 "downlink", "gradient", "shuffle", "eval_uplink",
                 "eval_downlink", "eval_plant")
@@ -173,11 +175,12 @@ def _check_field(cls, name, value, section=None):
     return float(value) if kind == "float" and value is not None else value
 
 
-# keys of the fixed radio and recipe, which configs saved while they were
-# settable carry; they load at the fixed value only
+# keys of the fixed radio, recipe and gradient downlink, which configs
+# saved while they were settable carry; they load at the fixed value only
 _FIXED_KEYS = {"data": {"explore_std": datasets.EXPLORE_STD,
                         "max_retries": datasets.MAX_RETRIES},
-               "train": {"min_delta": protocol.MIN_DELTA},
+               "train": {"min_delta": protocol.MIN_DELTA,
+                         "impair_gradients": False},
                "link": {"distance": channel.DISTANCE, "eta": channel.ETA,
                         "bandwidth": channel.BANDWIDTH,
                         "tau_comp": channel.TAU_COMP},
@@ -370,12 +373,9 @@ def train_sensing(cfg, dataset):
     train_w = datasets.extract_windows(dataset.train, cfg.model.depth)
     val_w = datasets.extract_windows(dataset.val, cfg.model.depth)
     uplink = None if cfg.link.ideal else build_link(cfg, streams["uplink"])
-    gradient_link = None
-    if cfg.train.impair_gradients and not cfg.link.ideal:
-        gradient_link = build_link(cfg, streams["gradient"])
     trainer = protocol.SensingTrainer(
         model, cfg.model.schedule_mode, train_w, val_w, cfg.train,
-        streams["shuffle"], uplink=uplink, gradient_link=gradient_link)
+        streams["shuffle"], uplink=uplink)
 
     gains = []
 
@@ -560,10 +560,8 @@ def _parse_cell(f, text):
 
 def write_rows(rows, path):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(dataclasses.astuple(row))
+        csv.writer(fh).writerows(
+            [SWEEP_COLUMNS, *map(dataclasses.astuple, rows)])
 
 
 def read_rows(path):
@@ -584,9 +582,10 @@ def run_sweep(base_cfg, snr_values, seeds, latent_dims=None, out_csv=None,
 
     Every cell's config is built first, so a grid value the config refuses
     raises ConfigError before any cell runs. Cells that fail on their data
-    or their numerics go to a `<out_csv>.errors.csv` sidecar and the sweep
-    keeps going; any other error, a programming error among them,
-    propagates. Returns the completed ResultRows."""
+    or their numerics go to a `<out_csv>.errors.csv` sidecar, which exists
+    only when some cell failed, and the sweep keeps going; any other error,
+    a programming error among them, propagates. Returns the completed
+    ResultRows."""
     latent_dims = latent_dims or [base_cfg.model.latent_dim]
     cells = [(f"snr={snr} d={d} seed={seed}",
               apply_overrides(base_cfg, seed=seed, snr_db=snr, latent_dim=d))
@@ -603,11 +602,11 @@ def run_sweep(base_cfg, snr_values, seeds, latent_dims=None, out_csv=None,
             on_cell(rows[-1])
     if out_csv is not None:
         write_rows(rows, out_csv)
+        errors_csv = Path(str(out_csv) + ".errors.csv")
+        errors_csv.unlink(missing_ok=True)   # a sidecar left by an earlier sweep
         if errors:
-            with open(str(out_csv) + ".errors.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("cell", "error"))
-                writer.writerows(errors)
+            with open(errors_csv, "w", newline="") as fh:
+                csv.writer(fh).writerows([("cell", "error"), *errors])
     return rows
 
 

@@ -95,8 +95,6 @@ class TrainSettings:
     max_epochs: int = 100
     patience: int = 10
     max_batches_per_epoch: int | None = None
-    # boundary gradients cross a fading downlink (ignored on an ideal link)
-    impair_gradients: bool = False
 
     def __post_init__(self):
         # max_epochs too: the latent gain is only solved after an epoch
@@ -119,7 +117,6 @@ class EpochStats:
     packets_sent: int = 0
     packets_lost: int = 0
     windows_dropped: int = 0
-    encoder_updates_skipped: int = 0
     # sensing only: the gain refresh after this epoch raised
     # DareSolverError, so the previous gain was kept
     gain_refresh_failed: bool = False
@@ -225,16 +222,13 @@ class SensingTrainer(_Trainer):
     centralized (no packetization); any link object with a
     .transmit_rows(payloads, bits) method enables the split path, one
     (latent, state) packet per row of a batch's (b·t, d+p) block. The
-    gradient downlink is lossless when `gradient_link` is None; otherwise it
-    carries one packet per batch through its .transmit(payload, bits), and
-    a loss skips that batch's encoder update."""
+    boundary gradient reaches the sensor as computed."""
 
     def __init__(self, model, mode, train_windows, val_windows, settings,
-                 shuffle_seed, uplink=None, gradient_link=None):
+                 shuffle_seed, uplink=None):
         super().__init__(model, mode, train_windows, val_windows,
                          settings, shuffle_seed)
         self.uplink = uplink
-        self.gradient_link = gradient_link
         self.opt_server = Adam(model.server_parameters(), lr=settings.lr)
         self.opt_encoder = Adam(model.encoder_parameters(), lr=settings.lr)
         self._uplink_bits = channel.payload_bits(model.d + model.p)
@@ -303,27 +297,15 @@ class SensingTrainer(_Trainer):
         backward(loss)
 
         # boundary gradient: zero where the sensor's transmission never
-        # reached the loss (losses and drops), then ship it back
+        # reached the loss (losses and drops), then seed the encoder with it
         boundary = np.zeros_like(latent_vals)
         for j, leaf in enumerate(leaves):
             if leaf.grad is not None:
                 boundary[kept, j, :] = leaf.grad
         boundary *= mask[:, :, None]
-
-        encoder_update = True
-        if self.gradient_link is not None:
-            out = self.gradient_link.transmit(
-                boundary, channel.payload_bits(boundary.size))
-            encoder_update = out.delivered
-            if out.delivered:
-                boundary = out.payload.reshape(boundary.shape)
-
-        if encoder_update:
-            for j, node in enumerate(enc_nodes):
-                backward(node, seed=boundary[:, j, :])
-            self.opt_encoder.step()
-        else:
-            stats.encoder_updates_skipped += 1
+        for j, node in enumerate(enc_nodes):
+            backward(node, seed=boundary[:, j, :])
+        self.opt_encoder.step()
         self.opt_server.step()
         self.opt_encoder.zero_grad()
         self.opt_server.zero_grad()

@@ -78,7 +78,7 @@ def test_pipeline_history_shape(pipeline):
     hist = json.loads((tmp / "sensing_history.json").read_text())
     assert [h["epoch"] for h in hist["history"]] == [1, 2]
     assert {"epoch", "train_loss", "val_loss", "batches", "packets_sent",
-            "packets_lost", "windows_dropped", "encoder_updates_skipped",
+            "packets_lost", "windows_dropped",
             "gain_refresh_failed"} <= set(hist["history"][0])
     assert all(isinstance(h["gain_refresh_failed"], bool)
                for h in hist["history"])
@@ -133,6 +133,33 @@ def test_report_takes_only_its_csv_and_out_dir(tmp_path, capsys):
         assert exc.value.code == cli.EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
 
+
+
+def test_a_clean_sweep_removes_the_error_file_of_an_earlier_one(
+        tmp_path, capsys, monkeypatch):
+    # the first sweep has its 0 dB cell fail on its data; a clean sweep into
+    # the same directory then leaves no error file and reports no failure
+    failing = [0.0]
+
+    def stub(cfg, with_control=False):
+        if cfg.link.snr_db in failing:
+            raise datasets.InsufficientDataError("no window kept")
+        return {"experiment": cfg.name, "seed": cfg.seed,
+                "snr_db": cfg.link.snr_db, "latent_dim": cfg.model.latent_dim,
+                "state_nrmse": 1.0, "action_nrmse": 1.0}
+
+    monkeypatch.setattr(experiments, "run_experiment", stub)
+    argv = ["sweep", "--config", str(micro_config(tmp_path)), "--out-dir",
+            str(tmp_path), "--snr-db", "0,10"]
+    errors = tmp_path / "sweep.csv.errors.csv"
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "InsufficientDataError: no window kept" in errors.read_text()
+    assert "some cells failed" in capsys.readouterr().out
+    failing.clear()
+    assert cli.main(argv) == cli.EXIT_OK
+    assert not errors.exists()
+    out = capsys.readouterr().out
+    assert "(2 rows)" in out and "some cells failed" not in out
 
 
 def test_exit_config_on_unknown_key(tmp_path):

@@ -214,8 +214,9 @@ def test_jacobian_controller_stabilizes_near_equilibrium():
 
 def test_equal_baseline_weights_share_one_controller():
     ctl = control.build_jacobian_controller(1.0)
-    # an equal float action weight, a numpy one too
+    # an equal float action weight, a numpy one and an int too
     assert control.build_jacobian_controller(np.float64(1.0)) is ctl
+    assert control.build_jacobian_controller(1) is ctl
     assert control.build_jacobian_controller(2.0) is not ctl
 
 

@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from koopcontrol import (channel, control, datasets, experiments, koopman,
-                         metrics, neural, protocol)
+from koopcontrol import (channel, cli, control, datasets, experiments,
+                         koopman, metrics, neural, protocol)
+from test_cli import micro_config
 from test_koopman import predict_states
 
 
@@ -660,18 +661,31 @@ def test_state_prediction_ignores_the_controlling_model():
     assert alone["anchors"] == both["anchors"]
 
 
-def test_impaired_gradients_on_ideal_link_train_losslessly():
-    cfg = micro_cfg()
-    cfg = dataclasses.replace(
-        cfg, train=dataclasses.replace(cfg.train, max_epochs=1))
-    impaired = dataclasses.replace(
-        cfg, train=dataclasses.replace(cfg.train, impair_gradients=True))
-    dataset = experiments.make_dataset(cfg)
-    _, plain, gain, _ = experiments.train_sensing(cfg, dataset)
-    _, result, gain_i, _ = experiments.train_sensing(impaired, dataset)
-    assert result.history == plain.history
-    assert result.history[0].encoder_updates_skipped == 0
-    assert np.array_equal(gain_i, gain)
+def test_a_config_saved_with_impair_gradients_loads_at_false_only(
+        tmp_path, capsys):
+    # boundary gradients reach the sensor as computed, so a saved `false`
+    # loads as the default and any other value is refused, naming the key,
+    # by config_from_dict and by the CLI
+    saved = json.loads(SAVED_DESK_CONFIG)
+    assert saved["train"]["impair_gradients"] is False
+    assert experiments.config_from_dict(saved) == experiments.desk_preset()
+    for value in (True, 0, "false", None):
+        saved["train"]["impair_gradients"] = value
+        with pytest.raises(experiments.ConfigError) as err:
+            experiments.config_from_dict(saved)
+        assert str(err.value) == ("bad train.impair_gradients: fixed at "
+                                  f"False, not {value!r}")
+    assert "impair_gradients" not in experiments.config_to_dict(
+        experiments.desk_preset())["train"]
+    for value, code in ((False, cli.EXIT_OK), (True, cli.EXIT_CONFIG)):
+        cfg_path = micro_config(tmp_path)
+        raw = json.loads(cfg_path.read_text())
+        raw["train"]["impair_gradients"] = value
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["gen-data", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path)]) == code
+    assert "bad train.impair_gradients: fixed at False, not True" \
+        in capsys.readouterr().err
 
 
 def test_a_rollout_on_given_links_derives_no_seed_stream(monkeypatch):
