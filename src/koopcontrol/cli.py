@@ -114,7 +114,7 @@ def _dataset(cfg, args):
 def _write_history(path, result, cfg):
     """A TrainingResult as JSON: the config it was trained under (the
     checkpoints hold the model only, so this is where the prediction depth
-    and schedule mode are kept), then one EpochStats entry per epoch."""
+    is kept), then one EpochStats entry per epoch."""
     history = [dataclasses.asdict(s) for s in result.history]
     with open(path, "w") as fh:
         json.dump({"config": experiments.config_to_dict(cfg),
@@ -122,16 +122,16 @@ def _write_history(path, result, cfg):
                   fh, indent=2)
 
 
-def _checkpoint(path, cls, cfg, encoder=None):
-    """The `cls` model in the checkpoint `path`, built around `encoder` when
-    given. A missing file, a file that does not load as one, or a model
-    whose sizes are not the plant's and `cfg.model`'s or that is not finite
-    is a config error naming the file, a missing one naming its writer."""
+def _checkpoint(path, cls, cfg):
+    """The `cls` model in the checkpoint `path`. A missing file, a file
+    that does not load as one, or a model whose sizes are not the plant's
+    and `cfg.model`'s or that is not finite is a config error naming the
+    file, a missing one naming its writer."""
     if not path.exists():
         raise experiments.ConfigError(
             f"{path} not found; run {_WRITERS[cls]} first")
     try:
-        model = koopman.load_checkpoint(path, encoder=encoder)
+        model = koopman.load_checkpoint(path)
     except (ValueError, KeyError, TypeError) as exc:
         raise experiments.ConfigError(
             f"{path} is not a {cls.__name__} checkpoint: {exc}") from exc
@@ -152,14 +152,22 @@ def _checkpoint(path, cls, cfg, encoder=None):
 
 
 def _load_models(cfg, out):
-    """The sensing checkpoint in `out`, and the controlling one sharing its
-    encoder, or None when there is none, each checked by _checkpoint."""
-    sensing = _checkpoint(out / "sensing.json", koopman.SensingModel, cfg)
+    """The sensing checkpoint in `out`, and the controlling one or None
+    when there is none, each checked by _checkpoint. The controlling
+    model's stored encoder, whose latent it was trained on, must be the
+    sensing one bit for bit (JSON floats round-trip exactly)."""
+    sensing_path = out / "sensing.json"
+    sensing = _checkpoint(sensing_path, koopman.SensingModel, cfg)
     path = out / "controlling.json"
     if not path.exists():
         return sensing, None
-    return sensing, _checkpoint(path, koopman.ControllingModel, cfg,
-                                encoder=sensing.encoder)
+    controlling = _checkpoint(path, koopman.ControllingModel, cfg)
+    if not all(a.value.tobytes() == b.value.tobytes() for a, b in zip(
+            controlling.encoder.parameters(), sensing.encoder.parameters())):
+        raise experiments.ConfigError(
+            f"{path} was trained on another encoder than the one in "
+            f"{sensing_path}; run train-controlling again")
+    return sensing, controlling
 
 
 def cmd_gen_data(args):

@@ -66,7 +66,6 @@ RUN_ERRORS = (PipelineError, control.DareSolverError, FloatingPointError,
 class ModelSettings:
     latent_dim: int = 4
     depth: int = 1                     # prediction depth the losses train for
-    schedule_mode: str = "special"
     encoder_hidden: tuple[int, ...] = koopman.DEFAULT_ENCODER_HIDDEN
 
     def __post_init__(self):
@@ -74,10 +73,6 @@ class ModelSettings:
         if min((self.latent_dim, self.depth, *self.encoder_hidden)) < 1:
             raise ValueError("latent_dim, depth and encoder_hidden widths "
                              "must be >= 1")
-        if self.schedule_mode not in koopman.SCHEDULE_MODES:
-            raise ValueError(f"schedule_mode must be one of "
-                             f"{koopman.SCHEDULE_MODES}, not "
-                             f"{self.schedule_mode!r}")
 
 
 @dataclass
@@ -175,10 +170,12 @@ def _check_field(cls, name, value, section=None):
     return float(value) if kind == "float" and value is not None else value
 
 
-# keys of the fixed radio, recipe and gradient downlink, which configs
-# saved while they were settable carry; they load at the fixed value only
+# keys of the fixed radio, recipe, gradient downlink and rollout schedule,
+# which configs saved while they were settable carry; they load at the
+# fixed value only
 _FIXED_KEYS = {"data": {"explore_std": datasets.EXPLORE_STD,
                         "max_retries": datasets.MAX_RETRIES},
+               "model": {"schedule_mode": "special"},
                "train": {"min_delta": protocol.MIN_DELTA,
                          "impair_gradients": False},
                "link": {"distance": channel.DISTANCE, "eta": channel.ETA,
@@ -373,9 +370,8 @@ def train_sensing(cfg, dataset):
     train_w = datasets.extract_windows(dataset.train, cfg.model.depth)
     val_w = datasets.extract_windows(dataset.val, cfg.model.depth)
     uplink = None if cfg.link.ideal else build_link(cfg, streams["uplink"])
-    trainer = protocol.SensingTrainer(
-        model, cfg.model.schedule_mode, train_w, val_w, cfg.train,
-        streams["shuffle"], uplink=uplink)
+    trainer = protocol.SensingTrainer(model, train_w, val_w, cfg.train,
+                                      streams["shuffle"], uplink=uplink)
 
     gains = []
 
@@ -405,9 +401,8 @@ def train_controlling(cfg, sensing, dataset):
                                            cfg.model.depth)
     val_w = protocol.controlling_windows(dataset.val, recv_val,
                                          cfg.model.depth)
-    trainer = protocol.ControllingTrainer(
-        model, cfg.model.schedule_mode, train_w, val_w, cfg.train,
-        streams["shuffle"])
+    trainer = protocol.ControllingTrainer(model, train_w, val_w, cfg.train,
+                                          streams["shuffle"])
     return model, protocol.fit_with_early_stopping(trainer)
 
 

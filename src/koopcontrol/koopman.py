@@ -17,12 +17,11 @@ The actuator uses it to ride out downlink outages.
 Training losses are built on the autodiff tape from (B, M_d+1, p) state and
 (B, M_d+1, q) action window arrays, the states being what the loss side
 holds (received estimates for sensing, true states for controlling). The
-windows set the prediction depth M_d: every rollout ends at their last
-column, and the schedule mode, "special" or "general", only picks the
-starting offsets (rollout_offsets). Each loss takes the latent tensors as
-an argument so a split deployment can inject latents as received leaves
-(gradients then stop at the transmission boundary and are shipped back
-separately); the two total losses encode them in-graph when omitted.
+windows set the prediction depth M_d: each rollout loss rolls out once,
+from the window anchor to the last column. Each loss takes the latent
+tensors as an argument so a split deployment can inject latents as received
+leaves (gradients then stop at the transmission boundary and are shipped
+back separately); the two total losses encode them in-graph when omitted.
 """
 
 from __future__ import annotations
@@ -38,21 +37,7 @@ from .neural import make_mlp, network_from_dict, network_to_dict
 
 CHECKPOINT_FORMAT = "koopcontrol-checkpoint-v1"
 
-SCHEDULE_MODES = ("special", "general")
-
 DEFAULT_ENCODER_HIDDEN = (128, 64, 32)
-
-
-def rollout_offsets(mode, depth):
-    """(offset l, weight) of each depth-`depth` rollout: "special" keeps
-    only l=0 with weight one; "general" averages over l = 0..depth-1."""
-    if depth < 1:
-        raise ValueError("prediction depth must be >= 1")
-    if mode == "special":
-        return [(0, 1.0)]
-    if mode == "general":
-        return [(l, 1.0 / depth) for l in range(depth)]
-    raise ValueError(f"unknown schedule mode {mode!r}")
 
 
 # loss weights: c1..c4 of the sensing loss, c1'..c3' of the controlling loss
@@ -214,33 +199,23 @@ def encode_windows(model, states):
             for t in range(states.shape[1])]
 
 
-def _rollout_tensors(model, latents, actions, mode):
-    """(final-time latent tensors, weights) of the scheduled rollouts: start
-    at offset l, iterate to the window end feeding recorded controls."""
-    depth = actions.shape[1] - 1
-    finals, weights = [], []
-    for l, w in rollout_offsets(mode, depth):
-        lat = latents[l]
-        for j in range(l, depth):
-            lat = block_affine(lat, constant(actions[:, j, :]),
-                               model.koopman, model.d)
-        finals.append(lat)
-        weights.append(w)
-    return finals, weights
+def _rollout(model, latents, actions):
+    """The latent rollout endpoint: start at the window anchor and iterate
+    to the window end, feeding the recorded controls."""
+    lat = latents[0]
+    for j in range(actions.shape[1] - 1):
+        lat = block_affine(lat, constant(actions[:, j, :]), model.koopman,
+                           model.d)
+    return lat
 
 
-def _action_rollout_tensors(model, latents, actions, mode):
-    """Controlling analog of _rollout_tensors: evolve the action estimate,
-    feeding the recorded latent at every intermediate step."""
-    depth = actions.shape[1] - 1
-    finals, weights = [], []
-    for l, w in rollout_offsets(mode, depth):
-        act = constant(actions[:, l, :])
-        for j in range(l, depth):
-            act = block_affine(latents[j], act, model.koopman, model.d)
-        finals.append(act)
-        weights.append(w)
-    return finals, weights
+def _action_rollout(model, latents, actions):
+    """Controlling analog of _rollout: evolve the action estimate from the
+    anchor command, feeding the recorded latent at every step."""
+    act = constant(actions[:, 0, :])
+    for j in range(actions.shape[1] - 1):
+        act = block_affine(latents[j], act, model.koopman, model.d)
+    return act
 
 
 def _depth_mean(targets, pred):
@@ -262,20 +237,17 @@ def loss_reconstruction(model, states, actions, latents):
     return mse_rows(constant(states[:, 0, :]), model.decoder.forward(y0))
 
 
-def loss_latent_evolution(model, actions, mode, latents):
-    """L2: latent targets vs the schedule-weighted rollout endpoint, averaged
-    over the target offsets m' = 1..M_d."""
-    pred = weighted_sum(*_rollout_tensors(model, latents, actions, mode))
-    return _depth_mean(latents[1:], pred)
+def loss_latent_evolution(model, actions, latents):
+    """L2: latent targets vs the rollout endpoint, averaged over the target
+    offsets m' = 1..M_d."""
+    return _depth_mean(latents[1:], _rollout(model, latents, actions))
 
 
-def loss_state_prediction(model, states, actions, mode, latents):
-    """L3: state targets vs the weighted sum of decoded rollout endpoints,
-    each decoded with the control recorded at the window end."""
-    finals, weights = _rollout_tensors(model, latents, actions, mode)
-    u_end = constant(actions[:, -1, :])
-    pred = weighted_sum([model.decoder.forward(concat_cols([f, u_end]))
-                         for f in finals], weights)
+def loss_state_prediction(model, states, actions, latents):
+    """L3: state targets vs the decoded rollout endpoint, decoded with the
+    control recorded at the window end."""
+    pred = model.decoder.forward(concat_cols(
+        [_rollout(model, latents, actions), constant(actions[:, -1, :])]))
     return _depth_mean(_targets(states), pred)
 
 
@@ -289,20 +261,17 @@ def loss_cost_consistency(model, states, q_x, latents):
     return mse_rows(constant(lhs), rhs)
 
 
-def loss_action_evolution(model, actions, mode, latents):
-    """L2': action targets vs the weighted action-rollout endpoint."""
-    pred = weighted_sum(
-        *_action_rollout_tensors(model, latents, actions, mode))
+def loss_action_evolution(model, actions, latents):
+    """L2': action targets vs the action-rollout endpoint."""
+    pred = _action_rollout(model, latents, actions)
     return _depth_mean(_targets(actions), pred)
 
 
-def loss_action_state_prediction(model, states, actions, mode, latents):
+def loss_action_state_prediction(model, states, actions, latents):
     """L3': state targets vs the actuator decode of [end latent; predicted
     action]."""
-    finals, weights = _action_rollout_tensors(model, latents, actions, mode)
-    lat_end = latents[-1]
-    pred = weighted_sum([model.decoder.forward(concat_cols([lat_end, a]))
-                         for a in finals], weights)
+    pred = model.decoder.forward(
+        concat_cols([latents[-1], _action_rollout(model, latents, actions)]))
     return _depth_mean(_targets(states), pred)
 
 
@@ -315,7 +284,7 @@ def _total(terms, weights, return_terms):
     return total
 
 
-def total_sensing_loss(model, states, actions, mode, q_x=Q_X,
+def total_sensing_loss(model, states, actions, q_x=Q_X,
                        latents=None, return_terms=False):
     """Weighted sensing loss c1 L1 + c2 L2 + c3 L3 + c4 L4 on one graph, the
     weights SENSING_WEIGHTS; L4 weighs the state by `q_x`, by default the
@@ -323,22 +292,21 @@ def total_sensing_loss(model, states, actions, mode, q_x=Q_X,
     if latents is None:
         latents = encode_windows(model, states)
     terms = [loss_reconstruction(model, states, actions, latents),
-             loss_latent_evolution(model, actions, mode, latents),
-             loss_state_prediction(model, states, actions, mode, latents),
+             loss_latent_evolution(model, actions, latents),
+             loss_state_prediction(model, states, actions, latents),
              loss_cost_consistency(model, states, q_x, latents)]
     return _total(terms, SENSING_WEIGHTS, return_terms)
 
 
-def total_controlling_loss(model, states, actions, mode, latents=None,
+def total_controlling_loss(model, states, actions, latents=None,
                            return_terms=False):
     """Weighted controlling loss c1' L1' + c2' L2' + c3' L3', the weights
     CONTROLLING_WEIGHTS."""
     if latents is None:
         latents = encode_windows(model, states)
     terms = [loss_reconstruction(model, states, actions, latents),
-             loss_action_evolution(model, actions, mode, latents),
-             loss_action_state_prediction(model, states, actions, mode,
-                                          latents)]
+             loss_action_evolution(model, actions, latents),
+             loss_action_state_prediction(model, states, actions, latents)]
     return _total(terms, CONTROLLING_WEIGHTS, return_terms)
 
 

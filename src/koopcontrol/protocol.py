@@ -197,15 +197,14 @@ def _validation_loss(loss_fn, chunks):
 
 
 class _Trainer:
-    """What both phase-1 trainers hold: the model and its schedule mode
-    ("special" or "general"), the (states, actions) training and validation
-    windows, as (B, M_d+1, p) and (B, M_d+1, q) arrays, the `train` settings
+    """What both phase-1 trainers hold: the model, the (states, actions)
+    training and validation windows, as (B, M_d+1, p) and (B, M_d+1, q)
+    arrays whose width sets the prediction depth M_d, the `train` settings
     and the shuffle generator."""
 
-    def __init__(self, model, mode, train_windows, val_windows,
-                 settings, shuffle_seed):
+    def __init__(self, model, train_windows, val_windows, settings,
+                 shuffle_seed):
         self.model = model
-        self.mode = mode
         self.train_states, self.train_actions = train_windows
         self.val_states, self.val_actions = val_windows
         self.settings = settings
@@ -224,10 +223,10 @@ class SensingTrainer(_Trainer):
     (latent, state) packet per row of a batch's (b·t, d+p) block. The
     boundary gradient reaches the sensor as computed."""
 
-    def __init__(self, model, mode, train_windows, val_windows, settings,
+    def __init__(self, model, train_windows, val_windows, settings,
                  shuffle_seed, uplink=None):
-        super().__init__(model, mode, train_windows, val_windows,
-                         settings, shuffle_seed)
+        super().__init__(model, train_windows, val_windows, settings,
+                         shuffle_seed)
         self.uplink = uplink
         self.opt_server = Adam(model.server_parameters(), lr=settings.lr)
         self.opt_encoder = Adam(model.encoder_parameters(), lr=settings.lr)
@@ -270,7 +269,7 @@ class SensingTrainer(_Trainer):
 
     def _loss(self, states, actions, latents=None):
         return koopman.total_sensing_loss(self.model, states, actions,
-                                          self.mode, latents=latents)
+                                          latents=latents)
 
     def _batch_step(self, states, actions, stats):
         b, t = states.shape[0], states.shape[1]
@@ -363,10 +362,10 @@ class ControllingTrainer(_Trainer):
     values and only the action Koopman matrix and the actuator decoder are
     stepped."""
 
-    def __init__(self, model, mode, train_windows, val_windows, settings,
+    def __init__(self, model, train_windows, val_windows, settings,
                  shuffle_seed):
-        super().__init__(model, mode, train_windows, val_windows,
-                         settings, shuffle_seed)
+        super().__init__(model, train_windows, val_windows, settings,
+                         shuffle_seed)
         self.opt = Adam(model.local_parameters(), lr=settings.lr)
         # the encoder is not trained here and the validation chunks are
         # fixed, so each chunk's latents are encoded once, here
@@ -383,7 +382,7 @@ class ControllingTrainer(_Trainer):
         if latents is None:
             latents = self._latents(states)
         return koopman.total_controlling_loss(
-            self.model, states, actions, self.mode,
+            self.model, states, actions,
             latents=[Tensor(lat) for lat in latents])
 
     def _batch_step(self, states, actions, stats):

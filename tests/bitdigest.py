@@ -9,9 +9,9 @@ scores prediction NRMSE and runs a 200-loop phase-2 rollout. The hash of a
 config covers the trained parameters, every epoch's gain, the training and
 validation losses, the NRMSE scores and the rollout's states, commands and
 loop records; a stage that stops on a run error hashes the error instead.
-The twelve configs cross an ideal link, 0 dB and -10 dB; depth 1
-`special` and depth 3 `general` schedules; and process noise 0 with `hold`
-action prediction against 1e-4 with `advance`.
+The twelve configs cross an ideal link, 0 dB and -10 dB; prediction depth
+1 and depth 3; and process noise 0 with `hold` action prediction against
+1e-4 with `advance`.
 
 The script prints one line per config and the digest of all of them last.
 A change that should keep every bit prints the same digest as its parent on
@@ -42,10 +42,10 @@ LINKS = {
     "0dB": {"snr_db": 0.0},
     "-10dB": {"snr_db": -10.0},
 }
-# name -> (depth, schedule mode, eval anchor stride)
+# name -> (prediction depth, eval anchor stride)
 MODELS = {
-    "d1-special": (1, "special", 10),
-    "d3-general": (3, "general", 3),
+    "d1": (1, 10),
+    "d3": (3, 3),
 }
 # name -> (process noise variance, action predict mode)
 PHASE2 = {
@@ -58,7 +58,7 @@ def configs():
     """(name, config) of each of the twelve digest configs."""
     base = ex.desk_preset()
     for link_name, link in LINKS.items():
-        for model_name, (depth, mode, stride) in MODELS.items():
+        for model_name, (depth, stride) in MODELS.items():
             for p2_name, (noise_var, predict_mode) in PHASE2.items():
                 yield f"{link_name}/{model_name}/{p2_name}", \
                     dataclasses.replace(
@@ -66,8 +66,7 @@ def configs():
                         data=dataclasses.replace(
                             base.data, n_train=3, n_val=1, n_test=1,
                             duration_s=4.0, noise_var=noise_var),
-                        model=dataclasses.replace(
-                            base.model, depth=depth, schedule_mode=mode),
+                        model=dataclasses.replace(base.model, depth=depth),
                         train=dataclasses.replace(
                             base.train, max_epochs=2,
                             max_batches_per_epoch=20),

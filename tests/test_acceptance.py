@@ -32,15 +32,14 @@ from test_koopman import (gradcheck_controlling_case, gradcheck_sensing_case,
 def test_criterion_1_gradient_suite():
     t0 = time.monotonic()
     worst = 0.0
-    for depth, mode in ((1, "special"), (1, "general"),
-                        (3, "special"), (3, "general")):
-        model, windows = gradcheck_sensing_case(depth, mode)
+    for depth in (1, 3):
+        model, windows = gradcheck_sensing_case(depth)
         worst = max(worst, check_params(
-            lambda: koopman.total_sensing_loss(model, *windows, mode),
+            lambda: koopman.total_sensing_loss(model, *windows),
             model.parameters(), tol=1e-5))
-        cmodel, cwindows = gradcheck_controlling_case(depth, mode)
+        cmodel, cwindows = gradcheck_controlling_case(depth)
         worst = max(worst, check_params(
-            lambda: koopman.total_controlling_loss(cmodel, *cwindows, mode),
+            lambda: koopman.total_controlling_loss(cmodel, *cwindows),
             cmodel.parameters(), tol=1e-5))
     elapsed = time.monotonic() - t0
     assert worst < 1e-5, f"worst gradient relative error {worst:.2e}"
@@ -213,7 +212,7 @@ def test_criterion_8_protocol_equivalence():
                                            rng=np.random.default_rng(3),
                                            encoder_hidden=(8, 8))
         trainer = protocol.SensingTrainer(
-            model, "special", _acceptance_windows(24, 1, 0),
+            model, _acceptance_windows(24, 1, 0),
             _acceptance_windows(8, 1, 1),
             protocol.TrainSettings(lr=1e-3, batch_size=8), 42, uplink=uplink)
         return model, trainer

@@ -134,9 +134,10 @@ def _tape_forward(net, x):
 
 def _graph_bits(forward, uses, trained_input, last_relu, seed):
     """Value and every gradient of a graph in which one network is applied
-    `uses` times, as the decoder is in "general" mode, all as bytes. Each
-    use takes its own constant input, or its own node on one shared trained
-    input, whose gradient then sums the uses in the tape's order."""
+    `uses` times, as the encoder is once per window column of a loss, all
+    as bytes. Each use takes its own constant input, or its own node on one
+    shared trained input, whose gradient then sums the uses in the tape's
+    order."""
     rng = np.random.default_rng(7)
     net = neural.make_mlp([5, 16, 8, 3], rng)
     if last_relu:

@@ -83,13 +83,11 @@ def test_pipeline_history_shape(pipeline):
     assert all(isinstance(h["gain_refresh_failed"], bool)
                for h in hist["history"])
     # both files record the config the models were trained under, and with
-    # it the prediction depth and schedule mode the checkpoints leave out
+    # it the prediction depth the checkpoints leave out
     cfg = experiments.load_config(cfg_path)
     for record in (hist, ctl):
         assert experiments.config_from_dict(record["config"]) == cfg
         assert record["config"]["model"]["depth"] == cfg.model.depth
-        assert record["config"]["model"]["schedule_mode"] \
-            == cfg.model.schedule_mode
 
 
 def test_gain_file_is_loadable_matrix(pipeline):
@@ -436,6 +434,34 @@ def test_exit_config_on_a_checkpoint_that_does_not_load_or_fit(
     refused("controlling.json", commands=("eval-predict", "run-control"))
     assert not (tmp_path / "prediction.json").exists()
     assert not (tmp_path / "loops.ndjson").exists()
+
+
+def test_exit_config_on_a_controlling_checkpoint_of_an_earlier_encoder(
+        pipeline, tmp_path, capsys):
+    # train-sensing run again, at another step size, leaves a controlling
+    # checkpoint trained on the old latent; it is not paired with the new
+    # encoder until train-controlling runs again
+    src, cfg_path = pipeline
+    _copy_artifacts(src, tmp_path, "dataset.npz", "sensing.json",
+                    "controlling.json")
+    cfg = experiments.load_config(cfg_path)
+    faster = tmp_path / "faster.json"
+    experiments.save_config(dataclasses.replace(
+        cfg, train=dataclasses.replace(cfg.train, lr=5e-3)), faster)
+    base = ["--config", str(faster), "--out-dir", str(tmp_path)]
+    assert cli.main(["train-sensing"] + base) == cli.EXIT_OK
+    capsys.readouterr()
+    for cmd in ("eval-predict", "run-control"):
+        assert cli.main([cmd] + base) == cli.EXIT_CONFIG, cmd
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'controlling.json'} was trained on another " \
+            f"encoder than the one in {tmp_path / 'sensing.json'}; run " \
+            "train-controlling again" in err, cmd
+    assert not (tmp_path / "prediction.json").exists()
+    assert not (tmp_path / "loops.ndjson").exists()
+    assert cli.main(["train-controlling"] + base) == cli.EXIT_OK
+    for cmd in ("eval-predict", "run-control"):
+        assert cli.main([cmd] + base) == cli.EXIT_OK, cmd
 
 
 def test_exit_config_on_a_dataset_file_that_is_not_a_dataset(tmp_path,

@@ -688,6 +688,34 @@ def test_a_config_saved_with_impair_gradients_loads_at_false_only(
         in capsys.readouterr().err
 
 
+def test_a_config_saved_with_schedule_mode_loads_at_special_only(
+        tmp_path, capsys):
+    # every rollout loss rolls out from the window anchor, so a saved
+    # "special" loads as the default and any other value is refused,
+    # naming the key, by config_from_dict and by the CLI
+    saved = json.loads(SAVED_DESK_CONFIG)
+    assert saved["model"]["schedule_mode"] == "special"
+    assert experiments.config_from_dict(saved) == experiments.desk_preset()
+    for value in ("general", 1, None):
+        saved["model"]["schedule_mode"] = value
+        with pytest.raises(experiments.ConfigError) as err:
+            experiments.config_from_dict(saved)
+        assert str(err.value) == ("bad model.schedule_mode: fixed at "
+                                  f"'special', not {value!r}")
+    assert "schedule_mode" not in experiments.config_to_dict(
+        experiments.desk_preset())["model"]
+    for value, code in (("special", cli.EXIT_OK),
+                        ("general", cli.EXIT_CONFIG)):
+        cfg_path = micro_config(tmp_path)
+        raw = json.loads(cfg_path.read_text())
+        raw["model"]["schedule_mode"] = value
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["gen-data", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path)]) == code
+    assert "bad model.schedule_mode: fixed at 'special', not 'general'" \
+        in capsys.readouterr().err
+
+
 def test_a_rollout_on_given_links_derives_no_seed_stream(monkeypatch):
     cfg = micro_cfg()
     sensing = koopman.SensingModel.build(p=4, d=4, q=1,

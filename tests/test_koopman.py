@@ -82,25 +82,8 @@ def micro_model(seed=0, p=4, d=2, q=1):
 
 
 # ---------------------------------------------------------------------------
-# schedules and psd projection
+# coefficients and psd projection
 # ---------------------------------------------------------------------------
-
-def test_schedule_special_case_single_unit_weight():
-    assert koopman.rollout_offsets("special", 4) == [(0, 1.0)]
-
-
-def test_schedule_general_case_uniform_weights():
-    offsets = koopman.rollout_offsets("general", 4)
-    assert offsets == [(0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)]
-    assert np.isclose(sum(w for _, w in offsets), 1.0)
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        koopman.rollout_offsets("typical", 2)
-    with pytest.raises(ValueError):
-        koopman.rollout_offsets("special", 0)
-
 
 def test_default_coefficients():
     assert koopman.SENSING_WEIGHTS == (0.5, 1.0, 0.5, 1.0)
@@ -289,7 +272,7 @@ def test_sensing_losses_vanish_on_consistent_linear_model():
     model = passthrough_sensing(a, b)
     states, actions = _linear_windows(a, b, n=8, depth=1, seed=7)
     total, terms = koopman.total_sensing_loss(model, states, actions,
-                                              "special", q_x=np.eye(3),
+                                              q_x=np.eye(3),
                                               return_terms=True)
     for name, t in terms.items():
         assert float(t.value) < 1e-20, f"{name} nonzero on consistent data"
@@ -306,37 +289,23 @@ def test_controlling_losses_vanish_on_consistent_linear_model():
     states, actions = _linear_windows(a, b, k21=k21, k22=k22, n=8, depth=1,
                                       seed=8)
     total, terms = koopman.total_controlling_loss(model, states, actions,
-                                                  "special", return_terms=True)
+                                                  return_terms=True)
     for name, t in terms.items():
         assert float(t.value) < 1e-20, f"{name} nonzero on consistent data"
     assert float(total.value) < 1e-20
 
 
 def test_latent_evolution_loss_hand_computed_scalar():
-    # d = q = 1, special case, M_d = 2: rollout from l=0 is
+    # d = q = 1, M_d = 2: the rollout from the anchor is
     # k11^2 g0 + k11 k12 u0 + k12 u1; targets are the encodings g1, g2
     k11, k12 = 0.7, 0.3
     model = passthrough_sensing(np.array([[k11]]), np.array([[k12]]))
     states = np.array([[[1.0], [2.0], [-1.0]]])
     actions = np.array([[[0.5], [-0.4], [0.2]]])
     loss = koopman.loss_latent_evolution(
-        model, actions, "special", koopman.encode_windows(model, states))
+        model, actions, koopman.encode_windows(model, states))
     roll = k11 * (k11 * 1.0 + k12 * 0.5) + k12 * (-0.4)
     expect = 0.5 * ((2.0 - roll) ** 2 + (-1.0 - roll) ** 2)
-    assert np.isclose(float(loss.value), expect, atol=1e-12)
-
-
-def test_latent_evolution_loss_general_schedule_hand_computed():
-    k11, k12 = 0.7, 0.3
-    model = passthrough_sensing(np.array([[k11]]), np.array([[k12]]))
-    states = np.array([[[1.0], [2.0], [-1.0]]])
-    actions = np.array([[[0.5], [-0.4], [0.2]]])
-    loss = koopman.loss_latent_evolution(
-        model, actions, "general", koopman.encode_windows(model, states))
-    roll0 = k11 * (k11 * 1.0 + k12 * 0.5) + k12 * (-0.4)
-    roll1 = k11 * 2.0 + k12 * (-0.4)
-    pred = 0.5 * roll0 + 0.5 * roll1
-    expect = 0.5 * ((2.0 - pred) ** 2 + (-1.0 - pred) ** 2)
     assert np.isclose(float(loss.value), expect, atol=1e-12)
 
 
@@ -364,7 +333,7 @@ def test_total_sensing_loss_is_weighted_sum_of_terms():
     states, actions = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=6,
                                       depth=2, seed=11)
     total, terms = koopman.total_sensing_loss(model, states, actions,
-                                              "general", return_terms=True)
+                                              return_terms=True)
     expect = (0.5 * float(terms["l1"].value) + float(terms["l2"].value)
               + 0.5 * float(terms["l3"].value) + float(terms["l4"].value))
     assert np.isclose(float(total.value), expect, rtol=1e-12)
@@ -380,7 +349,7 @@ def test_total_controlling_loss_is_weighted_sum_of_terms():
     states, actions = _linear_windows(np.eye(4) * 0.5, np.ones((4, 1)), n=5,
                                       depth=2, seed=13)
     total, terms = koopman.total_controlling_loss(model, states, actions,
-                                                  "special", return_terms=True)
+                                                  return_terms=True)
     expect = (0.5 * float(terms["l1"].value) + float(terms["l2"].value)
               + 0.5 * float(terms["l3"].value))
     assert np.isclose(float(total.value), expect, rtol=1e-12)
@@ -398,7 +367,7 @@ GRADCHECK_SENSING_SEED = 6
 GRADCHECK_CONTROLLING_SEED = 8
 
 
-def gradcheck_sensing_case(depth, mode):
+def gradcheck_sensing_case(depth):
     model = micro_model(seed=GRADCHECK_SENSING_SEED)
     windows = _linear_windows(np.eye(4) * 0.3, np.ones((4, 1)) * 0.5, n=4,
                               depth=depth, seed=GRADCHECK_SENSING_SEED + 1000,
@@ -406,7 +375,7 @@ def gradcheck_sensing_case(depth, mode):
     return model, windows
 
 
-def gradcheck_controlling_case(depth, mode):
+def gradcheck_controlling_case(depth):
     seed = GRADCHECK_CONTROLLING_SEED
     sens = micro_model(seed=seed)
     model = koopman.ControllingModel.build(sens,
@@ -416,22 +385,22 @@ def gradcheck_controlling_case(depth, mode):
     return model, windows
 
 
-@pytest.mark.parametrize("depth,mode", [(1, "special"), (3, "general")])
-def test_sensing_loss_gradients_match_finite_differences(depth, mode):
-    model, (states, actions) = gradcheck_sensing_case(depth, mode)
+@pytest.mark.parametrize("depth", [1, 3])
+def test_sensing_loss_gradients_match_finite_differences(depth):
+    model, (states, actions) = gradcheck_sensing_case(depth)
 
     def loss():
-        return koopman.total_sensing_loss(model, states, actions, mode)
+        return koopman.total_sensing_loss(model, states, actions)
 
     check_params(loss, model.parameters())
 
 
-@pytest.mark.parametrize("depth,mode", [(1, "special"), (3, "general")])
-def test_controlling_loss_gradients_match_finite_differences(depth, mode):
-    model, (states, actions) = gradcheck_controlling_case(depth, mode)
+@pytest.mark.parametrize("depth", [1, 3])
+def test_controlling_loss_gradients_match_finite_differences(depth):
+    model, (states, actions) = gradcheck_controlling_case(depth)
 
     def loss():
-        return koopman.total_controlling_loss(model, states, actions, mode)
+        return koopman.total_controlling_loss(model, states, actions)
 
     check_params(loss, model.parameters())
 
@@ -448,21 +417,21 @@ def _recorded_nodes(root):
     return ops
 
 
-@pytest.mark.parametrize("depth,mode,sensing,controlling",
-                         [(1, "special", 18, 13), (3, "general", 38, 31)])
-def test_loss_graphs_record_one_node_per_weighted_sum(depth, mode, sensing,
+@pytest.mark.parametrize("depth,sensing,controlling",
+                         [(1, 16, 11), (3, 26, 19)])
+def test_loss_graphs_record_one_node_per_weighted_sum(depth, sensing,
                                                       controlling):
-    # each weighted sum of the losses (rollout weighting, depth mean, total)
-    # is one node: the sensing loss encodes its latents in-graph, the
-    # controlling loss takes them as constants, as its trainer feeds them
-    model, (states, actions) = gradcheck_sensing_case(depth, mode)
+    # each weighted sum of the losses (depth mean, total) is one node: the
+    # sensing loss encodes its latents in-graph, the controlling loss takes
+    # them as constants, as its trainer feeds them
+    model, (states, actions) = gradcheck_sensing_case(depth)
     assert _recorded_nodes(koopman.total_sensing_loss(
-        model, states, actions, mode)) == sensing
-    cmodel, (states, actions) = gradcheck_controlling_case(depth, mode)
+        model, states, actions)) == sensing
+    cmodel, (states, actions) = gradcheck_controlling_case(depth)
     latents = [ad.constant(cmodel.encode(states[:, t, :]))
                for t in range(states.shape[1])]
     assert _recorded_nodes(koopman.total_controlling_loss(
-        cmodel, states, actions, mode, latents=latents)) == controlling
+        cmodel, states, actions, latents=latents)) == controlling
 
 
 def test_reconstruction_leaves_koopman_and_cost_grad_unset():

@@ -85,7 +85,7 @@ def _micro_windows(n=24, depth=1, seed=0):
 
 def _trainer(model, uplink, depth=1, seed=0, max_epochs=100):
     return protocol.SensingTrainer(
-        model, "special", _micro_windows(n=24, depth=depth, seed=seed),
+        model, _micro_windows(n=24, depth=depth, seed=seed),
         _micro_windows(n=8, depth=depth, seed=seed + 1),
         protocol.TrainSettings(lr=1e-3, batch_size=8, max_epochs=max_epochs),
         42, uplink=uplink)
@@ -146,7 +146,7 @@ def test_transport_fills_interior_losses_with_rollout():
     model = passthrough_sensing(a, b)
     states, actions = windows = _linear_windows(a, b, n=1, depth=2, seed=3)
     link = scripted([1])   # lose the middle packet of the only window
-    trainer = protocol.SensingTrainer(model, "special", windows, windows,
+    trainer = protocol.SensingTrainer(model, windows, windows,
                                       protocol.TrainSettings(), 0, uplink=link)
     lat_vals = np.stack([model.encode(states[:, j, :])
                          for j in range(3)], axis=1)
@@ -173,7 +173,7 @@ def test_transport_fill_matches_matrix_power_oracle():
     b = rng.normal(size=(3, 1))
     model = passthrough_sensing(a, b)
     states, actions = windows = _linear_windows(a, b, n=2, depth=3, seed=4)
-    trainer = protocol.SensingTrainer(model, "special", windows, windows,
+    trainer = protocol.SensingTrainer(model, windows, windows,
                                       protocol.TrainSettings(), 0,
                                       uplink=scripted([1, 2, 6, 7]))
     lat_vals = np.stack([model.encode(states[:, j, :])
@@ -259,7 +259,7 @@ def test_transport_matches_per_packet_reference_bit_for_bit():
                          for j in range(4)], axis=1)
     for seed in (1, 2, 3):
         link = channel.FadingLink(cfg, seed)
-        trainer = protocol.SensingTrainer(model, "special", windows, windows,
+        trainer = protocol.SensingTrainer(model, windows, windows,
                                           protocol.TrainSettings(), 0,
                                           uplink=link)
         got = trainer._transport(lat_vals, states, actions)
@@ -380,7 +380,7 @@ def test_controlling_trainer_moves_only_local_params():
     model = koopman.ControllingModel.build(sens, np.random.default_rng(11))
     windows = _micro_windows(n=16)
     trainer = protocol.ControllingTrainer(
-        model, "special", windows, windows,
+        model, windows, windows,
         protocol.TrainSettings(lr=1e-3, batch_size=8), 0)
     enc_before = [p.value.copy() for p in sens.encoder.parameters()]
     sens_koop_before = sens.koopman.value.copy()
@@ -413,7 +413,7 @@ def test_training_builds_no_gradient_it_drops(monkeypatch):
         leaves = [autodiff.Tensor(z, requires_grad=requires_grad)
                   for z in latents]
         autodiff.backward(koopman.total_controlling_loss(
-            model, states, actions, "general", latents=leaves))
+            model, states, actions, latents=leaves))
         out = [p.grad.copy() for p in model.local_parameters()]
         for p in model.local_parameters():
             p.grad = None
@@ -428,7 +428,7 @@ def test_controlling_trainer_loss_decreases():
     model = koopman.ControllingModel.build(sens, np.random.default_rng(13))
     windows = _micro_windows(n=32, seed=5)
     trainer = protocol.ControllingTrainer(
-        model, "special", windows, windows,
+        model, windows, windows,
         protocol.TrainSettings(lr=1e-2, batch_size=8), 0)
     first = trainer.run_epoch().val_loss
     for _ in range(4):
@@ -450,7 +450,7 @@ def test_validation_scores_without_a_graph_bitwise(monkeypatch, cls):
     if cls is protocol.ControllingTrainer:
         model = koopman.ControllingModel.build(model,
                                                np.random.default_rng(15))
-    trainer = cls(model, "general", _micro_windows(n=8, depth=2),
+    trainer = cls(model, _micro_windows(n=8, depth=2),
                   _micro_windows(n=40, depth=2, seed=16),
                   protocol.TrainSettings(lr=1e-3, batch_size=8), 0)
     loss_fn, roots = trainer._loss, []
@@ -482,7 +482,7 @@ def test_controlling_validation_latents_cached_at_build_stay_exact(
     model = koopman.ControllingModel.build(micro_model(seed=14),
                                            np.random.default_rng(15))
     trainer = protocol.ControllingTrainer(
-        model, "general", _micro_windows(n=24, depth=2),
+        model, _micro_windows(n=24, depth=2),
         _micro_windows(n=40, depth=2, seed=16),
         protocol.TrainSettings(lr=1e-3, batch_size=8), 0)
     before = model.koopman.value.copy()
@@ -502,7 +502,7 @@ def test_sensing_validation_peak_memory():
     rng = np.random.default_rng(17)
     model = koopman.SensingModel.build(p=4, d=4, q=1, rng=rng)
     windows = (rng.normal(size=(1000, 2, 4)), rng.normal(size=(1000, 2, 1)))
-    trainer = protocol.SensingTrainer(model, "special", windows, windows,
+    trainer = protocol.SensingTrainer(model, windows, windows,
                                       protocol.TrainSettings(), 0)
     trainer.validation_loss()
     tracemalloc.start()
