@@ -64,12 +64,18 @@ def spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=np.float64)))))
 
 
-def solve_dare(a, b, q, r, tol=1e-10, max_iter=10000):
+# the fixed point is reached when the max-norm of a sweep's update falls
+# below DARE_TOL, and abandoned after DARE_MAX_SWEEPS sweeps
+DARE_TOL = 1e-10
+DARE_MAX_SWEEPS = 10000
+
+
+def solve_dare(a, b, q, r):
     """Fixed-point DARE solve; returns solution with the LQR gain attached.
 
-    Raises DareSolverError if the iteration does not reach `tol` (max-norm of
-    the update) within `max_iter` sweeps, or if the resulting closed loop
-    A - B K is not strictly stable."""
+    Raises DareSolverError if the iteration does not reach DARE_TOL
+    (max-norm of the update) within DARE_MAX_SWEEPS sweeps, or if the
+    resulting closed loop A - B K is not strictly stable."""
     a, b, q, r = _as_system(a, b, q, r)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[0] != n:
@@ -78,7 +84,7 @@ def solve_dare(a, b, q, r, tol=1e-10, max_iter=10000):
     p = q.copy()
     residual = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, DARE_MAX_SWEEPS + 1):
             p_next, gain = _riccati_map(p, a, b, q, r)
             p_next = 0.5 * (p_next + p_next.T)
             residual = float(np.abs(p_next - p).max())
@@ -88,18 +94,18 @@ def solve_dare(a, b, q, r, tol=1e-10, max_iter=10000):
                     f"Riccati iterate diverged after {it} sweeps "
                     "(system not stabilizable?)", residual=np.inf,
                     iterations=it)
-            if residual < tol:
+            if residual < DARE_TOL:
                 break
             p = p_next
         else:
             raise DareSolverError(
-                f"no convergence after {max_iter} iterations "
+                f"no convergence after {DARE_MAX_SWEEPS} iterations "
                 f"(residual {residual:.3e})",
-                residual=residual, iterations=max_iter)
+                residual=residual, iterations=DARE_MAX_SWEEPS)
     # the update IS the defect of the current iterate, so return that one
     # with the gain this sweep took from it; the defect of p_next is
     # unmeasured and transients of the non-normal map can push it back
-    # above tol
+    # above DARE_TOL
     rho = spectral_radius(a - b @ gain)
     if rho >= 1.0:
         raise DareSolverError(
@@ -186,7 +192,8 @@ def build_jacobian_controller(r):
     An equal `r`, an int or a numpy scalar too, returns the same
     controller, solved once per process while it stays among the last
     BASELINE_CACHE_SIZE built (module docstring); its `gain`, `a_d` and
-    `b_d` are read-only. A DareSolverError is raised again on every call."""
+    `b_d` are read-only. A DareSolverError, its message prefixed with the
+    weight r it failed at, is raised again on every call."""
     return _build_jacobian_controller(float(r))
 
 
@@ -197,7 +204,12 @@ def _build_jacobian_controller(r):
         np.zeros(dynamics.ACTION_DIM))
     a_d = np.eye(dynamics.STATE_DIM) + dynamics.TAU_O * a_c
     b_d = dynamics.TAU_O * b_c
-    sol = solve_dare(a_d, b_d, Q_X, np.eye(dynamics.ACTION_DIM) * r)
+    try:
+        sol = solve_dare(a_d, b_d, Q_X, np.eye(dynamics.ACTION_DIM) * r)
+    except DareSolverError as exc:
+        raise DareSolverError(f"baseline LQR at control.r = {r}: {exc}",
+                              residual=exc.residual,
+                              iterations=exc.iterations) from exc
     ctl = JacobianController(gain=sol.gain, a_d=a_d, b_d=b_d)
     # shared by every caller with this r
     for m in (ctl.gain, ctl.a_d, ctl.b_d, ctl._neg_gain):

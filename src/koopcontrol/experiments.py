@@ -456,7 +456,7 @@ def _pooled_nrmse(pred, obs):
     block by block, anchor by anchor and step by step."""
     pred, obs = np.concatenate(pred), np.concatenate(obs)
     pred, obs = pred.reshape(-1, pred.shape[2]), obs.reshape(-1, obs.shape[2])
-    return metrics.nrmse(pred, obs, len(pred))
+    return metrics.nrmse(pred, obs)
 
 
 def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,
@@ -464,9 +464,6 @@ def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,
     """Phase-2 closed loop; returns (Phase2Result, summary dict)."""
     builds = uplink is None or downlink is None or cfg.data.noise_var > 0.0
     streams = seed_streams(cfg.seed) if builds else None
-    system = protocol.ControlSystem(
-        noise_var=cfg.data.noise_var, sensing=sensing, gain=gain,
-        controlling=controlling)
     if uplink is None:
         uplink = build_link(cfg, streams["eval_uplink"])
     if downlink is None:
@@ -474,11 +471,12 @@ def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,
     plant_rng = None
     if cfg.data.noise_var > 0.0:
         plant_rng = np.random.default_rng(streams["eval_plant"])
-    result = protocol.run_phase2_loop(system, uplink, downlink, cfg.control,
-                                      plant_rng=plant_rng)
+    result = protocol.run_phase2_loop(
+        sensing, gain, controlling, uplink, downlink, cfg.control,
+        noise_var=cfg.data.noise_var, plant_rng=plant_rng)
     down_flags = [r.downlink_delivered for r in result.records]
     summary = {
-        "msce": metrics.msce(result.states[1:], np.zeros(dynamics.STATE_DIM)),
+        "msce": metrics.msce(result.states[1:]),
         "m_lost": metrics.consecutive_lost(down_flags),
         "final_state_norm": float(np.linalg.norm(result.states[-1])),
     }

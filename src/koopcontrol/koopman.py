@@ -251,12 +251,12 @@ def loss_state_prediction(model, states, actions, latents):
     return _depth_mean(_targets(states), pred)
 
 
-def loss_cost_consistency(model, states, q_x, latents):
-    """L4: quadratic state cost vs the latent quadratic form under the
-    trainable cost matrix, at the window anchor."""
+def loss_cost_consistency(model, states, latents):
+    """L4: quadratic state cost under the fixed LQR state weight
+    `control.Q_X` vs the latent quadratic form under the trainable cost
+    matrix, at the window anchor."""
     x0 = states[:, 0, :]
-    q_x = np.asarray(q_x, dtype=np.float64)
-    lhs = np.einsum("bi,ij,bj->b", x0, q_x, x0)
+    lhs = np.einsum("bi,ij,bj->b", x0, Q_X, x0)
     rhs = quad_rows(latents[0], model.cost)
     return mse_rows(constant(lhs), rhs)
 
@@ -284,17 +284,16 @@ def _total(terms, weights, return_terms):
     return total
 
 
-def total_sensing_loss(model, states, actions, q_x=Q_X,
-                       latents=None, return_terms=False):
+def total_sensing_loss(model, states, actions, latents=None,
+                       return_terms=False):
     """Weighted sensing loss c1 L1 + c2 L2 + c3 L3 + c4 L4 on one graph, the
-    weights SENSING_WEIGHTS; L4 weighs the state by `q_x`, by default the
-    fixed LQR state weight `control.Q_X`."""
+    weights SENSING_WEIGHTS."""
     if latents is None:
         latents = encode_windows(model, states)
     terms = [loss_reconstruction(model, states, actions, latents),
              loss_latent_evolution(model, actions, latents),
              loss_state_prediction(model, states, actions, latents),
-             loss_cost_consistency(model, states, q_x, latents)]
+             loss_cost_consistency(model, states, latents)]
     return _total(terms, SENSING_WEIGHTS, return_terms)
 
 
@@ -331,16 +330,14 @@ def checkpoint_to_dict(model):
     return data
 
 
-def checkpoint_from_dict(data, encoder=None):
-    """Rebuild a model from its checkpoint dict. Pass `encoder` to re-share
-    an existing encoder instance instead of loading the stored copy (the
-    controlling model normally shares the sensing encoder). Keys the model
-    does not use, such as the `depth` and `schedule_mode` of older files,
-    are ignored."""
+def checkpoint_from_dict(data):
+    """Rebuild a model, its stored encoder copy included, from its
+    checkpoint dict. Keys the model does not use, such as the `depth` and
+    `schedule_mode` of older files, are ignored."""
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"unknown checkpoint format {fmt!r}")
-    enc = encoder if encoder is not None else network_from_dict(data["encoder"])
+    enc = network_from_dict(data["encoder"])
     dec = network_from_dict(data["decoder"])
     k = Parameter(np.array(data["koopman"], dtype=np.float64))
     if data["kind"] == "sensing":
@@ -354,6 +351,6 @@ def save_checkpoint(model, path):
         json.dump(checkpoint_to_dict(model), fh)
 
 
-def load_checkpoint(path, encoder=None):
+def load_checkpoint(path):
     with open(path) as fh:
-        return checkpoint_from_dict(json.load(fh), encoder=encoder)
+        return checkpoint_from_dict(json.load(fh))

@@ -9,24 +9,20 @@ class UndefinedNormalizationError(ValueError):
     """The observed window has zero range, so NRMSE is undefined."""
 
 
-def _window(a, m_p):
+def _rows(a):
+    """`a` as a float64 (rows, n) array, a 1-D series as one column."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.shape[0] < m_p:
-        raise ValueError(f"need at least {m_p} rows, got {a.shape[0]}")
-    return a[:m_p]
+    return a[:, None] if a.ndim == 1 else a
 
 
-def nrmse(predicted, observed, m_p):
-    """Normalized RMSE in percent over an m_p-step window.
+def nrmse(predicted, observed):
+    """Normalized RMSE in percent over every row given.
 
     100 * sqrt(mean_m ||pred_m - obs_m||^2) / ||max(obs) - min(obs)||_2,
-    with the max/min taken element-wise over the observed window. Both
-    inputs are aligned sequences whose first row is the first predicted
-    step; pass pre-shifted arrays to move the window."""
-    pred = _window(predicted, m_p)
-    obs = _window(observed, m_p)
+    with the max/min taken element-wise over the observed rows. Both
+    inputs are aligned sequences, one row per predicted step; slice them
+    to score a shorter window."""
+    pred, obs = _rows(predicted), _rows(observed)
     if pred.shape != obs.shape:
         raise ValueError("predicted/observed shapes disagree")
     rng_vec = obs.max(axis=0) - obs.min(axis=0)
@@ -37,16 +33,11 @@ def nrmse(predicted, observed, m_p):
     return 100.0 * float(rms) / denom
 
 
-def msce(states, desired, m_p=None):
-    """Mean squared control error (1/M_p) sum_m ||x_m - x_d||^2."""
-    states = np.asarray(states, dtype=np.float64)
-    if states.ndim == 1:
-        states = states[:, None]
-    if m_p is None:
-        m_p = states.shape[0]
-    states = _window(states, m_p)
-    desired = np.asarray(desired, dtype=np.float64).ravel()
-    return float(np.mean(np.sum((states - desired) ** 2, axis=1)))
+def msce(states):
+    """Mean squared control error (1/M_p) sum_m ||x_m||^2 over every row
+    given: the mean squared distance of the states from the origin, the
+    operating point the loop regulates to."""
+    return float(np.mean(np.sum(_rows(states) ** 2, axis=1)))
 
 
 def consecutive_lost(delivered_flags):

@@ -441,17 +441,6 @@ PHASE2_PREDICT_MODES = ("hold", "advance")
 
 
 @dataclass
-class ControlSystem:
-    """Everything the closed loop needs in one place, besides the plant
-    and the radio, which are fixed: `dynamics` holds the plant's parameters
-    and control period, and `channel` the radio's compute budget."""
-    noise_var: float                      # plant process noise variance
-    sensing: koopman.SensingModel
-    gain: np.ndarray                      # latent LQR gain (q, d)
-    controlling: koopman.ControllingModel | None = None
-
-
-@dataclass
 class Phase2Config:
     """Phase-2 loop settings, and the `control` section of an experiment
     config: the LQR action weight `r` also shapes training; Q_X is fixed."""
@@ -491,20 +480,22 @@ class Phase2Result:
     records: list           # one LoopRecord per loop
 
 
-def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
+def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
+                    noise_var=0.0, plant_rng=None):
     """Predictive remote control for config.n_loops control periods from
     the plant state config.x0.
 
-    Per loop: uplink the fresh latent (unless in pure-prediction mode),
-    compute u = -K g, downlink it, let the actuator apply the received or
-    predicted command, then step the plant. The records say which source
-    each side used each loop: received, predicted, held (the last latent or
-    applied command, kept with no prediction) or cold (nothing yet)."""
-    model = system.sensing
-    ctrl = system.controlling
+    Per loop: uplink the fresh latent of the `sensing` model (unless in
+    pure-prediction mode), compute u = -K g with the (q, d) latent LQR
+    `gain` K, downlink it, let the actuator apply the received command or
+    one the `controlling` model (None for none) predicts, then step the
+    plant with process noise of variance `noise_var` drawn from
+    `plant_rng`. The records say which source each side used each loop:
+    received, predicted, held (the last latent or applied command, kept
+    with no prediction) or cold (nothing yet)."""
     x = np.array(config.x0, dtype=np.float64)
     n = config.n_loops
-    d, q = model.d, model.q
+    d, q = sensing.d, sensing.q
     up_bits = channel.payload_bits(d)
     down_bits = channel.payload_bits(q)
 
@@ -520,7 +511,7 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
     down_losses = 0
 
     for m in range(n):
-        g = model.encode(x)   # the uplink payload and the actuator's latent
+        g = sensing.encode(x)   # the uplink payload and the actuator's latent
         # --- uplink ---------------------------------------------------
         attempt_uplink = config.uplink_refresh or m == 0
         up_out = None
@@ -534,7 +525,7 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             state_source = "held"
             # a latent exists only after a delivery, so m >= 1
             if config.latent_fallback == "predict":
-                ctrl_lat = koopman.latent_step(model, ctrl_lat,
+                ctrl_lat = koopman.latent_step(sensing, ctrl_lat,
                                                commands[m - 1])
                 state_source = "predicted"
             ctrl_depth += 1
@@ -543,7 +534,7 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
 
         # --- controller command ----------------------------------------
         if ctrl_lat is not None:
-            u_cmd = -system.gain @ ctrl_lat
+            u_cmd = -gain @ ctrl_lat
         else:
             u_cmd = np.zeros(q)   # cold start: hold zero
         commands[m] = u_cmd
@@ -559,11 +550,12 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             down_losses += 1
             # after a delivery every loss predicts, so applied[m - 1] is
             # the last delivered or predicted command
-            if config.action_fallback == "predict" and ctrl is not None \
-                    and act_lat is not None:
-                u_app = koopman.predict_actions(ctrl, applied[m - 1], act_lat)
+            if config.action_fallback == "predict" \
+                    and controlling is not None and act_lat is not None:
+                u_app = koopman.predict_actions(controlling, applied[m - 1],
+                                                act_lat)
                 if config.action_predict_mode == "advance":
-                    act_lat = koopman.latent_step(model, act_lat, u_app)
+                    act_lat = koopman.latent_step(sensing, act_lat, u_app)
                 action_source = "predicted"
             elif m > 0:
                 u_app = applied[m - 1]
@@ -586,8 +578,7 @@ def run_phase2_loop(system, uplink, downlink, config, plant_rng=None):
             tau_comp=channel.TAU_COMP,
         ))
 
-        x = dynamics.step_plant(x, u_app, noise_var=system.noise_var,
-                                rng=plant_rng)
+        x = dynamics.step_plant(x, u_app, noise_var=noise_var, rng=plant_rng)
         states[m + 1] = x
 
     return Phase2Result(states=states, commands=commands, applied=applied,

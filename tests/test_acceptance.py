@@ -168,19 +168,17 @@ def test_criterion_7_prediction_beats_hold_under_downlink_bursts():
     base = experiments.build_baseline(experiments.desk_preset())
     k, a_d, b_d = base.gain, base.a_d, base.b_d
     sens = passthrough_sensing(a_d, b_d)
-    system = protocol.ControlSystem(
-        noise_var=0.0, sensing=sens, gain=k,
-        controlling=passthrough_controlling(sens, -k @ a_d, -k @ b_d))
+    ctrl = passthrough_controlling(sens, -k @ a_d, -k @ b_d)
     bursts = [m for m in range(1000) if m % 50 >= 30]
 
     def msce(lost, fallback="predict", mode="advance"):
         res = protocol.run_phase2_loop(
-            system, channel.IdealLink(),
+            sens, k, ctrl, channel.IdealLink(),
             channel.ScriptedLossLink(channel.IdealLink(), lost),
             protocol.Phase2Config(n_loops=1000, action_fallback=fallback,
                                   action_predict_mode=mode,
                                   x0=(0.05,) * 4))
-        return metrics.msce(res.states[1:], np.zeros(dynamics.STATE_DIM))
+        return metrics.msce(res.states[1:])
 
     advance, hold = msce(bursts), msce(bursts, fallback="hold")
     no_loss = msce([])
@@ -234,9 +232,6 @@ def test_criterion_8_protocol_equivalence():
     ctrl = passthrough_controlling(sens, np.full((1, 4), -0.05),
                                    np.array([[0.6]]))
     gain = np.array([[0.05, 0.05, 0.05, 0.05]])
-    system = protocol.ControlSystem(
-        noise_var=0.0, sensing=sens, gain=gain,
-        controlling=ctrl)
     n_loops = 40
     for _ in range(1000):
         up_lost = rng.choice(n_loops, size=rng.integers(0, 25),
@@ -244,7 +239,8 @@ def test_criterion_8_protocol_equivalence():
         down_lost = rng.choice(n_loops, size=rng.integers(0, 25),
                                replace=False)
         res = protocol.run_phase2_loop(
-            system, channel.ScriptedLossLink(channel.IdealLink(), up_lost),
+            sens, gain, ctrl,
+            channel.ScriptedLossLink(channel.IdealLink(), up_lost),
             channel.ScriptedLossLink(channel.IdealLink(), down_lost),
             protocol.Phase2Config(n_loops=n_loops, x0=(0.02,) * 4))
         run = 0

@@ -140,7 +140,7 @@ def test_dare_divergence_raises_at_the_first_non_finite_sweep(a, b):
     assert err.value.residual == np.inf
 
 
-def test_dare_iteration_budget_respected():
+def test_dare_iteration_budget_respected(monkeypatch):
     for a, b, q, r, budget in (
             (np.diag([2.0, 0.5]), np.array([[0.0], [1.0]]), np.eye(2),
              np.eye(1), 50),
@@ -148,9 +148,10 @@ def test_dare_iteration_budget_respected():
         outcome, sweeps, update = _textbook_dare(a, b, q, r,
                                                  max_iter=budget)
         assert outcome == "budget"
+        monkeypatch.setattr(control, "DARE_MAX_SWEEPS", budget)
         with pytest.raises(control.DareSolverError, match="no convergence") \
                 as err:
-            control.solve_dare(a, b, q, r, max_iter=budget)
+            control.solve_dare(a, b, q, r)
         assert err.value.iterations == sweeps == budget
         assert err.value.residual == update
 
@@ -250,3 +251,18 @@ def test_baseline_solver_error_is_raised_on_every_call(monkeypatch):
         with pytest.raises(control.DareSolverError, match="no convergence"):
             control.build_jacobian_controller(100.0)
     assert len(calls) == 2
+
+
+def test_failed_baseline_solve_names_its_weight():
+    # the solver's own message, residual and sweep count, prefixed with the
+    # config key and value that chose the weight
+    a_d, b_d = _jacobian_system()
+    with pytest.raises(control.DareSolverError) as plain:
+        control.solve_dare(a_d, b_d, np.eye(4), np.eye(1) * 100.0)
+    with pytest.raises(control.DareSolverError) as err:
+        control.build_jacobian_controller(100)
+    assert str(err.value) == \
+        f"baseline LQR at control.r = 100.0: {plain.value}"
+    assert err.value.residual == plain.value.residual
+    assert err.value.iterations == plain.value.iterations == \
+        control.DARE_MAX_SWEEPS

@@ -599,9 +599,9 @@ def test_stacked_evaluation_matches_per_anchor_oracle_bit_for_bit(
     scored = []
     nrmse = metrics.nrmse
 
-    def spy(pred, obs, m_p):
+    def spy(pred, obs):
         scored.append((pred, obs))
-        return nrmse(pred, obs, m_p)
+        return nrmse(pred, obs)
 
     monkeypatch.setattr(metrics, "nrmse", spy)
     rng = np.random.default_rng(23)
@@ -632,8 +632,8 @@ def test_stacked_evaluation_matches_per_anchor_oracle_bit_for_bit(
                             assert g.shape == w.shape
                             assert g.tobytes() == w.tobytes()
                         assert scores["anchors"] * depth == len(want[0])
-                        assert scores["state_nrmse"] == nrmse(
-                            want[0], want[1], len(want[0]))
+                        assert scores["state_nrmse"] == nrmse(want[0],
+                                                              want[1])
                         cases += 1
     assert cases == 2 * 3 * 3 * 3 * 2
 

@@ -519,12 +519,7 @@ def test_sensing_validation_peak_memory():
 # ---------------------------------------------------------------------------
 
 X0 = (0.02,) * 4   # the plant state most phase-2 tests start from
-
-
-def _system(sens, gain, ctrl=None):
-    return protocol.ControlSystem(
-        noise_var=0.0,
-        sensing=sens, gain=gain, controlling=ctrl)
+GAIN = np.array([[0.1, 0.2, 0.1, 0.05]])   # and the latent LQR gain
 
 
 def _cartpole_like_stub():
@@ -537,16 +532,14 @@ def _cartpole_like_stub():
 
 def test_phase2_ideal_links_match_offline_rollout():
     sens = _cartpole_like_stub()
-    gain = np.array([[0.1, 0.2, 0.1, 0.05]])
-    system = _system(sens, gain)
     x0 = np.array([0.05, 0.0, -0.02, 0.0])
     res = protocol.run_phase2_loop(
-        system, ideal(), ideal(), protocol.Phase2Config(n_loops=20,
-                                                        x0=tuple(x0)))
+        sens, GAIN, None, ideal(), ideal(),
+        protocol.Phase2Config(n_loops=20, x0=tuple(x0)))
     # replay the loop without any transport
     x = x0.copy()
     for m in range(20):
-        u = np.atleast_1d(-gain @ sens.encode(x))
+        u = np.atleast_1d(-GAIN @ sens.encode(x))
         assert np.array_equal(res.commands[m], u)
         assert np.array_equal(res.applied[m], u)
         x = dynamics.step_plant(x, u)
@@ -563,14 +556,12 @@ def test_phase2_routing_exclusivity_under_losses():
     sens = _cartpole_like_stub()
     ctrl = passthrough_controlling(sens, np.zeros((1, 4)),
                                    np.array([[1.0]]))
-    gain = np.array([[0.1, 0.2, 0.1, 0.05]])
-    system = _system(sens, gain, ctrl)
     rng = np.random.default_rng(7)
     up = channel.ScriptedLossLink(ideal(),
                                   rng.choice(60, size=18, replace=False))
     down = channel.ScriptedLossLink(ideal(),
                                     rng.choice(60, size=18, replace=False))
-    res = protocol.run_phase2_loop(system, up, down,
+    res = protocol.run_phase2_loop(sens, GAIN, ctrl, up, down,
                                    protocol.Phase2Config(n_loops=60))
     for rec in res.records:
         # exactly one source per side per loop, tied to the delivery flag
@@ -593,9 +584,8 @@ def test_phase2_action_prediction_depth_tracks_burst():
     sens4 = _cartpole_like_stub()
     ctrl4 = passthrough_controlling(sens4, np.full((1, 4), -0.05),
                                     np.array([[0.6]]))
-    gain4 = np.array([[0.1, 0.2, 0.1, 0.05]])
-    system = _system(sens4, gain4, ctrl4)
-    res = protocol.run_phase2_loop(system, ideal(), scripted([3, 4, 5]),
+    res = protocol.run_phase2_loop(sens4, GAIN, ctrl4, ideal(),
+                                   scripted([3, 4, 5]),
                                    protocol.Phase2Config(n_loops=8, x0=X0))
     depths = [r.action_depth for r in res.records]
     assert depths == [0, 0, 0, 1, 2, 3, 0, 0]
@@ -616,7 +606,6 @@ def test_phase2_action_prediction_matches_replay_from_last_delivery():
     sens4 = _cartpole_like_stub()
     ctrl4 = passthrough_controlling(sens4, np.full((1, 4), -0.05),
                                     np.array([[0.6]]))
-    system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]), ctrl4)
     lost, m = [], 1
     for burst in range(1, 11):
         lost += range(m, m + burst)
@@ -624,7 +613,7 @@ def test_phase2_action_prediction_matches_replay_from_last_delivery():
     applied = {}
     for mode in protocol.PHASE2_PREDICT_MODES:
         res = protocol.run_phase2_loop(
-            system, ideal(), scripted(lost),
+            sens4, GAIN, ctrl4, ideal(), scripted(lost),
             protocol.Phase2Config(n_loops=m, action_predict_mode=mode, x0=X0))
         applied[mode] = res.applied
         anchor = None
@@ -651,11 +640,9 @@ def test_phase2_action_prediction_matches_replay_from_last_delivery():
 
 def test_phase2_hold_fallback_and_cold_start():
     sens4 = _cartpole_like_stub()
-    gain4 = np.array([[0.1, 0.2, 0.1, 0.05]])
-    system = _system(sens4, gain4)   # no controlling model
     down = scripted([0, 3])
     res = protocol.run_phase2_loop(
-        system, ideal(), down,
+        sens4, GAIN, None, ideal(), down,
         protocol.Phase2Config(n_loops=6, action_fallback="hold", x0=X0))
     # loop 0 lost with nothing to hold: cold zero
     assert res.records[0].action_source == "cold"
@@ -666,9 +653,8 @@ def test_phase2_hold_fallback_and_cold_start():
 
 def test_phase2_predict_fallback_without_model_holds():
     sens4 = _cartpole_like_stub()
-    system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]))
     down = scripted([2])
-    res = protocol.run_phase2_loop(system, ideal(), down,
+    res = protocol.run_phase2_loop(sens4, GAIN, None, ideal(), down,
                                    protocol.Phase2Config(n_loops=4, x0=X0))
     assert res.records[2].action_source == "held"
     assert np.array_equal(res.applied[2], res.applied[1])
@@ -676,9 +662,8 @@ def test_phase2_predict_fallback_without_model_holds():
 
 def test_phase2_pure_prediction_mode():
     sens4 = _cartpole_like_stub()
-    system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]))
     res = protocol.run_phase2_loop(
-        system, ideal(), ideal(),
+        sens4, GAIN, None, ideal(), ideal(),
         protocol.Phase2Config(n_loops=5, uplink_refresh=False, x0=X0))
     recs = res.records
     assert recs[0].uplink_delivered is True
@@ -692,7 +677,7 @@ def test_phase2_pure_prediction_mode():
     # commands; commands therefore follow the model, not the plant
     lat = sens4.encode(res.states[0])
     for m in range(5):
-        assert np.array_equal(res.commands[m], -system.gain @ lat)
+        assert np.array_equal(res.commands[m], -GAIN @ lat)
         lat = koopman.latent_step(sens4, lat, res.commands[m])
     # uplink bursts of 1..5 losses with refresh on: every predicted command
     # is, bit for bit, a replay from the latent of the last delivery
@@ -700,7 +685,7 @@ def test_phase2_pure_prediction_mode():
     for burst in range(1, 6):
         lost += range(m, m + burst)
         m += burst + 1
-    res = protocol.run_phase2_loop(system, scripted(lost), ideal(),
+    res = protocol.run_phase2_loop(sens4, GAIN, None, scripted(lost), ideal(),
                                    protocol.Phase2Config(n_loops=m, x0=X0))
     for rec in res.records:
         if rec.uplink_delivered:
@@ -711,16 +696,15 @@ def test_phase2_pure_prediction_mode():
         lat = sens4.encode(res.states[anchor])
         for k in range(anchor, rec.index):
             lat = koopman.latent_step(sens4, lat, res.commands[k])
-        assert np.array_equal(res.commands[rec.index], -system.gain @ lat)
+        assert np.array_equal(res.commands[rec.index], -GAIN @ lat)
     assert max(r.state_depth for r in res.records) == 5
 
 
 def test_phase2_latent_hold_fallback():
     sens4 = _cartpole_like_stub()
-    system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]))
     up = scripted([1, 2])
     res = protocol.run_phase2_loop(
-        system, up, ideal(),
+        sens4, GAIN, None, up, ideal(),
         protocol.Phase2Config(n_loops=4, latent_fallback="hold", x0=X0))
     # commands repeat while the latent is held, and the records say held:
     # no prediction ran
@@ -752,7 +736,6 @@ def test_phase2_config_validation():
 
 def test_phase2_encodes_once_per_loop(monkeypatch):
     sens = _cartpole_like_stub()
-    system = _system(sens, np.array([[0.1, 0.2, 0.1, 0.05]]))
     calls = []
     predict = sens.encoder.predict
 
@@ -761,15 +744,14 @@ def test_phase2_encodes_once_per_loop(monkeypatch):
         return predict(x)
 
     monkeypatch.setattr(sens.encoder, "predict", counted)
-    protocol.run_phase2_loop(system, ideal(), ideal(),
+    protocol.run_phase2_loop(sens, GAIN, None, ideal(), ideal(),
                              protocol.Phase2Config(n_loops=15, x0=X0))
     assert len(calls) == 15
 
 
 def test_write_records_roundtrip(tmp_path):
     sens4 = _cartpole_like_stub()
-    system = _system(sens4, np.array([[0.1, 0.2, 0.1, 0.05]]))
-    res = protocol.run_phase2_loop(system, ideal(), scripted([1]),
+    res = protocol.run_phase2_loop(sens4, GAIN, None, ideal(), scripted([1]),
                                    protocol.Phase2Config(n_loops=3, x0=X0))
     path = tmp_path / "loops.ndjson"
     protocol.write_records(res, path)
