@@ -45,8 +45,8 @@ class DataGenerationError(RuntimeError):
 
 class InsufficientDataError(ValueError):
     """The data a stage gets cannot feed it: no trajectory is long enough
-    for the window depth, every action window lost a packet on the link, or
-    no evaluation anchor fits the depth."""
+    for the window depth, or every action window lost a packet on the
+    link."""
 
 
 @dataclass
@@ -188,21 +188,20 @@ def window_index(n, depth):
     return np.arange(n - t + 1)[:, None] + np.arange(t)[None, :]
 
 
-def extract_windows(trajectories, depth):
-    """All sliding windows of length depth+1 across the given trajectories.
+def extract_windows(trajectories, depth, stride=1):
+    """Every `stride`-th sliding window of length depth+1 of each trajectory,
+    from its first, concatenated in trajectory order; a trajectory shorter
+    than depth+1 gives none. Every stage that trains or scores on windows
+    cuts them here.
 
-    Returns (states, actions) shaped (W, depth+1, p) and (W, depth+1, q)."""
-    s_parts, a_parts = [], []
-    for traj in trajectories:
-        idx = window_index(len(traj), depth)
-        if not len(idx):
-            continue
-        s_parts.append(traj.states[idx])
-        a_parts.append(traj.actions[idx])
-    if not s_parts:
+    Returns (states, actions) shaped (W, depth+1, p) and (W, depth+1, q);
+    InsufficientDataError when no trajectory is long enough."""
+    idx = [window_index(len(traj), depth)[::stride] for traj in trajectories]
+    if not any(map(len, idx)):
         raise InsufficientDataError(
             "no trajectory is long enough for the window depth")
-    return np.concatenate(s_parts), np.concatenate(a_parts)
+    return (np.concatenate([t.states[i] for t, i in zip(trajectories, idx)]),
+            np.concatenate([t.actions[i] for t, i in zip(trajectories, idx)]))
 
 
 def save_dataset(ds, path):
@@ -218,8 +217,10 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    """The dataset at `path`; ValueError when it is not one or a trajectory
-    does not hold finite (n, p) states and (n, q) actions."""
+    """The dataset at `path`; ValueError when it is not one, a split does
+    not hold as many trajectories as its meta counts, or a trajectory does
+    not hold finite (n, p) states and (n, q) actions with n the meta's
+    round(duration_s / TAU_O) samples."""
     # the file is opened here, so it is closed also when numpy fails on it
     with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
@@ -227,6 +228,7 @@ def load_dataset(path):
         if fmt != DATASET_FORMAT:
             raise ValueError(f"unknown dataset format {fmt!r}")
         ds = TrajectoryDataset(meta=meta)
+        n_steps = round(meta["duration_s"] / dynamics.TAU_O)
         p, q = dynamics.STATE_DIM, dynamics.ACTION_DIM
         for name in (n for n in SPLITS if f"{n}_states" in data):
             pairs = zip(data[f"{name}_states"], data[f"{name}_actions"],
@@ -238,5 +240,14 @@ def load_dataset(path):
                         f"{name} trajectory {i} holds {s.shape} states and "
                         f"{a.shape} actions, not finite (n, {p}) and (n, {q}) "
                         "ones")
+                if len(s) != n_steps:
+                    raise ValueError(
+                        f"{name} trajectory {i} holds {len(s)} samples, not "
+                        f"the {n_steps} of its meta's duration_s")
                 ds.split(name).append(Trajectory(s, a))
+    for name in SPLITS:
+        if len(ds.split(name)) != meta["counts"][name]:
+            raise ValueError(
+                f"the {name} split holds {len(ds.split(name))} trajectories, "
+                f"not the {meta['counts'][name]} its meta counts")
     return ds

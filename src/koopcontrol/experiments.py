@@ -285,7 +285,7 @@ def paper_preset():
 PRESETS = {"desk": desk_preset, "paper": paper_preset}
 
 
-def apply_overrides(cfg, seed=None, snr_db=None, latent_dim=None, name=None):
+def apply_overrides(cfg, seed=None, snr_db=None, latent_dim=None):
     """CLI-style point overrides; returns a modified copy. The overrides
     are applied to the config's dict and the copy is loaded from it, so an
     overridden value, and every value of `cfg`, is checked and stored as a
@@ -293,8 +293,6 @@ def apply_overrides(cfg, seed=None, snr_db=None, latent_dim=None, name=None):
     data = config_to_dict(cfg)
     if seed is not None:
         data["seed"] = seed
-    if name is not None:
-        data["name"] = name
     if snr_db is not None:
         data["link"].update(snr_db=snr_db, ideal=False)
     if latent_dim is not None:
@@ -397,10 +395,8 @@ def train_controlling(cfg, sensing, dataset):
     downlink = build_link(cfg, streams["downlink"])
     recv_train = protocol.receive_action_stream(dataset.train, downlink)
     recv_val = protocol.receive_action_stream(dataset.val, downlink)
-    train_w = protocol.controlling_windows(dataset.train, recv_train,
-                                           cfg.model.depth)
-    val_w = protocol.controlling_windows(dataset.val, recv_val,
-                                         cfg.model.depth)
+    train_w = protocol.controlling_windows(recv_train, cfg.model.depth)
+    val_w = protocol.controlling_windows(recv_val, cfg.model.depth)
     trainer = protocol.ControllingTrainer(model, train_w, val_w, cfg.train,
                                           streams["shuffle"])
     return model, protocol.fit_with_early_stopping(trainer)
@@ -409,54 +405,44 @@ def train_controlling(cfg, sensing, dataset):
 def evaluate_prediction(cfg, sensing, controlling, trajectories):
     """Pooled state/action prediction NRMSE over anchored windows.
 
-    Anchors are spaced `cfg.eval.anchor_stride` samples apart along each
-    trajectory. From each anchor y_m the state path is predicted
-    `cfg.eval.depth` steps with the recorded controls, and the action path
-    with the recorded latents; predictions are pooled, anchor by anchor and
-    step by step, across trajectories before the NRMSE normalization.
-    Evaluation sees clean signals; the channel degrades training, not
-    scoring. `anchors` counts the anchors scored."""
-    depth, stride = cfg.eval.depth, cfg.eval.anchor_stride
-    pred_s, obs_s, pred_a, obs_a = [], [], [], []
-    for traj in trajectories:
-        idx = datasets.window_index(len(traj), depth)[::stride]
-        if not len(idx):
-            continue
-        states, actions = traj.states[idx], traj.actions[idx]
-        # a trajectory's anchors as one stack with the bits of one anchor at
-        # a time: each window encoded as its own (depth, p) product, which
-        # serves both paths, and each step and decode its own row product
-        lats = sensing.encode(states[:, :depth])
-        lat, u = lats[:, 0], actions[:, 0]
-        s_steps, a_steps = [], []
-        for j in range(depth):
-            lat = koopman.latent_step(sensing, lat, actions[:, j])
-            y = np.concatenate([lat, actions[:, j + 1]], axis=1)
-            s_steps.append(sensing.decode(y[:, None, :])[:, 0, :])
-            if controlling is not None:
-                u = koopman.action_step(controlling, lats[:, j], u)
-                a_steps.append(u)
-        pred_s.append(np.stack(s_steps, axis=1))
-        obs_s.append(states[:, 1:])
+    The anchors are the windows extract_windows cuts at depth
+    `cfg.eval.depth` and stride `cfg.eval.anchor_stride`. From each anchor
+    y_m the state path is predicted `cfg.eval.depth` steps with the
+    recorded controls, and the action path with the recorded latents; all
+    anchors are predicted as one stack, and the rows are pooled anchor by
+    anchor and step by step before the NRMSE normalization. Evaluation sees
+    clean signals; the channel degrades training, not scoring. `anchors`
+    counts the anchors scored; InsufficientDataError when none fits."""
+    depth = cfg.eval.depth
+    states, actions = datasets.extract_windows(trajectories, depth,
+                                               cfg.eval.anchor_stride)
+    # the anchors as one stack with the bits of one anchor at a time: each
+    # window encoded as its own (depth, p) product, which serves both
+    # paths, and each step and decode its own row product
+    lats = sensing.encode(states[:, :depth])
+    lat, u = lats[:, 0], actions[:, 0]
+    s_steps, a_steps = [], []
+    for j in range(depth):
+        lat = koopman.latent_step(sensing, lat, actions[:, j])
+        y = np.concatenate([lat, actions[:, j + 1]], axis=1)
+        s_steps.append(sensing.decode(y[:, None, :])[:, 0, :])
         if controlling is not None:
-            pred_a.append(np.stack(a_steps, axis=1))
-            obs_a.append(actions[:, 1:])
-    if not pred_s:
-        raise datasets.InsufficientDataError(
-            "no anchor fits the requested depth")
-    out = {"state_nrmse": _pooled_nrmse(pred_s, obs_s), "action_nrmse": None,
-           "depth": depth, "anchors": sum(map(len, pred_s))}
+            u = koopman.action_step(controlling, lats[:, j], u)
+            a_steps.append(u)
+    out = {"state_nrmse": _nrmse_rows(s_steps, states[:, 1:]),
+           "action_nrmse": None, "depth": depth, "anchors": len(states)}
     if controlling is not None:
-        out["action_nrmse"] = _pooled_nrmse(pred_a, obs_a)
+        out["action_nrmse"] = _nrmse_rows(a_steps, actions[:, 1:])
     return out
 
 
-def _pooled_nrmse(pred, obs):
-    """NRMSE over every row of a list of (anchors, depth, n) blocks, taken
-    block by block, anchor by anchor and step by step."""
-    pred, obs = np.concatenate(pred), np.concatenate(obs)
-    pred, obs = pred.reshape(-1, pred.shape[2]), obs.reshape(-1, obs.shape[2])
-    return metrics.nrmse(pred, obs)
+def _nrmse_rows(steps, observed):
+    """NRMSE of the per-step (K, n) predictions `steps` against the
+    (K, depth, n) observed windows, over rows anchor by anchor and step by
+    step."""
+    n = observed.shape[2]
+    return metrics.nrmse(np.stack(steps, axis=1).reshape(-1, n),
+                         observed.reshape(-1, n))
 
 
 def control_rollout(cfg, sensing, gain, controlling=None, uplink=None,

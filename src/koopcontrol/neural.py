@@ -38,8 +38,8 @@ class DenseLayer:
                 f"bias shape {biases.shape} does not match d_out {weights.shape[0]}")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        self.w = weights if isinstance(weights, Parameter) else Parameter(weights)
-        self.b = biases if isinstance(biases, Parameter) else Parameter(biases)
+        self.w = Parameter(weights)
+        self.b = Parameter(biases)
         self.activation = activation
 
     @property

@@ -27,9 +27,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import channel, dynamics, koopman
+from . import channel, datasets, dynamics, koopman
 from .autodiff import Tensor, backward, no_grad
-from .datasets import InsufficientDataError, window_index
 from .neural import Adam
 
 
@@ -48,7 +47,7 @@ class LoopRecord:
     state_depth: int                   # loops since the last uplink delivery
     action_source: str                 # received | predicted | held | cold
     action_depth: int
-    tau_comm_up: float
+    tau_comm_up: float | None          # None when no uplink was attempted
     tau_comm_down: float
     tau_comp: float
 
@@ -328,31 +327,28 @@ class SensingTrainer(_Trainer):
 # ---------------------------------------------------------------------------
 
 def receive_action_stream(trajectories, link):
-    """Stream each trajectory's commands through the downlink once, as the
-    actuator would have received them. Returns per-trajectory (received
-    actions, delivered mask)."""
+    """Stream each trajectory's commands through the downlink once. Returns
+    each trajectory as the actuator received it, a Trajectory of its true
+    states and the delivered commands, NaN where a packet was lost."""
     received = []
     for traj in trajectories:
         mask, acts = link.transmit_rows(
             traj.actions, channel.payload_bits(traj.actions.shape[1]))
-        received.append((acts, mask))
+        received.append(datasets.Trajectory(
+            traj.states, np.where(mask[:, None], acts, np.nan)))
     return received
 
 
-def controlling_windows(trajectories, received, depth):
-    """Windows of (true states, received actions) where every action packet
-    in the window arrived; lossy windows are dropped rather than filled."""
-    s_parts, a_parts = [], []
-    for traj, (acts, mask) in zip(trajectories, received):
-        idx = window_index(len(traj), depth)
-        keep = mask[idx].all(axis=1)
-        if keep.any():
-            s_parts.append(traj.states[idx[keep]])
-            a_parts.append(acts[idx[keep]])
-    if not s_parts:
-        raise InsufficientDataError(
+def controlling_windows(received, depth):
+    """The windows of `receive_action_stream`'s trajectories whose every
+    action packet arrived, as extract_windows cuts them; a window that lost
+    a packet is dropped rather than filled."""
+    states, actions = datasets.extract_windows(received, depth)
+    keep = ~np.isnan(actions).any(axis=(1, 2))
+    if not keep.any():
+        raise datasets.InsufficientDataError(
             "every window lost at least one action packet")
-    return np.concatenate(s_parts), np.concatenate(a_parts)
+    return states[keep], actions[keep]
 
 
 class ControllingTrainer(_Trainer):
@@ -573,7 +569,7 @@ def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
             state_depth=ctrl_depth,
             action_source=action_source,
             action_depth=down_losses,
-            tau_comm_up=up_out.tau_comm if up_out is not None else float("nan"),
+            tau_comm_up=None if up_out is None else up_out.tau_comm,
             tau_comm_down=down_out.tau_comm,
             tau_comp=channel.TAU_COMP,
         ))

@@ -514,6 +514,42 @@ def test_exit_config_on_a_dataset_whose_trajectories_do_not_fit_the_plant(
     assert not (tmp_path / "sensing.json").exists()
 
 
+def _one_train_trajectory_and_no_test_split(ds):
+    del ds.train[1:]
+    ds.test.clear()
+
+
+def _shorter_validation_trajectory(ds):
+    ds.val[0] = datasets.Trajectory(ds.val[0].states[:-1],
+                                    ds.val[0].actions[:-1])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_one_train_trajectory_and_no_test_split,
+     "the train split holds 1 trajectories, not the 3 its meta counts"),
+    (_shorter_validation_trajectory,
+     "val trajectory 0 holds 399 samples, not the 400 of its meta's"),
+], ids=["fewer_trajectories", "shorter_trajectory"])
+def test_exit_config_on_a_dataset_whose_splits_disagree_with_its_meta(
+        pipeline, tmp_path, capsys, edit, message):
+    # the meta fits the config, the arrays do not; no stage trains or
+    # scores on such a file
+    src, cfg_path = pipeline
+    _copy_artifacts(src, tmp_path, "sensing.json", "controlling.json",
+                    "gain.txt")
+    ds = experiments.make_dataset(experiments.load_config(cfg_path))
+    edit(ds)
+    datasets.save_dataset(ds, tmp_path / "dataset.npz")
+    for cmd in ("train-sensing", "train-controlling", "eval-predict"):
+        code = cli.main([cmd, "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG, cmd
+        err = capsys.readouterr().err
+        assert "dataset.npz is not a dataset: " + message in err
+    assert not (tmp_path / "prediction.json").exists()
+    assert not (tmp_path / "sensing_history.json").exists()
+
+
 def test_exit_config_on_a_dataset_generated_with_another_dither(tmp_path):
     # the meta keeps recording the dither, so a file written while it was
     # settable is reused at the fixed 0.1 and refused at any other value
@@ -574,6 +610,35 @@ def test_exit_config_on_a_gain_file_that_is_not_the_model_gain(
     # the gain train-sensing wrote is the (q, d) one
     _copy_artifacts(src, tmp_path, "gain.txt")
     assert cli.main(["run-control"] + base) == cli.EXIT_OK
+
+
+def test_phase2_trace_without_uplink_refresh_is_strict_json(
+        pipeline, tmp_path):
+    # a loop that attempts no uplink records tau_comm_up as null, not as
+    # the NaN token that strict JSON parsers refuse
+    src, src_cfg = pipeline
+    cfg = experiments.load_config(src_cfg)
+    cfg_path = tmp_path / "config.json"
+    control = dataclasses.replace(cfg.control, n_loops=50,
+                                  uplink_refresh=False)
+    experiments.save_config(dataclasses.replace(cfg, control=control),
+                            cfg_path)
+    _copy_artifacts(src, tmp_path, "sensing.json", "controlling.json",
+                    "gain.txt")
+    assert cli.main(["run-control", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    lines = (tmp_path / "loops.ndjson").read_text().splitlines()
+    records = [json.loads(line, parse_constant=refuse) for line in lines]
+    assert len(records) == 50
+    assert records[0]["tau_comm_up"] is not None
+    assert all(rec["uplink_delivered"] is None and rec["tau_comm_up"] is None
+               for rec in records[1:])
+    json.loads((tmp_path / "control_summary.json").read_text(),
+               parse_constant=refuse)
 
 
 def _unstabilizable_checkpoint(tmp_path):

@@ -256,6 +256,28 @@ def test_extract_windows_skips_short_trajectories():
         datasets.extract_windows([short], depth=3)
 
 
+@pytest.mark.parametrize("stride", [1, 3, 10])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_extract_windows_stride_matches_window_index(stride, depth):
+    # every stride-th window of each trajectory from its first, in
+    # trajectory order; one trajectory is too short for any window
+    rng = np.random.default_rng(stride * 10 + depth)
+    trajs = [datasets.Trajectory(rng.normal(size=(n, 4)),
+                                 rng.normal(size=(n, 1)))
+             for n in (23, depth, depth + 1, 40)]
+    ws, wa = datasets.extract_windows(trajs, depth, stride)
+    idx = [datasets.window_index(len(t), depth)[::stride] for t in trajs]
+    assert [len(i) for i in idx][1:3] == [0, 1]
+    want_s = np.concatenate([t.states[i] for t, i in zip(trajs, idx)])
+    want_a = np.concatenate([t.actions[i] for t, i in zip(trajs, idx)])
+    assert ws.shape == (sum(map(len, idx)), depth + 1, 4)
+    assert ws.tobytes() == want_s.tobytes()
+    assert wa.tobytes() == want_a.tobytes()
+    with pytest.raises(datasets.InsufficientDataError,
+                       match="no trajectory is long enough"):
+        datasets.extract_windows(trajs[1:2], depth, stride)
+
+
 # ---------------------------------------------------------------------------
 # npz round-trip
 # ---------------------------------------------------------------------------
@@ -284,7 +306,9 @@ def test_load_rejects_unknown_format(tmp_path):
 
 
 def test_save_load_empty_split(tmp_path):
-    ds = datasets.TrajectoryDataset(meta={"format": datasets.DATASET_FORMAT})
+    ds = datasets.TrajectoryDataset(meta={
+        "format": datasets.DATASET_FORMAT, "duration_s": 0.03,
+        "counts": {"train": 1, "val": 0, "test": 0}})
     ds.train.append(datasets.Trajectory(np.zeros((3, 4)), np.zeros((3, 1))))
     path = tmp_path / "partial.npz"
     datasets.save_dataset(ds, path)
@@ -305,8 +329,14 @@ def test_save_load_empty_split(tmp_path):
     (lambda s, a: (s, a[:, :, 0]), r"\(50,\) actions"),
     (lambda s, a: (s[:, 0, 0], a[:, 0, 0]), r"\(\) states and \(\) actions"),
     (lambda s, a: (s, a[:1]), "zip"),
+    (lambda s, a: (s[:1], a[:1]),
+     "the train split holds 1 trajectories, not the 2 its meta counts"),
+    (lambda s, a: (s[:, :49], a[:, :49]),
+     "train trajectory 0 holds 49 samples, not the 50 of its meta's "
+     "duration_s"),
 ], ids=["3_state_columns", "3d_states", "2_action_columns", "nan_state",
-        "inf_action", "1d_actions", "scalar_rows", "fewer_actions"])
+        "inf_action", "1d_actions", "scalar_rows", "fewer_actions",
+        "fewer_trajectories", "shorter_trajectories"])
 def test_load_refuses_trajectories_that_do_not_fit_the_plant(
         tmp_path, baseline, edit, message):
     ds = datasets.generate_dataset(baseline, small_cfg(), seed=2)

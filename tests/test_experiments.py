@@ -271,13 +271,11 @@ def test_presets_differ_where_expected():
 
 def test_apply_overrides_copies():
     cfg = experiments.desk_preset()
-    out = experiments.apply_overrides(cfg, seed=9, snr_db=10.0, latent_dim=6,
-                                      name="sweep-cell")
+    out = experiments.apply_overrides(cfg, seed=9, snr_db=10.0, latent_dim=6)
     assert out.seed == 9
     assert out.link.snr_db == 10.0
     assert out.link.ideal is False
     assert out.model.latent_dim == 6
-    assert out.name == "sweep-cell"
     # original untouched
     assert cfg.seed != 9 or cfg.model.latent_dim == 4
     assert cfg.link.snr_db is None
@@ -554,17 +552,28 @@ def test_evaluate_prediction_encodes_each_anchor_once():
 
     sensing.encoder.predict = counted
     scores = experiments.evaluate_prediction(cfg, sensing, controlling, trajs)
-    # one stack per trajectory of one (depth, p) window per anchor
-    assert calls == [(6, 1, 4)] * 2
-    assert sum(shape[0] for shape in calls) == scores["anchors"] == 12
+    # one stack over every trajectory of one (depth, p) window per anchor
+    assert calls == [(12, 1, 4)]
+    assert scores["anchors"] == 12
     # at depth 1 the shared (1, p) encode is the state path's own encode
     alone = experiments.evaluate_prediction(cfg, sensing, None, trajs)
     assert alone["state_nrmse"] == scores["state_nrmse"]
     calls.clear()
     cfg.eval = experiments.EvalSettings(depth=3, anchor_stride=4)
     scores = experiments.evaluate_prediction(cfg, sensing, controlling, trajs)
-    assert calls == [(6, 3, 4)] * 2
-    assert sum(shape[0] for shape in calls) == scores["anchors"] == 12
+    assert calls == [(12, 3, 4)]
+    assert scores["anchors"] == 12
+
+
+def test_evaluate_prediction_without_trajectories_raises():
+    rng = np.random.default_rng(9)
+    sensing = koopman.SensingModel.build(p=4, d=4, q=1, rng=rng,
+                                         encoder_hidden=(8, 8))
+    controlling = koopman.ControllingModel.build(sensing, rng)
+    cfg = experiments.ExperimentConfig()
+    with pytest.raises(datasets.InsufficientDataError,
+                       match="no trajectory is long enough"):
+        experiments.evaluate_prediction(cfg, sensing, controlling, [])
 
 
 def per_anchor_rows(cfg, sensing, controlling, trajectories):

@@ -320,11 +320,15 @@ def test_receive_action_stream_masks_and_payloads():
     trajs = _tiny_trajectories(n=2, length=4)
     link = scripted([1, 6])   # second packet of traj 0, third of traj 1
     received = protocol.receive_action_stream(trajs, link)
-    (a0, m0), (a1, m1) = received
-    assert m0.tolist() == [True, False, True, True]
-    assert m1.tolist() == [True, True, False, True]
+    r0, r1 = received
+    a0, a1 = r0.actions, r1.actions
+    assert (~np.isnan(a0[:, 0])).tolist() == [True, False, True, True]
+    assert (~np.isnan(a1[:, 0])).tolist() == [True, True, False, True]
     assert np.array_equal(a0[0], trajs[0].actions[0])
-    assert np.all(a0[1] == 0.0)
+    assert np.all(np.isnan(a0[1]))
+    # the true states ride along; the recorded actions are not written
+    assert r0.states is trajs[0].states and r1.states is trajs[1].states
+    assert not np.isnan(trajs[0].actions).any()
 
 
 def _action_stream_reference(trajectories, link, q=1):
@@ -353,26 +357,69 @@ def test_receive_action_stream_matches_per_packet_reference(noise_model):
         link, ref = channel.FadingLink(cfg, seed), channel.FadingLink(cfg, seed)
         got = protocol.receive_action_stream(trajs, link)
         want = _action_stream_reference(trajs, ref)
-        for (acts, mask), (want_acts, want_mask) in zip(got, want):
+        masks = [~np.isnan(traj.actions[:, 0]) for traj in got]
+        for traj, mask, (want_acts, want_mask) in zip(got, masks, want):
             assert mask.tolist() == want_mask.tolist()
-            assert acts.tobytes() == want_acts.tobytes()
-        assert not all(m.all() for _, m in got)
+            assert traj.actions[mask].tobytes() == \
+                want_acts[want_mask].tobytes()
+        assert not all(m.all() for m in masks)
         assert link.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def test_controlling_windows_drop_lossy():
     traj = datasets.Trajectory(np.arange(20, dtype=float).reshape(5, 4),
                                np.arange(5, dtype=float).reshape(5, 1))
-    acts = traj.actions.copy()
-    mask = np.array([True, False, True, True, True])
-    ws, wa = protocol.controlling_windows([traj], [(acts, mask)], depth=1)
+    lost = traj.actions.copy()
+    lost[1] = np.nan
+    received = datasets.Trajectory(traj.states, lost)
+    ws, wa = protocol.controlling_windows([received], depth=1)
     # windows (0,1) and (1,2) touch the lost packet and are dropped
     assert ws.shape == (2, 2, 4)
     assert np.array_equal(wa[0].ravel(), [2.0, 3.0])
     assert np.array_equal(wa[1].ravel(), [3.0, 4.0])
     with pytest.raises(ValueError):
         protocol.controlling_windows(
-            [traj], [(acts, np.zeros(5, dtype=bool))], depth=1)
+            [datasets.Trajectory(traj.states, np.full((5, 1), np.nan))],
+            depth=1)
+
+
+def _controlling_windows_reference(trajectories, received, depth):
+    """The actuator's windows as first written: per trajectory, the windows
+    of (true states, received actions) whose every packet arrived, from the
+    (received actions, delivered mask) pairs the downlink returned."""
+    s_parts, a_parts = [], []
+    for traj, (acts, mask) in zip(trajectories, received):
+        idx = datasets.window_index(len(traj), depth)
+        keep = mask[idx].all(axis=1)
+        if keep.any():
+            s_parts.append(traj.states[idx[keep]])
+            a_parts.append(acts[idx[keep]])
+    return np.concatenate(s_parts), np.concatenate(a_parts)
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_controlling_windows_match_per_trajectory_reference(depth):
+    # a scripted downlink over fading: the stream as the actuator received
+    # it, cut by extract_windows, keeps the bits and order of the windows
+    # the per-trajectory mask loop kept, short trajectories included
+    cfg = channel.ChannelConfig(snr_db=0.0)
+    trajs = _tiny_trajectories(n=4, length=30, seed=6)
+    trajs.insert(2, _tiny_trajectories(n=1, length=depth, seed=7)[0])
+    lost = [3, 4, 31, 58, 59, 60, 80, 100]
+    got_link = channel.ScriptedLossLink(channel.FadingLink(cfg, 3), lost)
+    ref_link = channel.ScriptedLossLink(channel.FadingLink(cfg, 3), lost)
+    received = protocol.receive_action_stream(trajs, got_link)
+    ref = []
+    for traj in trajs:
+        mask, acts = ref_link.transmit_rows(traj.actions,
+                                            channel.payload_bits(1))
+        ref.append((acts, mask))
+    ws, wa = protocol.controlling_windows(received, depth)
+    want_s, want_a = _controlling_windows_reference(trajs, ref, depth)
+    assert ws.shape == want_s.shape and wa.shape == want_a.shape
+    assert ws.tobytes() == want_s.tobytes()
+    assert wa.tobytes() == want_a.tobytes()
+    assert 0 < len(ws) < sum(len(t) - depth for t in trajs)
 
 
 def test_controlling_trainer_moves_only_local_params():
@@ -671,7 +718,7 @@ def test_phase2_pure_prediction_mode():
     for rec in recs[1:]:
         assert rec.uplink_delivered is None
         assert rec.state_source == "predicted"
-        assert np.isnan(rec.tau_comm_up)
+        assert rec.tau_comm_up is None
     assert [r.state_depth for r in recs] == [0, 1, 2, 3, 4]
     # latent estimate evolves through the Koopman blocks with the issued
     # commands; commands therefore follow the model, not the plant
