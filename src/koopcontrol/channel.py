@@ -117,7 +117,7 @@ class LinkOutcome:
     payload: np.ndarray | None
     snr: float
     rate: float
-    tau_comm: float
+    tau_comm: float | None     # None when no airtime was drawn
     noise_std: float = 0.0
 
 
@@ -143,14 +143,6 @@ def outage_probability(config, bits):
     return 1.0 - math.exp(-min_decodable_snr(bits) / config.mean_snr)
 
 
-def _fade(config, bits, rng):
-    """One fading draw for a packet of `bits` bits: (snr, rate, tau_comm).
-    The packet is lost when tau_comm exceeds the airtime budget."""
-    snr = sample_snr(config, rng)
-    rate = shannon_rate(snr, BANDWIDTH)
-    return snr, rate, bits / rate if rate > 0.0 else math.inf
-
-
 def _noise_std(mean_sq, snr):
     """snr_scaled payload noise: std sqrt(mean square / snr), none for an
     all-zero payload."""
@@ -163,7 +155,11 @@ def transmit(config, payload, bits, rng):
     Returns a LinkOutcome; on loss the payload slot is None. Delivered
     payloads are corrupted per the configured noise model."""
     payload = np.asarray(payload, dtype=np.float64)
-    snr, rate, tau_comm = _fade(config, bits, rng)
+    # sample_snr and shannon_rate, inline: the fading draw and the airtime
+    # of a packet of `bits` bits, lost when it overruns the budget
+    snr = config.mean_snr * rng.exponential(1.0)
+    rate = BANDWIDTH * math.log2(1.0 + snr)
+    tau_comm = bits / rate if rate > 0.0 else math.inf
     if tau_comm > AIRTIME_BUDGET:
         return LinkOutcome(False, None, snr, rate, tau_comm)
 
@@ -190,7 +186,7 @@ def transmit_rows(config, payloads, bits, rng):
         # each row's pairwise sum, as `transmit` takes it
         sq = payloads * payloads
         mean_sq = (np.add.reduce(sq, axis=1) / k).tolist()
-    # `_fade`'s arithmetic inline, on names bound once per block
+    # `transmit`'s fading draw and airtime, on names bound once per block
     mean_snr, bandwidth, budget = config.mean_snr, BANDWIDTH, AIRTIME_BUDGET
     exponential, log2 = rng.exponential, math.log2
     delivered = np.zeros(n, dtype=bool)
@@ -247,7 +243,9 @@ class IdealLink:
 class ScriptedLossLink:
     """Wraps another link and forces losses at chosen packet indices
     (0-based, counted per packet over `transmit` and `transmit_rows`
-    calls). Used for controlled burst experiments and protocol tests."""
+    calls). Used for controlled burst experiments and protocol tests. A
+    forced loss draws nothing, so its outcome has no airtime (tau_comm
+    None)."""
 
     def __init__(self, inner, lost_indices):
         self.inner = inner
@@ -259,7 +257,7 @@ class ScriptedLossLink:
         self.calls += 1
         if idx in self.lost:
             return LinkOutcome(delivered=False, payload=None, snr=0.0,
-                               rate=0.0, tau_comm=math.inf)
+                               rate=0.0, tau_comm=None)
         return self.inner.transmit(payload, bits)
 
     def transmit_rows(self, payloads, bits):

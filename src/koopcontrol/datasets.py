@@ -19,7 +19,8 @@ comes from the same generator state as when every normal was drawn on its
 own, and the data keep their bits.
 
 The state is carried as four floats and stepped with dynamics.rk4_values,
-so a step costs its arithmetic and not the array wrapping of step_plant.
+so a step costs its arithmetic and not step_plant's input checks and
+per-step noise draw.
 """
 
 from __future__ import annotations

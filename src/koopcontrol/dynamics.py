@@ -8,18 +8,21 @@ the open-loop origin is a saddle-like operating point: the cart velocity mode
 is unstable (dv/dt picks up +0.4 v) while the pole angle sees a restoring
 torque, which is what makes the regulation task nontrivial.
 
-rk4_values takes one RK4 step of TAU_O on four Python floats rather than on
-4-element arrays: at this size numpy's per-call overhead is most of the cost
-of a step, and the closed loop pays it on every control period. step_plant
-wraps it for a state array (input checks, noise draw, array result), and
-data generation calls it directly on the four floats it carries. The float
-arithmetic reproduces rk4_step over cartpole_derivative bit for bit: the
-expression order is the same, squares stay ``** 2`` (libm pow, as numpy's
-scalar power; ``x * x`` would reassociate the products it sits in), and
-math.sin/math.cos agree with np.sin/np.cos on float64; the plant tests
-check all of this against a numpy-scalar copy of the field. Where numpy would
-return inf, a float power or division raises instead, and rk4_values maps
-that to IntegrationDivergedError as it does a non-finite stage.
+The plant is stepped on four Python floats rather than on 4-element arrays:
+at this size numpy's per-call overhead is most of the cost of a step, and
+the closed loop pays it on every control period. rk4_values takes one RK4
+step of TAU_O on the floats. step_plant is the checked step the closed loop
+takes: it checks the four floats and the action, runs rk4_values, adds the
+process noise and returns four floats, so the loop carries the state as
+floats from one period to the next and writes them into its state array.
+Data generation calls rk4_values directly on the floats it carries. The
+float arithmetic reproduces rk4_step over cartpole_derivative bit for bit:
+the expression order is the same, squares stay ``** 2`` (libm pow, as
+numpy's scalar power; ``x * x`` would reassociate the products it sits in),
+and math.sin/math.cos agree with np.sin/np.cos on float64; the plant tests
+check all of this against a numpy-scalar copy of the field. Where numpy
+would return inf, a float power or division raises instead, and rk4_values
+maps that to IntegrationDivergedError as it does a non-finite stage.
 
 The parameter products of the field (m_p ell^2, -m_p^2 ell^2 nu, m_p ell and
 m_pm m_p nu ell) are formed once, at import, and the term
@@ -84,8 +87,8 @@ def _action_value(action):
 
 
 def _state_values(state, u):
-    """The four state entries as Python floats, after the shape and
-    finiteness checks every entry point applies."""
+    """The four entries of a state array as Python floats, after
+    cartpole_derivative's shape and finiteness checks."""
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (STATE_DIM,):
         raise ValueError(f"state must have shape ({STATE_DIM},)")
@@ -183,23 +186,34 @@ def rk4_values(x, v, theta, omega, u):
 
 
 def step_plant(state, action, noise_var=0.0, rng=None):
-    """Advance the plant one control period: one RK4 step of TAU_O under a
-    held action, then, when `noise_var` is positive, one additive Gaussian
-    draw of that variance per state entry from `rng`, which is then
-    required. A negative or NaN `noise_var` raises ValueError, and so does
-    an action whose size is not ACTION_DIM.
+    """Advance the plant one control period from `state`, the four values
+    (x, v, theta, omega), taken as Python floats: one RK4 step of TAU_O
+    under a held action, then, when `noise_var` is positive, one additive
+    Gaussian draw of that variance per state entry from `rng`, which is
+    then required. Returns the next state as four floats.
 
-    The step checks the state and action (InvalidStateError when either is
-    not finite) and runs rk4_values on their floats."""
+    A state of any length but STATE_DIM, an action whose size is not
+    ACTION_DIM and a negative or NaN `noise_var` raise ValueError; a state
+    or action that is not finite raises InvalidStateError. The arithmetic
+    is that of rk4_step over cartpole_derivative on the state array, and
+    the noise is the one (STATE_DIM,) normal block an array step draws,
+    added entry by entry, so the bits are those of the array step."""
     u = _action_value(action)
-    nxt = np.array(rk4_values(*_state_values(state, u), u))
+    if len(state) != STATE_DIM:
+        raise ValueError(f"state must have {STATE_DIM} entries")
+    x, v, theta, omega = map(float, state)
+    if not (math.isfinite(u) and _finite(x, v, theta, omega)):
+        raise InvalidStateError("non-finite state or action")
+    x, v, theta, omega = rk4_values(x, v, theta, omega, u)
     if noise_var != 0.0:
         if not noise_var > 0.0:
             raise ValueError("noise variance must be >= 0")
         if rng is None:
             raise ValueError("rng required when noise variance > 0")
-        nxt = nxt + rng.normal(0.0, np.sqrt(noise_var), size=nxt.shape)
-    return nxt
+        ex, ev, eth, eom = rng.normal(0.0, np.sqrt(noise_var),
+                                      size=STATE_DIM).tolist()
+        return x + ex, v + ev, theta + eth, omega + eom
+    return x, v, theta, omega
 
 
 def numeric_jacobian(f, state, action):

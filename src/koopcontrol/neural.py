@@ -4,10 +4,13 @@ Networks are plain lists of fully connected layers with relu or linear
 activations. Forward passes come in two flavors: `forward` builds one tape
 node for the whole stack (autodiff.dense_stack) for training, `predict` is
 a numpy-only fast path for inference (plant loops, packet fills, scoring)
-where no gradients are wanted. Both build each layer in place on its
-product with the same relu, so they give the same bits. Adam keeps its
-moments in two flat buffers and steps every parameter in one elementwise
-pass; a parameter without a gradient makes the step raise.
+where no gradients are wanted. `predict` binds each layer's transposed
+weights, bias and relu flag once, when the network is built, so a
+one-sample call in the closed loop pays for little but its products. Both
+build each layer in place on its product with the same relu, so they give
+the same bits. Adam keeps its moments in two flat buffers and steps every
+parameter in one elementwise pass; a parameter without a gradient makes
+the step raise.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ ACTIVATIONS = ("relu", "linear")
 
 SERIAL_FORMAT = "koopcontrol-network-v1"
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and guard
+
+# predict's relu floor: a float64 array, which np.maximum takes without
+# converting a Python scalar on every call
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 def init_weights(d_out, d_in, rng):
@@ -62,6 +70,12 @@ class Network:
                 raise ValueError(
                     f"layer dims do not chain: {prev.d_out} -> {nxt.d_in}")
         self.layers = list(layers)
+        # what predict multiplies by, bound once: a view of each weight
+        # matrix's transpose, the bias and the relu flag. Adam and every
+        # other update change parameter values in place, so the views
+        # follow them.
+        self._bound = [(layer.w.value.T, layer.b.value,
+                        layer.activation == "relu") for layer in self.layers]
 
     @property
     def d_in(self):
@@ -88,13 +102,20 @@ class Network:
     def predict(self, x):
         """Inference path, no graph, for a sample (d_in,), rows (n, d_in)
         or a stack (k, n, d_in). A sample gets the bits of the row
-        (1, d_in), and each (n, d_in) matrix of a stack those of its own."""
+        (1, d_in), and each (n, d_in) matrix of a stack those of its own.
+
+        A sample or rows multiply through np.dot, which skips the ufunc
+        dispatch np.matmul pays on every layer and gives the same bits (the
+        network tests check it on trained weights). A stack keeps
+        np.matmul: np.dot would fold it into one (k n, d_in) block, whose
+        rows need not have each matrix's own bits."""
         out = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            out = out @ layer.w.value.T
-            out += layer.b.value
-            if layer.activation == "relu":
-                np.maximum(out, 0.0, out=out)
+        product = np.matmul if out.ndim > 2 else np.dot
+        for wt, b, relu in self._bound:
+            out = product(out, wt)
+            out += b
+            if relu:
+                np.maximum(out, _ZERO, out=out)
         return out
 
 

@@ -47,8 +47,10 @@ class LoopRecord:
     state_depth: int                   # loops since the last uplink delivery
     action_source: str                 # received | predicted | held | cold
     action_depth: int
-    tau_comm_up: float | None          # None when no uplink was attempted
-    tau_comm_down: float
+    # the airtimes are None when no airtime was drawn: no uplink was
+    # attempted, or a scripted link forced the loss
+    tau_comm_up: float | None
+    tau_comm_down: float | None
     tau_comp: float
 
 
@@ -140,9 +142,9 @@ class TrainingResult:
 def _train_epoch(trainer, batch_step):
     """One shuffled pass over `trainer`'s training windows in mini-batches,
     capped at `max_batches_per_epoch`, then a clean validation score.
-    `batch_step(states, actions, stats)` trains on one batch, adds its link
-    counts to `stats` and returns the batch loss, or None when no window of
-    the batch survived the link."""
+    `batch_step(idx, stats)` trains on the batch of training windows `idx`,
+    adds its link counts to `stats` and returns the batch loss, or None
+    when no window of the batch survived the link."""
     trainer.epoch += 1
     stats = EpochStats(epoch=trainer.epoch, train_loss=float("nan"),
                        val_loss=float("nan"), batches=0)
@@ -153,9 +155,7 @@ def _train_epoch(trainer, batch_step):
     for s in range(0, n, trainer.batch_size):
         if cap is not None and stats.batches >= cap:
             break
-        idx = order[s:s + trainer.batch_size]
-        loss = batch_step(trainer.train_states[idx],
-                          trainer.train_actions[idx], stats)
+        loss = batch_step(order[s:s + trainer.batch_size], stats)
         stats.batches += 1
         if loss is not None:
             losses.append(loss)
@@ -270,7 +270,8 @@ class SensingTrainer(_Trainer):
         return koopman.total_sensing_loss(self.model, states, actions,
                                           latents=latents)
 
-    def _batch_step(self, states, actions, stats):
+    def _batch_step(self, idx, stats):
+        states, actions = self.train_states[idx], self.train_actions[idx]
         b, t = states.shape[0], states.shape[1]
         # stage A: sensor-side encode (graph kept for the second stage)
         enc_nodes = koopman.encode_windows(self.model, states)
@@ -356,15 +357,17 @@ class ControllingTrainer(_Trainer):
 
     The encoder is the sensing snapshot: latents enter the loss as detached
     values and only the action Koopman matrix and the actuator decoder are
-    stepped."""
+    stepped. Since the encoder never moves here, the windows are encoded
+    once, when the trainer is built."""
 
     def __init__(self, model, train_windows, val_windows, settings,
                  shuffle_seed):
         super().__init__(model, train_windows, val_windows, settings,
                          shuffle_seed)
         self.opt = Adam(model.local_parameters(), lr=settings.lr)
-        # the encoder is not trained here and the validation chunks are
-        # fixed, so each chunk's latents are encoded once, here
+        self._train_latents = self._batch_latents(self.train_states)
+        # the validation chunks are fixed, so each chunk's latents are
+        # encoded once, here
         self._val_chunks = [(states, actions, self._latents(states))
                             for states, actions in _chunks(self.val_states,
                                                            self.val_actions)]
@@ -374,6 +377,23 @@ class ControllingTrainer(_Trainer):
         return [self.model.encode(states[:, j, :])
                 for j in range(states.shape[1])]
 
+    def _batch_latents(self, states):
+        """The per-step (n, d) latents of all n (n, t, p) training windows,
+        encoded in blocks of exactly `batch_size` windows, the last block
+        being the last `batch_size` windows; an empty list when n is short
+        of one batch. BLAS row bits can depend on a product's row count
+        (VALIDATION_CHUNK), so only a batch of `batch_size` rows takes its
+        latents from here and has the bits of encoding it."""
+        n, bs = states.shape[0], self.batch_size
+        if n < bs:
+            return []
+        out = [np.empty((n, self.model.d)) for _ in range(states.shape[1])]
+        for s in range(0, n, bs):
+            s = min(s, n - bs)
+            for lat, block in zip(out, self._latents(states[s:s + bs])):
+                lat[s:s + bs] = block
+        return out
+
     def _loss(self, states, actions, latents=None):
         if latents is None:
             latents = self._latents(states)
@@ -381,8 +401,12 @@ class ControllingTrainer(_Trainer):
             self.model, states, actions,
             latents=[Tensor(lat) for lat in latents])
 
-    def _batch_step(self, states, actions, stats):
-        loss = self._loss(states, actions)
+    def _batch_step(self, idx, stats):
+        latents = None     # a short batch is encoded as it comes
+        if idx.size == self.batch_size:
+            latents = [lat[idx] for lat in self._train_latents]
+        loss = self._loss(self.train_states[idx], self.train_actions[idx],
+                          latents)
         if not np.isfinite(loss.value):
             raise FloatingPointError(
                 f"controlling loss diverged at epoch {self.epoch}")
@@ -488,14 +512,20 @@ def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
     plant with process noise of variance `noise_var` drawn from
     `plant_rng`. The records say which source each side used each loop:
     received, predicted, held (the last latent or applied command, kept
-    with no prediction) or cold (nothing yet)."""
-    x = np.array(config.x0, dtype=np.float64)
+    with no prediction) or cold (nothing yet).
+
+    The loop pays for little but its arithmetic: the plant state is
+    carried as four floats from one dynamics.step_plant to the next and
+    written into the states array, and the gain is negated once per
+    rollout, not once per command."""
     n = config.n_loops
     d, q = sensing.d, sensing.q
     up_bits = channel.payload_bits(d)
     down_bits = channel.payload_bits(q)
+    neg_gain = -gain
 
-    states = np.empty((n + 1, x.size))
+    x = config.x0             # the plant state, as four floats
+    states = np.empty((n + 1, len(x)))
     states[0] = x
     commands = np.zeros((n, q))
     applied = np.zeros((n, q))
@@ -507,7 +537,9 @@ def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
     down_losses = 0
 
     for m in range(n):
-        g = sensing.encode(x)   # the uplink payload and the actuator's latent
+        # the uplink payload and the actuator's latent, from the row just
+        # written (an array row converts faster than the float tuple)
+        g = sensing.encode(states[m])
         # --- uplink ---------------------------------------------------
         attempt_uplink = config.uplink_refresh or m == 0
         up_out = None
@@ -530,7 +562,7 @@ def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
 
         # --- controller command ----------------------------------------
         if ctrl_lat is not None:
-            u_cmd = -gain @ ctrl_lat
+            u_cmd = neg_gain @ ctrl_lat
         else:
             u_cmd = np.zeros(q)   # cold start: hold zero
         commands[m] = u_cmd

@@ -90,7 +90,7 @@ def test_criterion_3_dynamics_oracles():
     # equilibrium is a fixed point of the continuous field
     assert np.max(np.abs(dynamics.cartpole_derivative(
         np.zeros(4), 0.0))) < 1e-12
-    x_eq = dynamics.step_plant(np.zeros(4), 0.0)
+    x_eq = dynamics.step_plant((0.0,) * 4, 0.0)
     assert np.max(np.abs(x_eq)) < 1e-12
 
     # observed convergence order of the integrator on the real field

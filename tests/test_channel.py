@@ -277,6 +277,42 @@ def test_transmit_matches_reference_bit_for_bit(noise_model):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("noise_model", channel.NOISE_MODELS)
+def test_transmit_is_the_sample_snr_shannon_rate_composition(noise_model):
+    # transmit draws its fading inline; over 10,000 packets at -10 dB, a
+    # latent and a command packet in turn with every 50th payload all zero,
+    # it makes the draws and gives the bits of sample_snr, then
+    # shannon_rate and the airtime, then the payload noise
+    cfg = channel.ChannelConfig(snr_db=-10.0, noise_model=noise_model)
+    data = np.random.default_rng(1)
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    delivered = 0
+    for k in range(10_000):
+        payload = data.normal(size=4 if k % 2 == 0 else 1)
+        if k % 50 == 0:
+            payload[:] = 0.0
+        bits = channel.payload_bits(payload.size)
+        out = channel.transmit(cfg, payload, bits, rng)
+        snr = channel.sample_snr(cfg, ref)
+        rate = channel.shannon_rate(snr, channel.BANDWIDTH)
+        tau_comm = bits / rate if rate > 0.0 else math.inf
+        assert (out.snr, out.rate, out.tau_comm) == (snr, rate, tau_comm)
+        assert out.delivered == (tau_comm <= channel.AIRTIME_BUDGET)
+        if not out.delivered:
+            assert out.payload is None
+            continue
+        delivered += 1
+        mean_sq = float(np.mean(payload * payload))
+        std = 0.0 if noise_model == "noiseless" or mean_sq == 0.0 \
+            else math.sqrt(mean_sq / snr)
+        want = payload + ref.normal(0.0, std, size=payload.shape) \
+            if std > 0.0 else payload
+        assert out.noise_std == std
+        assert out.payload.tobytes() == want.tobytes()
+    assert 0 < delivered < 10_000
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _transmit_loop(link, block, bits):
     """A block sent one `transmit` call per row, as the (mask, received
     rows) that `transmit_rows` returns."""

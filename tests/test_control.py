@@ -202,7 +202,7 @@ def test_jacobian_controller_discretization():
 
 def test_jacobian_controller_stabilizes_near_equilibrium():
     ctl = control.build_jacobian_controller(1.0)
-    x = np.full(4, 0.05)
+    x = (0.05,) * 4
     for _ in range(1000):    # 10 s of control
         u = ctl.action(x)
         x = dynamics.step_plant(x, u)

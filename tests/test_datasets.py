@@ -128,7 +128,7 @@ def _per_step_oracle(controller, cfg, seed):
     out, diverged = [], []
     for _ in range(sum(cfg.counts().values())):
         for _ in range(datasets.MAX_RETRIES + 1):
-            x = rng.uniform(cfg.ic_low, cfg.ic_high, size=4)
+            x = tuple(rng.uniform(cfg.ic_low, cfg.ic_high, size=4).tolist())
             states, actions = [], []
             for m in range(n):
                 u = controller.action(x).item()

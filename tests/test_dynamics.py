@@ -120,24 +120,69 @@ def test_step_plant_substeps_match_manual_composition():
             if not np.all(np.abs(reference) <= dynamics.DIVERGENCE_BOUND):
                 outcomes["diverged"] += 1
                 with pytest.raises(dynamics.IntegrationDivergedError):
-                    dynamics.step_plant(x, u)
+                    dynamics.step_plant(tuple(x.tolist()), u)
                 continue
             outcomes["stepped"] += 1
             manual = dynamics.rk4_step(dynamics.cartpole_derivative, x, u, h)
-            stepped = dynamics.step_plant(x, u)
+            stepped = np.array(dynamics.step_plant(tuple(x.tolist()), u))
             assert np.array_equal(stepped, manual)
             assert stepped.tobytes() == reference.tobytes()
     assert min(outcomes.values()) > 0
 
 
+def test_step_plant_steps_four_floats():
+    # the closed loop carries the state as floats: the step returns four
+    # Python floats, and a numpy state or action steps with the bits of
+    # their floats
+    x = (0.1, -0.2, 0.3, 0.1)
+    out = dynamics.step_plant(x, 0.5)
+    assert isinstance(out, tuple) and len(out) == 4
+    assert all(type(v) is float for v in out)
+    assert dynamics.step_plant(np.array(x), np.array([0.5])) == out
+    assert dynamics.step_plant(list(x), 0.5) == out
+    noisy = dynamics.step_plant(x, 0.5, noise_var=1e-4,
+                                rng=np.random.default_rng(3))
+    assert all(type(v) is float for v in noisy)
+
+
+def test_step_plant_noise_is_the_array_steps_block():
+    # the noise is one (STATE_DIM,) normal block from `rng`, added entry by
+    # entry to the clean step: the bits of the array step's nxt + block
+    x = (0.1, -0.2, 0.3, 0.1)
+    clean = np.array(dynamics.step_plant(x, 0.5))
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = np.array(dynamics.step_plant(x, 0.5, noise_var=1e-4, rng=rng))
+        want = clean + ref.normal(0.0, np.sqrt(1e-4), size=clean.shape)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("state", [(0.0,) * 3, (0.0,) * 5, ()])
+def test_state_of_the_wrong_length_raises(state):
+    with pytest.raises(ValueError, match="state must have 4 entries"):
+        dynamics.step_plant(state, 0.0)
+
+
+@pytest.mark.parametrize("state, action", [
+    ((0.0, float("nan"), 0.0, 0.0), 0.0),
+    ((0.0, 0.0, float("inf"), 0.0), 0.0),
+    ((0.0,) * 4, float("nan")),
+    ((0.0,) * 4, np.array([-np.inf]))])
+def test_step_plant_rejects_a_non_finite_state_or_action(state, action):
+    with pytest.raises(dynamics.InvalidStateError):
+        dynamics.step_plant(state, action)
+
+
 def test_step_plant_noise_is_one_unbiased_draw():
-    x = np.array([0.1, 0.0, 0.2, 0.0])
-    clean = dynamics.step_plant(x, 0.0)
+    x = (0.1, 0.0, 0.2, 0.0)
+    clean = np.array(dynamics.step_plant(x, 0.0))
     rng = np.random.default_rng(2024)
     n = 10_000
     acc = np.zeros(4)
     for _ in range(n):
-        acc += dynamics.step_plant(x, 0.0, noise_var=0.01, rng=rng) - clean
+        acc += np.array(dynamics.step_plant(x, 0.0, noise_var=0.01,
+                                            rng=rng)) - clean
     mean_dev = acc / n
     # sigma = 0.1, so 4*sigma/sqrt(n) = 4e-3
     assert np.all(np.abs(mean_dev) < 4e-3)
@@ -145,16 +190,16 @@ def test_step_plant_noise_is_one_unbiased_draw():
 
 def test_step_plant_requires_rng_with_noise():
     with pytest.raises(ValueError):
-        dynamics.step_plant(np.zeros(4), 0.0, noise_var=0.1)
+        dynamics.step_plant((0.0,) * 4, 0.0, noise_var=0.1)
     # a negative or NaN variance is refused, with or without a generator
     for bad in (-0.1, float("nan")):
         with pytest.raises(ValueError):
-            dynamics.step_plant(np.zeros(4), 0.0, noise_var=bad,
+            dynamics.step_plant((0.0,) * 4, 0.0, noise_var=bad,
                                 rng=np.random.default_rng(0))
 
 
 def test_step_plant_deterministic_given_seed():
-    args = (np.array([0.1, 0.2, 0.3, 0.4]), 0.7)
+    args = ((0.1, 0.2, 0.3, 0.4), 0.7)
     a = dynamics.step_plant(*args, noise_var=0.05,
                             rng=np.random.default_rng(99))
     b = dynamics.step_plant(*args, noise_var=0.05,
@@ -167,7 +212,7 @@ def test_step_plant_divergence_guard():
                   [0.0, 0.0, 0.3, 1e160],    # omega ** 2 overflows
                   [0.0, 1e308, 0.0, 0.0]):   # non-finite at RK4 stage 2
         with pytest.raises(dynamics.IntegrationDivergedError):
-            dynamics.step_plant(np.array(state), 0.0)
+            dynamics.step_plant(state, 0.0)
 
 
 def test_a_state_past_the_bound_is_named_in_the_error(monkeypatch):
@@ -187,17 +232,17 @@ def test_a_state_past_the_bound_is_named_in_the_error(monkeypatch):
                                     [0.3, 5.0]])
 def test_action_of_the_wrong_size_raises(action):
     with pytest.raises(ValueError, match="action must have 1 entry"):
-        dynamics.step_plant(np.zeros(4), action)
+        dynamics.step_plant((0.0,) * 4, action)
     with pytest.raises(ValueError, match="action must have 1 entry"):
         dynamics.cartpole_derivative(np.zeros(4), action)
 
 
 def test_every_one_entry_action_form_steps_alike():
-    x = np.array([0.1, -0.2, 0.3, 0.1])
-    expect = dynamics.step_plant(x, 2.0).tobytes()
+    x = (0.1, -0.2, 0.3, 0.1)
+    expect = np.array(dynamics.step_plant(x, 2.0)).tobytes()
     for action in (2, np.float64(2.0), np.array(2.0), np.array([2.0]),
                    np.array([[2.0]]), [2.0], np.array([2.0], np.float32)):
-        assert dynamics.step_plant(x, action).tobytes() == expect
+        assert np.array(dynamics.step_plant(x, action)).tobytes() == expect
         assert dynamics.cartpole_derivative(x, action).tobytes() \
             == dynamics.cartpole_derivative(x, 2.0).tobytes()
 

@@ -57,6 +57,76 @@ def test_predict_handles_single_sample_vector():
             assert flat.tobytes() == stack[i, 0].tobytes()
 
 
+def _trained(dims, seed, steps=20):
+    """A make_mlp network after `steps` Adam steps on a random regression,
+    and its optimizer."""
+    rng = np.random.default_rng(seed)
+    net = neural.make_mlp(dims, rng)
+    opt = neural.Adam(net.parameters(), lr=1e-2)
+    x = rng.normal(size=(64, dims[0]))
+    y = rng.normal(size=(64, dims[-1]))
+    for _ in range(steps):
+        ad.backward(ad.mse_rows(net.forward(x), y))
+        opt.step()
+        opt.zero_grad()
+    return net, opt
+
+
+def _matmul_reference(net, x):
+    """predict as np.matmul writes it, each layer read from its parameter."""
+    out = np.asarray(x, dtype=np.float64)
+    for layer in net.layers:
+        out = np.matmul(out, layer.w.value.T)
+        out += layer.b.value
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+    return out
+
+
+@pytest.mark.parametrize("dims", [[4, 128, 64, 32, 4],
+                                  [5, 5, 5, 32, 64, 128, 4]])
+def test_predict_keeps_the_matmul_bits_on_trained_weights(dims):
+    # a sample has the bits of its (1, d_in) row, rows those of np.matmul
+    # at every row count, and each (n, d_in) matrix of a (k, n, d_in) stack
+    # those of predicting it alone, at the default encoder's and decoder's
+    # widths on trained weights
+    net, _ = _trained(dims, seed=len(dims))
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 31, 32, 50, 64, 100, 1024):
+        rows = rng.normal(size=(n, dims[0])) * rng.uniform(0.01, 10.0)
+        got = net.predict(rows)
+        assert got.tobytes() == _matmul_reference(net, rows).tobytes()
+        for i in range(min(n, 8)):
+            sample = net.predict(rows[i])
+            assert sample.shape == (dims[-1],)
+            assert sample.tobytes() == net.predict(rows[i:i + 1])[0].tobytes()
+            assert sample.tobytes() == \
+                _matmul_reference(net, rows[i]).tobytes()
+    for n in (1, 3, 64):
+        stack = rng.normal(size=(5, n, dims[0]))
+        got = net.predict(stack)
+        assert got.tobytes() == _matmul_reference(net, stack).tobytes()
+        for i in range(5):
+            assert got[i].tobytes() == net.predict(stack[i]).tobytes()
+
+
+def test_predict_follows_adam_steps():
+    # predict reads the parameters it bound at construction, which Adam
+    # steps in place: after more steps it has the bits of a network built
+    # afresh from the stepped weights
+    net, opt = _trained([4, 128, 64, 32, 4], seed=1, steps=1)
+    x = np.random.default_rng(2).normal(size=(10, 4))
+    before = net.predict(x)
+    net.parameters()[0].grad = np.ones((128, 4))
+    for p in net.parameters()[1:]:
+        p.grad = np.full(p.value.shape, 0.5)
+    opt.step()
+    fresh = neural.network_from_dict(neural.network_to_dict(net))
+    assert not np.array_equal(net.predict(x), before)
+    assert net.predict(x).tobytes() == fresh.predict(x).tobytes()
+    assert net.predict(x[0]).tobytes() == fresh.predict(x[0]).tobytes()
+
+
 def test_forward_tape_matches_predict():
     # recorded or under no_grad, the tape forward has the bits of predict
     # on (n, d_in) rows, at the widths of a toy net and of the default

@@ -442,6 +442,49 @@ def test_controlling_trainer_moves_only_local_params():
     assert moved
 
 
+@pytest.mark.parametrize("n, batch_size", [(333, 64), (333, 50), (40, 64)])
+def test_controlling_trainer_encodes_its_windows_once_bit_for_bit(
+        monkeypatch, n, batch_size):
+    # the trainer encodes its training windows when built, in blocks of
+    # batch_size; over three shuffled epochs without a batch cap (333
+    # windows leave a short last batch at both sizes, 40 are all short of
+    # one batch) it trains the bits of encoding every batch as it comes,
+    # at the default encoder's widths, and encodes only the short batches
+    def build():
+        sens = koopman.SensingModel.build(4, 4, 1, np.random.default_rng(40))
+        model = koopman.ControllingModel.build(sens,
+                                               np.random.default_rng(41))
+        rng = np.random.default_rng(42)
+        train = (rng.normal(size=(n, 2, 4)), rng.normal(size=(n, 2, 1)))
+        val = (rng.normal(size=(40, 2, 4)), rng.normal(size=(40, 2, 1)))
+        return protocol.ControllingTrainer(
+            model, train, val,
+            protocol.TrainSettings(lr=1e-3, batch_size=batch_size), 3)
+
+    cached, fresh = build(), build()
+
+    def per_batch_step(idx, stats):
+        loss = fresh._loss(fresh.train_states[idx], fresh.train_actions[idx])
+        autodiff.backward(loss)
+        fresh.opt.step()
+        fresh.opt.zero_grad()
+        return float(loss.value)
+
+    monkeypatch.setattr(fresh, "_batch_step", per_batch_step)
+    encodes = []
+    predict = cached.model.encoder.predict
+    monkeypatch.setattr(cached.model.encoder, "predict",
+                        lambda x: encodes.append(len(x)) or predict(x))
+    got = [cached.run_epoch() for _ in range(3)]
+    want = [fresh.run_epoch() for _ in range(3)]
+    assert got == want
+    for a, b in zip(cached.model.local_parameters(),
+                    fresh.model.local_parameters()):
+        assert a.value.tobytes() == b.value.tobytes()
+    # two window columns per short batch, one short batch per epoch
+    assert encodes == [n % batch_size] * 6
+
+
 def test_training_builds_no_gradient_it_drops(monkeypatch):
     # the encoder's raw-state input, the loss targets and the actions need
     # no gradient, so the tape builds none for them; and the controlling
@@ -584,7 +627,7 @@ def test_phase2_ideal_links_match_offline_rollout():
         sens, GAIN, None, ideal(), ideal(),
         protocol.Phase2Config(n_loops=20, x0=tuple(x0)))
     # replay the loop without any transport
-    x = x0.copy()
+    x = tuple(x0.tolist())
     for m in range(20):
         u = np.atleast_1d(-GAIN @ sens.encode(x))
         assert np.array_equal(res.commands[m], u)
@@ -597,6 +640,107 @@ def test_phase2_ideal_links_match_offline_rollout():
         assert rec.state_source == "received"
         assert rec.action_source == "received"
         assert rec.state_depth == 0 and rec.action_depth == 0
+
+
+def _array_step(x, u, noise_var, rng):
+    """The plant step on a state array: rk4_step over cartpole_derivative,
+    the divergence bound, then one normal block added to the array."""
+    nxt = dynamics.rk4_step(dynamics.cartpole_derivative, x, u,
+                            dynamics.TAU_O)
+    if not np.all(np.abs(nxt) <= dynamics.DIVERGENCE_BOUND):
+        raise dynamics.IntegrationDivergedError("diverged")
+    if noise_var > 0.0:
+        nxt = nxt + rng.normal(0.0, np.sqrt(noise_var), size=nxt.shape)
+    return nxt
+
+
+def _phase2_reference(sensing, gain, controlling, uplink, downlink, config,
+                      noise_var, plant_rng):
+    """The phase-2 loop written out on a state array stepped by
+    _array_step, with the gain negated for every command."""
+    x = np.array(config.x0, dtype=np.float64)
+    n, q = config.n_loops, sensing.q
+    up_bits, down_bits = channel.payload_bits(sensing.d), \
+        channel.payload_bits(q)
+    states = [x]
+    commands, applied = np.zeros((n, q)), np.zeros((n, q))
+    records = []
+    ctrl_lat = act_lat = None
+    ctrl_depth = down_losses = 0
+    for m in range(n):
+        g = sensing.encode(x)
+        up = None
+        if config.uplink_refresh or m == 0:
+            up = uplink.transmit(g, up_bits)
+        if up is not None and up.delivered:
+            ctrl_lat, ctrl_depth, state_source = up.payload, 0, "received"
+        elif ctrl_lat is not None:
+            state_source = "held"
+            if config.latent_fallback == "predict":
+                ctrl_lat = koopman.latent_step(sensing, ctrl_lat,
+                                               commands[m - 1])
+                state_source = "predicted"
+            ctrl_depth += 1
+        else:
+            state_source = "cold"
+        u_cmd = -gain @ ctrl_lat if ctrl_lat is not None else np.zeros(q)
+        commands[m] = u_cmd
+        down = downlink.transmit(u_cmd, down_bits)
+        if down.delivered:
+            u_app, down_losses, action_source = down.payload, 0, "received"
+            act_lat = g
+        else:
+            down_losses += 1
+            if config.action_fallback == "predict" \
+                    and controlling is not None and act_lat is not None:
+                u_app = koopman.predict_actions(controlling, applied[m - 1],
+                                                act_lat)
+                if config.action_predict_mode == "advance":
+                    act_lat = koopman.latent_step(sensing, act_lat, u_app)
+                action_source = "predicted"
+            elif m > 0:
+                u_app, action_source = applied[m - 1], "held"
+            else:
+                u_app, action_source = np.zeros(q), "cold"
+        applied[m] = u_app
+        records.append(protocol.LoopRecord(
+            m, None if up is None else up.delivered, down.delivered,
+            state_source, ctrl_depth, action_source, down_losses,
+            None if up is None else up.tau_comm, down.tau_comm,
+            channel.TAU_COMP))
+        x = _array_step(x, u_app, noise_var, plant_rng)
+        states.append(x)
+    return np.array(states), commands, applied, records
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 1e-4])
+@pytest.mark.parametrize("control", [
+    {}, {"action_predict_mode": "advance"}, {"latent_fallback": "hold"},
+    {"action_fallback": "hold"}, {"uplink_refresh": False}])
+def test_phase2_loop_matches_the_array_loop_bit_for_bit(noise_var, control):
+    # the loop carries the plant as floats and negates the gain once; its
+    # states, commands, applied commands and records have the bits of the
+    # loop on a state array, over fading links at -10 dB, where losses of
+    # both kinds and every fallback come up
+    rng = np.random.default_rng(31)
+    sens = koopman.SensingModel.build(4, 4, 1, rng)
+    ctrl = koopman.ControllingModel.build(sens, rng)
+    config = protocol.Phase2Config(n_loops=300, x0=X0, **control)
+    link = channel.ChannelConfig(snr_db=-10.0)
+
+    def run(loop):
+        return loop(sens, GAIN, ctrl, channel.FadingLink(link, 5),
+                    channel.FadingLink(link, 6), config, noise_var,
+                    np.random.default_rng(7) if noise_var else None)
+
+    res = run(protocol.run_phase2_loop)
+    states, commands, applied, records = run(_phase2_reference)
+    assert res.states.tobytes() == states.tobytes()
+    assert res.commands.tobytes() == commands.tobytes()
+    assert res.applied.tobytes() == applied.tobytes()
+    assert res.records == records
+    sources = {r.action_source for r in records}
+    assert "received" in sources and len(sources) >= 2
 
 
 def test_phase2_routing_exclusivity_under_losses():
@@ -802,10 +946,17 @@ def test_write_records_roundtrip(tmp_path):
                                    protocol.Phase2Config(n_loops=3, x0=X0))
     path = tmp_path / "loops.ndjson"
     protocol.write_records(res, path)
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
+
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    # strict JSON: no NaN or Infinity; the forced loss drew no airtime
+    lines = [json.loads(l, parse_constant=refuse)
+             for l in path.read_text().splitlines()]
     assert len(lines) == 3
     assert lines[0]["index"] == 0
     assert lines[1]["downlink_delivered"] is False
+    assert lines[1]["tau_comm_down"] is None
     assert lines[0]["state"] == pytest.approx([0.02] * 4)
     for key in ("tau_comm_up", "tau_comm_down", "tau_comp", "command",
                 "applied", "state_source", "action_source"):

@@ -13,6 +13,8 @@ the defaults, `action_predict_mode` "advance", `latent_fallback` "hold",
 
 The script prints, per setting, the sha256 of the bytes of `loops.ndjson`
 followed by those of `control_summary.json`, then one digest over all five.
+Every `loops.ndjson` line must parse as strict JSON: a NaN or Infinity
+token makes the script fail.
 A change that should keep the phase-2 trace prints the same digests as its
 parent on the same machine. No digest is stored: the bits depend on the
 BLAS, so only two runs on one host compare. The script calls nothing but
@@ -62,9 +64,14 @@ SETTINGS = {
 }
 
 
+def _refuse(token):
+    raise ValueError(f"non-strict JSON token {token} in loops.ndjson")
+
+
 def setting_digest(control, out):
     """sha256 hex digest of the trace files one setting leaves in `out`.
-    Raises RuntimeError naming the stage when a stage exits nonzero."""
+    Raises RuntimeError naming the stage when a stage exits nonzero, and
+    ValueError when a `loops.ndjson` line holds NaN or Infinity."""
     config = dict(CONFIG, control={**CONFIG["control"], **control})
     config_path = out / "config.json"
     config_path.write_text(json.dumps(config))
@@ -74,6 +81,8 @@ def setting_digest(control, out):
                              "--out-dir", str(out)])
         if code != cli.EXIT_OK:
             raise RuntimeError(f"{stage} exited {code}")
+    for line in (out / "loops.ndjson").read_text().splitlines():
+        json.loads(line, parse_constant=_refuse)
     h = hashlib.sha256()
     for name in TRACE_FILES:
         h.update((out / name).read_bytes())
