@@ -170,9 +170,9 @@ def _check_field(cls, name, value, section=None):
     return float(value) if kind == "float" and value is not None else value
 
 
-# keys of the fixed radio, recipe, gradient downlink and rollout schedule,
-# which configs saved while they were settable carry; they load at the
-# fixed value only
+# keys of the fixed radio, recipe, gradient downlink, rollout schedule and
+# phase-2 fallbacks, which configs saved while they were settable carry;
+# they load at the fixed value only
 _FIXED_KEYS = {"data": {"explore_std": datasets.EXPLORE_STD,
                         "max_retries": datasets.MAX_RETRIES},
                "model": {"schedule_mode": "special"},
@@ -181,7 +181,9 @@ _FIXED_KEYS = {"data": {"explore_std": datasets.EXPLORE_STD,
                "link": {"distance": channel.DISTANCE, "eta": channel.ETA,
                         "bandwidth": channel.BANDWIDTH,
                         "tau_comp": channel.TAU_COMP},
-               "control": {"q_x_diag": np.diag(control.Q_X).tolist()}}
+               "control": {"q_x_diag": np.diag(control.Q_X).tolist(),
+                           "action_fallback": "predict",
+                           "latent_fallback": "predict"}}
 
 
 def _is_fixed(value, fixed):

@@ -43,7 +43,7 @@ class LoopRecord:
     index: int
     uplink_delivered: bool | None      # None when no uplink was attempted
     downlink_delivered: bool
-    state_source: str                  # received | predicted | held | cold
+    state_source: str                  # received | predicted | cold
     state_depth: int                   # loops since the last uplink delivery
     action_source: str                 # received | predicted | held | cold
     action_depth: int
@@ -453,7 +453,6 @@ def fit_with_early_stopping(trainer, on_epoch=None):
 # phase 2: predictive closed loop
 # ---------------------------------------------------------------------------
 
-FALLBACKS = ("predict", "hold")
 # what the actuator does with its latent through a downlink outage: "hold"
 # keeps the latent of the last delivery, "advance" steps it through the
 # sensing blocks with each predicted action
@@ -466,20 +465,16 @@ class Phase2Config:
     config: the LQR action weight `r` also shapes training; Q_X is fixed."""
     n_loops: int = 1000
     uplink_refresh: bool = True      # False = pure prediction after loop 0
-    action_fallback: str = "predict"  # one of FALLBACKS
     action_predict_mode: str = "hold"  # one of PHASE2_PREDICT_MODES
-    latent_fallback: str = "predict"   # controller side: one of FALLBACKS
     r: float = 1.0                     # LQR action weight
     x0: tuple[float, ...] = (0.05, 0.05, 0.05, 0.05)     # initial plant state
 
     def __post_init__(self):
         self.x0 = tuple(float(v) for v in self.x0)
-        for name, allowed in (("action_fallback", FALLBACKS),
-                              ("action_predict_mode", PHASE2_PREDICT_MODES),
-                              ("latent_fallback", FALLBACKS)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, "
-                                 f"not {getattr(self, name)!r}")
+        if self.action_predict_mode not in PHASE2_PREDICT_MODES:
+            raise ValueError("action_predict_mode must be one of "
+                             f"{PHASE2_PREDICT_MODES}, "
+                             f"not {self.action_predict_mode!r}")
         if self.n_loops < 1:
             raise ValueError("n_loops must be >= 1")
         if len(self.x0) != dynamics.STATE_DIM \
@@ -506,13 +501,15 @@ def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
     the plant state config.x0.
 
     Per loop: uplink the fresh latent of the `sensing` model (unless in
-    pure-prediction mode), compute u = -K g with the (q, d) latent LQR
-    `gain` K, downlink it, let the actuator apply the received command or
-    one the `controlling` model (None for none) predicts, then step the
-    plant with process noise of variance `noise_var` drawn from
-    `plant_rng`. The records say which source each side used each loop:
-    received, predicted, held (the last latent or applied command, kept
-    with no prediction) or cold (nothing yet).
+    pure-prediction mode; with none delivered the controller steps its
+    latent through the Koopman blocks), compute u = -K g with the (q, d)
+    latent LQR `gain` K and downlink it. Through a downlink loss the
+    actuator applies the command the `controlling` model predicts from
+    its last delivery, or holds the last applied one with no model (None:
+    the hold reference) or no delivery yet. Then the plant steps with
+    process noise of variance `noise_var` drawn from `plant_rng`. The
+    records say which source each side used each loop: received,
+    predicted, held (the actuator only) or cold (nothing yet).
 
     The loop pays for little but its arithmetic: the plant state is
     carried as four floats from one dynamics.step_plant to the next and
@@ -550,13 +547,10 @@ def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
             ctrl_depth = 0
             state_source = "received"
         elif ctrl_lat is not None:
-            state_source = "held"
             # a latent exists only after a delivery, so m >= 1
-            if config.latent_fallback == "predict":
-                ctrl_lat = koopman.latent_step(sensing, ctrl_lat,
-                                               commands[m - 1])
-                state_source = "predicted"
+            ctrl_lat = koopman.latent_step(sensing, ctrl_lat, commands[m - 1])
             ctrl_depth += 1
+            state_source = "predicted"
         else:
             state_source = "cold"
 
@@ -578,8 +572,7 @@ def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
             down_losses += 1
             # after a delivery every loss predicts, so applied[m - 1] is
             # the last delivered or predicted command
-            if config.action_fallback == "predict" \
-                    and controlling is not None and act_lat is not None:
+            if controlling is not None and act_lat is not None:
                 u_app = koopman.predict_actions(controlling, applied[m - 1],
                                                 act_lat)
                 if config.action_predict_mode == "advance":

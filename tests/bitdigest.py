@@ -14,6 +14,17 @@ The twelve configs cross an ideal link, 0 dB and -10 dB; prediction depth
 1e-4 with `advance`.
 
 The script prints one line per config and the digest of all of them last.
+A config's line also holds an 8-hex sha256 per stage, each hashed on its
+own: `data` (the dataset arrays, which the config hash leaves out),
+`sensing` (trained parameters and loss history), `gains` (every epoch's),
+`controlling` (trained parameters and loss history), `scores` and
+`rollout`. A stage stopped by a run error shows the error's name and the
+stages after it show "-". So a line says which stages a change moved. The
+data feeds every stage, the sensing model every later one, the gains only
+the rollout, and the controlling model the scores and the rollout: a
+change to the phase-2 loop alone moves only `rollout`, and one to the
+latent gain solve moves `gains` and `rollout`.
+
 A change that should keep every bit prints the same digest as its parent on
 the same machine. No digest is stored: the bits depend on the BLAS, so only
 two runs on one host compare. pytest does not collect this file.
@@ -32,9 +43,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pins)
 
-from koopcontrol import experiments as ex  # noqa: E402
+from koopcontrol import datasets, experiments as ex  # noqa: E402
 
 N_LOOPS = 200
+STAGES = ("data", "sensing", "gains", "controlling", "scores", "rollout")
 
 # name -> link settings changes
 LINKS = {
@@ -92,36 +104,54 @@ def _history(result):
 
 def config_digest(cfg):
     """(sha256 hex digest of one config's pipeline outputs, the name of the
-    run error that stopped it or "ok")."""
+    run error that stopped it or "ok", {stage: its own 8-hex digest, the
+    name of the error that stopped it, or None when it did not run})."""
     h = hashlib.sha256()
+    stages = dict.fromkeys(STAGES)
+
+    def done(stage, *items):
+        s = hashlib.sha256()
+        _update(s, *items)
+        stages[stage] = s.hexdigest()[:8]
+        if stage != "data":
+            _update(h, *items)
+
     try:
         dataset = ex.make_dataset(cfg)
+        done("data", *[a for split in datasets.SPLITS
+                       for traj in dataset.split(split)
+                       for a in (traj.states, traj.actions)])
         sensing, s_res, gain, gains = ex.train_sensing(cfg, dataset)
-        _update(h, *[p.value for p in sensing.parameters()], _history(s_res),
-                *[np.nan if g is None else g for g in gains])
+        done("sensing", *[p.value for p in sensing.parameters()],
+             _history(s_res))
+        done("gains", *[np.nan if g is None else g for g in gains])
         controlling, c_res = ex.train_controlling(cfg, sensing, dataset)
-        _update(h, *[p.value for p in controlling.local_parameters()],
-                _history(c_res))
+        done("controlling", *[p.value for p in controlling.local_parameters()],
+             _history(c_res))
         scores = ex.evaluate_prediction(cfg, sensing, controlling,
                                         dataset.test)
-        _update(h, [scores["state_nrmse"], scores["action_nrmse"]])
+        done("scores", [scores["state_nrmse"], scores["action_nrmse"]])
         res, _ = ex.control_rollout(cfg, sensing, gain, controlling)
-        _update(h, res.states, res.commands, res.applied,
-                *[f"{r.state_source} {r.state_depth} {r.action_source} "
-                  f"{r.action_depth};" for r in res.records])
+        done("rollout", res.states, res.commands, res.applied,
+             *[f"{r.state_source} {r.state_depth} {r.action_source} "
+               f"{r.action_depth};" for r in res.records])
     except ex.RUN_ERRORS as exc:
         _update(h, f"{type(exc).__name__}: {exc}")
-        return h.hexdigest(), type(exc).__name__
-    return h.hexdigest(), "ok"
+        # the first stage with no digest is the one the error stopped
+        stopped = next(k for k, v in stages.items() if v is None)
+        stages[stopped] = type(exc).__name__
+        return h.hexdigest(), type(exc).__name__, stages
+    return h.hexdigest(), "ok", stages
 
 
 def main():
     t0 = time.perf_counter()
     total = hashlib.sha256()
     for name, cfg in configs():
-        digest, outcome = config_digest(cfg)
+        digest, outcome, stages = config_digest(cfg)
         total.update(digest.encode())
-        print(f"{digest[:16]}  {name}  {outcome}")
+        print(f"{digest[:16]}  {name}  {outcome}  "
+              + " ".join(f"{k}={v or '-'}" for k, v in stages.items()))
     print(f"digest {total.hexdigest()[:16]}  "
           f"({time.perf_counter() - t0:.1f} s)")
     return 0

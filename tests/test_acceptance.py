@@ -163,24 +163,25 @@ def test_criterion_7_prediction_beats_hold_under_downlink_bursts():
     cold, with nothing to predict from). The runs are deterministic; the
     MSCEs measured are 0.0102154 with no loss, 0.0102182 for `predict`
     with `advance`, 0.0115245 for `predict` with `hold` and 0.0116354 for
-    the `hold` fallback. So advance/hold reads 0.878 against the bound
-    0.95, and advance/no-loss 1.0003 against the bound 1.01."""
+    holding, with no controlling model. So advance/hold reads 0.878
+    against the bound 0.95, and advance/no-loss 1.0003 against the bound
+    1.01."""
     base = experiments.build_baseline(experiments.desk_preset())
     k, a_d, b_d = base.gain, base.a_d, base.b_d
     sens = passthrough_sensing(a_d, b_d)
     ctrl = passthrough_controlling(sens, -k @ a_d, -k @ b_d)
     bursts = [m for m in range(1000) if m % 50 >= 30]
 
-    def msce(lost, fallback="predict", mode="advance"):
+    def msce(lost, controlling=ctrl):
         res = protocol.run_phase2_loop(
-            sens, k, ctrl, channel.IdealLink(),
+            sens, k, controlling, channel.IdealLink(),
             channel.ScriptedLossLink(channel.IdealLink(), lost),
-            protocol.Phase2Config(n_loops=1000, action_fallback=fallback,
-                                  action_predict_mode=mode,
+            protocol.Phase2Config(n_loops=1000, action_predict_mode="advance",
                                   x0=(0.05,) * 4))
         return metrics.msce(res.states[1:])
 
-    advance, hold = msce(bursts), msce(bursts, fallback="hold")
+    # with no controlling model the actuator holds the last command
+    advance, hold = msce(bursts), msce(bursts, controlling=None)
     no_loss = msce([])
     assert advance / hold <= 0.95, (advance, hold)
     assert advance / no_loss <= 1.01, (advance, no_loss)

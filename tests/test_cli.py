@@ -186,6 +186,18 @@ def test_exit_config_on_invalid_link_distance(tmp_path, capsys):
         assert code == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "dataset.npz").exists()
+    # a saved phase-2 fallback loads at "predict" only, and run-control
+    # names the key before it reads a checkpoint
+    for key in ("action_fallback", "latent_fallback"):
+        cfg_path = micro_config(tmp_path)
+        raw = json.loads(cfg_path.read_text())
+        raw["control"][key] = "hold"
+        cfg_path.write_text(json.dumps(raw))
+        code = cli.main(["run-control", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert f"bad control.{key}: fixed at 'predict', not 'hold'" \
+            in capsys.readouterr().err
     # a sweep over no seeds is refused before any cell runs
     cfg_path = micro_config(tmp_path)
     for seeds in ("0", "-2"):

@@ -78,8 +78,8 @@ def test_a_config_saved_with_the_settable_radio_loads_unchanged():
         experiments.config_from_dict(saved)
 
 
-# each key of the fixed training recipe, at values it could take while it
-# was settable and at values it was refused at
+# each key of the fixed training recipe and phase-2 fallbacks, at values
+# it could take while it was settable and at values it was refused at
 FIXED_RECIPE_EDITS = (
     ("data", "explore_std", 0.0), ("data", "explore_std", 0.2),
     ("data", "explore_std", -0.1), ("data", "explore_std", "0.1"),
@@ -92,7 +92,11 @@ FIXED_RECIPE_EDITS = (
     ("control", "q_x_diag", [1.0, 1.0, 1.0, 1.0, 1.0]),
     ("control", "q_x_diag", [1.0, 1.0, 1.0, float("inf")]),
     ("control", "q_x_diag", [1.0, 1.0, 1.0, True]),
-    ("control", "q_x_diag", "1111"), ("control", "q_x_diag", 1.0))
+    ("control", "q_x_diag", "1111"), ("control", "q_x_diag", 1.0),
+    ("control", "action_fallback", "hold"),
+    ("control", "action_fallback", 1),
+    ("control", "latent_fallback", "hold"),
+    ("control", "latent_fallback", None))
 
 
 def test_a_config_saved_with_the_settable_recipe_loads_unchanged():
@@ -113,7 +117,11 @@ def test_a_config_saved_with_the_settable_recipe_loads_unchanged():
             ("data", "max_retries", 2, "fixed at 25, not 2"),
             ("train", "min_delta", 0.0, "fixed at 0.0001, not 0.0"),
             ("control", "q_x_diag", [1.0, 2.0, 3.0, 4.0],
-             "fixed at [1.0, 1.0, 1.0, 1.0], not [1.0, 2.0, 3.0, 4.0]")):
+             "fixed at [1.0, 1.0, 1.0, 1.0], not [1.0, 2.0, 3.0, 4.0]"),
+            ("control", "action_fallback", "hold",
+             "fixed at 'predict', not 'hold'"),
+            ("control", "latent_fallback", "hold",
+             "fixed at 'predict', not 'hold'")):
         edited = json.loads(SAVED_DESK_CONFIG)
         edited[section][key] = value
         with pytest.raises(experiments.ConfigError) as err:
@@ -123,7 +131,8 @@ def test_a_config_saved_with_the_settable_recipe_loads_unchanged():
     d = experiments.config_to_dict(experiments.desk_preset())
     assert not {"explore_std", "max_retries"} & set(d["data"])
     assert "min_delta" not in d["train"]
-    assert "q_x_diag" not in d["control"]
+    assert not {"q_x_diag", "action_fallback", "latent_fallback"} \
+        & set(d["control"])
 
 
 def test_config_rejects_unknown_keys():
@@ -156,8 +165,6 @@ def test_config_rejects_bad_link_and_control_values():
                                    "recorded"),
                                   ("control", "action_predict_mode",
                                    "nonsense"),
-                                  ("control", "action_fallback", "improvise"),
-                                  ("control", "latent_fallback", "improvise"),
                                   ("data", "n_train", 0),
                                   ("data", "n_val", 0),
                                   ("data", "n_test", -1),
@@ -329,13 +336,13 @@ def test_parent_saved_control_section_loads():
     d = experiments.config_to_dict(experiments.desk_preset())
     d["control"] = {"r": 2.0, "q_x_diag": [1.0, 1.0, 1.0, 1.0],
                     "n_loops": 50, "x0": [0.01, 0.02, 0.03, 0.04],
-                    "uplink_refresh": True, "action_fallback": "hold",
+                    "uplink_refresh": True, "action_fallback": "predict",
                     "action_predict_mode": "advance",
                     "latent_fallback": "predict"}
     cfg = experiments.config_from_dict(d)
     assert cfg.control == protocol.Phase2Config(
-        n_loops=50, action_fallback="hold", action_predict_mode="advance",
-        r=2.0, x0=(0.01, 0.02, 0.03, 0.04))
+        n_loops=50, action_predict_mode="advance", r=2.0,
+        x0=(0.01, 0.02, 0.03, 0.04))
     assert experiments.config_from_dict(
         experiments.config_to_dict(cfg)) == cfg
 

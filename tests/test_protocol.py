@@ -675,12 +675,8 @@ def _phase2_reference(sensing, gain, controlling, uplink, downlink, config,
         if up is not None and up.delivered:
             ctrl_lat, ctrl_depth, state_source = up.payload, 0, "received"
         elif ctrl_lat is not None:
-            state_source = "held"
-            if config.latent_fallback == "predict":
-                ctrl_lat = koopman.latent_step(sensing, ctrl_lat,
-                                               commands[m - 1])
-                state_source = "predicted"
-            ctrl_depth += 1
+            ctrl_lat = koopman.latent_step(sensing, ctrl_lat, commands[m - 1])
+            ctrl_depth, state_source = ctrl_depth + 1, "predicted"
         else:
             state_source = "cold"
         u_cmd = -gain @ ctrl_lat if ctrl_lat is not None else np.zeros(q)
@@ -691,8 +687,7 @@ def _phase2_reference(sensing, gain, controlling, uplink, downlink, config,
             act_lat = g
         else:
             down_losses += 1
-            if config.action_fallback == "predict" \
-                    and controlling is not None and act_lat is not None:
+            if controlling is not None and act_lat is not None:
                 u_app = koopman.predict_actions(controlling, applied[m - 1],
                                                 act_lat)
                 if config.action_predict_mode == "advance":
@@ -715,16 +710,20 @@ def _phase2_reference(sensing, gain, controlling, uplink, downlink, config,
 
 @pytest.mark.parametrize("noise_var", [0.0, 1e-4])
 @pytest.mark.parametrize("control", [
-    {}, {"action_predict_mode": "advance"}, {"latent_fallback": "hold"},
-    {"action_fallback": "hold"}, {"uplink_refresh": False}])
+    {}, {"action_predict_mode": "advance"},
+    {"action_predict_mode": "advance", "uplink_refresh": False},
+    {"controlling": None}, {"uplink_refresh": False}])
 def test_phase2_loop_matches_the_array_loop_bit_for_bit(noise_var, control):
     # the loop carries the plant as floats and negates the gain once; its
     # states, commands, applied commands and records have the bits of the
     # loop on a state array, over fading links at -10 dB, where losses of
-    # both kinds and every fallback come up
+    # both kinds come up; each policy is run, and the hold reference with
+    # no controlling model
+    control = dict(control)
     rng = np.random.default_rng(31)
     sens = koopman.SensingModel.build(4, 4, 1, rng)
     ctrl = koopman.ControllingModel.build(sens, rng)
+    ctrl = control.pop("controlling", ctrl)
     config = protocol.Phase2Config(n_loops=300, x0=X0, **control)
     link = channel.ChannelConfig(snr_db=-10.0)
 
@@ -834,7 +833,7 @@ def test_phase2_hold_fallback_and_cold_start():
     down = scripted([0, 3])
     res = protocol.run_phase2_loop(
         sens4, GAIN, None, ideal(), down,
-        protocol.Phase2Config(n_loops=6, action_fallback="hold", x0=X0))
+        protocol.Phase2Config(n_loops=6, x0=X0))
     # loop 0 lost with nothing to hold: cold zero
     assert res.records[0].action_source == "cold"
     assert res.applied[0] == pytest.approx(0.0)
@@ -891,26 +890,8 @@ def test_phase2_pure_prediction_mode():
     assert max(r.state_depth for r in res.records) == 5
 
 
-def test_phase2_latent_hold_fallback():
-    sens4 = _cartpole_like_stub()
-    up = scripted([1, 2])
-    res = protocol.run_phase2_loop(
-        sens4, GAIN, None, up, ideal(),
-        protocol.Phase2Config(n_loops=4, latent_fallback="hold", x0=X0))
-    # commands repeat while the latent is held, and the records say held:
-    # no prediction ran
-    assert np.array_equal(res.commands[1], res.commands[0])
-    assert np.array_equal(res.commands[2], res.commands[0])
-    assert not np.array_equal(res.commands[3], res.commands[0])
-    assert [r.state_source for r in res.records] == \
-        ["received", "held", "held", "received"]
-    assert [r.state_depth for r in res.records] == [0, 1, 2, 0]
-
-
 def test_phase2_config_validation():
-    for field, value in (("action_fallback", "improvise"),
-                         ("latent_fallback", "improvise"),
-                         ("action_predict_mode", "recorded"),
+    for field, value in (("action_predict_mode", "recorded"),
                          ("action_predict_mode", "nonsense"),
                          ("n_loops", 0),
                          ("n_loops", -3),

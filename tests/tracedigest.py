@@ -1,4 +1,4 @@
-"""Trace digest of the command-line pipeline in five phase-2 settings.
+"""Trace digest of the command-line pipeline in four phase-2 settings.
 
 Run from the repository root:
 
@@ -8,11 +8,13 @@ Each setting runs `gen-data`, `train-sensing`, `train-controlling` and
 `run-control` through `koopcontrol.cli.main` in a fresh directory on one
 micro config: 3/1/1 trajectories of 4 s, 2 epochs of at most 20 batches,
 a -10 dB link, process noise 1e-5 and a 400-loop rollout. The settings are
-the defaults, `action_predict_mode` "advance", `latent_fallback` "hold",
-`action_fallback` "hold" and `uplink_refresh` false.
+the defaults, `action_predict_mode` "advance", no controlling model (the
+setting skips `train-controlling`, so `run-control` finds no
+`controlling.json` and the actuator holds the last command through a
+downlink loss) and `uplink_refresh` false.
 
 The script prints, per setting, the sha256 of the bytes of `loops.ndjson`
-followed by those of `control_summary.json`, then one digest over all five.
+followed by those of `control_summary.json`, then one digest over all four.
 Every `loops.ndjson` line must parse as strict JSON: a NaN or Infinity
 token makes the script fail.
 A change that should keep the phase-2 trace prints the same digests as its
@@ -54,13 +56,12 @@ CONFIG = {
     "control": {"n_loops": 400},
 }
 
-# name -> `control` settings on top of CONFIG's
+# name -> (`control` settings on top of CONFIG's, the stages run)
 SETTINGS = {
-    "default": {},
-    "advance": {"action_predict_mode": "advance"},
-    "latent-hold": {"latent_fallback": "hold"},
-    "action-hold": {"action_fallback": "hold"},
-    "no-uplink-refresh": {"uplink_refresh": False},
+    "default": ({}, STAGES),
+    "advance": ({"action_predict_mode": "advance"}, STAGES),
+    "no-controlling": ({}, ("gen-data", "train-sensing", "run-control")),
+    "no-uplink-refresh": ({"uplink_refresh": False}, STAGES),
 }
 
 
@@ -68,14 +69,15 @@ def _refuse(token):
     raise ValueError(f"non-strict JSON token {token} in loops.ndjson")
 
 
-def setting_digest(control, out):
-    """sha256 hex digest of the trace files one setting leaves in `out`.
+def setting_digest(control, stages, out):
+    """sha256 hex digest of the trace files one setting, running `stages`,
+    leaves in `out`.
     Raises RuntimeError naming the stage when a stage exits nonzero, and
     ValueError when a `loops.ndjson` line holds NaN or Infinity."""
     config = dict(CONFIG, control={**CONFIG["control"], **control})
     config_path = out / "config.json"
     config_path.write_text(json.dumps(config))
-    for stage in STAGES:
+    for stage in stages:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([stage, "--config", str(config_path),
                              "--out-dir", str(out)])
@@ -92,9 +94,9 @@ def setting_digest(control, out):
 def main():
     t0 = time.perf_counter()
     total = hashlib.sha256()
-    for name, control in SETTINGS.items():
+    for name, (control, stages) in SETTINGS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            digest = setting_digest(control, Path(tmp))
+            digest = setting_digest(control, stages, Path(tmp))
         total.update(digest.encode())
         print(f"{digest}  {name}")
     print(f"digest {total.hexdigest()[:16]}  "
