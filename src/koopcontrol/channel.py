@@ -153,7 +153,13 @@ def transmit(config, payload, bits, rng):
     """Push one packet through the fading link.
 
     Returns a LinkOutcome; on loss the payload slot is None. Delivered
-    payloads are corrupted per the configured noise model."""
+    payloads are corrupted per the configured noise model.
+
+    The snr_scaled mean square is numpy's pairwise sum of the squares, over
+    the payload size. Below 8 entries that sum is one left fold from 0.0,
+    entry by entry, so a short packet (a latent or a command) folds its
+    squares as Python floats with the same bits and skips two ufunc calls;
+    the channel tests pin the fold against np.add.reduce."""
     payload = np.asarray(payload, dtype=np.float64)
     # sample_snr and shannon_rate, inline: the fading draw and the airtime
     # of a packet of `bits` bits, lost when it overruns the budget
@@ -166,9 +172,17 @@ def transmit(config, payload, bits, rng):
     if config.noise_model == "noiseless":
         std = 0.0
     else:  # snr_scaled
-        # the pairwise sum np.mean runs, without its wrapper
-        sq = payload * payload
-        std = _noise_std(float(np.add.reduce(sq, axis=None) / sq.size), snr)
+        n = payload.size
+        if 0 < n < 8:
+            total = 0.0
+            for v in payload.ravel().tolist():
+                total += v * v
+            mean_sq = total / n
+        else:
+            # the pairwise sum np.mean runs, without its wrapper
+            sq = payload * payload
+            mean_sq = float(np.add.reduce(sq, axis=None) / n)
+        std = _noise_std(mean_sq, snr)
     received = payload + rng.normal(0.0, std, size=payload.shape) if std > 0.0 \
         else payload.copy()
     return LinkOutcome(True, received, snr, rate, tau_comm, std)

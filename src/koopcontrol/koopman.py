@@ -77,6 +77,10 @@ class _KoopmanAutoencoder:
             raise ValueError(f"Koopman matrix must be ({rows}, d+q)")
         if decoder.d_in != self.d + self.q or decoder.d_out != self.p:
             raise ValueError("decoder must map (d+q) -> p")
+        # the Koopman blocks [K1 | K2], bound once as views: every update
+        # changes the matrix in place, so the views follow it, as the
+        # layers `Network.predict` binds do
+        self._blocks = (koopman.value[:, :self.d], koopman.value[:, self.d:])
 
     def encode(self, x):
         return self.encoder.predict(x)
@@ -110,11 +114,11 @@ class SensingModel(_KoopmanAutoencoder):
     # numpy views of the Koopman blocks
     @property
     def k11(self):
-        return self.koopman.value[:, :self.d]
+        return self._blocks[0]
 
     @property
     def k12(self):
-        return self.koopman.value[:, self.d:]
+        return self._blocks[1]
 
     def encoder_parameters(self):
         return self.encoder.parameters()
@@ -144,11 +148,11 @@ class ControllingModel(_KoopmanAutoencoder):
 
     @property
     def k21(self):
-        return self.koopman.value[:, :self.d]
+        return self._blocks[0]
 
     @property
     def k22(self):
-        return self.koopman.value[:, self.d:]
+        return self._blocks[1]
 
     def local_parameters(self):
         """Trained at the actuator; the shared encoder is a snapshot and is
@@ -169,11 +173,21 @@ def latent_step(model, latent, u):
     K12 u for the sensing model, the action K21' latent + K22' u for the
     controlling one. Takes one latent (d,) or a stack of rows (k, d) with
     one command per row; each row is its own matrix-vector product, so a
-    stack gives the bits of k single steps."""
-    k, d = model.koopman.value, model.d
+    stack gives the bits of k single steps.
+
+    One latent multiplies the model's bound blocks through np.dot, which
+    skips the reshapes and the ufunc dispatch np.matmul pays and gives the
+    same bits (the Koopman tests check it); its command is read as the (q,)
+    vector, so a scalar or a list steps as its array. A stack keeps
+    np.matmul, one matrix-vector product per row."""
+    k1, k2 = model._blocks
     latent = np.asarray(latent, dtype=np.float64)
+    if latent.ndim == 1:
+        if type(u) is not np.ndarray or u.ndim != 1:
+            u = np.asarray(u, dtype=np.float64).reshape(-1)
+        return np.dot(k1, latent) + np.dot(k2, u)
     u = np.asarray(u, dtype=np.float64).reshape(latent.shape[:-1] + (-1, 1))
-    return (k[:, :d] @ latent[..., None] + k[:, d:] @ u)[..., 0]
+    return (k1 @ latent[..., None] + k2 @ u)[..., 0]
 
 
 # the controlling model's step, under its own name: wrapping `latent_step`

@@ -514,7 +514,12 @@ def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
     The loop pays for little but its arithmetic: the plant state is
     carried as four floats from one dynamics.step_plant to the next and
     written into the states array, and the gain is negated once per
-    rollout, not once per command."""
+    rollout, not once per command. Every one-sample product goes through
+    np.dot on arrays bound once: the command on the negated gain, the
+    latent and action steps on each model's bound Koopman blocks (see
+    koopman.latent_step) and the encoder on its bound layers; a short
+    packet's noise scale is a float fold of its squares (see
+    channel.transmit)."""
     n = config.n_loops
     d, q = sensing.d, sensing.q
     up_bits = channel.payload_bits(d)
@@ -556,7 +561,7 @@ def run_phase2_loop(sensing, gain, controlling, uplink, downlink, config,
 
         # --- controller command ----------------------------------------
         if ctrl_lat is not None:
-            u_cmd = neg_gain @ ctrl_lat
+            u_cmd = np.dot(neg_gain, ctrl_lat)
         else:
             u_cmd = np.zeros(q)   # cold start: hold zero
         commands[m] = u_cmd

@@ -249,18 +249,26 @@ def _transmit_reference(config, payload, bits, rng):
 def test_transmit_matches_reference_bit_for_bit(noise_model):
     # same draws in the same order: every outcome, every payload byte and
     # the final generator state agree with the reference over mixed losses,
-    # for single scalars, packets and a 3-D gradient block (with zeros, so
-    # the zero-noise branch is hit too)
+    # for single scalars, every short packet size that takes the float fold
+    # (2-7, one as a 2-D block), sizes 8, 9 and 16 on either side of
+    # numpy's 8-wide block, and a 3-D gradient block; with all-zero and
+    # all -0.0 payloads, so the zero-noise branch is hit too, and payloads
+    # with -0.0 entries
     cfg = channel.ChannelConfig(snr_db=-3.0, noise_model=noise_model)
-    shapes = [(8,), (1,), (17,), (4, 2, 3)]
+    shapes = [(8,), (1,), (17,), (4, 2, 3), (2,), (3,), (4,), (5,), (6,),
+              (7,), (2, 3), (9,), (16,)]
     for seed in (0, 7, 2024):
         data = np.random.default_rng(seed + 1)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         outcomes = set()
-        for k in range(400):
+        for k in range(780):
             payload = data.normal(size=shapes[k % len(shapes)])
             if k % 25 == 0:
                 payload[...] = 0.0
+            elif k % 25 == 12:
+                payload[...] = -0.0
+            elif k % 5 == 1:
+                payload.reshape(-1)[::2] = -0.0
             bits = channel.payload_bits(payload.size)
             out = channel.transmit(cfg, payload, bits, rng)
             delivered, received, snr, rate, tau_comm, std = \
@@ -275,6 +283,32 @@ def test_transmit_matches_reference_bit_for_bit(noise_model):
             outcomes.add(delivered)
         assert outcomes == {True, False}
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_short_packet_fold_is_numpys_pairwise_sum(n):
+    # `transmit` sums a short packet's squares as a left fold of Python
+    # floats from 0.0; that is numpy's pairwise sum below its 8-wide block,
+    # on payloads that share one scale (where the order of the additions
+    # shows in the rounding) across +-150 decades, on entries spread over
+    # +-160 decades (up to overflow and underflow), and on zeros and -0.0.
+    # A numpy that sums short arrays in another order fails here instead of
+    # moving the lossy bits.
+    rng = np.random.default_rng(n)
+    payloads = [rng.normal(size=n) * 10.0 ** rng.uniform(-150.0, 150.0)
+                for _ in range(3000)]
+    payloads += [rng.normal(size=n) * 10.0 ** rng.uniform(-160.0, 160.0,
+                                                            size=n)
+                 for _ in range(3000)]
+    payloads += [np.zeros(n), np.full(n, -0.0),
+                 np.where(np.arange(n) % 2 == 0, -0.0, 1.5)]
+    for payload in payloads:
+        total = 0.0
+        for v in payload.tolist():
+            total += v * v
+        with np.errstate(over="ignore"):
+            want = np.add.reduce(payload * payload, axis=None)
+        assert np.float64(total).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("noise_model", channel.NOISE_MODELS)
@@ -329,13 +363,14 @@ def test_transmit_rows_matches_a_loop_of_transmit_bit_for_bit(noise_model):
     # same draws in the same order: the mask, every payload byte (signed
     # zeros of all-zero rows included) and the final generator state agree
     # with one `transmit` call per row, over mixed losses, an all-lost block
-    # (oversized packets) and an empty block
+    # (oversized packets) and an empty block, for rows as wide as numpy's
+    # 8-wide block and for the short rows that `transmit` folds as floats
     cfg = channel.ChannelConfig(snr_db=-10.0, noise_model=noise_model)
     for seed in (0, 7, 2024):
         data = np.random.default_rng(seed + 1)
         link, ref = channel.FadingLink(cfg, seed), channel.FadingLink(cfg, seed)
         outcomes = set()
-        for width in (8, 1):
+        for width in (8, 4, 1):
             block = data.normal(size=(300, width))
             block[::17] = 0.0
             block[5::17] = -0.0

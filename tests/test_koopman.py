@@ -134,6 +134,75 @@ def test_stacked_latent_step_matches_single_steps_bit_for_bit():
         assert koopman.action_step is koopman.latent_step
 
 
+def test_one_latent_steps_follow_in_place_updates_of_the_bound_blocks():
+    # a one-latent step multiplies the blocks each model binds when it is
+    # built; they are views of the Koopman matrix, so after an Adam step
+    # (which updates the matrix in place) and on a model rebuilt from its
+    # checkpoint, a step is still K1 latent + K2 u on the current values
+    rng = np.random.default_rng(5)
+    sens = micro_model(seed=5, d=4, q=1)
+    ctrl = koopman.ControllingModel.build(sens, rng)
+    lat, u = rng.normal(size=4), rng.normal(size=1)
+
+    def expect(model):
+        k, d = model.koopman.value, model.d
+        return k[:, :d] @ lat + k[:, d:] @ u
+
+    def step(model):
+        if model is ctrl:
+            return koopman.predict_actions(model, u, lat)
+        return koopman.latent_step(model, lat, u)
+
+    for model in (sens, ctrl):
+        before = step(model)
+        model.koopman.grad = rng.normal(size=model.koopman.value.shape)
+        neural.Adam([model.koopman], lr=0.1).step()
+        after = step(model)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == expect(model).tobytes()
+        loaded = koopman.checkpoint_from_dict(koopman.checkpoint_to_dict(model))
+        assert step(loaded).tobytes() == after.tobytes()
+        loaded.koopman.value *= 0.5
+        assert step(loaded).tobytes() == expect(loaded).tobytes()
+        assert not np.array_equal(step(loaded), after)
+        assert step(model).tobytes() == after.tobytes()
+    for model, k1, k2 in ((sens, sens.k11, sens.k12), (ctrl, ctrl.k21, ctrl.k22)):
+        assert np.shares_memory(k1, model.koopman.value)
+        assert np.shares_memory(k2, model.koopman.value)
+        assert np.array_equal(np.hstack([k1, k2]), model.koopman.value)
+
+
+def test_one_latent_step_reads_its_command_as_the_q_vector():
+    # a command given as a list, a tuple, a scalar or a (1, q) row steps as
+    # its (q,) array, with the same bits; one with another number of
+    # entries raises, and none broadcasts into a (d, d) result
+    rng = np.random.default_rng(6)
+    sens = micro_model(seed=6, d=4, q=1)
+    ctrl = koopman.ControllingModel.build(sens, rng)
+    lat = rng.normal(size=4)
+    for model, width in ((sens, 4), (ctrl, 1)):
+        want = koopman.latent_step(model, lat, np.array([0.3]))
+        assert want.shape == (width,)
+        for u in ([0.3], (0.3,), 0.3, np.float64(0.3), np.array(0.3),
+                  np.array([[0.3]])):
+            out = koopman.latent_step(model, lat, u)
+            assert out.shape == (width,)
+            assert out.tobytes() == want.tobytes()
+        assert koopman.latent_step(model, lat.tolist(), [0.3]).tobytes() \
+            == want.tobytes()
+        for u in ([0.3, 0.1], np.zeros(2), np.zeros((4, 1)), []):
+            with pytest.raises(ValueError):
+                koopman.latent_step(model, lat, u)
+    assert koopman.predict_actions(ctrl, 0.3, lat).tobytes() \
+        == koopman.latent_step(ctrl, lat, [0.3]).tobytes()
+    wide = micro_model(seed=7, d=3, q=2)
+    lat3 = rng.normal(size=3)
+    assert koopman.latent_step(wide, lat3, [0.3, -0.2]).tobytes() \
+        == koopman.latent_step(wide, lat3, np.array([0.3, -0.2])).tobytes()
+    with pytest.raises(ValueError):
+        koopman.latent_step(wide, lat3, 0.3)
+
+
 def test_rollout_matches_matrix_power_expansion():
     # the latent after m composed steps must equal
     # K11^m g + sum_j K11^(m-1-j) K12 u_j, computed by an independent

@@ -841,15 +841,6 @@ def test_phase2_hold_fallback_and_cold_start():
     assert np.array_equal(res.applied[3], res.applied[2])
 
 
-def test_phase2_predict_fallback_without_model_holds():
-    sens4 = _cartpole_like_stub()
-    down = scripted([2])
-    res = protocol.run_phase2_loop(sens4, GAIN, None, ideal(), down,
-                                   protocol.Phase2Config(n_loops=4, x0=X0))
-    assert res.records[2].action_source == "held"
-    assert np.array_equal(res.applied[2], res.applied[1])
-
-
 def test_phase2_pure_prediction_mode():
     sens4 = _cartpole_like_stub()
     res = protocol.run_phase2_loop(
